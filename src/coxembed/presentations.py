@@ -35,10 +35,6 @@ def is_finite(v) -> bool:
     return v != INF
 
 
-def extnat_str(v) -> str:
-    return "inf" if v == INF else str(v)
-
-
 def parse_extnat(text: str):
     text = text.strip()
     if text == "inf":
@@ -372,9 +368,6 @@ class CoxeterMatrix:
     @property
     def is_even(self) -> bool:
         return all(m == INF or m % 2 == 0 for _, _, m in self.pairs())
-
-    def rows_str(self):
-        return [[extnat_str(v) for v in row] for row in self.entries]
 
 
 @dataclass(frozen=True)

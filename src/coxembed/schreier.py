@@ -236,18 +236,15 @@ def reidemeister_rewrite(
     hom: HomZ2n,
     symbols: SymbolDict,
     w: Sequence[int],
-    rules: Optional[RewriteRules] = None,
 ) -> Word:
     """Rewrite a kernel word over the Schreier symbols.
 
     A positive letter x at prefix u contributes the symbol of the pair
     (rep of u's coset, x); a letter x^-1 contributes the inverse of the
     symbol at (rep of (u x^-1)'s coset, x).  Raises if ``w`` has nonzero
-    image.  The ``rules`` argument is accepted for symmetry with the
-    dictionary, which already owns the rule set it normalizes with.
+    image.  In evaluated mode the dictionary normalizes with its own
+    rule set.
     """
-    if rules is not None and rules != symbols.rules:
-        raise ValueError("rules disagree with the symbol dictionary")
     if hom.word_image(w) != 0:
         raise ValueError("word is not in the kernel (nonzero image)")
     out: list[int] = []

@@ -5,15 +5,27 @@ ordering) and greedy single-occurrence generator elimination with a
 growth bound.  Every step preserves the presented group; the trace
 records the steps and carries a defining-word table expressing each
 original generator over the survivors.
+
+``simplify`` works incrementally (Holt, Eick and O'Brien, *Handbook of
+Computational Group Theory*, 2005, on Tietze transformations).  Relators
+are kept as normal forms in letter codes over the *input's* generator
+indices: deleting a generator keeps the order of the others, so a relator
+that does not contain the eliminated generator keeps its normal form and
+its place in the deterministic order.  Each elimination therefore rewrites
+and re-normalizes only the relators containing the eliminated generator,
+and updates occurrence counts as it goes.  The result equals re-normalizing
+the whole presentation after every elimination.
 """
 
 from __future__ import annotations
 
+from bisect import bisect_left, insort
+from collections import Counter, defaultdict
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Optional, Set, Tuple
 
 from .presentations import Presentation, serialize_word
-from .words import Word, concat, free_reduce, invert, relator_nf, word_key
+from .words import Code, code_invert, code_nf, code_reduce, decode, encode
 
 
 @dataclass(frozen=True)
@@ -50,94 +62,189 @@ class SimplifyTrace:
         }
 
 
+def _order(c: Code) -> Tuple[int, Code]:
+    """Relator order: length, then letter order (native on codes)."""
+    return (len(c), c)
+
+
 def normalize_relators(pres: Presentation) -> Presentation:
     """Replace each relator by its normal form, drop empties, dedupe, and
     sort by length then letter order."""
-    seen = set()
-    out = []
-    for r in pres.relators:
-        nf = relator_nf(r)
-        if nf and nf not in seen:
-            seen.add(nf)
-            out.append(nf)
-    out.sort(key=lambda w: (len(w), word_key(w)))
-    return Presentation(pres.gens, tuple(out))
+    nfs = {code_nf(encode(r)) for r in pres.relators}
+    nfs.discard(())
+    return Presentation(pres.gens, tuple(decode(c) for c in sorted(nfs, key=_order)))
 
 
-def _flip_involutions(pres: Presentation) -> Presentation:
-    """Rewrite ``g^-1`` to ``g`` wherever the square relator ``g g`` is
-    present.  Group-preserving (the square witnesses g = g^-1) and lets
-    sign-variant relator classes merge under normalization."""
-    squares = {r[0] for r in pres.relators if len(r) == 2 and r[0] == r[1] and r[0] > 0}
-    if not squares:
-        return pres
-    rels = tuple(
-        tuple(-l if l < 0 and -l in squares else l for l in r) for r in pres.relators
-    )
-    return Presentation(pres.gens, rels)
-
-
-def _normalize_step(pres: Presentation) -> Presentation:
-    seen = set()
-    while pres not in seen:
-        seen.add(pres)
-        normalized = normalize_relators(pres)
-        flipped = _flip_involutions(normalized)
-        if flipped == normalized:
-            return normalized
-        pres = flipped
-    return normalize_relators(pres)
-
-
-def _substitute(w: Word, g: int, replacement: Word) -> Word:
+def _substitute(w: Code, g: int, replacement: Code) -> Code:
+    """Free reduction of ``w`` with generator ``g`` replaced."""
+    inverse = code_invert(replacement)
     out: list[int] = []
-    for l in w:
-        if abs(l) - 1 == g:
-            out.extend(replacement if l > 0 else invert(replacement))
+    for x in w:
+        if x >> 1 == g:
+            out.extend(inverse if x & 1 else replacement)
         else:
-            out.append(l)
-    return free_reduce(out)
+            out.append(x)
+    return code_reduce(out)
 
 
-def _drop_generator(w: Word, g: int) -> Word:
-    return tuple(l - 1 if l > g + 1 else (l + 1 if l < -(g + 1) else l) for l in w)
-
-
-def _solve(r: Word, g: int) -> Word:
+def _solve(r: Code, g: int) -> Code:
     """Solve the relator ``r`` (containing g exactly once) for g."""
-    occ = [k for k, l in enumerate(r) if abs(l) - 1 == g]
+    occ = [k for k, x in enumerate(r) if x >> 1 == g]
     if len(occ) != 1:
         raise ValueError(f"generator occurs {len(occ)} times in the relator, need exactly 1")
     k = occ[0]
-    u, v = r[:k], r[k + 1 :]
-    if r[k] > 0:
-        return concat(invert(u), invert(v))
-    return concat(v, u)
-
-
-def _eliminate(pres: Presentation, g: int, r_index: int) -> Tuple[Presentation, Word]:
-    r = pres.relators[r_index]
-    replacement = _solve(r, g)
-    new_rels = []
-    for idx, w in enumerate(pres.relators):
-        if idx == r_index:
-            continue
-        new_rels.append(_drop_generator(_substitute(w, g, replacement), g))
-    names = pres.gens[:g] + pres.gens[g + 1 :]
-    return Presentation(names, tuple(new_rels)), replacement
+    rest = r[k + 1 :] + r[:k]
+    return code_reduce(rest if r[k] & 1 else code_invert(rest))
 
 
 def eliminate_generator(pres: Presentation, g: int, r_index: int) -> Presentation:
     """Remove generator ``g`` using relator ``r_index``, in which it must
     occur exactly once; the presented group is unchanged."""
-    return _eliminate(pres, g, r_index)[0]
+    replacement = _solve(encode(pres.relators[r_index]), g)
+    rels = []
+    for idx, w in enumerate(pres.relators):
+        if idx != r_index:
+            rest = _substitute(encode(w), g, replacement)
+            rels.append(decode(x - 2 if x >> 1 > g else x for x in rest))
+    return Presentation(pres.gens[:g] + pres.gens[g + 1 :], tuple(rels))
 
 
-def _single_occurrence_gens(r: Word):
-    counts: Dict[int, int] = {}
-    for l in r:
-        counts[abs(l) - 1] = counts.get(abs(l) - 1, 0) + 1
-    return sorted(g for g, c in counts.items() if c == 1)
+class _Relators:
+    """The relator set of one ``simplify`` run, kept normalized.
+
+    ``rels`` holds distinct nonempty normal forms in letter codes over
+    the input's generator indices.  Alongside it: letter occurrences per
+    generator, the relators containing each generator, and the relators
+    having a single-occurrence generator in relator order, the only ones
+    an elimination can use.  With ``flips``, each normal form is also
+    canonical under rewriting ``g^-1`` to ``g`` for every generator ``g``
+    in ``squares``, those with the relator ``g^2``.
+    """
+
+    def __init__(self, flips: bool, max_len: int):
+        self.flips = flips
+        self.max_len = max_len
+        self.squares: Set[int] = set()
+        self.rels: Set[Code] = set()
+        self.occ: Dict[int, int] = defaultdict(int)
+        self.containing: Dict[int, Set[Code]] = defaultdict(set)
+        self.singles: Dict[Code, List[int]] = {}
+        self.usable: List[Tuple[int, Code]] = []  # _order of relators with singles, sorted
+        self.too_long = 0  # relators longer than max_len (only input can have them)
+
+    def __len__(self) -> int:
+        return len(self.rels)
+
+    def _canon(self, c: Code) -> Code:
+        """Flip-canonical form of the normal form ``c``.
+
+        Alternates the flip and re-normalization until the flip changes
+        nothing.  This ends: if two successive normal forms both came from
+        the inverted side, the flipped word and its flipped inverse would
+        each have a lesser least rotation than the other.
+        """
+        sq = self.squares
+        while True:
+            flipped = tuple(x & ~1 if x >> 1 in sq else x for x in c)
+            if flipped == c:
+                return c
+            c = code_nf(flipped)
+
+    def add(self, c: Code) -> None:
+        """Insert the normal form ``c`` unless it is empty or present."""
+        if self.squares:
+            c = self._canon(c)
+        if not c or c in self.rels:
+            return
+        self.rels.add(c)
+        counts = Counter(x >> 1 for x in c)
+        for g, k in counts.items():
+            self.occ[g] += k
+            self.containing[g].add(c)
+        singles = sorted(g for g, k in counts.items() if k == 1)
+        if singles:
+            self.singles[c] = singles
+            insort(self.usable, _order(c))
+        self.too_long += len(c) > self.max_len
+
+    def remove(self, c: Code) -> None:
+        self.rels.remove(c)
+        for x in c:
+            self.occ[x >> 1] -= 1
+            self.containing[x >> 1].discard(c)
+        if self.singles.pop(c, None):
+            del self.usable[bisect_left(self.usable, _order(c))]
+        self.too_long -= len(c) > self.max_len
+
+    def add_all(self, nfs) -> None:
+        """Insert normal forms, first taking up the squares among them."""
+        nfs = list(nfs)
+        if self.flips:
+            new = {c[0] >> 1 for c in nfs if len(c) == 2 and c[0] == c[1]} - self.squares
+            self.squares |= new
+            for s in new:
+                for c in list(self.containing[s]):
+                    if self._canon(c) != c:
+                        self.remove(c)
+                        self.add(c)
+        for c in nfs:
+            self.add(c)
+
+    def _rewrite(self, g: int, r: Code, replacement: Code) -> Optional[List[Code]]:
+        """Normal forms of the relators containing ``g`` other than ``r``
+        with ``g`` replaced, or None when one would exceed the length
+        bound (cyclically reduced, as a presentation stores it)."""
+        users = self.containing[g]
+        if self.too_long > sum(len(w) > self.max_len for w in users):
+            return None
+        out = []
+        for w in users:
+            if w != r:
+                w = code_nf(_substitute(w, g, replacement))
+                if len(w) > self.max_len:
+                    return None
+                out.append(w)
+        return out
+
+    def choose(self):
+        """First admissible elimination ``(g, r, replacement, rewritten)``.
+
+        Relators are tried in relator order; within one, its
+        single-occurrence generators by growth estimate (occurrences
+        elsewhere times replacement length minus one), then index.
+        """
+        for _, r in self.usable:
+            grow = len(r) - 2
+            for g in sorted(self.singles[r], key=lambda g: ((self.occ[g] - 1) * grow, g)):
+                replacement = _solve(r, g)
+                rewritten = self._rewrite(g, r, replacement)
+                if rewritten is not None:
+                    return g, r, replacement, rewritten
+        return None
+
+    def eliminate(self, g: int, rewritten: List[Code]) -> None:
+        """Drop the relators containing ``g`` and insert ``rewritten``."""
+        for w in list(self.containing[g]):
+            self.remove(w)
+        self.squares.discard(g)
+        self.add_all(rewritten)
+
+
+def _expand(eliminated: List[Tuple[int, Code]]) -> Dict[int, Code]:
+    """Each eliminated generator over the survivors.  Free reduction is
+    confluent, so substituting once at the end gives the words that
+    substituting after every elimination would."""
+    words: Dict[int, Code] = {}
+    for g, replacement in reversed(eliminated):
+        out: list[int] = []
+        for x in replacement:
+            y = words.get(x >> 1)
+            if y is None:
+                out.append(x)
+            else:
+                out.extend(code_invert(y) if x & 1 else y)
+        words[g] = code_reduce(out)
+    return words
 
 
 def simplify(pres: Presentation, cfg: Optional[SimplifyConfig] = None) -> Tuple[Presentation, SimplifyTrace]:
@@ -151,69 +258,48 @@ def simplify(pres: Presentation, cfg: Optional[SimplifyConfig] = None) -> Tuple[
     ``involution_flips`` enabled, normalization additionally rewrites
     ``g^-1`` to ``g`` for generators whose square is a relator, merging
     sign-variant relator classes.
+
+    Only the relators containing the eliminated generator are rewritten
+    and re-normalized at each step (see the module docstring).
     """
     cfg = cfg or SimplifyConfig()
-    normalize = _normalize_step if cfg.involution_flips else normalize_relators
+    names = pres.gens
     trace = SimplifyTrace()
-    # index-based defining words, remapped as generators disappear
-    defining: Dict[str, Word] = {name: ((i + 1),) for i, name in enumerate(pres.gens)}
-
-    before = len(pres.relators)
-    current = normalize(pres)
-    if len(current.relators) != before:
-        trace.steps.append(("dedupe", before - len(current.relators)))
+    rels = _Relators(cfg.involution_flips, cfg.max_relator_length)
+    rels.add_all(code_nf(encode(r)) for r in pres.relators)
+    if len(rels) != len(pres.relators):
+        trace.steps.append(("dedupe", len(pres.relators) - len(rels)))
     trace.steps.append(("reduce",))
 
-    passes = 0
-    while cfg.eliminate and passes < cfg.max_passes:
-        chosen = None
-        for ri, r in enumerate(current.relators):
-            singles = _single_occurrence_gens(r)
-            if not singles:
-                continue
-            total_other = {
-                g: sum(1 for w in current.relators for l in w if abs(l) - 1 == g) - 1
-                for g in singles
-            }
-            rep_len = len(r) - 1
-            ranked = sorted(singles, key=lambda g: (total_other[g] * (rep_len - 1), g))
-            for g in ranked:
-                candidate, replacement = _eliminate(current, g, ri)
-                if any(len(w) > cfg.max_relator_length for w in candidate.relators):
-                    continue
-                chosen = (g, ri, candidate, replacement)
-                break
-            if chosen:
-                break
+    eliminated: List[Tuple[int, Code]] = []
+    while cfg.eliminate and len(eliminated) < cfg.max_passes:
+        chosen = rels.choose()
         if not chosen:
             break
-        g, ri, candidate, replacement = chosen
-        name = current.gens[g]
+        g, r, replacement, rewritten = chosen
         trace.steps.append(
-            (
-                "eliminate",
-                name,
-                serialize_word(current.relators[ri], current.gens),
-                serialize_word(replacement, current.gens),
-            )
+            ("eliminate", names[g], serialize_word(decode(r), names), serialize_word(decode(replacement), names))
         )
-        for key, w in defining.items():
-            defining[key] = _drop_generator(_substitute(w, g, replacement), g)
-        emptied = len(current.relators) - 1 - len(candidate.relators)
+        eliminated.append((g, replacement))
+        emptied = rewritten.count(())
         if emptied:
             trace.steps.append(("drop-empty", emptied))
-        before = len(candidate.relators)
-        current = normalize(candidate)
-        removed = before - len(current.relators)
-        if removed:
-            trace.steps.append(("dedupe", removed))
+        before = len(rels) - 1 - emptied
+        rels.eliminate(g, rewritten)
+        if len(rels) != before:
+            trace.steps.append(("dedupe", before - len(rels)))
         trace.steps.append(("reduce",))
-        passes += 1
     else:
-        if cfg.eliminate and any(_single_occurrence_gens(r) for r in current.relators):
+        if cfg.eliminate and rels.usable:
             trace.bounded = True
 
+    words = _expand(eliminated)
+    survivors = [g for g in range(len(names)) if g not in words]
+    new_index = {g: k for k, g in enumerate(survivors)}
+    relators = tuple(
+        decode(2 * new_index[x >> 1] + (x & 1) for x in c) for c in sorted(rels.rels, key=_order)
+    )
     trace.defining = {
-        name: serialize_word(w, current.gens) or "1" for name, w in defining.items()
+        name: serialize_word(decode(words.get(g, (2 * g,))), names) or "1" for g, name in enumerate(names)
     }
-    return current, trace
+    return Presentation(tuple(names[g] for g in survivors), relators), trace

@@ -8,9 +8,11 @@ per-instance verdict reports.
 
 from __future__ import annotations
 
+import heapq
 import itertools
+from collections import defaultdict
 from dataclasses import dataclass
-from typing import Dict, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 from .presentations import EmbeddingInstance, Presentation
 from .schreier import check_hom, evaluated_kernel_presentation, image_rank, raw_kernel_presentation, transversal
@@ -255,7 +257,11 @@ def smith_normal_form(rows: Sequence[Sequence[int]]) -> Tuple[int, ...]:
 
     Returns ``(d_1, ..., d_k)`` with ``k = min(rows, cols)``, each
     ``d_i >= 0`` and ``d_i | d_{i+1}``, computed by integer row/column
-    operations with unit determinant.
+    operations with unit determinant.  Elimination on ``±1`` pivots over
+    sparse rows comes first (each contributes a 1 to the diagonal); the
+    dense pivot loop then runs on the nonzero rows and columns that remain.
+    Reidemeister-Schreier exponent-sum rows are short and nearly always
+    have a unit entry, so the dense part stays small.
     """
     a = [list(map(int, r)) for r in rows]
     m = len(a)
@@ -263,6 +269,61 @@ def smith_normal_form(rows: Sequence[Sequence[int]]) -> Tuple[int, ...]:
     for row in a:
         if len(row) != n:
             raise ValueError("ragged matrix")
+    units, rest = _unit_pivots(a)
+    live = sorted({j for row in rest for j in row})
+    diag = _dense_smith_diagonal([[row.get(j, 0) for j in live] for row in rest])
+    return (1,) * units + diag + (0,) * (min(m, n) - units - len(diag))
+
+
+def _unit_pivots(a: List[List[int]]) -> Tuple[int, List[Dict[int, int]]]:
+    """Eliminate on ``±1`` pivots; returns the pivot count and the
+    remaining nonzero rows as ``{column: entry}``.
+
+    A unit pivot clears its column by row operations, after which column
+    operations clear its row without touching any other, so the pivot row
+    and column drop out.  Pivots come from the sparsest row first and,
+    within it, the sparsest column, which keeps fill-in low.
+    """
+    rows: List[Optional[Dict[int, int]]] = [{j: v for j, v in enumerate(r) if v} for r in a]
+    cols: Dict[int, set] = defaultdict(set)
+    for i, row in enumerate(rows):
+        for j in row:
+            cols[j].add(i)
+    heap = [(len(row), i) for i, row in enumerate(rows) if row]
+    heapq.heapify(heap)
+    units = 0
+    while heap:
+        size, i = heapq.heappop(heap)
+        piv = rows[i]
+        if piv is None or len(piv) != size:
+            continue  # pivoted already, or queued again at its new size
+        unit_cols = [j for j, v in piv.items() if v == 1 or v == -1]
+        if not unit_cols:
+            continue
+        p = min(unit_cols, key=lambda j: (len(cols[j]), j))
+        rows[i] = None
+        for j in piv:
+            cols[j].discard(i)
+        for k in list(cols[p]):
+            row = rows[k]
+            f = row[p] * piv[p]
+            for j, v in piv.items():
+                x = row.get(j, 0) - f * v
+                if x:
+                    row[j] = x
+                    cols[j].add(k)
+                else:
+                    del row[j]
+                    cols[j].discard(k)
+            heapq.heappush(heap, (len(row), k))
+        units += 1
+    return units, [row for row in rows if row]
+
+
+def _dense_smith_diagonal(a: List[List[int]]) -> Tuple[int, ...]:
+    """Smith diagonal of a dense matrix by repeated least-entry pivoting."""
+    m = len(a)
+    n = len(a[0]) if m else 0
     t = 0
     while t < m and t < n:
         piv = None

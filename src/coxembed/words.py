@@ -5,6 +5,10 @@ A letter is a nonzero integer: ``g + 1`` stands for generator ``g``
 that is freely reduced; the empty tuple is the identity.  Generator
 display names live at the presentation level, so everything here is pure
 index arithmetic and all values are immutable.
+
+Relator normal forms are computed on *letter codes* (:func:`encode`),
+whose native integer order is the :func:`letter_key` order, so tuples of
+codes compare as :func:`word_key` orders words without building keys.
 """
 
 from __future__ import annotations
@@ -12,6 +16,8 @@ from __future__ import annotations
 from typing import Iterable, Sequence, Tuple
 
 Word = Tuple[int, ...]
+# a word in letter codes, see encode()
+Code = Tuple[int, ...]
 
 
 def letter(gen: int, sign: int = 1) -> int:
@@ -25,15 +31,6 @@ def letter(gen: int, sign: int = 1) -> int:
     if sign not in (1, -1):
         raise ValueError("sign must be +1 or -1")
     return (gen + 1) * sign
-
-
-def gen_of(let: int) -> int:
-    """Generator index of a letter."""
-    return abs(let) - 1
-
-
-def sign_of(let: int) -> int:
-    return 1 if let > 0 else -1
 
 
 def free_reduce(letters: Iterable[int]) -> Word:
@@ -86,10 +83,12 @@ def cyclic_reduce(w: Sequence[int]) -> Word:
     >>> cyclic_reduce([-2, 1, 2])
     (1,)
     """
-    v = list(free_reduce(w))
-    while len(v) >= 2 and v[0] == -v[-1]:
-        v = v[1:-1]
-    return tuple(v)
+    v = free_reduce(w)
+    i, j = 0, len(v) - 1
+    while i < j and v[i] == -v[j]:
+        i += 1
+        j -= 1
+    return v[i : j + 1]
 
 
 def letter_key(let: int) -> Tuple[int, int]:
@@ -101,14 +100,76 @@ def word_key(w: Sequence[int]) -> Tuple[Tuple[int, int], ...]:
     return tuple(letter_key(l) for l in w)
 
 
-def rotations(w: Sequence[int]):
-    """All cyclic rotations of ``w`` (just ``w`` itself when empty)."""
-    w = tuple(w)
-    if not w:
-        yield w
-        return
-    for i in range(len(w)):
-        yield w[i:] + w[:i]
+def encode(w: Sequence[int]) -> Code:
+    """Letter codes of a word: ``2g`` for generator ``g``, ``2g + 1`` for
+    its inverse.  Codes compare as :func:`letter_key` does, so code tuples
+    compare natively in the :func:`word_key` order, and ``c ^ 1`` is the
+    inverse of code ``c``.
+
+    >>> encode((1, -1, -3))
+    (0, 1, 5)
+    """
+    if 0 in w:
+        raise ValueError("0 is not a letter")
+    return tuple(2 * l - 2 if l > 0 else -2 * l - 1 for l in w)
+
+
+def decode(c: Sequence[int]) -> Word:
+    """Inverse of :func:`encode`."""
+    return tuple(-(x >> 1) - 1 if x & 1 else (x >> 1) + 1 for x in c)
+
+
+def _least_rotation(c: Code) -> Code:
+    """Lexicographically least rotation of a nonempty code word.
+
+    Linear time, the bound of Booth (IPL 10, 1980), here by Duval's Lyndon
+    factorization of ``c c``: the least rotation starts at the last Lyndon
+    factor that begins in the first copy.  ``i`` is the start of the
+    current factor, ``j`` the letter under comparison and ``k`` its
+    counterpart one period back.
+    """
+    n = len(c)
+    cc = c + c
+    i = start = 0
+    while i < n:
+        start = i
+        j, k = i + 1, i
+        while j < 2 * n and cc[k] <= cc[j]:
+            k = i if cc[k] < cc[j] else k + 1
+            j += 1
+        while i <= k:
+            i += j - k
+    return cc[start : start + n]
+
+
+def code_reduce(c: Iterable[int]) -> Code:
+    """:func:`free_reduce` on letter codes."""
+    out: list[int] = []
+    for x in c:
+        if out and out[-1] == x ^ 1:
+            out.pop()
+        else:
+            out.append(x)
+    return tuple(out)
+
+
+def code_invert(c: Sequence[int]) -> Code:
+    """:func:`invert` on letter codes."""
+    return tuple(x ^ 1 for x in reversed(c))
+
+
+def code_nf(c: Iterable[int]) -> Code:
+    """:func:`relator_nf` on letter codes: cyclically reduce, then take
+    the least of the least rotations of the word and of its inverse."""
+    v = code_reduce(c)
+    i, j = 0, len(v) - 1
+    while i < j and v[i] == v[j] ^ 1:
+        i += 1
+        j -= 1
+    if i > j:
+        return ()
+    v = v[i : j + 1]
+    return min(_least_rotation(v), _least_rotation(code_invert(v)))
 
 
 def relator_nf(w: Sequence[int]) -> Word:
@@ -116,11 +177,8 @@ def relator_nf(w: Sequence[int]) -> Word:
 
     Cyclically reduces ``w``, then returns the minimum over all rotations
     of the result and of its inverse under the letter order of
-    :func:`letter_key`.  Constant on the orbit of a word under rotation,
+    :func:`letter_key`, found on letter codes in linear time by
+    :func:`code_nf`.  Constant on the orbit of a word under rotation,
     inversion and free conjugation.
     """
-    v = cyclic_reduce(w)
-    if not v:
-        return ()
-    candidates = list(rotations(v)) + list(rotations(invert(v)))
-    return min(candidates, key=word_key)
+    return decode(code_nf(encode(w)))

@@ -1,11 +1,16 @@
+import hashlib
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from coxembed.presentations import (
+    INF,
     CoxeterMatrix,
     HomZ2n,
     Presentation,
+    build_artin_instance,
+    build_klein_instance,
     build_prop2_instance,
     build_thm1_instance,
     coxeter_presentation,
@@ -156,3 +161,104 @@ def random_presentations(draw):
 def test_simplify_preserves_abelianization(p):
     simplified, _ = simplify(p)
     assert abelianization(simplified) == abelianization(p)
+
+
+# Simplify output pinned by digests taken from the whole-presentation
+# implementation that re-normalized every relator after each elimination.
+# Each digest covers str(presentation), trace.steps, trace.defining and
+# trace.bounded; the four per case are for DIGEST_CONFIGS in order.
+DIGEST_CONFIGS = (
+    SimplifyConfig(),
+    SimplifyConfig(max_relator_length=7),
+    SimplifyConfig(max_passes=3),
+    SimplifyConfig(involution_flips=True),
+)
+
+
+def _chain(n):
+    return CoxeterMatrix.from_pairs(n, {(i, i + 1): 4 for i in range(n - 1)})
+
+
+DIGEST_CASES = {
+    "thm1-m2x2_4": lambda: build_thm1_instance(_chain(2), (2, 2)),
+    "thm1-m2x2_4-33": lambda: build_thm1_instance(_chain(2), (3, 3)),
+    "prop2-rank1": lambda: build_prop2_instance(CoxeterMatrix.from_rows([[1]]), (4,)),
+    "prop2-m2x2_3": lambda: build_prop2_instance(CoxeterMatrix.from_pairs(2, {(0, 1): 3}), (2, 2)),
+    "prop2-m2x2_3-44": lambda: build_prop2_instance(CoxeterMatrix.from_pairs(2, {(0, 1): 3}), (4, 4)),
+    "thm1-m3x3_right_angled": lambda: build_thm1_instance(
+        CoxeterMatrix.from_rows([[1, 2, INF], [2, 1, 2], [INF, 2, 1]]), (2, 2, 2)
+    ),
+    "klein": build_klein_instance,
+    "artin-3": lambda: build_artin_instance(CoxeterMatrix.from_pairs(2, {(0, 1): 3})),
+    # 289 -> 189 generators, bounded by the default 100 passes
+    "chain5": lambda: build_thm1_instance(_chain(5), (2,) * 5),
+}
+
+SIMPLIFY_DIGESTS = {
+    "thm1-m2x2_4": (
+        "a341802b4719e4c450d7993b46223b0b230ea19ff6b8a989e10b4b067e0ffa9c",
+        "f6cdf19d215c4512fc540b45a297357102023c33d695f1c0056fb8c386889cc7",
+        "b8e0a52ce4aaa340b6b477f1fd1c664737d6685e5d9051a837e86bfd8186e28f",
+        "bac43ec93e17d1f8b0cb2d1ee5b246d7bf0200bce21ef145f73ff416a48c49f2",
+    ),
+    "thm1-m2x2_4-33": (
+        "ff5f0a27efa082cb90782ab085dfe96e06a939722b11a35d53a2ffb6bed7d537",
+        "24fdd0eaf7da905f9c3cb7ab5c9d895db63db72b23e549f133f913a76d26bbb6",
+        "07ecd23834a58cc2e4e2648d7ddaadc0d024b09d30de865f9facfb5f5256be13",
+        "ff5f0a27efa082cb90782ab085dfe96e06a939722b11a35d53a2ffb6bed7d537",
+    ),
+    "prop2-rank1": (
+        "cb9eaadb1789645382a6d35b1187ae8814f2cffb7eea50dc7f18f68d42efa5ea",
+        "cb9eaadb1789645382a6d35b1187ae8814f2cffb7eea50dc7f18f68d42efa5ea",
+        "cb9eaadb1789645382a6d35b1187ae8814f2cffb7eea50dc7f18f68d42efa5ea",
+        "cb9eaadb1789645382a6d35b1187ae8814f2cffb7eea50dc7f18f68d42efa5ea",
+    ),
+    "prop2-m2x2_3": (
+        "74a98fc591dd3078d572788d56f3bf02ca27916e055b886c3c5ea5e3fa72d2f4",
+        "74a98fc591dd3078d572788d56f3bf02ca27916e055b886c3c5ea5e3fa72d2f4",
+        "f67aabb72e0eb56de44258fc121781ff442cad83738784dd177a10793db9568c",
+        "00fd30f14ffd2d8bccd25853d427db6b2d1cb04cc4849eb22c1b2a672b24625b",
+    ),
+    "prop2-m2x2_3-44": (
+        "1e4d8f8ed388e2db27c332d61c1dd5e70772078d9512b06cd0b6ee2e0aa7a51c",
+        "57ca21a53d111a37620fbabc946b94008ef81b92731a32c9656daa5d4469490c",
+        "f8027ca60037f6d5578c2e948f959b0697bfbf75132f52414f571da44b503d06",
+        "0a2cad0dcb88da7c661250dcd2907983d81f8b3c55a72c748366a182d02e0e0b",
+    ),
+    "thm1-m3x3_right_angled": (
+        "ac691d59f62749189e5d73a9e6582b17cbd2bda3d78a0db436cf6189c33d49bf",
+        "ac691d59f62749189e5d73a9e6582b17cbd2bda3d78a0db436cf6189c33d49bf",
+        "ee75acf1fa0e5174bcdd1c798005ec0367873dfe9b6bd6efdcc29edb1ebc223e",
+        "7ff7bbb4c419d7df27876b754267f3147ba50d9da405441696ddb0d3c2d344c4",
+    ),
+    "klein": (
+        "7b8e02b3bffcecc484c0329fe48a38fc19a5ce638d811641f0f748d209732796",
+        "7b8e02b3bffcecc484c0329fe48a38fc19a5ce638d811641f0f748d209732796",
+        "e847308138a5ac566efbb507d334276149be44255020ff1930238ffab409c5a6",
+        "7b8e02b3bffcecc484c0329fe48a38fc19a5ce638d811641f0f748d209732796",
+    ),
+    "artin-3": (
+        "725801a8ce3358c1bac2fc80879559cb692b6482c53b7fd3680ef699e143318a",
+        "a8a1db2f278fe9f18fc65921a870e8066d68d14fdc1baa8734c9b36389f3cead",
+        "077abc1f1788aec3ec8970baa639721e71f3b5b3272e07b8677d41a589b056d8",
+        "725801a8ce3358c1bac2fc80879559cb692b6482c53b7fd3680ef699e143318a",
+    ),
+    "chain5": (
+        "8da03f854262a132febbbde35dfc9fa9ae1f3c65f382b4ff68116cecd314056d",
+        "d4b46fde476543311654b022befc2156483f4e9be22e74361a1cdf367dd7f293",
+        "62ee076d63682632dc110ff3d794d1f46264e7d04e17002d20ec862530e9a72b",
+        "8da03f854262a132febbbde35dfc9fa9ae1f3c65f382b4ff68116cecd314056d",
+    ),
+}
+
+
+@pytest.mark.parametrize("case", sorted(DIGEST_CASES))
+def test_simplify_output_pinned(case):
+    inst = DIGEST_CASES[case]()
+    raw = raw_kernel_presentation(inst.ambient, inst.hom, inst.transversal_gens).presentation
+    got = []
+    for cfg in DIGEST_CONFIGS:
+        out, trace = simplify(raw, cfg)
+        record = repr((str(out), trace.steps, trace.defining, trace.bounded))
+        got.append(hashlib.sha256(record.encode()).hexdigest())
+    assert tuple(got) == SIMPLIFY_DIGESTS[case]

@@ -174,6 +174,65 @@ def test_smith_divisibility_chain():
         assert all(d == 0 for d in diag[len(nonzero):])
 
 
+def _random_matrix(rng, m, n, entries):
+    return [[rng.choice(entries) for _ in range(n)] for _ in range(m)]
+
+
+def test_smith_normal_form_sparse_unit_entries():
+    # mostly zeros and +-1, as in exponent-sum matrices, so the unit-pivot
+    # elimination handles most of each matrix
+    rng = random.Random(31)
+    entries = (0, 0, 0, 1, -1, 1, -1, 2, -3)
+    for m, n in ((4, 5), (5, 4)):
+        for _ in range(150):
+            rows = _random_matrix(rng, m, n, entries)
+            assert smith_normal_form(rows) == minor_gcd_diagonal(rows)
+
+
+def test_smith_normal_form_without_unit_entries():
+    rng = random.Random(32)
+    entries = (0, 0, 2, -2, 3, 4, -6, 9)
+    for m, n in ((3, 4), (4, 3), (4, 5), (5, 4)):
+        for _ in range(60):
+            rows = _random_matrix(rng, m, n, entries)
+            assert smith_normal_form(rows) == minor_gcd_diagonal(rows)
+
+
+def test_smith_normal_form_zero_rows_and_columns():
+    rng = random.Random(33)
+    entries = (0, 1, -1, 2, -2, 3)
+    for m, n in ((4, 5), (5, 4), (3, 3)):
+        for _ in range(60):
+            rows = _random_matrix(rng, m, n, entries)
+            for i in rng.sample(range(m), rng.randint(1, m - 1)):
+                rows[i] = [0] * n
+            for j in rng.sample(range(n), rng.randint(0, n - 1)):
+                for row in rows:
+                    row[j] = 0
+            diag = smith_normal_form(rows)
+            assert len(diag) == min(m, n)
+            assert diag == minor_gcd_diagonal(rows)
+    assert smith_normal_form([[0, 0, 0], [0, 1, 0]]) == (1, 0)
+    assert smith_normal_form([[0], [0], [-1], [2]]) == (1,)
+
+
+def test_thm1_rank5_kernel_abelianization_closed_form():
+    # the kernel is the power-commutator group, whose abelianization is
+    # the sum of the Z_{p_i}; its invariant factors come from the
+    # minor-gcd oracle.  The raw kernel gives a 1760 x 289 exponent matrix.
+    from coxembed.schreier import raw_kernel_presentation
+    from coxembed.tietze import simplify
+
+    chain = CoxeterMatrix.from_pairs(5, {(i, i + 1): 4 for i in range(4)})
+    for orders in ((2, 2, 2, 2, 2), (2, 3, 2, 4, 3)):
+        inst = build_thm1_instance(chain, orders)
+        raw = raw_kernel_presentation(inst.ambient, inst.hom, inst.transversal_gens)
+        diag = minor_gcd_diagonal([[p if i == j else 0 for j in range(5)] for i, p in enumerate(orders)])
+        expected = AbelianInvariants(0, tuple(d for d in diag if d > 1))
+        assert abelianization(raw.presentation) == expected
+        assert abelianization(simplify(raw.presentation)[0]) == expected
+
+
 def test_abelianization_examples():
     klein = build_klein_instance().expected_kernel
     assert abelianization(klein) == AbelianInvariants(1, (2,))

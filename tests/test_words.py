@@ -6,8 +6,11 @@ from coxembed.words import (
     commutator,
     concat,
     cyclic_reduce,
+    decode,
+    encode,
     free_reduce,
     invert,
+    letter_key,
     power,
     relator_nf,
     word_key,
@@ -62,6 +65,21 @@ def test_cyclic_reduce_examples():
     assert cyclic_reduce((1, 2)) == (1, 2)
 
 
+@given(raw_words)
+def test_cyclic_reduce_matches_pairwise_stripping(ls):
+    # reference: re-slice after each stripped end pair
+    v = free_reduce(ls)
+    while len(v) >= 2 and v[0] == -v[-1]:
+        v = v[1:-1]
+    assert cyclic_reduce(ls) == v
+
+
+@given(raw_words)
+def test_letter_codes_follow_letter_key(ls):
+    assert decode(encode(ls)) == tuple(ls)
+    assert sorted(ls, key=letter_key) == list(decode(sorted(encode(ls))))
+
+
 def test_relator_nf_trivial_example():
     assert relator_nf((1, 2, 3)) == (1, 2, 3)
 
@@ -99,6 +117,22 @@ def test_relator_nf_matches_bruteforce_orbit_minimum(ls):
     w = cyclic_reduce(ls)
     expected = min(orbit_rotation_inversion(w), key=word_key)
     assert relator_nf(ls) == expected
+
+
+def test_relator_nf_long_and_periodic_words():
+    import random
+
+    rng = random.Random(20151008)
+    words = [power((1, 2), k) for k in (1, 2, 3, 50, 299, 300)]
+    words += [power((1, -2, 1, 3), k) for k in (1, 7, 100)]
+    words += [power((2,), 40) + (1,), (1,) * 300 + (-2,), power((3, -1), 150) + (2,)]
+    words += [tuple(rng.choice((1, -1)) * rng.randint(1, 3) for _ in range(n)) for n in (200, 400, 600)]
+    for w in words:
+        v = cyclic_reduce(w)
+        expected = min(orbit_rotation_inversion(v), key=word_key)
+        assert relator_nf(w) == expected
+        assert relator_nf(invert(w)) == expected
+        assert relator_nf(w[1:] + w[:1]) == expected
 
 
 @given(raw_words, raw_words)
