@@ -269,22 +269,28 @@ def smith_normal_form(rows: Sequence[Sequence[int]]) -> Tuple[int, ...]:
     for row in a:
         if len(row) != n:
             raise ValueError("ragged matrix")
-    units, rest = _unit_pivots(a)
+    return _sparse_smith_diagonal([{j: v for j, v in enumerate(r) if v} for r in a], min(m, n))
+
+
+def _sparse_smith_diagonal(rows: List[Dict[int, int]], k: int) -> Tuple[int, ...]:
+    """Smith diagonal, of length ``k``, of the matrix with rows given as
+    ``{column: nonzero entry}``; consumes ``rows``."""
+    units, rest = _unit_pivots(rows)
     live = sorted({j for row in rest for j in row})
     diag = _dense_smith_diagonal([[row.get(j, 0) for j in live] for row in rest])
-    return (1,) * units + diag + (0,) * (min(m, n) - units - len(diag))
+    return (1,) * units + diag + (0,) * (k - units - len(diag))
 
 
-def _unit_pivots(a: List[List[int]]) -> Tuple[int, List[Dict[int, int]]]:
-    """Eliminate on ``±1`` pivots; returns the pivot count and the
-    remaining nonzero rows as ``{column: entry}``.
+def _unit_pivots(rows: List[Dict[int, int]]) -> Tuple[int, List[Dict[int, int]]]:
+    """Eliminate on ``±1`` pivots in place; returns the pivot count and
+    the remaining nonzero rows.
 
     A unit pivot clears its column by row operations, after which column
     operations clear its row without touching any other, so the pivot row
     and column drop out.  Pivots come from the sparsest row first and,
     within it, the sparsest column, which keeps fill-in low.
     """
-    rows: List[Optional[Dict[int, int]]] = [{j: v for j, v in enumerate(r) if v} for r in a]
+    rows = list(rows)  # a row becomes None once it has been a pivot
     cols: Dict[int, set] = defaultdict(set)
     for i, row in enumerate(rows):
         for j in row:
@@ -404,11 +410,12 @@ def abelianization(pres: Presentation) -> AbelianInvariants:
         return AbelianInvariants(pres.rank, ())
     rows = []
     for r in pres.relators:
-        row = [0] * pres.rank
+        row: Dict[int, int] = {}
         for l in r:
-            row[abs(l) - 1] += 1 if l > 0 else -1
-        rows.append(row)
-    diag = smith_normal_form(rows)
+            g = abs(l) - 1
+            row[g] = row.get(g, 0) + (1 if l > 0 else -1)
+        rows.append({g: v for g, v in row.items() if v})
+    diag = _sparse_smith_diagonal(rows, min(len(rows), pres.rank))
     nonzero = [d for d in diag if d]
     return AbelianInvariants(pres.rank - len(nonzero), tuple(d for d in nonzero if d > 1))
 
