@@ -2,7 +2,8 @@
 
 Everything here avoids the code paths under test: brute-force orbit
 enumeration for cyclic words, permutation closures for group orders,
-minor gcds for Smith diagonals.
+minor gcds for Smith diagonals, and a whole-presentation Tietze loop for
+the incremental ``simplify``.
 """
 
 from __future__ import annotations
@@ -11,7 +12,8 @@ import itertools
 from math import gcd
 from typing import Sequence, Tuple
 
-from coxembed.words import invert
+from coxembed.presentations import Presentation, serialize_word
+from coxembed.words import concat, free_reduce, invert, relator_nf, word_key
 
 
 def orbit_rotation_inversion(w) -> set:
@@ -121,3 +123,85 @@ def minor_gcd_diagonal(rows) -> Tuple[int, ...]:
         diag.append(g // prev)
         prev = g
     return tuple(diag)
+
+
+def reference_simplify(pres, max_passes=100, max_len=1000, flips=False):
+    """Tietze simplification re-normalizing the whole presentation after
+    every elimination, with the relabelled generators of each step.
+
+    Follows the rules ``coxembed.tietze.simplify`` documents (shortest
+    relator with a single-occurrence generator first, least growth
+    estimate, length bound on the cyclically reduced rewrites, square
+    relators flipping ``g^-1`` to ``g``) and returns
+    ``(str(presentation), steps, defining, bounded)``.
+    """
+
+    def normalize(p):
+        while True:
+            nfs = sorted({relator_nf(r) for r in p.relators} - {()}, key=lambda w: (len(w), word_key(w)))
+            p = Presentation(p.gens, tuple(nfs))
+            squares = {r[0] for r in p.relators if len(r) == 2 and r[0] == r[1]} if flips else set()
+            flipped = tuple(tuple(-l if -l in squares else l for l in r) for r in p.relators)
+            if flipped == p.relators:
+                return p
+            p = Presentation(p.gens, flipped)
+
+    def count(w, g):
+        return sum(1 for l in w if abs(l) - 1 == g)
+
+    def substitute(w, g, rep):
+        """``w`` with g replaced, freely reduced, later generators shifted down."""
+        out = []
+        for l in w:
+            if abs(l) - 1 == g:
+                out.extend(rep if l > 0 else invert(rep))
+            else:
+                out.append(l)
+        return tuple(l - 1 if l > g + 1 else (l + 1 if l < -(g + 1) else l) for l in free_reduce(out))
+
+    steps = []
+    current = normalize(pres)
+    if len(current.relators) != len(pres.relators):
+        steps.append(("dedupe", len(pres.relators) - len(current.relators)))
+    steps.append(("reduce",))
+    defining = {name: (i + 1,) for i, name in enumerate(pres.gens)}
+    passes, bounded = 0, False
+    while True:
+        usable = [
+            (ri, r, [g for g in range(current.rank) if count(r, g) == 1])
+            for ri, r in enumerate(current.relators)
+        ]
+        usable = [u for u in usable if u[2]]
+        if passes == max_passes:
+            bounded = bool(usable)
+            break
+        chosen = None
+        for ri, r, singles in usable:
+            total = {g: sum(count(w, g) for w in current.relators) - 1 for g in singles}
+            for g in sorted(singles, key=lambda g: (total[g] * (len(r) - 2), g)):
+                k = next(i for i, l in enumerate(r) if abs(l) - 1 == g)
+                rep = concat(invert(r[:k]), invert(r[k + 1 :])) if r[k] > 0 else concat(r[k + 1 :], r[:k])
+                rewritten = Presentation(
+                    current.gens[:g] + current.gens[g + 1 :],
+                    tuple(substitute(w, g, rep) for i, w in enumerate(current.relators) if i != ri),
+                )
+                if all(len(w) <= max_len for w in rewritten.relators):
+                    chosen = (g, r, rep, rewritten)
+                    break
+            if chosen:
+                break
+        if not chosen:
+            break
+        g, r, rep, rewritten = chosen
+        steps.append(("eliminate", current.gens[g], serialize_word(r, current.gens), serialize_word(rep, current.gens)))
+        defining = {name: substitute(w, g, rep) for name, w in defining.items()}
+        emptied = len(current.relators) - 1 - len(rewritten.relators)
+        if emptied:
+            steps.append(("drop-empty", emptied))
+        current = normalize(rewritten)
+        if len(current.relators) != len(rewritten.relators):
+            steps.append(("dedupe", len(rewritten.relators) - len(current.relators)))
+        steps.append(("reduce",))
+        passes += 1
+    defining = {name: serialize_word(w, current.gens) or "1" for name, w in defining.items()}
+    return str(current), steps, defining, bounded

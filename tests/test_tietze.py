@@ -26,6 +26,7 @@ from coxembed.tietze import (
 )
 from coxembed.verify import abelianization, group_order, match_presentations
 from coxembed.words import commutator, power, relator_nf
+from oracles import reference_simplify
 
 
 def test_normalize_relators_merges_variants():
@@ -161,6 +162,36 @@ def random_presentations(draw):
 def test_simplify_preserves_abelianization(p):
     simplified, _ = simplify(p)
     assert abelianization(simplified) == abelianization(p)
+
+
+def test_simplify_flips_relators_for_a_square_made_by_elimination():
+    # eliminating a makes c^2 a relator; the untouched b c b c^-1 must
+    # then flip to b c b c, as re-normalizing everything would
+    p = parse_presentation("< a, b, c | a c, a c^-1, b c b c^-1 >")
+    out, trace = simplify(p, SimplifyConfig(involution_flips=True))
+    assert str(out) == "< b, c | c^2, b c b c >"
+    assert (str(out), trace.steps, trace.defining, trace.bounded) == reference_simplify(p, flips=True)
+
+
+@st.composite
+def presentations_with_squares(draw):
+    p = draw(random_presentations())
+    squares = draw(st.lists(st.integers(1, p.rank), max_size=p.rank))
+    return Presentation(p.gens, p.relators + tuple((g, g) for g in squares))
+
+
+@given(
+    presentations_with_squares(),
+    st.sampled_from([1, 2, 3, 100]),
+    st.sampled_from([3, 5, 1000]),
+    st.booleans(),
+)
+@settings(max_examples=300, deadline=None)
+def test_simplify_matches_whole_presentation_reference(p, passes, max_len, flips):
+    cfg = SimplifyConfig(max_passes=passes, max_relator_length=max_len, involution_flips=flips)
+    out, trace = simplify(p, cfg)
+    got = (str(out), trace.steps, trace.defining, trace.bounded)
+    assert got == reference_simplify(p, passes, max_len, flips)
 
 
 # Simplify output pinned by digests taken from the whole-presentation
