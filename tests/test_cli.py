@@ -1,4 +1,7 @@
+import hashlib
 import json
+import shlex
+from pathlib import Path
 
 import pytest
 
@@ -234,3 +237,74 @@ def test_determinism_byte_identical(capsys, m4_file):
         _, out, _ = run_cli(capsys, "kernel", "klein", "--format", "json")
         runs.append(out)
     assert runs[0] == runs[1]
+
+
+ROOT = Path(__file__).resolve().parents[1]
+
+# sha256 of "<exit code>\n<stdout>" for every README command and for
+# verify on each fixture in text and JSON, taken before the text output
+# was rendered from the JSON dicts; paths are relative to the repo root
+GOLDEN = [
+    ('order "< s1,s2 | s1^2, s2^2, (s1 s2)^3 >"',
+     "df4f9b728b7582d27215a2a8164a6838bd7a9b73801ebd161a1a39ed6a23d434"),
+    ('verify thm1 --m scripts/fixtures/m2x2_4.txt --p 2,2 --format json',
+     "3552ed3787eda1794f26f5b49b8f94b99b77476e7b19b704a4a95fbcec809d7b"),
+    ('kernel klein --mode evaluated',
+     "be2c46be446c39dc8da0fd91216227e9de8f85a79fad89802dbbe3f2b5db571b"),
+    ('build coxeter --m scripts/fixtures/m2x2_3.txt',
+     "1594674d40a5a40871015df6b79830206a888d17ad77d12a25f9a6109f7ee884"),
+    ('embed prop2 --m scripts/fixtures/m2x2_3.txt --p 4,4',
+     "4d6e48fef818c5708e18cdcb750a1885006ab60250b3c8137b2bc6df223039e4"),
+    ('kernel thm1 --m scripts/fixtures/m2x2_4.txt --p 2,2 --mode both',
+     "9fdde0027912fbc2eab96a1de2cc8bc42f3224245564fcb2dde4b1d26d172611"),
+    ('simplify "< a, b | b a^-1 >"',
+     "c111e6bbfc920d244842d14495d4a97a9ba8fbc4147c10e46c77444fe9ad715c"),
+    ('index "< s1,s2 | s1^2, s2^2, (s1 s2)^3 >" "s1 s2"',
+     "409f9891ad678ea20e4b20e862d56f23c9b29ed02f40cbdd3a9257821638a85d"),
+    ('abelianization "< a, b | a^-1 b a b >"',
+     "b856ae529ee8578294196cd9b34fb72cc5b172d8c62e8b0af7980993788ae532"),
+    ('match "< a, b | a^2, b^3 >" "< x, y | y^2, x^3 >"',
+     "7abd0badf3b472e9e89fbc09b82a8b4668acad2e858e561b4f70cf4d32a33778"),
+    ('embed thm1 --m scripts/fixtures/m2x2_4.txt --p 2,2',
+     "4e45ac1b98bfc4993a689c9132679d7a4410a60d273562bffa0b3d6a2afc9e3a"),
+    ('embed klein',
+     "cc999524019bfb9440921551263cd955be94f71cc9c072d4437500fb270f6fb2"),
+    ('embed artin --m scripts/fixtures/m3x3_right_angled.txt',
+     "c2e393c72ac7289a6ec34e5a4372c0736edef29b0e6abe7ccde6b679d8900fa0"),
+    ('verify thm1 --m scripts/fixtures/m2x2_4.txt --p 2,2 --format text',
+     "98723ccc81ac9cc6f6ab1738189776319efbdfdcd2dc4561e7607b4bff5bebce"),
+    ('verify prop2 --m scripts/fixtures/m2x2_3.txt --p 2,2 --format text',
+     "8ab8581edad6913807424b57a1349f9584ed3538ce43ec1417cef9405db75bab"),
+    ('verify prop2 --m scripts/fixtures/m2x2_3.txt --p 4,4 --max-cosets 2000 --format text',
+     "240feabb067c3d051ff30ea8b4ffb20aa13b8932ae46dd9ecfbdb7b88459d2b2"),
+    ('verify artin --m scripts/fixtures/m2x2_3.txt --max-cosets 2000 --format text',
+     "a06fad7ddcedd0ad25848233b03f49a8fd84ef4a9f1a403d8b72808f84608fec"),
+    ('verify thm1 --m scripts/fixtures/m3x3_right_angled.txt --p inf,inf,inf --max-cosets 2000 --format text',
+     "08658890a4a31c4e992da4f2087bf0c343b3e618332f86da5dd5f134500852b5"),
+    ('verify thm1 --m scripts/fixtures/n3x3_raag.txt --p 2,2,2 --format text',
+     "53c234e5e8472b6ac51c1ae1cab3fe06fad053beb8ebfd8977b010655bfdd3c3"),
+    ('verify klein --max-cosets 2000 --format text',
+     "97b2b8ec6d0a5fe6a1bc3ce9c2baa41360beca195711a58583f3c6806f4c483f"),
+    ('verify prop2 --m scripts/fixtures/m2x2_3.txt --p 2,2 --format json',
+     "ea3aa36bbf6c5a3c48b75ead5c851af52b4bd904cada28f064f47d39be37d371"),
+    ('verify prop2 --m scripts/fixtures/m2x2_3.txt --p 4,4 --max-cosets 2000 --format json',
+     "746077974dc0dfb9bb0ddad1e6f05c7bd7a04f458f05a63489edf551a7cc4e7c"),
+    ('verify artin --m scripts/fixtures/m2x2_3.txt --max-cosets 2000 --format json',
+     "dd576c6fa31078af9af431f1965d62997c4e80b69aacf0b5381ebc370ec2a143"),
+    ('verify thm1 --m scripts/fixtures/m3x3_right_angled.txt --p inf,inf,inf --max-cosets 2000 --format json',
+     "3dc5b0766bbcb1eebf42ccebec85c28fca0dc551019ce539a88957a6cf8f2ed7"),
+    ('verify thm1 --m scripts/fixtures/n3x3_raag.txt --p 2,2,2 --format json',
+     "53c234e5e8472b6ac51c1ae1cab3fe06fad053beb8ebfd8977b010655bfdd3c3"),
+    ('verify klein --max-cosets 2000 --format json',
+     "cba65f64c9bd52589b2486cb8162ffc950446c6da5b9af96e00545e3dbe2422b"),
+]
+
+
+def test_golden_outputs(capsys):
+    changed = []
+    for command, digest in GOLDEN:
+        argv = [str(ROOT / a) if a.startswith("scripts/") else a for a in shlex.split(command)]
+        code, out, _ = run_cli(capsys, *argv)
+        if hashlib.sha256(f"{code}\n{out}".encode()).hexdigest() != digest:
+            changed.append(command)
+    assert changed == []
