@@ -119,13 +119,6 @@ def _budgets(args) -> Budgets:
     )
 
 
-def _hom_lines(inst: EmbeddingInstance):
-    return [
-        f"{name} -> {inst.hom.bits(inst.hom.images[i])}"
-        for i, name in enumerate(inst.ambient.gens)
-    ]
-
-
 def _instance_dict(inst: EmbeddingInstance) -> dict:
     return {
         "family": inst.family,
@@ -160,22 +153,17 @@ def cmd_build(args) -> int:
 
 
 def cmd_embed(args) -> int:
-    inst = _build_instance(args)
+    data = _instance_dict(_build_instance(args))
     if args.format == "json":
-        _emit(args, _json(_instance_dict(inst)))
+        _emit(args, _json(data))
         return 0
     lines = [
-        f"family: {inst.family}",
-        f"ambient: {serialize_presentation(inst.ambient)}",
-        "hom: " + ", ".join(_hom_lines(inst)),
-        "transversal generators: "
-        + ", ".join(inst.ambient.gens[g] for g in inst.transversal_gens),
-        f"expected kernel: {serialize_presentation(inst.expected_kernel)}",
-        "expected words: "
-        + ", ".join(
-            f"{name} = {serialize_word(w, inst.ambient.gens)}"
-            for name, w in zip(inst.expected_kernel.gens, inst.expected_words)
-        ),
+        f"family: {data['family']}",
+        f"ambient: {data['ambient']}",
+        "hom: " + ", ".join(f"{name} -> {bits}" for name, bits in data["hom"].items()),
+        "transversal generators: " + ", ".join(data["transversal_generators"]),
+        f"expected kernel: {data['expected_kernel']}",
+        "expected words: " + ", ".join(f"{name} = {w}" for name, w in data["expected_words"].items()),
     ]
     _emit(args, "\n".join(lines))
     return 0
@@ -186,21 +174,19 @@ def _kernel_section(inst: EmbeddingInstance, mode: str):
         kp = evaluated_kernel_presentation(inst)
     else:
         kp = raw_kernel_presentation(inst.ambient, inst.hom, inst.transversal_gens)
-    rows = kp.table_rows(inst.ambient)
-    text_lines = [
-        f"mode: {kp.mode}",
-        f"presentation: {serialize_presentation(kp.presentation)}",
-        "generators:",
-    ]
-    text_lines += [f"  {name} = {word}  (t = {t}, x = {x})" for name, t, x, word in rows]
     data = {
         "mode": kp.mode,
         "presentation": serialize_presentation(kp.presentation),
         "generators": [
             {"name": name, "origin_t": t, "origin_x": x, "defining_word": word}
-            for name, t, x, word in rows
+            for name, t, x, word in kp.table_rows(inst.ambient)
         ],
     }
+    text_lines = [f"mode: {data['mode']}", f"presentation: {data['presentation']}", "generators:"]
+    text_lines += [
+        f"  {g['name']} = {g['defining_word']}  (t = {g['origin_t']}, x = {g['origin_x']})"
+        for g in data["generators"]
+    ]
     return text_lines, data
 
 
@@ -301,24 +287,17 @@ def cmd_verify(args) -> int:
     if args.format == "json":
         _emit(args, _json(data))
     else:
-        lines = [
-            f"family: {data['instance']['family']}",
-            f"params: {json.dumps(data['instance']['params'])}",
-            f"hom_valid: {json.dumps(data['hom_valid'])}",
-            f"image_rank: {data['image_rank']}",
-            f"transversal_size: {data['transversal_size']}",
-            f"evaluated.generators: {data['evaluated']['generators']}",
-            f"evaluated.relator_nf_match: {json.dumps(data['evaluated']['relator_nf_match'])}",
-            f"raw.generators_after_simplify: {data['raw']['generators_after_simplify']}",
-            f"raw.matched: {json.dumps(data['raw']['matched'])}",
-        ]
-        if data["finite"] == "skipped":
-            lines.append("finite: skipped")
-        else:
-            for key in ("ambient_order", "kernel_order", "index", "product_ok", "relators_hold"):
-                lines.append(f"finite.{key}: {json.dumps(data['finite'][key])}")
-        lines.append(f"split_section: {json.dumps(data['split_section'])}")
-        lines.append(f"verdict: {data['verdict']}")
+        # instance fields bare, other sections as section.key; strings
+        # print as they are, everything else as JSON
+        lines = []
+        for key, value in data.items():
+            if key == "instance":
+                items = value.items()
+            elif isinstance(value, dict):
+                items = [(f"{key}.{sub}", v) for sub, v in value.items()]
+            else:
+                items = [(key, value)]
+            lines += [f"{k}: {v if isinstance(v, str) else json.dumps(v)}" for k, v in items]
         _emit(args, "\n".join(lines))
     return 0 if report.verdict == "pass" else 1
 

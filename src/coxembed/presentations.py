@@ -215,19 +215,6 @@ class Presentation:
     def rank(self) -> int:
         return len(self.gens)
 
-    def gen_index(self, name: str) -> int:
-        try:
-            return self.gens.index(name)
-        except ValueError:
-            raise ValueError(f"unknown generator {name!r}") from None
-
-    def word(self, text: str) -> Word:
-        """Parse a bare word in this presentation's alphabet."""
-        return parse_word(text, self.gens)
-
-    def word_str(self, w: Sequence[int]) -> str:
-        return serialize_word(w, self.gens)
-
     def rename(self, names: Sequence[str]) -> "Presentation":
         if len(names) != len(self.gens):
             raise ValueError("rename needs one name per generator")
@@ -338,11 +325,7 @@ class CoxeterMatrix:
     @classmethod
     def from_rows(cls, rows) -> "CoxeterMatrix":
         """Build from raw rows, ignoring whatever is on the diagonal."""
-        rows = tuple(tuple(r) for r in rows)
-        return cls(tuple(
-            tuple(1 if i == j else v for j, v in enumerate(row))
-            for i, row in enumerate(rows)
-        ))
+        return cls(rows)
 
     @classmethod
     def from_pairs(cls, n: int, labels: Dict[Tuple[int, int], object], default=2) -> "CoxeterMatrix":
@@ -400,12 +383,7 @@ class PcSpec:
 
     @classmethod
     def from_rows(cls, rows, orders) -> "PcSpec":
-        rows = tuple(tuple(r) for r in rows)
-        fixed = tuple(
-            tuple(INF if i == j else v for j, v in enumerate(row))
-            for i, row in enumerate(rows)
-        )
-        return cls(fixed, tuple(orders))
+        return cls(rows, orders)
 
     @classmethod
     def from_pairs(cls, n: int, powers: Dict[Tuple[int, int], object], orders, default=INF) -> "PcSpec":

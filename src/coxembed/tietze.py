@@ -32,7 +32,6 @@ from .words import Code, code_invert, code_nf, code_reduce, decode, encode
 class SimplifyConfig:
     max_passes: int = 100
     max_relator_length: int = 1000
-    eliminate: bool = True
     # rewrite g^-1 to g for generators with a square relator; off by
     # default so relator shapes like [a,b]^2 survive verbatim
     involution_flips: bool = False
@@ -272,7 +271,7 @@ def simplify(pres: Presentation, cfg: Optional[SimplifyConfig] = None) -> Tuple[
     trace.steps.append(("reduce",))
 
     eliminated: List[Tuple[int, Code]] = []
-    while cfg.eliminate and len(eliminated) < cfg.max_passes:
+    while len(eliminated) < cfg.max_passes:
         chosen = rels.choose()
         if not chosen:
             break
@@ -290,7 +289,7 @@ def simplify(pres: Presentation, cfg: Optional[SimplifyConfig] = None) -> Tuple[
             trace.steps.append(("dedupe", before - len(rels)))
         trace.steps.append(("reduce",))
     else:
-        if cfg.eliminate and rels.usable:
+        if rels.usable:
             trace.bounded = True
 
     words = _expand(eliminated)

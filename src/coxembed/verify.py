@@ -9,7 +9,6 @@ per-instance verdict reports.
 from __future__ import annotations
 
 import heapq
-import itertools
 from collections import defaultdict
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Tuple
@@ -440,24 +439,48 @@ def match_presentations(p: Presentation, q: Presentation):
     for one making the relator normal-form multisets equal.
 
     Returns a tuple of ``(target index, sign)`` per generator of ``p``, or
-    None.  The first match in deterministic order is returned; rank above
-    8 is rejected.
+    None: the first match with targets in ``itertools.permutations`` order
+    and, per permutation, signs in ``itertools.product((1, -1), ...)``
+    order.  A depth-first search places targets, then signs, generator by
+    generator, and drops a partial assignment once a relator whose
+    generators are all placed maps outside ``q``'s relators (as sign-blind
+    letter multisets while targets are placed, then by normal form).
     """
     if p.rank != q.rank:
         return None
     n = p.rank
-    if n > 8:
-        raise ValueError("match search is bounded at rank 8")
     p_nf = [relator_nf(r) for r in p.relators]
     q_set = _nf_multiset(q.relators)
     if tuple(sorted(len(w) for w in p_nf)) != tuple(sorted(len(w) for w in q_set)):
         return None
-    for perm in itertools.permutations(range(n)):
-        for signs in itertools.product((1, -1), repeat=n):
-            mapping = tuple((perm[g] + 1) * signs[g] for g in range(n))
-            if _nf_multiset(p_nf, mapping) == q_set:
-                return tuple(zip(perm, signs))
-    return None
+    q_nfs = set(q_set)
+    q_keys = {tuple(sorted(map(abs, w))) for w in q_set}
+    closing: List[List[Word]] = [[] for _ in range(n)]  # relators by highest generator
+    for r in p_nf:
+        closing[max(map(abs, r)) - 1].append(r)
+    perm, signs = [0] * n, [1] * n
+
+    def image(r: Word) -> Word:
+        return tuple((perm[abs(l) - 1] + 1) * signs[abs(l) - 1] * (1 if l > 0 else -1) for l in r)
+
+    def place_signs(g: int) -> bool:
+        if g == n:
+            return _nf_multiset(map(image, p_nf)) == q_set
+        for signs[g] in (1, -1):
+            if all(relator_nf(image(r)) in q_nfs for r in closing[g]) and place_signs(g + 1):
+                return True
+        return False
+
+    def place_targets(g: int, free: List[int]) -> bool:
+        if g == n:
+            return place_signs(0)
+        for perm[g] in free:
+            fits = all(tuple(sorted(map(abs, image(r)))) in q_keys for r in closing[g])
+            if fits and place_targets(g + 1, [t for t in free if t != perm[g]]):
+                return True
+        return False
+
+    return tuple(zip(perm, signs)) if place_targets(0, list(range(n))) else None
 
 
 # ---------------------------------------------------------------------------
@@ -547,29 +570,12 @@ def verify_instance(inst: EmbeddingInstance, budgets: Optional[Budgets] = None) 
     ev_match = evaluated_matches_expected(evaluated.presentation, inst.expected_kernel)
 
     raw = raw_kernel_presentation(inst.ambient, inst.hom, inst.transversal_gens)
-    cfg = SimplifyConfig(max_passes=b.max_passes, max_relator_length=b.max_relator_length)
+    # flips merge the sign-variant relator classes of involutions on both
+    # sides, so one comparison decides the match
+    cfg = SimplifyConfig(b.max_passes, b.max_relator_length, involution_flips=True)
     simplified, _ = simplify(raw.presentation, cfg)
     raw_gens = simplified.rank
-
-    def _matches(p: Presentation, q: Presentation) -> bool:
-        try:
-            return match_presentations(p, q) is not None
-        except ValueError:
-            return False
-
-    raw_matched = _matches(simplified, inst.expected_kernel)
-    if not raw_matched:
-        # the expected presentation may carry redundant generators
-        # (order-one pair relators) or sign-variant relator classes of
-        # involutions; compare canonicalized forms instead
-        flip_cfg = SimplifyConfig(
-            max_passes=b.max_passes,
-            max_relator_length=b.max_relator_length,
-            involution_flips=True,
-        )
-        raw_matched = _matches(
-            simplify(simplified, flip_cfg)[0], simplify(inst.expected_kernel, flip_cfg)[0]
-        )
+    raw_matched = match_presentations(simplified, simplify(inst.expected_kernel, cfg)[0]) is not None
 
     finite: Optional[dict] = None
     finite_ok = True

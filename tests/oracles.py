@@ -2,8 +2,8 @@
 
 Everything here avoids the code paths under test: brute-force orbit
 enumeration for cyclic words, permutation closures for group orders,
-minor gcds for Smith diagonals, and a whole-presentation Tietze loop for
-the incremental ``simplify``.
+minor gcds for Smith diagonals, a whole-presentation Tietze loop for
+the incremental ``simplify``, and the exhaustive presentation matcher.
 """
 
 from __future__ import annotations
@@ -123,6 +123,27 @@ def minor_gcd_diagonal(rows) -> Tuple[int, ...]:
         diag.append(g // prev)
         prev = g
     return tuple(diag)
+
+
+def brute_force_match(p, q):
+    """First ``(target index, sign)`` per generator of ``p``, trying every
+    target permutation in ``itertools.permutations`` order and every sign
+    vector in ``itertools.product((1, -1), ...)`` order, under which the
+    relator normal-form multisets of ``p`` and ``q`` agree; the full
+    n!*2^n search, or None."""
+    if p.rank != q.rank:
+        return None
+    n = p.rank
+    target = sorted(relator_nf(r) for r in q.relators)
+    for perm in itertools.permutations(range(n)):
+        for signs in itertools.product((1, -1), repeat=n):
+            images = [
+                relator_nf(tuple((perm[abs(l) - 1] + 1) * signs[abs(l) - 1] * (1 if l > 0 else -1) for l in r))
+                for r in p.relators
+            ]
+            if sorted(images) == target:
+                return tuple(zip(perm, signs))
+    return None
 
 
 def reference_simplify(pres, max_passes=100, max_len=1000, flips=False):

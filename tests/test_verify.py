@@ -28,8 +28,9 @@ from coxembed.verify import (
     verify_instance,
     word_holds,
 )
-from coxembed.words import power
+from coxembed.words import power, relator_nf
 from oracles import (
+    brute_force_match,
     dihedral_squared_times_klein_gens,
     eval_word_perm,
     minor_gcd_diagonal,
@@ -258,9 +259,22 @@ def test_match_presentations():
         parse_presentation("< a | a^2 >"), parse_presentation("< a | a^3 >")
     ) is None
 
-    big = Presentation(tuple(f"g{i}" for i in range(9)))
-    with pytest.raises(ValueError):
-        match_presentations(big, big)
+    free9 = Presentation(tuple(f"g{i}" for i in range(9)))
+    assert match_presentations(free9, free9) == tuple((g, 1) for g in range(9))
+
+
+def _relabel(pres, perm, signs):
+    """``pres`` with generator g sent to generator ``perm[g]`` raised to
+    ``signs[g]``."""
+    rels = tuple(
+        tuple((perm[abs(l) - 1] + 1) * signs[abs(l) - 1] * (1 if l > 0 else -1) for l in r)
+        for r in pres.relators
+    )
+    return Presentation(tuple(f"g{g}" for g in range(pres.rank)), rels)
+
+
+def _nfs(pres):
+    return sorted(relator_nf(r) for r in pres.relators)
 
 
 def test_match_presentations_relabelings():
@@ -270,20 +284,66 @@ def test_match_presentations_relabelings():
         perm = list(range(base.rank))
         rng.shuffle(perm)
         signs = [rng.choice((1, -1)) for _ in range(base.rank)]
-        mapping = {g: (perm[g], signs[g]) for g in range(base.rank)}
-        rels = []
-        for r in base.relators:
-            rels.append(
-                tuple(
-                    (mapping[abs(l) - 1][0] + 1) * mapping[abs(l) - 1][1] * (1 if l > 0 else -1)
-                    for l in r
-                )
-            )
-        names = [None] * base.rank
-        for g in range(base.rank):
-            names[perm[g]] = base.gens[g]
-        relabeled = Presentation(tuple(names), tuple(rels))
-        assert match_presentations(base, relabeled) is not None
+        assert match_presentations(base, _relabel(base, perm, signs)) is not None
+
+
+def test_match_presentations_rank10_prop2_kernel():
+    kernel = build_prop2_instance(
+        CoxeterMatrix.from_pairs(5, {(i, i + 1): 3 for i in range(4)}), (4,) * 5
+    ).expected_kernel
+    assert kernel.rank == 10
+    rng = random.Random(11)
+    perm = rng.sample(range(10), 10)
+    signs = [rng.choice((1, -1)) for _ in range(10)]
+    relabeled = _relabel(kernel, perm, signs)
+    result = match_presentations(kernel, relabeled)
+    assert result is not None
+    assert _nfs(_relabel(kernel, [t for t, _ in result], [s for _, s in result])) == _nfs(relabeled)
+
+
+def test_match_presentations_rank7_chain_vs_star():
+    def kernel(edges):
+        matrix = CoxeterMatrix.from_pairs(7, {e: 4 for e in edges})
+        return build_thm1_instance(matrix, (2,) * 7).expected_kernel
+
+    chain = kernel([(i, i + 1) for i in range(6)])
+    star = kernel([(0, i) for i in range(1, 7)])
+    assert match_presentations(chain, star) is None
+    assert match_presentations(chain, chain) == tuple((g, 1) for g in range(7))
+
+
+@st.composite
+def _match_pairs(draw):
+    """A random presentation of rank <= 5 with duplicate relators, and a
+    partner: a signed relabeling with relators shuffled, perturbed or
+    duplicated, or an unrelated presentation of the same rank."""
+    n = draw(st.integers(1, 5))
+    word = st.lists(st.integers(-n, n).filter(bool), min_size=1, max_size=6).map(tuple)
+    rels = draw(st.lists(word, max_size=4))
+    if rels:
+        rels += draw(st.lists(st.sampled_from(rels), max_size=1))
+    p = Presentation(tuple(f"g{g}" for g in range(n)), tuple(rels))
+    if draw(st.booleans()):
+        q_rels = draw(st.lists(word, max_size=5))
+    else:
+        perm = draw(st.permutations(range(n)))
+        signs = draw(st.lists(st.sampled_from((1, -1)), min_size=n, max_size=n))
+        q_rels = list(_relabel(p, perm, signs).relators)
+        if q_rels and draw(st.booleans()):
+            i = draw(st.integers(0, len(q_rels) - 1))
+            j = draw(st.integers(0, len(q_rels[i]) - 1))
+            q_rels[i] = q_rels[i][:j] + (draw(st.integers(-n, n).filter(bool)),) + q_rels[i][j + 1 :]
+        if q_rels:
+            q_rels += draw(st.lists(st.sampled_from(q_rels), max_size=1))
+        q_rels = draw(st.permutations(q_rels))
+    return p, Presentation(tuple(f"h{g}" for g in range(n)), tuple(q_rels))
+
+
+@given(_match_pairs())
+@settings(max_examples=150, deadline=None)
+def test_match_presentations_equals_brute_force(pair):
+    p, q = pair
+    assert match_presentations(p, q) == brute_force_match(p, q)
 
 
 def test_verify_instance_thm1():
@@ -371,3 +431,14 @@ def test_verify_instance_orders_agree_on_finite_fixtures():
     ):
         ev = evaluated_kernel_presentation(inst).presentation
         assert group_order(ev) == group_order(inst.expected_kernel)
+
+
+def test_verify_instance_prop2_rank5_chain_matches_at_rank_10():
+    # the expected kernel has 10 generators; the raw comparison must decide
+    # a match at that rank, not report a failed one
+    inst = build_prop2_instance(
+        CoxeterMatrix.from_pairs(5, {(i, i + 1): 3 for i in range(4)}), (4,) * 5
+    )
+    report = verify_instance(inst, Budgets(max_passes=10_000, max_cosets=2_000))
+    assert report.raw_matched
+    assert report.verdict == "pass"
