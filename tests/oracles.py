@@ -13,7 +13,7 @@ from math import gcd
 from typing import Sequence, Tuple
 
 from coxembed.presentations import Presentation, serialize_word
-from coxembed.words import concat, free_reduce, invert, relator_nf, word_key
+from coxembed.words import concat, free_reduce, invert, relabel, relator_nf, word_key
 
 
 def orbit_rotation_inversion(w) -> set:
@@ -137,11 +137,8 @@ def brute_force_match(p, q):
     target = sorted(relator_nf(r) for r in q.relators)
     for perm in itertools.permutations(range(n)):
         for signs in itertools.product((1, -1), repeat=n):
-            images = [
-                relator_nf(tuple((perm[abs(l) - 1] + 1) * signs[abs(l) - 1] * (1 if l > 0 else -1) for l in r))
-                for r in p.relators
-            ]
-            if sorted(images) == target:
+            mapping = [(t + 1) * s for t, s in zip(perm, signs)]
+            if sorted(relator_nf(relabel(r, mapping)) for r in p.relators) == target:
                 return tuple(zip(perm, signs))
     return None
 

@@ -144,6 +144,17 @@ def test_verify_text_klein(capsys):
     assert out.rstrip().endswith("verdict: pass")
 
 
+def test_verify_text_bounded_raw_comparison_skipped(capsys, tmp_path):
+    path = tmp_path / "chain4.txt"
+    path.write_text("1,4,2,2\n4,1,4,2\n2,4,1,4\n2,2,4,1\n")
+    code, out, _ = run_cli(
+        capsys, "verify", "thm1", "--m", str(path), "--p", "2,2,2,2", "--max-cosets", "2000"
+    )
+    assert code == 0
+    assert "raw.matched: skipped" in out
+    assert out.rstrip().endswith("verdict: pass")
+
+
 def test_verify_artin_label3_fails_honestly(capsys, m3_file):
     code, out, _ = run_cli(capsys, "verify", "artin", "--m", m3_file, "--max-cosets", "2000")
     assert code == 1
@@ -281,6 +292,7 @@ GOLDEN = [
      "a06fad7ddcedd0ad25848233b03f49a8fd84ef4a9f1a403d8b72808f84608fec"),
     ('verify thm1 --m scripts/fixtures/m3x3_right_angled.txt --p inf,inf,inf --max-cosets 2000 --format text',
      "08658890a4a31c4e992da4f2087bf0c343b3e618332f86da5dd5f134500852b5"),
+    # error path: a commutator-power matrix is not a Coxeter matrix (exit 2)
     ('verify thm1 --m scripts/fixtures/n3x3_raag.txt --p 2,2,2 --format text',
      "53c234e5e8472b6ac51c1ae1cab3fe06fad053beb8ebfd8977b010655bfdd3c3"),
     ('verify klein --max-cosets 2000 --format text',
@@ -293,8 +305,6 @@ GOLDEN = [
      "dd576c6fa31078af9af431f1965d62997c4e80b69aacf0b5381ebc370ec2a143"),
     ('verify thm1 --m scripts/fixtures/m3x3_right_angled.txt --p inf,inf,inf --max-cosets 2000 --format json',
      "3dc5b0766bbcb1eebf42ccebec85c28fca0dc551019ce539a88957a6cf8f2ed7"),
-    ('verify thm1 --m scripts/fixtures/n3x3_raag.txt --p 2,2,2 --format json',
-     "53c234e5e8472b6ac51c1ae1cab3fe06fad053beb8ebfd8977b010655bfdd3c3"),
     ('verify klein --max-cosets 2000 --format json',
      "cba65f64c9bd52589b2486cb8162ffc950446c6da5b9af96e00545e3dbe2422b"),
 ]

@@ -28,7 +28,7 @@ from coxembed.verify import (
     verify_instance,
     word_holds,
 )
-from coxembed.words import power, relator_nf
+from coxembed.words import power, relabel, relator_nf
 from oracles import (
     brute_force_match,
     dihedral_squared_times_klein_gens,
@@ -266,10 +266,8 @@ def test_match_presentations():
 def _relabel(pres, perm, signs):
     """``pres`` with generator g sent to generator ``perm[g]`` raised to
     ``signs[g]``."""
-    rels = tuple(
-        tuple((perm[abs(l) - 1] + 1) * signs[abs(l) - 1] * (1 if l > 0 else -1) for l in r)
-        for r in pres.relators
-    )
+    mapping = [(t + 1) * s for t, s in zip(perm, signs)]
+    rels = tuple(relabel(r, mapping) for r in pres.relators)
     return Presentation(tuple(f"g{g}" for g in range(pres.rank)), rels)
 
 
@@ -310,6 +308,20 @@ def test_match_presentations_rank7_chain_vs_star():
     star = kernel([(0, i) for i in range(1, 7)])
     assert match_presentations(chain, star) is None
     assert match_presentations(chain, chain) == tuple((g, 1) for g in range(7))
+
+
+def test_match_presentations_relators_closing_at_the_last_generator():
+    # every relator involves g11, so no relator check is due before the
+    # last target is placed; the adjacent-pair checks prune the search
+    gens = tuple(f"g{g}" for g in range(12))
+    ring = tuple(range(1, 13))
+    p = Presentation(gens, (ring, power((1, 12), 2)))
+    q = Presentation(gens, (ring, power((1, 6), 2)))
+    assert match_presentations(p, q) is None
+    relabeled = _relabel(p, [(g + 5) % 12 for g in range(12)], [-1] * 12)
+    result = match_presentations(p, relabeled)
+    assert result is not None
+    assert _nfs(_relabel(p, [t for t, _ in result], [s for _, s in result])) == _nfs(relabeled)
 
 
 @st.composite
@@ -414,6 +426,7 @@ def test_verify_instance_artin_reports_mismatch():
     inst = build_artin_instance(CoxeterMatrix.from_pairs(2, {(0, 1): 3}))
     d = verify_instance(inst).to_dict()
     assert d["evaluated"]["relator_nf_match"] is False
+    assert d["raw"]["matched"] is False
     assert d["verdict"] == "fail"
 
     # label 2 is the commutator case and verifies cleanly
@@ -442,3 +455,17 @@ def test_verify_instance_prop2_rank5_chain_matches_at_rank_10():
     report = verify_instance(inst, Budgets(max_passes=10_000, max_cosets=2_000))
     assert report.raw_matched
     assert report.verdict == "pass"
+
+
+def test_verify_instance_bounded_raw_comparison_is_skipped():
+    # the rank-4 chain's raw kernel needs 109 eliminations: at the default
+    # max_passes=100 simplify stops at 13 generators, which decides nothing
+    inst = build_thm1_instance(
+        CoxeterMatrix.from_pairs(4, {(i, i + 1): 4 for i in range(3)}), (2,) * 4
+    )
+    d = verify_instance(inst, Budgets()).to_dict()
+    assert d["raw"] == {"generators_after_simplify": 13, "matched": "skipped"}
+    assert d["verdict"] == "pass"
+    d = verify_instance(inst, Budgets(max_passes=200, max_cosets=2_000)).to_dict()
+    assert d["raw"] == {"generators_after_simplify": 4, "matched": True}
+    assert d["verdict"] == "pass"
