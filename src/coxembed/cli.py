@@ -65,10 +65,10 @@ def _presentation_arg(arg: str) -> Presentation:
     return parse_presentation(text)
 
 
-def _load_matrix(path: Optional[str]) -> CoxeterMatrix:
+def _load_rows(path: Optional[str]):
     if path is None:
         raise UsageError("this command requires --m MATRIXFILE")
-    return CoxeterMatrix.from_rows(parse_matrix_text(_read_text(path)))
+    return parse_matrix_text(_read_text(path))
 
 
 def _load_orders(spec: Optional[str], n: int):
@@ -86,7 +86,7 @@ def _build_instance(args) -> EmbeddingInstance:
         if args.m or args.p:
             raise UsageError("klein takes no --m or --p")
         return build_klein_instance()
-    matrix = _load_matrix(args.m)
+    matrix = CoxeterMatrix(_load_rows(args.m))
     if family == "thm1":
         return build_thm1_instance(matrix, _load_orders(args.p, matrix.n))
     if family == "prop2":
@@ -112,11 +112,7 @@ def _json(data) -> str:
 
 
 def _budgets(args) -> Budgets:
-    return Budgets(
-        max_cosets=args.max_cosets,
-        max_passes=args.max_passes,
-        max_relator_length=args.max_relator_length,
-    )
+    return Budgets(max_cosets=args.max_cosets, max_relator_length=args.max_relator_length)
 
 
 def _instance_dict(inst: EmbeddingInstance) -> dict:
@@ -138,15 +134,13 @@ def _instance_dict(inst: EmbeddingInstance) -> dict:
 
 
 def cmd_build(args) -> int:
-    matrix = _load_matrix(args.m)
+    rows = _load_rows(args.m)
     if args.kind == "coxeter":
-        pres = coxeter_presentation(matrix)
+        pres = coxeter_presentation(CoxeterMatrix(rows))
     elif args.kind == "artin":
-        pres = artin_presentation(matrix)
+        pres = artin_presentation(CoxeterMatrix(rows))
     else:
-        rows = parse_matrix_text(_read_text(args.m))
-        spec = PcSpec.from_rows(rows, _load_orders(args.p, len(rows)))
-        pres = pc_presentation(spec)
+        pres = pc_presentation(PcSpec(rows, _load_orders(args.p, len(rows))))
     text = serialize_presentation(pres)
     _emit(args, _json({"presentation": text}) if args.format == "json" else text)
     return 0
@@ -209,10 +203,7 @@ def cmd_kernel(args) -> int:
 
 def cmd_simplify(args) -> int:
     pres = _presentation_arg(args.presentation)
-    cfg = SimplifyConfig(
-        max_passes=args.max_passes, max_relator_length=args.max_relator_length
-    )
-    simplified, trace = simplify(pres, cfg)
+    simplified, trace = simplify(pres, SimplifyConfig(args.max_relator_length))
     if args.format == "json":
         _emit(
             args,
@@ -312,7 +303,6 @@ def _add_budget_flags(parser: argparse.ArgumentParser, cosets=True, tietze=True)
         parser.add_argument("--max-cosets", type=int, default=50_000)
     if tietze:
         parser.add_argument("--max-relator-length", type=int, default=1000)
-        parser.add_argument("--max-passes", type=int, default=100)
 
 
 def _add_family_flags(parser: argparse.ArgumentParser) -> None:

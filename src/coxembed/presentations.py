@@ -382,16 +382,12 @@ class PcSpec:
         object.__setattr__(self, "orders", orders)
 
     @classmethod
-    def from_rows(cls, rows, orders) -> "PcSpec":
-        return cls(rows, orders)
-
-    @classmethod
     def from_pairs(cls, n: int, powers: Dict[Tuple[int, int], object], orders, default=INF) -> "PcSpec":
         rows = [[default] * n for _ in range(n)]
         for (i, j), v in powers.items():
             rows[i][j] = v
             rows[j][i] = v
-        return cls.from_rows(rows, orders)
+        return cls(rows, orders)
 
     @property
     def n(self) -> int:
@@ -642,7 +638,7 @@ def build_thm1_instance(matrix: CoxeterMatrix, orders) -> EmbeddingInstance:
     for i, j, m in matrix.pairs():
         if is_finite(m):
             halved[i][j] = halved[j][i] = m // 2
-    expected = pc_presentation(PcSpec.from_rows(halved, orders)).rename(_names("a", n))
+    expected = pc_presentation(PcSpec(halved, orders)).rename(_names("a", n))
     expected_words = tuple((letter(n + i), letter(i)) for i in range(n))
     return EmbeddingInstance(
         family="thm1",

@@ -30,15 +30,14 @@ from .words import Code, code_invert, code_nf, code_reduce, decode, encode
 
 @dataclass(frozen=True)
 class SimplifyConfig:
-    max_passes: int = 100
     max_relator_length: int = 1000
     # rewrite g^-1 to g for generators with a square relator; off by
     # default so relator shapes like [a,b]^2 survive verbatim
     involution_flips: bool = False
 
     def __post_init__(self):
-        if self.max_passes <= 0 or self.max_relator_length <= 0:
-            raise ValueError("bounds must be positive")
+        if self.max_relator_length <= 0:
+            raise ValueError("max_relator_length must be positive")
 
 
 @dataclass
@@ -247,13 +246,15 @@ def _expand(eliminated: List[Tuple[int, Code]]) -> Dict[int, Code]:
 
 
 def simplify(pres: Presentation, cfg: Optional[SimplifyConfig] = None) -> Tuple[Presentation, SimplifyTrace]:
-    """Iterate relator normalization and bounded greedy elimination.
+    """Iterate relator normalization and greedy elimination to completion.
 
     At each elimination step the shortest relator with a single-occurrence
     generator is used, choosing within it the generator whose elimination
     least grows the total relator length; eliminations pushing any relator
-    past ``max_relator_length`` are rejected.  Stops when no step applies
-    or ``max_passes`` is reached (flagged in the trace).  With
+    past ``max_relator_length`` are rejected.  Stops when no step applies,
+    which takes at most one step per generator; ``trace.bounded`` is set
+    when a single-occurrence elimination was left undone because of
+    ``max_relator_length``.  With
     ``involution_flips`` enabled, normalization additionally rewrites
     ``g^-1`` to ``g`` for generators whose square is a relator, merging
     sign-variant relator classes.
@@ -271,10 +272,7 @@ def simplify(pres: Presentation, cfg: Optional[SimplifyConfig] = None) -> Tuple[
     trace.steps.append(("reduce",))
 
     eliminated: List[Tuple[int, Code]] = []
-    while len(eliminated) < cfg.max_passes:
-        chosen = rels.choose()
-        if not chosen:
-            break
+    while chosen := rels.choose():
         g, r, replacement, rewritten = chosen
         trace.steps.append(
             ("eliminate", names[g], serialize_word(decode(r), names), serialize_word(decode(replacement), names))
@@ -288,9 +286,9 @@ def simplify(pres: Presentation, cfg: Optional[SimplifyConfig] = None) -> Tuple[
         if len(rels) != before:
             trace.steps.append(("dedupe", before - len(rels)))
         trace.steps.append(("reduce",))
-    else:
-        if rels.usable:
-            trace.bounded = True
+    # a relator with a single-occurrence generator is left only when the
+    # length bound rejected every elimination it offers
+    trace.bounded = bool(rels.usable)
 
     words = _expand(eliminated)
     survivors = [g for g in range(len(names)) if g not in words]

@@ -502,20 +502,19 @@ def match_presentations(p: Presentation, q: Presentation):
 @dataclass(frozen=True)
 class Budgets:
     max_cosets: int = DEFAULT_MAX_COSETS
-    max_passes: int = 100
     max_relator_length: int = 1000
 
     def __post_init__(self):
-        if self.max_cosets <= 0 or self.max_passes <= 0 or self.max_relator_length <= 0:
+        if self.max_cosets <= 0 or self.max_relator_length <= 0:
             raise ValueError("budgets must be positive")
 
 
 @dataclass
 class VerifyReport:
     """Aggregated per-instance checks; verdict passes iff every enabled
-    check passes.  Finite checks that exhaust the coset budget, and a raw
+    check passes.  Finite checks that exhaust ``max_cosets``, and a raw
     comparison that finds no match after a simplify stopped at
-    ``max_passes``, are reported as skipped, never as failures."""
+    ``max_relator_length``, are reported as skipped, never as failures."""
 
     family: str
     params: dict
@@ -585,8 +584,8 @@ def verify_instance(inst: EmbeddingInstance, budgets: Optional[Budgets] = None) 
     raw = raw_kernel_presentation(inst.ambient, inst.hom, inst.transversal_gens)
     # flips merge the sign-variant relator classes of involutions on both
     # sides, so one comparison decides the match; no match after a simplify
-    # that stopped at its pass bound decides nothing (None)
-    cfg = SimplifyConfig(b.max_passes, b.max_relator_length, involution_flips=True)
+    # that stopped at the length bound decides nothing (None)
+    cfg = SimplifyConfig(b.max_relator_length, involution_flips=True)
     simplified, raw_trace = simplify(raw.presentation, cfg)
     expected, expected_trace = simplify(inst.expected_kernel, cfg)
     raw_gens = simplified.rank

@@ -143,7 +143,7 @@ def brute_force_match(p, q):
     return None
 
 
-def reference_simplify(pres, max_passes=100, max_len=1000, flips=False):
+def reference_simplify(pres, max_len=1000, flips=False):
     """Tietze simplification re-normalizing the whole presentation after
     every elimination, with the relabelled generators of each step.
 
@@ -151,7 +151,9 @@ def reference_simplify(pres, max_passes=100, max_len=1000, flips=False):
     relator with a single-occurrence generator first, least growth
     estimate, length bound on the cyclically reduced rewrites, square
     relators flipping ``g^-1`` to ``g``) and returns
-    ``(str(presentation), steps, defining, bounded)``.
+    ``(str(presentation), steps, defining, bounded)``; ``bounded`` is set
+    when it stops with a single-occurrence generator left, which only the
+    length bound can cause.
     """
 
     def normalize(p):
@@ -183,16 +185,12 @@ def reference_simplify(pres, max_passes=100, max_len=1000, flips=False):
         steps.append(("dedupe", len(pres.relators) - len(current.relators)))
     steps.append(("reduce",))
     defining = {name: (i + 1,) for i, name in enumerate(pres.gens)}
-    passes, bounded = 0, False
     while True:
         usable = [
             (ri, r, [g for g in range(current.rank) if count(r, g) == 1])
             for ri, r in enumerate(current.relators)
         ]
         usable = [u for u in usable if u[2]]
-        if passes == max_passes:
-            bounded = bool(usable)
-            break
         chosen = None
         for ri, r, singles in usable:
             total = {g: sum(count(w, g) for w in current.relators) - 1 for g in singles}
@@ -209,6 +207,7 @@ def reference_simplify(pres, max_passes=100, max_len=1000, flips=False):
             if chosen:
                 break
         if not chosen:
+            bounded = bool(usable)
             break
         g, r, rep, rewritten = chosen
         steps.append(("eliminate", current.gens[g], serialize_word(r, current.gens), serialize_word(rep, current.gens)))
@@ -220,6 +219,5 @@ def reference_simplify(pres, max_passes=100, max_len=1000, flips=False):
         if len(current.relators) != len(rewritten.relators):
             steps.append(("dedupe", len(rewritten.relators) - len(current.relators)))
         steps.append(("reduce",))
-        passes += 1
     defining = {name: serialize_word(w, current.gens) or "1" for name, w in defining.items()}
     return str(current), steps, defining, bounded

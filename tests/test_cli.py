@@ -1,11 +1,16 @@
 import hashlib
 import json
 import shlex
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
 
 from coxembed.cli import main
+from coxembed.presentations import INF, PcSpec, parse_matrix_text, pc_presentation, serialize_presentation
+
+ROOT = Path(__file__).resolve().parents[1]
 
 
 def run_cli(capsys, *argv):
@@ -65,6 +70,15 @@ def test_build_pc(capsys, tmp_path):
     code, out, _ = run_cli(capsys, "build", "pc", "--m", str(nfile), "--p", "2,2")
     assert code == 0
     assert "g1 g2 g1^-1 g2^-1 g1 g2 g1^-1 g2^-1" in out
+
+
+def test_build_pc_commutator_powers(capsys):
+    # an off-diagonal 1 is a valid commutator power, not a Coxeter label
+    fixture = ROOT / "scripts/fixtures/n3x3_raag.txt"
+    code, out, _ = run_cli(capsys, "build", "pc", "--m", str(fixture), "--p", "2,2,inf")
+    rows = parse_matrix_text(fixture.read_text())
+    assert code == 0
+    assert out == serialize_presentation(pc_presentation(PcSpec(rows, (2, 2, INF)))) + "\n"
 
 
 def test_kernel_klein_evaluated(capsys):
@@ -144,14 +158,15 @@ def test_verify_text_klein(capsys):
     assert out.rstrip().endswith("verdict: pass")
 
 
-def test_verify_text_bounded_raw_comparison_skipped(capsys, tmp_path):
-    path = tmp_path / "chain4.txt"
-    path.write_text("1,4,2,2\n4,1,4,2\n2,4,1,4\n2,2,4,1\n")
+def test_verify_text_bounded_raw_comparison_skipped(capsys):
+    # the length bound stops simplify at 13 generators on a valid instance:
+    # the raw comparison is skipped, not failed
+    fixture = str(ROOT / "scripts/fixtures/m2x2_4.txt")
     code, out, _ = run_cli(
-        capsys, "verify", "thm1", "--m", str(path), "--p", "2,2,2,2", "--max-cosets", "2000"
+        capsys, "verify", "thm1", "--m", fixture, "--p", "2,2", "--max-relator-length", "6"
     )
     assert code == 0
-    assert "raw.matched: skipped" in out
+    assert "raw.matched: skipped" in out.splitlines()
     assert out.rstrip().endswith("verdict: pass")
 
 
@@ -223,9 +238,6 @@ def test_exit_code_matrix_over_families(capsys, m4_file, m3_file):
 
 
 def test_module_entry_point():
-    import subprocess
-    import sys
-
     proc = subprocess.run(
         [sys.executable, "-m", "coxembed", "order", "< s | s^2 >"],
         capture_output=True,
@@ -249,8 +261,6 @@ def test_determinism_byte_identical(capsys, m4_file):
         runs.append(out)
     assert runs[0] == runs[1]
 
-
-ROOT = Path(__file__).resolve().parents[1]
 
 # sha256 of "<exit code>\n<stdout>" for every README command and for
 # verify on each fixture in text and JSON, taken before the text output
@@ -310,6 +320,10 @@ GOLDEN = [
 ]
 
 
+# the same for scripts/run_embeddings.py, run as its own process
+RUN_EMBEDDINGS_DIGEST = "cc62ed06952eb63c4f4d1011c2fa37583a7f3440264f9c7525329f1aa00c5618"
+
+
 def test_golden_outputs(capsys):
     changed = []
     for command, digest in GOLDEN:
@@ -317,4 +331,9 @@ def test_golden_outputs(capsys):
         code, out, _ = run_cli(capsys, *argv)
         if hashlib.sha256(f"{code}\n{out}".encode()).hexdigest() != digest:
             changed.append(command)
+    script = subprocess.run(
+        [sys.executable, str(ROOT / "scripts/run_embeddings.py")], capture_output=True, text=True
+    )
+    if hashlib.sha256(f"{script.returncode}\n{script.stdout}".encode()).hexdigest() != RUN_EMBEDDINGS_DIGEST:
+        changed.append("scripts/run_embeddings.py")
     assert changed == []

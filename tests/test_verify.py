@@ -452,20 +452,22 @@ def test_verify_instance_prop2_rank5_chain_matches_at_rank_10():
     inst = build_prop2_instance(
         CoxeterMatrix.from_pairs(5, {(i, i + 1): 3 for i in range(4)}), (4,) * 5
     )
-    report = verify_instance(inst, Budgets(max_passes=10_000, max_cosets=2_000))
+    report = verify_instance(inst, Budgets(max_cosets=2_000))
     assert report.raw_matched
     assert report.verdict == "pass"
 
 
 def test_verify_instance_bounded_raw_comparison_is_skipped():
-    # the rank-4 chain's raw kernel needs 109 eliminations: at the default
-    # max_passes=100 simplify stops at 13 generators, which decides nothing
-    inst = build_thm1_instance(
-        CoxeterMatrix.from_pairs(4, {(i, i + 1): 4 for i in range(3)}), (2,) * 4
-    )
-    d = verify_instance(inst, Budgets()).to_dict()
+    # simplify runs to completion, so the rank-4 and rank-5 chains (109 and
+    # 284 eliminations) decide their raw comparison
+    for n in (4, 5):
+        inst = build_thm1_instance(
+            CoxeterMatrix.from_pairs(n, {(i, i + 1): 4 for i in range(n - 1)}), (2,) * n
+        )
+        d = verify_instance(inst, Budgets(max_cosets=2_000)).to_dict()
+        assert d["raw"] == {"generators_after_simplify": n, "matched": True}
+        assert d["verdict"] == "pass"
+    # a simplify stopped by the length bound decides nothing
+    d = verify_instance(thm1_fixture(), Budgets(max_relator_length=6)).to_dict()
     assert d["raw"] == {"generators_after_simplify": 13, "matched": "skipped"}
-    assert d["verdict"] == "pass"
-    d = verify_instance(inst, Budgets(max_passes=200, max_cosets=2_000)).to_dict()
-    assert d["raw"] == {"generators_after_simplify": 4, "matched": True}
     assert d["verdict"] == "pass"
