@@ -317,6 +317,12 @@ GOLDEN = [
      "3dc5b0766bbcb1eebf42ccebec85c28fca0dc551019ce539a88957a6cf8f2ed7"),
     ('verify klein --max-cosets 2000 --format json',
      "cba65f64c9bd52589b2486cb8162ffc950446c6da5b9af96e00545e3dbe2422b"),
+    ('kernel prop2 --m scripts/fixtures/m2x2_3.txt --p 4,4 --mode both --format json',
+     "44db762ea6ffa638d13c6c8747aef393226e756050518a5f2cf44bf5696d90f4"),
+    ('kernel artin --m scripts/fixtures/m2x2_3.txt --mode both --format json',
+     "0d4254b546ee9d585ad7cb6d059feac0f01d107781c837d6ad85ddd81d133fae"),
+    ('kernel klein --mode both --format json',
+     "d6b03852a9d7931414aa14c2923fc68da221c6fdf46d61b040ff30f7fb1b1b6a"),
 ]
 
 

@@ -1,16 +1,21 @@
+import hashlib
 import random
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from coxembed.presentations import (
+    INF,
     CoxeterMatrix,
     HomZ2n,
     build_artin_instance,
+    build_artin_inversion_instance,
     build_klein_instance,
     build_prop2_instance,
     build_thm1_instance,
+    parse_matrix_text,
     parse_presentation,
     serialize_presentation,
     serialize_word,
@@ -35,6 +40,8 @@ from coxembed.verify import (
     word_holds,
 )
 from coxembed.words import free_reduce, invert, power, relator_nf
+
+ROOT = Path(__file__).resolve().parents[1]
 
 
 def thm1_fixture():
@@ -333,3 +340,72 @@ def test_raw_and_evaluated_agree_on_abelianization_for_artin():
     ev = evaluated_kernel_presentation(inst)
     assert abelianization(simplified) == abelianization(ev.presentation)
     assert abelianization(ev.presentation) == AbelianInvariants(0, (2,))
+
+
+def _kernel_pin_cases():
+    """Each fixture Coxeter matrix under every family it fits, klein, the
+    label-2 artin pair (labels 3 and 4 are fixtures), a rank-3 prop2 chain
+    and a rank-4 thm1 chain."""
+    cases = [("klein", build_klein_instance())]
+    for name in ("m2x2_3", "m2x2_4", "m3x3_right_angled"):
+        m = CoxeterMatrix.from_rows(parse_matrix_text((ROOT / "scripts/fixtures" / f"{name}.txt").read_text()))
+        for p in (2, 3, 4, INF):
+            if p != 3:
+                cases.append((f"prop2-{name}-{p}", build_prop2_instance(m, (p,) * m.n)))
+            if m.is_even:
+                cases.append((f"thm1-{name}-{p}", build_thm1_instance(m, (p,) * m.n)))
+        cases.append((f"artin-{name}", build_artin_instance(m)))
+        cases.append((f"artin-inversion-{name}", build_artin_inversion_instance(m)))
+    m2 = CoxeterMatrix.from_pairs(2, {(0, 1): 2})
+    cases.append(("artin-2", build_artin_instance(m2)))
+    cases.append(("artin-inversion-2", build_artin_inversion_instance(m2)))
+    chain3 = CoxeterMatrix.from_pairs(3, {(0, 1): 3, (1, 2): 3})
+    cases.append(("prop2-chain3", build_prop2_instance(chain3, (4, 4, 4))))
+    chain4 = CoxeterMatrix.from_pairs(4, {(0, 1): 4, (1, 2): 4, (2, 3): 4})
+    cases.append(("thm1-chain4", build_thm1_instance(chain4, (2, 2, 2, 2))))
+    return cases
+
+
+def _kernel_digest(inst):
+    raw = raw_kernel_presentation(inst.ambient, inst.hom, inst.transversal_gens)
+    ev = evaluated_kernel_presentation(inst)
+    text = repr([(str(kp.presentation), kp.table_rows(inst.ambient)) for kp in (raw, ev)])
+    return hashlib.sha256(text.encode()).hexdigest()
+
+
+# sha256 of the raw and evaluated kernels (presentation text and table rows)
+KERNEL_PINS = {
+    "klein": "0eaf0b3bdce0e14bcc31a85166a9b0fcc5de275473461f6f3429ea6e7c6fab6d",
+    "prop2-m2x2_3-2": "a1f34fa38cddaf4f45c257a9fd0caa7c58887223d80835d3ecc2fa0dc607574e",
+    "prop2-m2x2_3-4": "667dc22857958f2511524e6a2299c6f00a7dc0ae2ee409f9c3af011cd5038f5f",
+    "prop2-m2x2_3-inf": "680573668bd37aa401e0f97f0ff0409a8907258dedc081a8f829838d7869a091",
+    "artin-m2x2_3": "ed1e560c1b3e3cf046f96cc7c1723fe8feec07fa90d19899178c05c8d1b3bcc7",
+    "artin-inversion-m2x2_3": "71c0de2b53a358faaf3c56cea9114f9b3ee30025f9e49cdca51d6dd8e814c6fc",
+    "prop2-m2x2_4-2": "fb13a1f652dda92cab4f195cf7d3040a71e92a99adfa94423320ea591c191297",
+    "thm1-m2x2_4-2": "dc42f74b47fd9b9770ad19a09aeb80ca26844c20862543de6fa19375d355ccdf",
+    "thm1-m2x2_4-3": "a4262eb0b1f8a9b39815c1a472fb635fdd9e4ec591178e593e2a0763588dd6ca",
+    "prop2-m2x2_4-4": "5d80a8dd06397463a6360603211bbaf07106ecbba4c974fdb86ac5a23e8ac343",
+    "thm1-m2x2_4-4": "52bfea49735f88e95af599417345be4182b2bdd1f911171acf9429bb87562437",
+    "prop2-m2x2_4-inf": "9c5b582986ec7dcabb81d8526954c4f7c3ac03247de83db484ba203634a686b0",
+    "thm1-m2x2_4-inf": "d407c0b59ee768f475a22fb8322263ca707d6a5353141a1741cad93f0ad99fae",
+    "artin-m2x2_4": "6b198ba9296a10e8f34265d89ad88815d253cecf2159b2fb5cad183fd3228d6b",
+    "artin-inversion-m2x2_4": "3fe91bd23668c45680cab35bdf78095d4c63f72b70feb7eb6ee11985b0eb19d6",
+    "prop2-m3x3_right_angled-2": "0a409dfe44fc43bef2dacf9c580c9902ae3aa6a61a2e4ec6eafb762df22c9e16",
+    "thm1-m3x3_right_angled-2": "98d2644eb2a88f5573b7ca08acb30a5d4da80c038cd26722c919392182da29e9",
+    "thm1-m3x3_right_angled-3": "19a3d9a553ea937dac0182298083b2ddd52feef470ed7ee8dbc3985378f72ef1",
+    "prop2-m3x3_right_angled-4": "d1188b437082d7cae32e2bae5dbcb9c9e3b78956a2e098d04833283bd2e61db4",
+    "thm1-m3x3_right_angled-4": "9250d0d6ac17396f2c77c92d93cadbf0d0a2f9f9bf2fb0d6b6aa146fdad7fc96",
+    "prop2-m3x3_right_angled-inf": "ff04bacf6b2cbf52ac802f47a21a72c94698661b1de30063af4f0128adac6297",
+    "thm1-m3x3_right_angled-inf": "f66e404edfbd356273e25f027071e12fdc34c235c4e9066a2e2d4cf7efe49a98",
+    "artin-m3x3_right_angled": "2b78db9939dc7dff693a93cdec0fc215703028733ea96520c6c68cb87477416f",
+    "artin-inversion-m3x3_right_angled": "438fcd0761b6c1ea1865e549c21b5ce451c9a19d1358c356428148942e6103fc",
+    "artin-2": "30d95fa7597c766c4fdc3775cd2a67763027a7f301b7d3a86929186cb758bfaf",
+    "artin-inversion-2": "64033e779fe28d0254aef849cf4f2cc3b96f7bb7a7b174e09218872f4d41f28a",
+    "prop2-chain3": "abf5f14433f29223c18ef5256927a887b5324b34866f7f5246c469d41e7f23bd",
+    "thm1-chain4": "04fc03eeb77f58b553fc33b08133b42f25c7316cc85dd49204e671fada7267a0",
+}
+
+
+def test_kernel_pins():
+    digests = {name: _kernel_digest(inst) for name, inst in _kernel_pin_cases()}
+    assert digests == KERNEL_PINS
