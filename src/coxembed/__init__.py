@@ -37,13 +37,14 @@ from .schreier import (
     check_hom,
     evaluated_kernel_presentation,
     image_rank,
+    merge_symbols,
     normalize_with_rules,
     raw_kernel_presentation,
     reidemeister_rewrite,
     schreier_word,
     transversal,
 )
-from .tietze import SimplifyConfig, SimplifyTrace, eliminate_generator, normalize_relators, simplify
+from .tietze import SimplifyConfig, SimplifyTrace, simplify
 from .verify import (
     AbelianInvariants,
     Budgets,

@@ -33,7 +33,7 @@ from .presentations import (
     serialize_presentation,
     serialize_word,
 )
-from .schreier import evaluated_kernel_presentation, raw_kernel_presentation
+from .schreier import KernelPresentation, evaluated_kernel_presentation, raw_kernel_presentation
 from .tietze import SimplifyConfig, simplify
 from .verify import (
     Budgets,
@@ -163,11 +163,7 @@ def cmd_embed(args) -> int:
     return 0
 
 
-def _kernel_section(inst: EmbeddingInstance, mode: str):
-    if mode == "evaluated":
-        kp = evaluated_kernel_presentation(inst)
-    else:
-        kp = raw_kernel_presentation(inst.ambient, inst.hom, inst.transversal_gens)
+def _kernel_section(inst: EmbeddingInstance, kp: KernelPresentation):
     data = {
         "mode": kp.mode,
         "presentation": serialize_presentation(kp.presentation),
@@ -187,7 +183,11 @@ def _kernel_section(inst: EmbeddingInstance, mode: str):
 def cmd_kernel(args) -> int:
     inst = _build_instance(args)
     modes = ("evaluated", "raw") if args.mode == "both" else (args.mode,)
-    sections = [_kernel_section(inst, mode) for mode in modes]
+    raw = raw_kernel_presentation(inst.ambient, inst.hom, inst.transversal_gens)
+    kernels = {"raw": raw}
+    if "evaluated" in modes:
+        kernels["evaluated"] = evaluated_kernel_presentation(inst, raw)
+    sections = [_kernel_section(inst, kernels[mode]) for mode in modes]
     if args.format == "json":
         payload = sections[0][1] if len(sections) == 1 else [s[1] for s in sections]
         _emit(args, _json(payload))

@@ -401,7 +401,7 @@ class PcSpec:
 
 @dataclass(frozen=True)
 class RewriteRules:
-    """Involution letters, commuting pairs and a total letter order.
+    """Involution letters and commuting pairs, as generator indices.
 
     Encodes exactly the relations used to evaluate Schreier words inside
     the ambient group: squares of involutions and commutations.
@@ -409,29 +409,21 @@ class RewriteRules:
 
     involutions: frozenset
     commuting: frozenset
-    letter_order: Tuple[int, ...]
 
     def __post_init__(self):
-        n = len(self.letter_order)
-        if sorted(self.letter_order) != list(range(n)):
-            raise ValueError("letter order must be a permutation of the generators")
         for g in self.involutions:
-            if not 0 <= g < n:
+            if g < 0:
                 raise ValueError(f"involution letter {g} outside alphabet")
         pairs = set()
         for pair in self.commuting:
             a, b = pair
             if a == b:
                 raise ValueError("commuting pair must contain two distinct generators")
-            if not (0 <= a < n and 0 <= b < n):
+            if min(a, b) < 0:
                 raise ValueError(f"commuting pair {pair} outside alphabet")
             pairs.add((min(a, b), max(a, b)))
         object.__setattr__(self, "involutions", frozenset(self.involutions))
         object.__setattr__(self, "commuting", frozenset(pairs))
-        object.__setattr__(self, "letter_order", tuple(self.letter_order))
-
-    def rank_of(self) -> Dict[int, int]:
-        return {g: k for k, g in enumerate(self.letter_order)}
 
 
 @dataclass(frozen=True)
@@ -604,7 +596,6 @@ def _double_rules(n: int) -> RewriteRules:
     return RewriteRules(
         involutions=frozenset(range(2 * n)),
         commuting=frozenset(commuting),
-        letter_order=tuple(range(2 * n)),
     )
 
 
@@ -717,7 +708,6 @@ def build_klein_instance() -> EmbeddingInstance:
     rules = RewriteRules(
         involutions=frozenset(range(4)),
         commuting=frozenset({(0, 2), (0, 3), (1, 2), (1, 3)}),
-        letter_order=(0, 1, 2, 3),
     )
     expected = Presentation(("a", "b"), (free_reduce((-1, 2, 1, 2)),))
     expected_words = ((s1, r1, r2), (s2, r2))
@@ -793,7 +783,6 @@ def build_artin_inversion_instance(matrix: CoxeterMatrix) -> EmbeddingInstance:
         rules=RewriteRules(
             involutions=frozenset(range(n + 1)),
             commuting=frozenset(),
-            letter_order=tuple(range(n + 1)),
         ),
         expected_kernel=artin_presentation(matrix),
         expected_words=tuple((s(i), r) for i in range(n)),

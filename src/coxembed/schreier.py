@@ -4,13 +4,14 @@ Builds Schreier transversals for homomorphisms onto ``Z_2^n``, evaluates
 the Schreier map, and rewrites kernel words over the Schreier generators.
 Kernel presentations come in two modes: ``raw`` keeps defining words at
 the free-group level (one symbol per nontrivial transversal/generator
-pair), ``evaluated`` normalizes defining words with the instance's
-involution and commutation rules and merges symbols that coincide.
+pair); ``evaluated`` is the raw kernel with its defining words normalized
+by the instance's involution and commutation rules and the symbols that
+then coincide merged, computed from the same single rewrite.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Dict, Optional, Sequence, Tuple
 
 from .presentations import (
@@ -21,7 +22,7 @@ from .presentations import (
     gf2_rank,
     serialize_word,
 )
-from .words import Word, free_reduce, invert, letter, relator_nf
+from .words import Word, expand_kernel_word, free_reduce, invert, letter, relator_nf
 
 
 def check_hom(pres: Presentation, hom: HomZ2n) -> bool:
@@ -90,10 +91,10 @@ def schreier_word(trans: Transversal, hom: HomZ2n, t: Word, x: int) -> Word:
 def normalize_with_rules(rules: RewriteRules, w: Sequence[int]) -> Word:
     """Rewrite ``w`` to a fixpoint, applying at the leftmost position:
     inverse removal on involution letters, deletion of adjacent cancelling
-    or repeated-involution letters, and ascending swaps of adjacent
-    commuting letters.  Idempotent and length-non-increasing.
+    or repeated-involution letters, and swaps of adjacent commuting
+    letters into ascending generator order.  Idempotent and
+    length-non-increasing.
     """
-    rank = rules.rank_of()
     inv = rules.involutions
     comm = rules.commuting
     v = list(w)
@@ -117,7 +118,7 @@ def normalize_with_rules(rules: RewriteRules, w: Sequence[int]) -> Word:
                     changed = True
                     break
                 a, b = abs(let) - 1, abs(nxt) - 1
-                if a != b and (min(a, b), max(a, b)) in comm and rank[a] > rank[b]:
+                if a > b and (b, a) in comm:
                     v[i], v[i + 1] = nxt, let
                     changed = True
                     break
@@ -136,82 +137,74 @@ class SchreierGen:
 
 
 class SymbolDict:
-    """Dictionary assigning kernel symbols to Schreier-map values.
+    """Raw kernel symbols: every nontrivial (representative, generator)
+    pair gets its own symbol, named after that origin."""
 
-    In raw mode every nontrivial (representative, generator) pair gets its
-    own symbol.  In evaluated mode symbols are keyed by rule-normalized
-    defining word; a word equal to an existing symbol resolves with sign
-    +1, equal to its normalized inverse with sign -1, and fresh words make
-    new symbols named after their first origin (or after the matching
-    expected generator when the instance supplies expected words).
-    """
-
-    def __init__(
-        self,
-        pres: Presentation,
-        hom: HomZ2n,
-        trans: Transversal,
-        rules: Optional[RewriteRules] = None,
-        expected: Sequence[Tuple[str, Word]] = (),
-    ):
-        self.pres = pres
-        self.hom = hom
-        self.trans = trans
-        self.rules = rules
-        self.expected = tuple(expected)
-        self.mode = "raw" if rules is None else "evaluated"
+    def __init__(self, pres: Presentation, hom: HomZ2n, trans: Transversal):
         self.table: list[SchreierGen] = []
-        self._by_origin: Dict[Tuple[int, int], Optional[Tuple[int, int]]] = {}
-        self._by_word: Dict[Word, int] = {}
-        self._coset_index = {v: k for k, v in enumerate(trans.order)}
-        for v in trans.order:
+        self._by_origin: Dict[Tuple[int, int], Optional[int]] = {}
+        for k, v in enumerate(trans.order):
+            t = trans.reps[v]
             for x in range(pres.rank):
-                self.resolve(v, x)
+                word = schreier_word(trans, hom, t, x)
+                if word:
+                    self._by_origin[(v, x)] = len(self.table)
+                    self.table.append(SchreierGen(f"y{k}_{pres.gens[x]}", v, t, x, word))
+                else:
+                    self._by_origin[(v, x)] = None
 
-    def _origin_name(self, coset: int, x: int) -> str:
-        return f"y{self._coset_index[coset]}_{self.pres.gens[x]}"
+    def resolve(self, coset: int, x: int) -> Optional[int]:
+        """Symbol index for the pair, or None when trivial."""
+        return self._by_origin[(coset, x)]
 
-    def resolve(self, coset: int, x: int) -> Optional[Tuple[int, int]]:
-        """Symbol index and sign for the pair, or None when trivial."""
-        key = (coset, x)
-        if key in self._by_origin:
-            return self._by_origin[key]
-        t = self.trans.reps[coset]
-        word = schreier_word(self.trans, self.hom, t, x)
-        if self.rules is not None:
-            word = normalize_with_rules(self.rules, word)
+    def names(self) -> Tuple[str, ...]:
+        return tuple(g.name for g in self.table)
+
+
+def merge_symbols(
+    inst: EmbeddingInstance, table: Sequence[SchreierGen]
+) -> Tuple[Tuple[SchreierGen, ...], Tuple[Word, ...]]:
+    """Evaluated symbols of a raw symbol table, and each raw symbol's image.
+
+    In table order, each raw defining word is normalized with the instance
+    rules.  An empty word drops out (image: the empty word); a word equal
+    to an earlier symbol's word merges into it with sign +1, one whose
+    normalized inverse equals it with sign -1; a new word makes a symbol
+    named after its first origin, or after the expected generator it or
+    its inverse equals.
+    """
+    rules = inst.rules
+    expected = [
+        (name, normalize_with_rules(rules, w))
+        for name, w in zip(inst.expected_kernel.gens, inst.expected_words)
+    ]
+    merged: list[SchreierGen] = []
+    by_word: Dict[Word, int] = {}
+    images: list[Word] = []
+    for g in table:
+        word = normalize_with_rules(rules, g.defining)
         if not word:
-            result: Optional[Tuple[int, int]] = None
-        elif self.mode == "raw":
-            idx = len(self.table)
-            self.table.append(SchreierGen(self._origin_name(coset, x), coset, t, x, word))
-            result = (idx, 1)
-        else:
-            result = self._resolve_evaluated(coset, t, x, word)
-        self._by_origin[key] = result
-        return result
-
-    def _resolve_evaluated(self, coset: int, t: Word, x: int, word: Word):
-        if word in self._by_word:
-            return (self._by_word[word], 1)
-        inv_word = normalize_with_rules(self.rules, invert(word))
-        if inv_word in self._by_word:
-            return (self._by_word[inv_word], -1)
-        name, canonical, sign = self._origin_name(coset, x), word, 1
-        for ename, ew in self.expected:
+            images.append(())
+            continue
+        if word in by_word:
+            images.append((letter(by_word[word]),))
+            continue
+        inv_word = normalize_with_rules(rules, invert(word))
+        if inv_word in by_word:
+            images.append((letter(by_word[inv_word], -1),))
+            continue
+        name, canonical, sign = g.name, word, 1
+        for ename, ew in expected:
             if word == ew:
                 name = ename
                 break
             if inv_word == ew:
                 name, canonical, sign = ename, ew, -1
                 break
-        idx = len(self.table)
-        self.table.append(SchreierGen(name, coset, t, x, canonical))
-        self._by_word[canonical] = idx
-        return (idx, sign)
-
-    def names(self) -> Tuple[str, ...]:
-        return tuple(g.name for g in self.table)
+        by_word[canonical] = len(merged)
+        images.append((letter(len(merged), sign),))
+        merged.append(replace(g, name=name, defining=canonical))
+    return tuple(merged), tuple(images)
 
 
 @dataclass(frozen=True)
@@ -237,13 +230,12 @@ def reidemeister_rewrite(
     symbols: SymbolDict,
     w: Sequence[int],
 ) -> Word:
-    """Rewrite a kernel word over the Schreier symbols.
+    """Rewrite a kernel word over the raw Schreier symbols.
 
     A positive letter x at prefix u contributes the symbol of the pair
     (rep of u's coset, x); a letter x^-1 contributes the inverse of the
     symbol at (rep of (u x^-1)'s coset, x).  Raises if ``w`` has nonzero
-    image.  In evaluated mode the dictionary normalizes with its own
-    rule set.
+    image.
     """
     if hom.word_image(w) != 0:
         raise ValueError("word is not in the kernel (nonzero image)")
@@ -252,17 +244,15 @@ def reidemeister_rewrite(
     for l in w:
         x = abs(l) - 1
         if l > 0:
-            res = symbols.resolve(v, x)
+            idx = symbols.resolve(v, x)
             v ^= hom.images[x]
-            if res is not None:
-                idx, sign = res
-                out.append(letter(idx, sign))
+            if idx is not None:
+                out.append(letter(idx))
         else:
             v ^= hom.images[x]
-            res = symbols.resolve(v, x)
-            if res is not None:
-                idx, sign = res
-                out.append(-letter(idx, sign))
+            idx = symbols.resolve(v, x)
+            if idx is not None:
+                out.append(letter(idx, -1))
     return free_reduce(out)
 
 
@@ -277,8 +267,6 @@ def raw_kernel_presentation(pres: Presentation, hom: HomZ2n, subset: Sequence[in
     """Free-group-faithful kernel presentation: one symbol per nontrivial
     (representative, generator) pair, one rewritten relator per
     (representative, ambient relator) pair, empty relators dropped."""
-    if not check_hom(pres, hom):
-        raise ValueError("hom does not kill every relator")
     trans = transversal(pres, hom, subset)
     symbols = SymbolDict(pres, hom, trans)
     rels = []
@@ -290,29 +278,29 @@ def raw_kernel_presentation(pres: Presentation, hom: HomZ2n, subset: Sequence[in
     return KernelPresentation(kernel, tuple(symbols.table), "raw")
 
 
-def evaluated_kernel_presentation(inst: EmbeddingInstance) -> KernelPresentation:
-    """Rule-evaluated kernel presentation of an embedding instance.
+def evaluated_kernel_presentation(
+    inst: EmbeddingInstance, raw: Optional[KernelPresentation] = None
+) -> KernelPresentation:
+    """Rule-evaluated kernel presentation of an embedding instance: the
+    raw kernel with symbols that coincide in the ambient group merged.
 
-    Defining words are normalized with the instance rules before symbols
-    are assigned, matched symbols take the expected generator names, and
-    rewritten relators are deduplicated by relator normal form.
+    The raw symbols are merged by :func:`merge_symbols`, their images are
+    substituted into the raw relators, and the results are deduplicated by
+    relator normal form in first-appearance order.  ``raw`` is the
+    instance's raw kernel when the caller already has it.
     """
-    pres, hom = inst.ambient, inst.hom
-    trans = transversal(pres, hom, inst.transversal_gens)
-    expected = [
-        (name, normalize_with_rules(inst.rules, w))
-        for name, w in zip(inst.expected_kernel.gens, inst.expected_words)
-    ]
-    symbols = SymbolDict(pres, hom, trans, rules=inst.rules, expected=expected)
+    if raw is None:
+        raw = raw_kernel_presentation(inst.ambient, inst.hom, inst.transversal_gens)
+    table, images = merge_symbols(inst, raw.table)
     rels = []
     seen = set()
-    for w in _conjugated_relators(pres, trans):
-        img = reidemeister_rewrite(trans, hom, symbols, w)
+    for r in raw.presentation.relators:
+        img = expand_kernel_word(r, images)
         if not img:
             continue
         nf = relator_nf(img)
         if nf not in seen:
             seen.add(nf)
             rels.append(img)
-    kernel = Presentation(symbols.names(), tuple(rels))
-    return KernelPresentation(kernel, tuple(symbols.table), "evaluated")
+    kernel = Presentation(tuple(g.name for g in table), tuple(rels))
+    return KernelPresentation(kernel, table, "evaluated")

@@ -65,14 +65,6 @@ def _order(c: Code) -> Tuple[int, Code]:
     return (len(c), c)
 
 
-def normalize_relators(pres: Presentation) -> Presentation:
-    """Replace each relator by its normal form, drop empties, dedupe, and
-    sort by length then letter order."""
-    nfs = {code_nf(encode(r)) for r in pres.relators}
-    nfs.discard(())
-    return Presentation(pres.gens, tuple(decode(c) for c in sorted(nfs, key=_order)))
-
-
 def _substitute(w: Code, g: int, replacement: Code) -> Code:
     """Free reduction of ``w`` with generator ``g`` replaced."""
     inverse = code_invert(replacement)
@@ -87,24 +79,9 @@ def _substitute(w: Code, g: int, replacement: Code) -> Code:
 
 def _solve(r: Code, g: int) -> Code:
     """Solve the relator ``r`` (containing g exactly once) for g."""
-    occ = [k for k, x in enumerate(r) if x >> 1 == g]
-    if len(occ) != 1:
-        raise ValueError(f"generator occurs {len(occ)} times in the relator, need exactly 1")
-    k = occ[0]
+    k = next(k for k, x in enumerate(r) if x >> 1 == g)
     rest = r[k + 1 :] + r[:k]
     return code_reduce(rest if r[k] & 1 else code_invert(rest))
-
-
-def eliminate_generator(pres: Presentation, g: int, r_index: int) -> Presentation:
-    """Remove generator ``g`` using relator ``r_index``, in which it must
-    occur exactly once; the presented group is unchanged."""
-    replacement = _solve(encode(pres.relators[r_index]), g)
-    rels = []
-    for idx, w in enumerate(pres.relators):
-        if idx != r_index:
-            rest = _substitute(encode(w), g, replacement)
-            rels.append(decode(x - 2 if x >> 1 > g else x for x in rest))
-    return Presentation(pres.gens[:g] + pres.gens[g + 1 :], tuple(rels))
 
 
 class _Relators:
@@ -128,7 +105,6 @@ class _Relators:
         self.containing: Dict[int, Set[Code]] = defaultdict(set)
         self.singles: Dict[Code, List[int]] = {}
         self.usable: List[Tuple[int, Code]] = []  # _order of relators with singles, sorted
-        self.too_long = 0  # relators longer than max_len (only input can have them)
 
     def __len__(self) -> int:
         return len(self.rels)
@@ -163,7 +139,6 @@ class _Relators:
         if singles:
             self.singles[c] = singles
             insort(self.usable, _order(c))
-        self.too_long += len(c) > self.max_len
 
     def remove(self, c: Code) -> None:
         self.rels.remove(c)
@@ -172,7 +147,6 @@ class _Relators:
             self.containing[x >> 1].discard(c)
         if self.singles.pop(c, None):
             del self.usable[bisect_left(self.usable, _order(c))]
-        self.too_long -= len(c) > self.max_len
 
     def add_all(self, nfs) -> None:
         """Insert normal forms, first taking up the squares among them."""
@@ -191,12 +165,11 @@ class _Relators:
     def _rewrite(self, g: int, r: Code, replacement: Code) -> Optional[List[Code]]:
         """Normal forms of the relators containing ``g`` other than ``r``
         with ``g`` replaced, or None when one would exceed the length
-        bound (cyclically reduced, as a presentation stores it)."""
-        users = self.containing[g]
-        if self.too_long > sum(len(w) > self.max_len for w in users):
-            return None
+        bound (cyclically reduced, as a presentation stores it).  Relators
+        not containing ``g`` are left as they are, so the bound does not
+        apply to them."""
         out = []
-        for w in users:
+        for w in self.containing[g]:
             if w != r:
                 w = code_nf(_substitute(w, g, replacement))
                 if len(w) > self.max_len:
@@ -250,8 +223,9 @@ def simplify(pres: Presentation, cfg: Optional[SimplifyConfig] = None) -> Tuple[
 
     At each elimination step the shortest relator with a single-occurrence
     generator is used, choosing within it the generator whose elimination
-    least grows the total relator length; eliminations pushing any relator
-    past ``max_relator_length`` are rejected.  Stops when no step applies,
+    least grows the total relator length; eliminations pushing a rewritten
+    relator past ``max_relator_length`` are rejected, while relators the
+    elimination leaves untouched may be longer.  Stops when no step applies,
     which takes at most one step per generator; ``trace.bounded`` is set
     when a single-occurrence elimination was left undone because of
     ``max_relator_length``.  With

@@ -16,7 +16,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 from .presentations import EmbeddingInstance, Presentation
 from .schreier import check_hom, evaluated_kernel_presentation, image_rank, raw_kernel_presentation, transversal
 from .tietze import SimplifyConfig, simplify
-from .words import Word, free_reduce, invert, relabel, relator_nf
+from .words import Word, expand_kernel_word, free_reduce, invert, relabel, relator_nf
 
 DEFAULT_MAX_COSETS = 50_000
 
@@ -549,15 +549,6 @@ class VerifyReport:
         }
 
 
-def expand_kernel_word(w: Word, defining: Sequence[Word]) -> Word:
-    """Substitute each kernel letter by its ambient defining word."""
-    parts = []
-    for l in w:
-        d = defining[abs(l) - 1]
-        parts.extend(d if l > 0 else invert(d))
-    return free_reduce(parts)
-
-
 def evaluated_matches_expected(kernel: Presentation, expected: Presentation) -> bool:
     """Relator normal-form multiset equality under the name identification
     between an evaluated kernel and its expected presentation."""
@@ -577,11 +568,11 @@ def verify_instance(inst: EmbeddingInstance, budgets: Optional[Budgets] = None) 
     rank = image_rank(inst.hom)
     trans = transversal(inst.ambient, inst.hom, inst.transversal_gens)
 
-    evaluated = evaluated_kernel_presentation(inst)
+    raw = raw_kernel_presentation(inst.ambient, inst.hom, inst.transversal_gens)
+    evaluated = evaluated_kernel_presentation(inst, raw)
     ev_gens = evaluated.presentation.rank
     ev_match = evaluated_matches_expected(evaluated.presentation, inst.expected_kernel)
 
-    raw = raw_kernel_presentation(inst.ambient, inst.hom, inst.transversal_gens)
     # flips merge the sign-variant relator classes of involutions on both
     # sides, so one comparison decides the match; no match after a simplify
     # that stopped at the length bound decides nothing (None)

@@ -98,6 +98,20 @@ def cyclic_reduce(w: Sequence[int]) -> Word:
     return v[i : j + 1]
 
 
+def expand_kernel_word(w: Sequence[int], defining: Sequence[Sequence[int]]) -> Word:
+    """Substitute ``defining[g]`` for each letter of generator ``g`` in ``w``
+    (its inverse for an inverse letter), freely reduced.
+
+    >>> expand_kernel_word((1, -2), [(1, 2), (3,)])
+    (1, 2, -3)
+    """
+    parts: list[int] = []
+    for l in w:
+        d = defining[abs(l) - 1]
+        parts.extend(d if l > 0 else invert(d))
+    return free_reduce(parts)
+
+
 def letter_key(let: int) -> Tuple[int, int]:
     """Total order on letters: generator index ascending, + before -."""
     return (abs(let), 0 if let > 0 else 1)

@@ -13,7 +13,7 @@ from math import gcd
 from typing import Sequence, Tuple
 
 from coxembed.presentations import Presentation, serialize_word
-from coxembed.words import concat, free_reduce, invert, relabel, relator_nf, word_key
+from coxembed.words import concat, cyclic_reduce, free_reduce, invert, relabel, relator_nf, word_key
 
 
 def orbit_rotation_inversion(w) -> set:
@@ -149,7 +149,8 @@ def reference_simplify(pres, max_len=1000, flips=False):
 
     Follows the rules ``coxembed.tietze.simplify`` documents (shortest
     relator with a single-occurrence generator first, least growth
-    estimate, length bound on the cyclically reduced rewrites, square
+    estimate, length bound on the cyclically reduced rewrites of the
+    relators containing the eliminated generator, square
     relators flipping ``g^-1`` to ``g``) and returns
     ``(str(presentation), steps, defining, bounded)``; ``bounded`` is set
     when it stops with a single-occurrence generator left, which only the
@@ -201,7 +202,8 @@ def reference_simplify(pres, max_len=1000, flips=False):
                     current.gens[:g] + current.gens[g + 1 :],
                     tuple(substitute(w, g, rep) for i, w in enumerate(current.relators) if i != ri),
                 )
-                if all(len(w) <= max_len for w in rewritten.relators):
+                users = [w for i, w in enumerate(current.relators) if i != ri and count(w, g)]
+                if all(len(cyclic_reduce(substitute(w, g, rep))) <= max_len for w in users):
                     chosen = (g, r, rep, rewritten)
                     break
             if chosen:

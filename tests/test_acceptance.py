@@ -20,7 +20,7 @@ from coxembed.presentations import (
 from coxembed.schreier import (
     SymbolDict,
     evaluated_kernel_presentation,
-    normalize_with_rules,
+    merge_symbols,
     raw_kernel_presentation,
     reidemeister_rewrite,
     transversal,
@@ -65,14 +65,14 @@ def thm1_fixture():
     return build_thm1_instance(CoxeterMatrix.from_pairs(2, {(0, 1): 4}), (2, 2))
 
 
-def evaluated_symbols(inst):
+def evaluated_rewriter(inst):
+    """The evaluated symbol table and a rewrite of kernel words over it:
+    the raw rewrite with each raw symbol replaced by its merge image."""
     trans = transversal(inst.ambient, inst.hom, inst.transversal_gens)
-    expected = [
-        (name, normalize_with_rules(inst.rules, w))
-        for name, w in zip(inst.expected_kernel.gens, inst.expected_words)
-    ]
-    return trans, SymbolDict(
-        inst.ambient, inst.hom, trans, rules=inst.rules, expected=expected
+    symbols = SymbolDict(inst.ambient, inst.hom, trans)
+    table, images = merge_symbols(inst, symbols.table)
+    return table, lambda w: expand_kernel_word(
+        reidemeister_rewrite(trans, inst.hom, symbols, w), images
     )
 
 
@@ -216,10 +216,10 @@ def test_criterion_5_klein_bottle():
     kp = evaluated_kernel_presentation(inst)
     classes = {relator_nf(r) for r in kp.presentation.relators}
     assert classes == {relator_nf((-1, 2, 1, 2))}  # a^-1 b a b
-    trans, symbols = evaluated_symbols(inst)
+    _, rewrite = evaluated_rewriter(inst)
     s1, r1, s2, r2 = 2, 1, 4, 3
-    assert reidemeister_rewrite(trans, inst.hom, symbols, power((s1, r2), 2)) == ()
-    assert reidemeister_rewrite(trans, inst.hom, symbols, power((s2, r1), 2)) == ()
+    assert rewrite(power((s1, r2), 2)) == ()
+    assert rewrite(power((s2, r1), 2)) == ()
     assert abelianization(kp.presentation) == AbelianInvariants(1, (2,))
 
 
@@ -327,8 +327,8 @@ def test_criterion_8_engine_properties():
     ]
     for inst in fixtures:
         rep = regular_rep(todd_coxeter(inst.ambient, (), MAX_COSETS))
-        trans, symbols = evaluated_symbols(inst)
-        defining = [g.defining for g in symbols.table]
+        table, rewrite = evaluated_rewriter(inst)
+        defining = [g.defining for g in table]
         count = 0
         while count < 100:
             length = rng.randrange(0, 12)
@@ -340,7 +340,6 @@ def test_criterion_8_engine_properties():
             )
             if inst.hom.word_image(w) != 0:
                 continue
-            image = reidemeister_rewrite(trans, inst.hom, symbols, w)
-            expanded = expand_kernel_word(image, defining)
+            expanded = expand_kernel_word(rewrite(w), defining)
             assert word_holds(rep, free_reduce(expanded + invert(w)))
             count += 1

@@ -95,6 +95,28 @@ def test_kernel_both_modes(capsys, m4_file):
     assert "mode: evaluated" in out and "mode: raw" in out
 
 
+def test_kernel_both_modes_rewrites_once(capsys, monkeypatch, m4_file):
+    # the evaluated kernel is merged from the raw one: one rewrite per
+    # conjugated relator, 4 representatives times 10 ambient relators
+    import coxembed.schreier as schreier
+
+    calls = []
+    rewrite = schreier.reidemeister_rewrite
+    monkeypatch.setattr(schreier, "reidemeister_rewrite", lambda *a: calls.append(a) or rewrite(*a))
+    code, _, _ = run_cli(capsys, "kernel", "thm1", "--m", m4_file, "--p", "2,2", "--mode", "both")
+    assert code == 0
+    assert len(calls) == 40
+
+
+def test_readme_library_block(capsys):
+    # the Library example runs and prints what its comments say
+    readme = (ROOT / "README.md").read_text(encoding="utf-8")
+    block = readme.split("## Library", 1)[1].split("```python\n", 1)[1].split("```", 1)[0]
+    expected = [line.split("  # ", 1)[1] for line in block.splitlines() if line.startswith("print(")]
+    exec(compile(block, "README.md", "exec"), {})
+    assert capsys.readouterr().out.splitlines() == expected
+
+
 def test_abelianization(capsys):
     code, out, _ = run_cli(capsys, "abelianization", "< a, b | a^-1 b a b >")
     assert code == 0
@@ -159,7 +181,7 @@ def test_verify_text_klein(capsys):
 
 
 def test_verify_text_bounded_raw_comparison_skipped(capsys):
-    # the length bound stops simplify at 13 generators on a valid instance:
+    # the length bound stops simplify at 8 generators on a valid instance:
     # the raw comparison is skipped, not failed
     fixture = str(ROOT / "scripts/fixtures/m2x2_4.txt")
     code, out, _ = run_cli(

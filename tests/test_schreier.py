@@ -25,6 +25,7 @@ from coxembed.schreier import (
     check_hom,
     evaluated_kernel_presentation,
     image_rank,
+    merge_symbols,
     normalize_with_rules,
     raw_kernel_presentation,
     reidemeister_rewrite,
@@ -257,30 +258,46 @@ def test_evaluated_artin_classes():
     assert classes == {braid, flipped}
 
 
+def evaluated_rewriter(inst):
+    """The evaluated symbol table and a rewrite of kernel words over it:
+    the raw rewrite with each raw symbol replaced by its merge image."""
+    t = transversal(inst.ambient, inst.hom, inst.transversal_gens)
+    sym = SymbolDict(inst.ambient, inst.hom, t)
+    table, images = merge_symbols(inst, sym.table)
+    return table, lambda w: expand_kernel_word(reidemeister_rewrite(t, inst.hom, sym, w), images)
+
+
 def test_reidemeister_rewrite_examples():
     inst = build_thm1_instance(CoxeterMatrix.from_rows([[1]]), (3,))
-    t = transversal(inst.ambient, inst.hom, inst.transversal_gens)
-    expected = [
-        (n, normalize_with_rules(inst.rules, w))
-        for n, w in zip(inst.expected_kernel.gens, inst.expected_words)
-    ]
-    sym = SymbolDict(inst.ambient, inst.hom, t, rules=inst.rules, expected=expected)
+    _, rewrite = evaluated_rewriter(inst)
     s1, r1 = 2, 1  # letters
-    assert reidemeister_rewrite(t, inst.hom, sym, power((s1, r1), 3)) == (1, 1, 1)
-    assert reidemeister_rewrite(t, inst.hom, sym, (s1, s1)) == ()
+    assert rewrite(power((s1, r1), 3)) == (1, 1, 1)
+    assert rewrite((s1, s1)) == ()
     with pytest.raises(ValueError):
-        reidemeister_rewrite(t, inst.hom, sym, (s1,))
+        rewrite((s1,))
 
     klein = build_klein_instance()
-    tk = transversal(klein.ambient, klein.hom, klein.transversal_gens)
-    expected_k = [
-        (n, normalize_with_rules(klein.rules, w))
-        for n, w in zip(klein.expected_kernel.gens, klein.expected_words)
-    ]
-    symk = SymbolDict(klein.ambient, klein.hom, tk, rules=klein.rules, expected=expected_k)
+    _, rewrite_k = evaluated_rewriter(klein)
     s1, s2, r1, r2 = 2, 4, 1, 3
-    assert reidemeister_rewrite(tk, klein.hom, symk, power((s1, s2), 2)) == (1, -2, -1, -2)
-    assert reidemeister_rewrite(tk, klein.hom, symk, power((s1, r2), 2)) == ()
+    assert rewrite_k(power((s1, s2), 2)) == (1, -2, -1, -2)
+    assert rewrite_k(power((s1, r2), 2)) == ()
+
+
+def test_merge_symbols_images():
+    # every raw symbol maps to the empty word or one evaluated letter, and
+    # its defining word equals its image's in the ambient group
+    for inst in (thm1_fixture(), build_klein_instance(),
+                 build_artin_instance(CoxeterMatrix.from_pairs(2, {(0, 1): 3}))):
+        raw = raw_kernel_presentation(inst.ambient, inst.hom, inst.transversal_gens)
+        table, images = merge_symbols(inst, raw.table)
+        assert len(images) == len(raw.table)
+        assert tuple(g.name for g in table) == evaluated_kernel_presentation(inst).presentation.gens
+        defining = [g.defining for g in table]
+        for g, img in zip(raw.table, images):
+            assert len(img) <= 1
+            assert normalize_with_rules(inst.rules, g.defining) == normalize_with_rules(
+                inst.rules, expand_kernel_word(img, defining)
+            )
 
 
 def finite_fixtures():
@@ -309,15 +326,9 @@ def test_rewrite_soundness_in_regular_rep():
     rng = random.Random(20240817)
     for inst in finite_fixtures():
         rep = regular_rep(todd_coxeter(inst.ambient))
-        t = transversal(inst.ambient, inst.hom, inst.transversal_gens)
-        expected = [
-            (n, normalize_with_rules(inst.rules, w))
-            for n, w in zip(inst.expected_kernel.gens, inst.expected_words)
-        ]
-        sym = SymbolDict(inst.ambient, inst.hom, t, rules=inst.rules, expected=expected)
+        table, rewrite = evaluated_rewriter(inst)
         for w in random_kernel_words(inst, 100, rng):
-            img = reidemeister_rewrite(t, inst.hom, sym, w)
-            expanded = expand_kernel_word(img, [g.defining for g in sym.table])
+            expanded = expand_kernel_word(rewrite(w), [g.defining for g in table])
             assert word_holds(rep, free_reduce(expanded + invert(w)))
 
 

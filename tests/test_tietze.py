@@ -18,49 +18,49 @@ from coxembed.presentations import (
     serialize_presentation,
 )
 from coxembed.schreier import raw_kernel_presentation
-from coxembed.tietze import (
-    SimplifyConfig,
-    eliminate_generator,
-    normalize_relators,
-    simplify,
-)
+from coxembed.tietze import SimplifyConfig, simplify
 from coxembed.verify import abelianization, group_order, match_presentations
 from coxembed.words import commutator, power, relator_nf
 from oracles import reference_simplify
 
 
-def test_normalize_relators_merges_variants():
+def test_simplify_merges_relator_variants():
+    # no generator occurs once, so simplify only normalizes
     p = Presentation(("a", "b"), ((2, 1, 2, -1), (-1, 2, 1, 2)))
-    assert len(normalize_relators(p).relators) == 1
+    out, trace = simplify(p)
+    assert len(out.relators) == 1
+    assert trace.steps == [("dedupe", 1), ("reduce",)]
 
     q = Presentation(("a",), ((1, -1),))
-    assert normalize_relators(q).relators == ()
+    assert simplify(q)[0].relators == ()
 
     r = Presentation(
         ("a", "b"),
         (power(commutator((1,), (-2,)), 2), power(commutator((1,), (2,)), 2)),
     )
-    assert len(normalize_relators(r).relators) == 1
+    assert len(simplify(r)[0].relators) == 1
 
 
-def test_normalize_relators_sorted_deterministically():
+def test_simplify_sorts_relators_deterministically():
     p = Presentation(("a", "b"), ((1, 2, 1, 2), (2, 2), (1, 1)))
-    n = normalize_relators(p)
+    n, _ = simplify(p)
     assert [len(r) for r in n.relators] == [2, 2, 4]
     assert n.relators[0] == (1, 1)
 
 
-def test_eliminate_examples():
-    p = parse_presentation("< a, b | b a^-1 >")
-    out = eliminate_generator(p, 1, 0)
-    assert serialize_presentation(out) == "< a | >"
+def test_simplify_eliminates_through_short_relators():
+    out, trace = simplify(parse_presentation("< a, b | b a^-1 >"))
+    assert serialize_presentation(out) == "< b | >"
+    assert trace.defining == {"a": "b", "b": "b"}
 
-    q = parse_presentation("< s, t | s t, s^2 >")
-    out = eliminate_generator(q, 1, 0)
-    assert serialize_presentation(out) == "< s | s^2 >"
+    out, trace = simplify(parse_presentation("< s, t | s t, s^2 >"))
+    assert serialize_presentation(out) == "< t | t^2 >"
+    assert trace.defining == {"s": "t^-1", "t": "t"}
 
-    with pytest.raises(ValueError):
-        eliminate_generator(parse_presentation("< a, b | a b a b >"), 0, 0)
+    p = parse_presentation("< a, b | a b a b >")
+    out, trace = simplify(p)
+    assert out == p
+    assert all(step[0] != "eliminate" for step in trace.steps)
 
 
 def test_eliminate_prop2_order_one_pairs():
@@ -103,7 +103,7 @@ def test_simplify_free_group_raw_kernel():
 def test_simplify_fixpoint_on_simple_input():
     p = parse_presentation("< a, b | a^2, b^2, (a b)^3 >")
     simplified, trace = simplify(p)
-    assert simplified == normalize_relators(p)
+    assert str(simplified) == "< a, b | a^2, b^2, a b a b a b >"
     assert all(step[0] != "eliminate" for step in trace.steps)
 
 
@@ -134,7 +134,7 @@ def test_simplify_respects_relator_length_bound():
     # already longer than the bound can only come from the input
     inst = thm1_fixture()
     raw = raw_kernel_presentation(inst.ambient, inst.hom, inst.transversal_gens)
-    initial_max = max(len(r) for r in normalize_relators(raw.presentation).relators)
+    initial_max = max(len(relator_nf(r)) for r in raw.presentation.relators)
     cfg = SimplifyConfig(max_relator_length=4)
     simplified, _ = simplify(raw.presentation, cfg)
     assert max(len(r) for r in simplified.relators) <= max(4, initial_max)
@@ -146,8 +146,17 @@ def test_simplify_length_bound_sets_bounded():
     inst = thm1_fixture()
     raw = raw_kernel_presentation(inst.ambient, inst.hom, inst.transversal_gens)
     simplified, trace = simplify(raw.presentation, SimplifyConfig(max_relator_length=6))
-    assert simplified.rank == 13
+    assert simplified.rank == 8
     assert trace.bounded is True
+
+
+def test_simplify_length_bound_ignores_untouched_relators():
+    # c^8 is longer than the bound, but eliminating a leaves it untouched
+    p = parse_presentation("< a, b, c | a b, c^8 >")
+    out, trace = simplify(p, SimplifyConfig(max_relator_length=5))
+    assert str(out) == "< b, c | c^8 >"
+    assert trace.bounded is False
+    assert (str(out), trace.steps, trace.defining, trace.bounded) == reference_simplify(p, 5)
 
 
 def test_simplify_config_validation():
@@ -234,12 +243,12 @@ DIGEST_CASES = {
 SIMPLIFY_DIGESTS = {
     "thm1-m2x2_4": (
         "a341802b4719e4c450d7993b46223b0b230ea19ff6b8a989e10b4b067e0ffa9c",
-        "fa3fde80ec6ab31f422aba3a821f486e57aacd50179e91a3a532fa3d8aaf6a29",
+        "ec02b3d33c82146aa6925f60cc1900bd6652f8cc88debccc2e64323a25b55172",
         "bac43ec93e17d1f8b0cb2d1ee5b246d7bf0200bce21ef145f73ff416a48c49f2",
     ),
     "thm1-m2x2_4-33": (
         "ff5f0a27efa082cb90782ab085dfe96e06a939722b11a35d53a2ffb6bed7d537",
-        "3e94110eed91bb527f180fbcdf5485b68564d9ccd749d96c277bf19e4e2d40a7",
+        "4c14b1ff0f18dbfd35d64291c7f3937098f14d911baafd57bebb6ec77ba3e27d",
         "ff5f0a27efa082cb90782ab085dfe96e06a939722b11a35d53a2ffb6bed7d537",
     ),
     "prop2-rank1": (
@@ -254,7 +263,7 @@ SIMPLIFY_DIGESTS = {
     ),
     "prop2-m2x2_3-44": (
         "1e4d8f8ed388e2db27c332d61c1dd5e70772078d9512b06cd0b6ee2e0aa7a51c",
-        "9587b3f7c61fbc636092c8fc77c292900080f65c7a46504928d445ffc38fe383",
+        "1e4d8f8ed388e2db27c332d61c1dd5e70772078d9512b06cd0b6ee2e0aa7a51c",
         "0a2cad0dcb88da7c661250dcd2907983d81f8b3c55a72c748366a182d02e0e0b",
     ),
     "thm1-m3x3_right_angled": (
@@ -269,12 +278,12 @@ SIMPLIFY_DIGESTS = {
     ),
     "artin-3": (
         "725801a8ce3358c1bac2fc80879559cb692b6482c53b7fd3680ef699e143318a",
-        "dd565bb92aab71f918a0475ca2c3b8eb098198568a5504470b31047fc76b4ecb",
+        "f2d6e2ac7f3053c70ba26cdf88182b936212b78ae3bde71d4217f87f66bc71b8",
         "725801a8ce3358c1bac2fc80879559cb692b6482c53b7fd3680ef699e143318a",
     ),
     "chain5": (
         "e557b22f124d54059a151ec852ab8945a1e7dafa284203e7d8e3bec5e92a0ae5",
-        "a6a4e1f603f6f8bb62ab84c0001d498ab31d53d37db72be85e8f2f6d479ab183",
+        "0b7996ba5dfbcdbf30cdb877ad12f75f03f219c268f1e4c2ee61fd3d1b1ace6b",
         "d731d83e899f2f6c423d8cb61a3f91c49196cadbd11dff6200832740283203e8",
     ),
 }

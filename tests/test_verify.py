@@ -457,6 +457,18 @@ def test_verify_instance_prop2_rank5_chain_matches_at_rank_10():
     assert report.verdict == "pass"
 
 
+def test_verify_instance_rewrites_once(monkeypatch):
+    # the evaluated kernel is merged from the raw one: one rewrite per
+    # conjugated relator, 4 representatives times 10 ambient relators
+    import coxembed.schreier as schreier
+
+    calls = []
+    rewrite = schreier.reidemeister_rewrite
+    monkeypatch.setattr(schreier, "reidemeister_rewrite", lambda *a: calls.append(a) or rewrite(*a))
+    assert verify_instance(thm1_fixture()).verdict == "pass"
+    assert len(calls) == 40
+
+
 def test_verify_instance_bounded_raw_comparison_is_skipped():
     # simplify runs to completion, so the rank-4 and rank-5 chains (109 and
     # 284 eliminations) decide their raw comparison
@@ -469,5 +481,5 @@ def test_verify_instance_bounded_raw_comparison_is_skipped():
         assert d["verdict"] == "pass"
     # a simplify stopped by the length bound decides nothing
     d = verify_instance(thm1_fixture(), Budgets(max_relator_length=6)).to_dict()
-    assert d["raw"] == {"generators_after_simplify": 13, "matched": "skipped"}
+    assert d["raw"] == {"generators_after_simplify": 8, "matched": "skipped"}
     assert d["verdict"] == "pass"
