@@ -134,6 +134,8 @@ def _instance_dict(inst: EmbeddingInstance) -> dict:
 
 
 def cmd_build(args) -> int:
+    if args.p and args.kind != "pc":
+        raise UsageError(f"build {args.kind} takes no --p")
     rows = _load_rows(args.m)
     if args.kind == "coxeter":
         pres = coxeter_presentation(CoxeterMatrix(rows))

@@ -1,12 +1,14 @@
 """The Reidemeister-Schreier engine.
 
 Builds Schreier transversals for homomorphisms onto ``Z_2^n``, evaluates
-the Schreier map, and rewrites kernel words over the Schreier generators.
-Kernel presentations come in two modes: ``raw`` keeps defining words at
-the free-group level (one symbol per nontrivial transversal/generator
-pair); ``evaluated`` is the raw kernel with its defining words normalized
-by the instance's involution and commutation rules and the symbols that
-then coincide merged, computed from the same single rewrite.
+the Schreier map, and rewrites words over the Schreier generators by a
+walk through the cosets.  Kernel presentations come in two modes: ``raw``
+keeps defining words at the free-group level (one symbol per nontrivial
+transversal/generator pair, one relator per ambient relator read from
+each coset); ``evaluated`` is the raw kernel with its defining words
+normalized by the instance's involution and commutation rules and the
+symbols that then coincide merged, computed from the same single rewrite.
+Both record the transversal they were rewritten over.
 """
 
 from __future__ import annotations
@@ -209,11 +211,13 @@ def merge_symbols(
 
 @dataclass(frozen=True)
 class KernelPresentation:
-    """Kernel presentation plus the generator table and mode tag."""
+    """Kernel presentation plus the generator table, mode tag and the
+    transversal it was rewritten over."""
 
     presentation: Presentation
     table: Tuple[SchreierGen, ...]
     mode: str
+    transversal: Transversal
 
     def table_rows(self, ambient: Presentation):
         """Display rows (name, origin t, origin x, defining word)."""
@@ -229,18 +233,21 @@ def reidemeister_rewrite(
     hom: HomZ2n,
     symbols: SymbolDict,
     w: Sequence[int],
+    coset: int = 0,
 ) -> Word:
-    """Rewrite a kernel word over the raw Schreier symbols.
+    """Rewrite ``w``, read from ``coset``, over the raw Schreier symbols.
 
-    A positive letter x at prefix u contributes the symbol of the pair
-    (rep of u's coset, x); a letter x^-1 contributes the inverse of the
-    symbol at (rep of (u x^-1)'s coset, x).  Raises if ``w`` has nonzero
-    image.
+    The walk starts at ``coset`` (an image vector of ``trans``).  A
+    positive letter x at coset v contributes the symbol of the pair
+    (v, x); a letter x^-1 steps to v' = v + image(x) and contributes the
+    inverse of the symbol at (v', x).  The result is the rewrite of
+    t w t^-1 from the trivial coset, t the representative of ``coset``:
+    the letters of a prefix-closed transversal contribute only trivial
+    symbols.  Raises if the walk does not end where it started, i.e.
+    ``w`` has nonzero image.
     """
-    if hom.word_image(w) != 0:
-        raise ValueError("word is not in the kernel (nonzero image)")
     out: list[int] = []
-    v = 0
+    v = coset
     for l in w:
         x = abs(l) - 1
         if l > 0:
@@ -253,29 +260,26 @@ def reidemeister_rewrite(
             idx = symbols.resolve(v, x)
             if idx is not None:
                 out.append(letter(idx, -1))
+    if v != coset:
+        raise ValueError("word is not in the kernel (nonzero image)")
     return free_reduce(out)
-
-
-def _conjugated_relators(pres: Presentation, trans: Transversal):
-    for v in trans.order:
-        t = trans.reps[v]
-        for r in pres.relators:
-            yield free_reduce(t + r + invert(t))
 
 
 def raw_kernel_presentation(pres: Presentation, hom: HomZ2n, subset: Sequence[int]) -> KernelPresentation:
     """Free-group-faithful kernel presentation: one symbol per nontrivial
-    (representative, generator) pair, one rewritten relator per
-    (representative, ambient relator) pair, empty relators dropped."""
+    (representative, generator) pair, and one relator per (coset, ambient
+    relator) pair, the relator rewritten from that coset; empty relators
+    are dropped."""
     trans = transversal(pres, hom, subset)
     symbols = SymbolDict(pres, hom, trans)
     rels = []
-    for w in _conjugated_relators(pres, trans):
-        img = reidemeister_rewrite(trans, hom, symbols, w)
-        if img:
-            rels.append(img)
+    for v in trans.order:
+        for r in pres.relators:
+            img = reidemeister_rewrite(trans, hom, symbols, r, v)
+            if img:
+                rels.append(img)
     kernel = Presentation(symbols.names(), tuple(rels))
-    return KernelPresentation(kernel, tuple(symbols.table), "raw")
+    return KernelPresentation(kernel, tuple(symbols.table), "raw", trans)
 
 
 def evaluated_kernel_presentation(
@@ -303,4 +307,4 @@ def evaluated_kernel_presentation(
             seen.add(nf)
             rels.append(img)
     kernel = Presentation(tuple(g.name for g in table), tuple(rels))
-    return KernelPresentation(kernel, table, "evaluated")
+    return KernelPresentation(kernel, table, "evaluated", raw.transversal)

@@ -11,10 +11,11 @@ from __future__ import annotations
 import heapq
 from collections import defaultdict
 from dataclasses import dataclass
+from math import gcd
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from .presentations import EmbeddingInstance, Presentation
-from .schreier import check_hom, evaluated_kernel_presentation, image_rank, raw_kernel_presentation, transversal
+from .schreier import evaluated_kernel_presentation, image_rank, raw_kernel_presentation
 from .tietze import SimplifyConfig, simplify
 from .words import Word, expand_kernel_word, free_reduce, invert, relabel, relator_nf
 
@@ -60,8 +61,11 @@ def todd_coxeter(
     coset in definition order, defining cosets on demand and merging
     coincidences with a union-find (smallest index survives).  Exceeding
     ``max_cosets`` defined cosets is a status, not an error; it is the
-    unavoidable outcome for infinite-index inputs.
+    unavoidable outcome for infinite-index inputs; a budget below 1 is a
+    ``ValueError``.
     """
+    if max_cosets < 1:
+        raise ValueError("max_cosets must be positive")
     ngens = pres.rank
     ncols = 2 * ngens
 
@@ -256,11 +260,10 @@ def smith_normal_form(rows: Sequence[Sequence[int]]) -> Tuple[int, ...]:
 
     Returns ``(d_1, ..., d_k)`` with ``k = min(rows, cols)``, each
     ``d_i >= 0`` and ``d_i | d_{i+1}``, computed by integer row/column
-    operations with unit determinant.  Elimination on ``±1`` pivots over
-    sparse rows comes first (each contributes a 1 to the diagonal); the
-    dense pivot loop then runs on the nonzero rows and columns that remain.
-    Reidemeister-Schreier exponent-sum rows are short and nearly always
-    have a unit entry, so the dense part stays small.
+    operations with unit determinant.  One sparse elimination pivots on
+    entries of least absolute value (see :func:`_sparse_smith_diagonal`);
+    gcd/lcm exchanges then order the non-unit diagonal entries into a
+    divisibility chain.
     """
     a = [list(map(int, r)) for r in rows]
     m = len(a)
@@ -273,114 +276,66 @@ def smith_normal_form(rows: Sequence[Sequence[int]]) -> Tuple[int, ...]:
 
 def _sparse_smith_diagonal(rows: List[Dict[int, int]], k: int) -> Tuple[int, ...]:
     """Smith diagonal, of length ``k``, of the matrix with rows given as
-    ``{column: nonzero entry}``; consumes ``rows``."""
-    units, rest = _unit_pivots(rows)
-    live = sorted({j for row in rest for j in row})
-    diag = _dense_smith_diagonal([[row.get(j, 0) for j in live] for row in rest])
-    return (1,) * units + diag + (0,) * (k - units - len(diag))
+    ``{column: nonzero entry}``; consumes ``rows``.
 
-
-def _unit_pivots(rows: List[Dict[int, int]]) -> Tuple[int, List[Dict[int, int]]]:
-    """Eliminate on ``±1`` pivots in place; returns the pivot count and
-    the remaining nonzero rows.
-
-    A unit pivot clears its column by row operations, after which column
-    operations clear its row without touching any other, so the pivot row
-    and column drop out.  Pivots come from the sparsest row first and,
-    within it, the sparsest column, which keeps fill-in low.
+    Each pivot is an entry of least absolute value, from the sparsest such
+    row and within it the sparsest column, which keeps fill-in low.  Row
+    operations reduce the pivot's column to remainders; once that column
+    is clear, column operations reduce the pivot row, touching no other
+    row.  A pivot left alone in its row and column is a diagonal entry;
+    otherwise a smaller remainder is pivoted next, so the least entry
+    falls until a pivot drops out.
     """
-    rows = list(rows)  # a row becomes None once it has been a pivot
+    rows = list(rows)  # a row becomes None once its pivot is on the diagonal
     cols: Dict[int, set] = defaultdict(set)
     for i, row in enumerate(rows):
         for j in row:
             cols[j].add(i)
-    heap = [(len(row), i) for i, row in enumerate(rows) if row]
+
+    heap = [(min(map(abs, row.values())), len(row), i) for i, row in enumerate(rows) if row]
     heapq.heapify(heap)
-    units = 0
+    diag: List[int] = []
     while heap:
-        size, i = heapq.heappop(heap)
+        least, size, i = heapq.heappop(heap)
         piv = rows[i]
-        if piv is None or len(piv) != size:
-            continue  # pivoted already, or queued again at its new size
-        unit_cols = [j for j, v in piv.items() if v == 1 or v == -1]
-        if not unit_cols:
-            continue
-        p = min(unit_cols, key=lambda j: (len(cols[j]), j))
-        rows[i] = None
-        for j in piv:
-            cols[j].discard(i)
-        for k in list(cols[p]):
-            row = rows[k]
-            f = row[p] * piv[p]
+        if not piv or len(piv) != size or min(map(abs, piv.values())) != least:
+            continue  # on the diagonal already, or queued again with a new key
+        p = min((j for j, v in piv.items() if abs(v) == least), key=lambda j: (len(cols[j]), j))
+        d = piv[p]
+        cols[p].discard(i)
+        for r in list(cols[p]):
+            row = rows[r]
+            q = row[p] // d
             for j, v in piv.items():
-                x = row.get(j, 0) - f * v
+                x = row.get(j, 0) - q * v
                 if x:
                     row[j] = x
-                    cols[j].add(k)
+                    cols[j].add(r)
                 else:
                     del row[j]
-                    cols[j].discard(k)
-            heapq.heappush(heap, (len(row), k))
-        units += 1
-    return units, [row for row in rows if row]
-
-
-def _dense_smith_diagonal(a: List[List[int]]) -> Tuple[int, ...]:
-    """Smith diagonal of a dense matrix by repeated least-entry pivoting."""
-    m = len(a)
-    n = len(a[0]) if m else 0
-    t = 0
-    while t < m and t < n:
-        piv = None
-        best = None
-        for i in range(t, m):
-            for j in range(t, n):
-                v = a[i][j]
-                if v and (best is None or abs(v) < best):
-                    best = abs(v)
-                    piv = (i, j)
-        if piv is None:
-            break
-        pi, pj = piv
-        a[t], a[pi] = a[pi], a[t]
-        if pj != t:
-            for row in a:
-                row[t], row[pj] = row[pj], row[t]
-        while True:
-            progressed = False
-            for i in range(m):
-                if i != t and a[i][t]:
-                    q = a[i][t] // a[t][t]
-                    a[i] = [x - q * y for x, y in zip(a[i], a[t])]
-                    if a[i][t]:
-                        a[t], a[i] = a[i], a[t]
-                        progressed = True
-            for j in range(n):
-                if j != t and a[t][j]:
-                    q = a[t][j] // a[t][t]
-                    for row in a:
-                        row[j] -= q * row[t]
-                    if a[t][j]:
-                        for row in a:
-                            row[t], row[j] = row[j], row[t]
-                        progressed = True
-            if progressed:
+                    cols[j].discard(r)
+            if row:
+                heapq.heappush(heap, (min(map(abs, row.values())), len(row), r))
+        if not cols[p]:
+            rest = {j: v % d for j, v in piv.items() if v % d}
+            for j in piv:
+                if j not in rest:
+                    cols[j].discard(i)
+            if not rest:
+                rows[i] = None
+                diag.append(abs(d))
                 continue
-            bad = None
-            for i in range(t + 1, m):
-                for j in range(t + 1, n):
-                    if a[i][j] % a[t][t]:
-                        bad = i
-                        break
-                if bad is not None:
-                    break
-            if bad is None:
-                break
-            a[t] = [x + y for x, y in zip(a[t], a[bad])]
-        if a[t][t] < 0:
-            a[t] = [-x for x in a[t]]
-        t += 1
-    return tuple(a[i][i] if i < t else 0 for i in range(min(m, n)))
+            rows[i] = piv = {p: d, **rest}
+        cols[p].add(i)
+        heapq.heappush(heap, (min(map(abs, piv.values())), len(piv), i))
+    torsion = [x for x in diag if x > 1]
+    for s in range(len(torsion)):
+        for t in range(s + 1, len(torsion)):
+            g = gcd(torsion[s], torsion[t])
+            torsion[s], torsion[t] = g, torsion[s] * torsion[t] // g
+    units = len(diag) - len(torsion) + torsion.count(1)
+    torsion = [x for x in torsion if x > 1]
+    return (1,) * units + tuple(torsion) + (0,) * (k - units - len(torsion))
 
 
 @dataclass(frozen=True)
@@ -561,12 +516,13 @@ def evaluated_matches_expected(kernel: Presentation, expected: Presentation) -> 
 
 
 def verify_instance(inst: EmbeddingInstance, budgets: Optional[Budgets] = None) -> VerifyReport:
-    """Run the full check battery for one embedding instance."""
+    """Run the full check battery for one embedding instance.
+
+    The instance's constructor already rejects a hom that does not kill
+    every ambient relator, so ``hom_valid`` is reported as true."""
     b = budgets or Budgets()
     n = inst.hom.n
-    hom_valid = check_hom(inst.ambient, inst.hom)
     rank = image_rank(inst.hom)
-    trans = transversal(inst.ambient, inst.hom, inst.transversal_gens)
 
     raw = raw_kernel_presentation(inst.ambient, inst.hom, inst.transversal_gens)
     evaluated = evaluated_kernel_presentation(inst, raw)
@@ -619,9 +575,8 @@ def verify_instance(inst: EmbeddingInstance, budgets: Optional[Budgets] = None) 
     split_section = split_images and split_relators
 
     checks = [
-        hom_valid,
         rank == n,
-        trans.size == (1 << n),
+        raw.transversal.size == (1 << n),
         ev_gens == inst.expected_kernel.rank,
         ev_match,
         raw_matched is not False,
@@ -632,9 +587,9 @@ def verify_instance(inst: EmbeddingInstance, budgets: Optional[Budgets] = None) 
     return VerifyReport(
         family=inst.family,
         params=inst.params,
-        hom_valid=hom_valid,
+        hom_valid=True,
         image_rank=rank,
-        transversal_size=trans.size,
+        transversal_size=raw.transversal.size,
         evaluated_generators=ev_gens,
         evaluated_relator_nf_match=ev_match,
         raw_generators_after_simplify=raw_gens,

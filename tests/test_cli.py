@@ -45,6 +45,14 @@ def test_order_budget_exceeded(capsys):
     assert out == "budget-exceeded\n"
 
 
+def test_order_rejects_nonpositive_budget(capsys):
+    for budget in ("0", "-1"):
+        code, out, err = run_cli(capsys, "order", "< a | a^2 >", "--max-cosets", budget)
+        assert code == 2
+        assert out == ""
+        assert "max_cosets must be positive" in err
+
+
 def test_index(capsys, m4_file):
     code, out, _ = run_cli(
         capsys,
@@ -62,6 +70,14 @@ def test_build_coxeter(capsys, m3_file):
     code, out, _ = run_cli(capsys, "build", "coxeter", "--m", m3_file)
     assert code == 0
     assert out == "< s1, s2 | s1^2, s2^2, s1 s2 s1 s2 s1 s2 >\n"
+
+
+def test_build_rejects_orders_outside_pc(capsys, m3_file):
+    for kind in ("coxeter", "artin"):
+        code, out, err = run_cli(capsys, "build", kind, "--m", m3_file, "--p", "2,2")
+        assert code == 2
+        assert out == ""
+        assert f"build {kind} takes no --p" in err
 
 
 def test_build_pc(capsys, tmp_path):
@@ -97,7 +113,7 @@ def test_kernel_both_modes(capsys, m4_file):
 
 def test_kernel_both_modes_rewrites_once(capsys, monkeypatch, m4_file):
     # the evaluated kernel is merged from the raw one: one rewrite per
-    # conjugated relator, 4 representatives times 10 ambient relators
+    # (coset, ambient relator) pair, 4 cosets times 10 ambient relators
     import coxembed.schreier as schreier
 
     calls = []

@@ -153,6 +153,8 @@ def test_raw_kernel_counts_thm1():
     assert kp.mode == "raw"
     assert kp.presentation.rank <= 16
     assert len(kp.presentation.relators) == 40
+    assert kp.transversal == transversal(inst.ambient, inst.hom, inst.transversal_gens)
+    assert evaluated_kernel_presentation(inst, kp).transversal is kp.transversal
 
 
 def test_raw_kernel_free_group_index_two():
@@ -182,6 +184,8 @@ def test_raw_rewrite_is_exact_in_free_group():
                 w = free_reduce(rep + r + invert(rep))
                 img = reidemeister_rewrite(t, inst.hom, sym, w)
                 assert expand_kernel_word(img, defining) == w
+                # the representative's letters contribute only trivial symbols
+                assert reidemeister_rewrite(t, inst.hom, sym, r, v) == img
 
 
 def test_evaluated_thm1():

@@ -1,3 +1,4 @@
+import dataclasses
 import random
 
 import pytest
@@ -6,6 +7,7 @@ from hypothesis import strategies as st
 
 from coxembed.presentations import (
     CoxeterMatrix,
+    HomZ2n,
     Presentation,
     build_artin_instance,
     build_klein_instance,
@@ -84,6 +86,14 @@ def test_todd_coxeter_index_and_budget():
     affine = todd_coxeter(affine_a3(), (), max_cosets=10_000)
     assert affine.status == "budget-exceeded"
     assert group_order(affine_a3(), max_cosets=10_000) is None
+    pres = parse_presentation("< a | a^2 >")
+    for budget in (0, -1):
+        with pytest.raises(ValueError, match="max_cosets"):
+            todd_coxeter(pres, (), max_cosets=budget)
+        with pytest.raises(ValueError, match="max_cosets"):
+            group_order(pres, max_cosets=budget)
+    assert group_order(pres, max_cosets=1) is None
+    assert group_order(pres, max_cosets=2) == 2
 
 
 def test_group_order_cross_checked_by_permutation_closure():
@@ -151,6 +161,9 @@ def test_smith_normal_form_examples():
     assert smith_normal_form([[2, 0], [0, 2]]) == (2, 2)
     assert smith_normal_form([[2, 1], [0, 2]]) == (1, 4)
     assert smith_normal_form([[0, 0], [0, 0]]) == (0, 0)
+    assert smith_normal_form([[4, 0], [0, 6]]) == (2, 12)
+    assert smith_normal_form([[2, 0], [0, 3]]) == (1, 6)
+    assert smith_normal_form([[6, 0, 0], [0, 10, 0], [0, 0, 15]]) == (1, 30, 30)
 
 
 @given(
@@ -382,6 +395,19 @@ def test_verify_instance_thm1():
     ]
 
 
+def test_instance_guarantees_a_valid_hom():
+    # verify_instance reports hom_valid without checking it: the instance
+    # constructor already rejects every hom that it would find invalid
+    inst = build_prop2_instance(CoxeterMatrix.from_pairs(2, {(0, 1): 3}), (2, 2))
+    assert verify_instance(inst).hom_valid is True
+    with pytest.raises(ValueError, match="hom does not kill every ambient relator"):
+        dataclasses.replace(inst, hom=HomZ2n(2, (1, 2, 1, 0)))
+    with pytest.raises(ValueError, match="hom must cover every ambient generator"):
+        dataclasses.replace(inst, hom=HomZ2n(2, (1, 2, 0)))
+    with pytest.raises(ValueError, match="transversal generators do not span the image"):
+        dataclasses.replace(inst, transversal_gens=(0,))
+
+
 def test_verify_instance_klein():
     report = verify_instance(build_klein_instance(), Budgets(max_cosets=5_000))
     d = report.to_dict()
@@ -459,7 +485,7 @@ def test_verify_instance_prop2_rank5_chain_matches_at_rank_10():
 
 def test_verify_instance_rewrites_once(monkeypatch):
     # the evaluated kernel is merged from the raw one: one rewrite per
-    # conjugated relator, 4 representatives times 10 ambient relators
+    # (coset, ambient relator) pair, 4 cosets times 10 ambient relators
     import coxembed.schreier as schreier
 
     calls = []

@@ -1,7 +1,10 @@
+import doctest
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import coxembed.words
 from coxembed.words import (
     commutator,
     concat,
@@ -19,6 +22,12 @@ from oracles import orbit_rotation_inversion
 
 letters = st.integers(min_value=-4, max_value=4).filter(lambda x: x != 0)
 raw_words = st.lists(letters, max_size=12)
+
+
+def test_docstring_examples():
+    result = doctest.testmod(coxembed.words)
+    assert result.failed == 0
+    assert result.attempted == 5
 
 
 def test_free_reduce_examples():
