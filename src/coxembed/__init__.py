@@ -51,6 +51,8 @@ from .verify import (
     CosetTable,
     VerifyReport,
     abelianization,
+    certified_infinite,
+    coxeter_matrix_of,
     group_order,
     match_presentations,
     regular_rep,

@@ -36,8 +36,10 @@ from .presentations import (
 from .schreier import KernelPresentation, evaluated_kernel_presentation, raw_kernel_presentation
 from .tietze import SimplifyConfig, simplify
 from .verify import (
+    DEFAULT_MAX_COSETS,
     Budgets,
     abelianization,
+    certified_infinite,
     group_order,
     match_presentations,
     todd_coxeter,
@@ -224,8 +226,13 @@ def cmd_simplify(args) -> int:
 def cmd_order(args) -> int:
     pres = _presentation_arg(args.presentation)
     order = group_order(pres, args.max_cosets)
-    value = "budget-exceeded" if order is None else str(order)
-    _emit(args, _json({"order": order}) if args.format == "json" else value)
+    data = {"order": order}
+    if order is None and certified_infinite(pres):
+        data["infinite"] = True
+        value = "infinite"
+    else:
+        value = "budget-exceeded" if order is None else str(order)
+    _emit(args, _json(data) if args.format == "json" else value)
     return 0
 
 
@@ -302,9 +309,9 @@ def _add_common(parser: argparse.ArgumentParser) -> None:
 
 def _add_budget_flags(parser: argparse.ArgumentParser, cosets=True, tietze=True) -> None:
     if cosets:
-        parser.add_argument("--max-cosets", type=int, default=50_000)
+        parser.add_argument("--max-cosets", type=int, default=DEFAULT_MAX_COSETS)
     if tietze:
-        parser.add_argument("--max-relator-length", type=int, default=1000)
+        parser.add_argument("--max-relator-length", type=int, default=Budgets().max_relator_length)
 
 
 def _add_family_flags(parser: argparse.ArgumentParser) -> None:

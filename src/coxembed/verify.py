@@ -1,8 +1,8 @@
 """Independent verification tools.
 
 Todd-Coxeter coset enumeration (orders, indices, permutation
-representations), abelianization via integer Smith normal form,
-presentation matching up to generator bijection with inversions, and
+representations), certificates that a group is infinite, abelianization
+via integer Smith normal form, presentation matching up to generator bijection with inversions, and
 per-instance verdict reports.
 """
 
@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from math import gcd
 from typing import Dict, List, Optional, Sequence, Tuple
 
-from .presentations import EmbeddingInstance, Presentation
+from .presentations import INF, CoxeterMatrix, EmbeddingInstance, Presentation
 from .schreier import evaluated_kernel_presentation, image_rank, raw_kernel_presentation
 from .tietze import SimplifyConfig, simplify
 from .words import Word, expand_kernel_word, free_reduce, invert, relabel, relator_nf
@@ -211,9 +211,128 @@ def _assert_closed(tab: CosetTable, pres: Presentation, subgroup_words: Sequence
 
 
 def group_order(pres: Presentation, max_cosets: int = DEFAULT_MAX_COSETS) -> Optional[int]:
-    """Order of the presented group, or None when the budget is exceeded."""
+    """Order of the presented group, or None when it is unknown: the group
+    is certified infinite (:func:`certified_infinite`, no enumeration
+    runs) or the enumeration exceeds ``max_cosets``.  A budget below 1 is
+    a ``ValueError``."""
+    if max_cosets < 1:
+        raise ValueError("max_cosets must be positive")
+    if certified_infinite(pres):
+        return None
     tab = todd_coxeter(pres, (), max_cosets)
     return tab.num_cosets if tab.complete else None
+
+
+# ---------------------------------------------------------------------------
+# infiniteness certificates
+
+
+def coxeter_matrix_of(pres: Presentation) -> Optional[CoxeterMatrix]:
+    """The Coxeter matrix of a Coxeter presentation, or None.
+
+    Recognizes relators ``g^2`` and ``(g h)^m`` with ``m >= 2`` in
+    positive letters, every generator having its ``g^2``; a pair with no
+    relator gets ``inf``.  Anything else, including one pair with two
+    different labels, is not recognized.
+    """
+    involutions = set()
+    labels: Dict[Tuple[int, int], int] = {}
+    for r in pres.relators:
+        if min(r) < 0:
+            return None
+        if len(r) == 2 and r[0] == r[1]:
+            involutions.add(r[0] - 1)
+            continue
+        if len(r) < 4 or r[0] == r[1] or r != r[:2] * (len(r) // 2):
+            return None
+        g, h = r[0], r[1]
+        pair = (min(g, h) - 1, max(g, h) - 1)
+        if labels.setdefault(pair, len(r) // 2) != len(r) // 2:
+            return None
+    if len(involutions) != pres.rank:
+        return None
+    return CoxeterMatrix.from_pairs(pres.rank, labels, default=INF)
+
+
+def _spherical(matrix: CoxeterMatrix) -> bool:
+    """True iff the Coxeter group of ``matrix`` is finite.
+
+    Exact classification of the connected components of the Coxeter
+    graph (edges are the labels >= 3): each must be a tree with finite
+    labels of type A_n, B_n, D_n, E_6-8, F_4, H_3, H_4 or I_2(m)
+    (Coxeter 1935; Humphreys, *Reflection Groups and Coxeter Groups*,
+    1990, Thm 6.4).  Integers only.
+    """
+    adj: Dict[int, Dict[int, int]] = {v: {} for v in range(matrix.n)}
+    for i, j, m in matrix.pairs():
+        if m == INF:
+            return False
+        if m > 2:
+            adj[i][j] = adj[j][i] = m
+    seen = set()
+    for root in range(matrix.n):
+        if root in seen:
+            continue
+        comp = [root]
+        seen.add(root)
+        for v in comp:
+            for u in adj[v]:
+                if u not in seen:
+                    seen.add(u)
+                    comp.append(u)
+        if sum(len(adj[v]) for v in comp) != 2 * (len(comp) - 1):
+            return False  # a cycle
+        if not _spherical_tree(comp, adj):
+            return False
+    return True
+
+
+def _spherical_tree(comp: List[int], adj: Dict[int, Dict[int, int]]) -> bool:
+    """``_spherical`` for one connected tree of the Coxeter graph."""
+    k = len(comp)
+    if k <= 2:
+        return True  # A_1 or I_2(m)
+    heavy = [(v, u, m) for v in comp for u, m in adj[v].items() if v < u and m > 3]
+    branches = [v for v in comp if len(adj[v]) > 2]
+    if len(heavy) + len(branches) > 1:
+        return False
+    if heavy:  # a path
+        v, u, m = heavy[0]
+        at_end = len(adj[v]) == 1 or len(adj[u]) == 1
+        if m == 4:
+            return at_end or k == 4  # B_k, or F_4 with the 4 in the middle
+        return m == 5 and at_end and k <= 4  # H_3, H_4
+    if not branches:
+        return True  # A_k
+    centre = branches[0]
+    if len(adj[centre]) > 3:
+        return False
+    # T_{p,q,r} with legs of p, q, r vertices is spherical iff
+    # 1/(p+1) + 1/(q+1) + 1/(r+1) > 1: D_k and E_6-8
+    a, b, c = (_leg_length(centre, u, adj) + 1 for u in adj[centre])
+    return a * b + b * c + c * a > a * b * c
+
+
+def _leg_length(centre: int, u: int, adj: Dict[int, Dict[int, int]]) -> int:
+    """Vertices on the path from ``u``, a neighbour of ``centre``, to a leaf."""
+    length, prev = 1, centre
+    while len(adj[u]) == 2:
+        prev, u = u, next(w for w in adj[u] if w != prev)
+        length += 1
+    return length
+
+
+def certified_infinite(pres: Presentation) -> bool:
+    """True only if the presented group is provably infinite.
+
+    A Coxeter presentation (:func:`coxeter_matrix_of`) is decided exactly
+    by its Coxeter graph; any other presentation is certified when its
+    abelianization has free rank > 0.  False means "not certified", not
+    "finite"."""
+    matrix = coxeter_matrix_of(pres)
+    if matrix is not None:
+        return not _spherical(matrix)
+    return abelianization(pres).free_rank > 0
 
 
 def regular_rep(tab: CosetTable) -> Tuple[Tuple[int, ...], ...]:
@@ -467,8 +586,9 @@ class Budgets:
 @dataclass
 class VerifyReport:
     """Aggregated per-instance checks; verdict passes iff every enabled
-    check passes.  Finite checks that exhaust ``max_cosets``, and a raw
-    comparison that finds no match after a simplify stopped at
+    check passes.  Finite checks that exhaust ``max_cosets`` or are not
+    run because the ambient or the expected kernel is certified infinite,
+    and a raw comparison that finds no match after a simplify stopped at
     ``max_relator_length``, are reported as skipped, never as failures."""
 
     family: str
@@ -515,11 +635,47 @@ def evaluated_matches_expected(kernel: Presentation, expected: Presentation) -> 
     return remapped == _nf_multiset(expected.relators)
 
 
+def _finite_section(inst: EmbeddingInstance, max_cosets: int) -> Optional[dict]:
+    """Orders, index and relator checks in the regular representation, or
+    None when an enumeration cannot complete.
+
+    The section needs complete enumerations of both the ambient and the
+    expected kernel, and no enumeration of an infinite group completes,
+    so a certificate for either side skips all three enumerations."""
+    if certified_infinite(inst.ambient) or certified_infinite(inst.expected_kernel):
+        return None
+    ambient_table = todd_coxeter(inst.ambient, (), max_cosets)
+    if not ambient_table.complete:
+        return None
+    kernel_order = todd_coxeter(inst.expected_kernel, (), max_cosets).num_cosets
+    index_table = todd_coxeter(inst.ambient, inst.expected_words, max_cosets)
+    if kernel_order is None or not index_table.complete:
+        return None
+    rep = regular_rep(ambient_table)
+    relators_hold = all(
+        word_holds(rep, expand_kernel_word(r, inst.expected_words))
+        for r in inst.expected_kernel.relators
+    )
+    ambient_order = ambient_table.num_cosets
+    index = index_table.num_cosets
+    n = inst.hom.n
+    return {
+        "ambient_order": ambient_order,
+        "kernel_order": kernel_order,
+        "index": index,
+        "product_ok": ambient_order == (1 << n) * kernel_order and index == (1 << n),
+        "relators_hold": relators_hold,
+    }
+
+
 def verify_instance(inst: EmbeddingInstance, budgets: Optional[Budgets] = None) -> VerifyReport:
     """Run the full check battery for one embedding instance.
 
     The instance's constructor already rejects a hom that does not kill
-    every ambient relator, so ``hom_valid`` is reported as true."""
+    every ambient relator, so ``hom_valid`` is reported as true.  The
+    finite section runs no coset enumeration when the ambient or the
+    expected kernel is :func:`certified_infinite`; it reads skipped, as
+    it would once the budget ran out."""
     b = budgets or Budgets()
     n = inst.hom.n
     rank = image_rank(inst.hom)
@@ -540,29 +696,8 @@ def verify_instance(inst: EmbeddingInstance, budgets: Optional[Budgets] = None) 
     if not raw_matched and (raw_trace.bounded or expected_trace.bounded):
         raw_matched = None
 
-    finite: Optional[dict] = None
-    finite_ok = True
-    ambient_table = todd_coxeter(inst.ambient, (), b.max_cosets)
-    if ambient_table.complete:
-        kernel_order = group_order(inst.expected_kernel, b.max_cosets)
-        index_table = todd_coxeter(inst.ambient, inst.expected_words, b.max_cosets)
-        if kernel_order is not None and index_table.complete:
-            rep = regular_rep(ambient_table)
-            relators_hold = all(
-                word_holds(rep, expand_kernel_word(r, inst.expected_words))
-                for r in inst.expected_kernel.relators
-            )
-            ambient_order = ambient_table.num_cosets
-            index = index_table.num_cosets
-            product_ok = ambient_order == (1 << n) * kernel_order and index == (1 << n)
-            finite = {
-                "ambient_order": ambient_order,
-                "kernel_order": kernel_order,
-                "index": index,
-                "product_ok": product_ok,
-                "relators_hold": relators_hold,
-            }
-            finite_ok = product_ok and relators_hold
+    finite = _finite_section(inst, b.max_cosets)
+    finite_ok = finite is None or (finite["product_ok"] and finite["relators_hold"])
 
     basis = tuple(1 << i for i in range(n))
     split_images = tuple(inst.hom.images[g] for g in inst.transversal_gens) == basis

@@ -40,17 +40,34 @@ def test_order_dihedral(capsys):
 
 
 def test_order_budget_exceeded(capsys):
-    code, out, _ = run_cli(capsys, "order", "< a, b | >", "--max-cosets", "100")
+    # a finite group (dihedral of order 200) larger than the budget: an
+    # infinite one would be certified and never reach the budget
+    dihedral = "< s1,s2 | s1^2, s2^2, (s1 s2)^100 >"
+    code, out, _ = run_cli(capsys, "order", dihedral, "--max-cosets", "100")
     assert code == 0
     assert out == "budget-exceeded\n"
+    code, out, _ = run_cli(capsys, "order", dihedral, "--max-cosets", "100", "--format", "json")
+    assert code == 0
+    assert json.loads(out) == {"order": None}
+
+
+def test_order_infinite(capsys):
+    code, out, _ = run_cli(capsys, "order", "< a, b | >")
+    assert code == 0
+    assert out == "infinite\n"
+    code, out, _ = run_cli(capsys, "order", "< a, b | >", "--format", "json")
+    assert code == 0
+    assert out == '{\n  "order": null,\n  "infinite": true\n}\n'
 
 
 def test_order_rejects_nonpositive_budget(capsys):
-    for budget in ("0", "-1"):
-        code, out, err = run_cli(capsys, "order", "< a | a^2 >", "--max-cosets", budget)
-        assert code == 2
-        assert out == ""
-        assert "max_cosets must be positive" in err
+    # the budget is checked before the infiniteness certificate
+    for pres in ("< a | a^2 >", "< a | >"):
+        for budget in ("0", "-1"):
+            code, out, err = run_cli(capsys, "order", pres, "--max-cosets", budget)
+            assert code == 2
+            assert out == ""
+            assert "max_cosets must be positive" in err
 
 
 def test_index(capsys, m4_file):

@@ -1,4 +1,5 @@
 import dataclasses
+import itertools
 import random
 
 import pytest
@@ -6,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from coxembed.presentations import (
+    INF,
     CoxeterMatrix,
     HomZ2n,
     Presentation,
@@ -21,6 +23,8 @@ from coxembed.verify import (
     AbelianInvariants,
     Budgets,
     abelianization,
+    certified_infinite,
+    coxeter_matrix_of,
     expand_kernel_word,
     group_order,
     match_presentations,
@@ -33,6 +37,7 @@ from coxembed.verify import (
 from coxembed.words import power, relabel, relator_nf
 from oracles import (
     brute_force_match,
+    coxeter_form_positive_definite,
     dihedral_squared_times_klein_gens,
     eval_word_perm,
     minor_gcd_diagonal,
@@ -94,6 +99,89 @@ def test_todd_coxeter_index_and_budget():
             group_order(pres, max_cosets=budget)
     assert group_order(pres, max_cosets=1) is None
     assert group_order(pres, max_cosets=2) == 2
+
+
+def test_certificate_equals_bilinear_form_oracle():
+    # every Coxeter matrix of rank 1-4 with labels 2-6 and inf: the graph
+    # classification calls a group infinite iff its form is not definite
+    labels = (2, 3, 4, 5, 6, INF)
+    count = 0
+    for n in range(1, 5):
+        pairs = list(itertools.combinations(range(n), 2))
+        for row in itertools.product(labels, repeat=len(pairs)):
+            matrix = CoxeterMatrix.from_pairs(n, dict(zip(pairs, row)))
+            pres = coxeter_presentation(matrix)
+            assert coxeter_matrix_of(pres) == matrix
+            assert certified_infinite(pres) is not coxeter_form_positive_definite(matrix.entries)
+            count += 1
+    assert count == 46_879
+
+
+def test_coxeter_matrix_of_rejects_other_presentations():
+    m3 = CoxeterMatrix.from_pairs(2, {(0, 1): 3})
+    assert coxeter_matrix_of(build_artin_instance(m3).ambient) is None
+    assert coxeter_matrix_of(thm1_fixture().expected_kernel) is None
+    for text in (
+        "< a, b | a^2, b^2, (a b)^2, (a b)^3 >",  # one pair, two labels
+        "< a, b | a^2, (a b)^3 >",  # b has no b^2
+        "< a, b | a^2, b^2, (a b^-1)^3 >",  # an inverse letter
+        "< a, b | a, b^2 >",  # a relator of length 1
+    ):
+        assert coxeter_matrix_of(parse_presentation(text)) is None
+    klein = coxeter_matrix_of(build_klein_instance().ambient)
+    assert klein == CoxeterMatrix.from_pairs(4, {(0, 1): INF, (2, 3): INF})
+
+
+def test_artin_label_3_ambients_are_finite_and_not_certified():
+    # the artin doubles with label 3 are finite; only their expected
+    # kernel, the Artin group with abelianization Z, is certified
+    for n, pairs, order in ((2, {(0, 1): 3}, 192), (3, {(0, 1): 3, (1, 2): 3}, 3072)):
+        inst = build_artin_instance(CoxeterMatrix.from_pairs(n, pairs))
+        assert not certified_infinite(inst.ambient)
+        assert group_order(inst.ambient) == order
+        assert certified_infinite(inst.expected_kernel)
+
+
+def _certified_instances():
+    m3 = CoxeterMatrix.from_pairs(2, {(0, 1): 3})
+    m4 = CoxeterMatrix.from_pairs(2, {(0, 1): 4})
+    return [
+        build_thm1_instance(CoxeterMatrix.from_rows([[1]]), (INF,)),
+        build_thm1_instance(m4, (2, INF)),
+        build_thm1_instance(CoxeterMatrix.from_pairs(2, {(0, 1): INF}), (2, 2)),
+        build_prop2_instance(m3, (4, 4)),
+        build_prop2_instance(CoxeterMatrix.from_rows([[1]]), (INF,)),
+        build_klein_instance(),
+        build_artin_instance(CoxeterMatrix.from_pairs(2, {(0, 1): 2})),
+        build_artin_instance(m3),
+    ]
+
+
+def test_certificate_leaves_verify_reports_unchanged(monkeypatch):
+    import coxembed.verify as verify
+
+    instances = _certified_instances()
+    for inst in instances:
+        assert certified_infinite(inst.ambient) or certified_infinite(inst.expected_kernel)
+    budgets = Budgets(max_cosets=2000)
+    certified = [verify_instance(inst, budgets).to_dict() for inst in instances]
+    monkeypatch.setattr(verify, "certified_infinite", lambda pres: False)
+    enumerated = [verify_instance(inst, budgets).to_dict() for inst in instances]
+    assert certified == enumerated
+    assert all(d["finite"] == "skipped" for d in certified)
+
+
+def test_certified_groups_are_never_enumerated(monkeypatch):
+    import coxembed.verify as verify
+
+    def no_enumeration(*args, **kwargs):
+        raise AssertionError("todd_coxeter called on a certified-infinite group")
+
+    monkeypatch.setattr(verify, "todd_coxeter", no_enumeration)
+    for inst in _certified_instances():
+        assert verify_instance(inst).finite is None
+    assert group_order(affine_a3(), 10**9) is None
+    assert group_order(parse_presentation("< a, b | >"), 10**9) is None
 
 
 def test_group_order_cross_checked_by_permutation_closure():
