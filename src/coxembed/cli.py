@@ -1,9 +1,10 @@
 """Batch command-line front end.
 
 Subcommands build the group families, run kernel computations, simplify
-and verify, emitting deterministic text or JSON.  Exit codes: 0 on
-success or a passing verdict, 1 on verification failure, 2 on usage or
-parse errors.
+and verify, emitting deterministic text or JSON to stdout or to the
+``--out`` file.  Exit codes: 0 on success or a passing verdict; 1 on a
+failing verdict or when ``match`` finds no match; 2 on usage or parse
+errors, or when the ``--out`` file cannot be written.
 """
 
 from __future__ import annotations
@@ -62,6 +63,14 @@ def _read_text(path: str) -> str:
         raise UsageError(f"cannot read {path}: {exc.strerror}") from None
 
 
+def _write_text(path: str, text: str) -> None:
+    try:
+        with open(path, "w", encoding="utf-8") as fh:
+            fh.write(text)
+    except OSError as exc:
+        raise UsageError(f"cannot write {path}: {exc.strerror}") from None
+
+
 def _presentation_arg(arg: str) -> Presentation:
     text = _read_text(arg[1:]) if arg.startswith("@") else arg
     return parse_presentation(text)
@@ -100,23 +109,6 @@ def _build_instance(args) -> EmbeddingInstance:
     raise UsageError(f"unknown family {family!r}")
 
 
-def _emit(args, text: str) -> None:
-    out = text if text.endswith("\n") else text + "\n"
-    if args.out:
-        with open(args.out, "w", encoding="utf-8") as fh:
-            fh.write(out)
-    else:
-        sys.stdout.write(out)
-
-
-def _json(data) -> str:
-    return json.dumps(data, indent=2)
-
-
-def _budgets(args) -> Budgets:
-    return Budgets(max_cosets=args.max_cosets, max_relator_length=args.max_relator_length)
-
-
 def _instance_dict(inst: EmbeddingInstance) -> dict:
     return {
         "family": inst.family,
@@ -135,7 +127,12 @@ def _instance_dict(inst: EmbeddingInstance) -> dict:
     }
 
 
-def cmd_build(args) -> int:
+# what every command returns: the exit code, the data ``--format json``
+# prints as indented JSON and the text ``--format text`` prints
+CommandResult = tuple[int, object, str]
+
+
+def cmd_build(args) -> CommandResult:
     if args.p and args.kind != "pc":
         raise UsageError(f"build {args.kind} takes no --p")
     rows = _load_rows(args.m)
@@ -146,15 +143,11 @@ def cmd_build(args) -> int:
     else:
         pres = pc_presentation(PcSpec(rows, _load_orders(args.p, len(rows))))
     text = serialize_presentation(pres)
-    _emit(args, _json({"presentation": text}) if args.format == "json" else text)
-    return 0
+    return 0, {"presentation": text}, text
 
 
-def cmd_embed(args) -> int:
+def cmd_embed(args) -> CommandResult:
     data = _instance_dict(_build_instance(args))
-    if args.format == "json":
-        _emit(args, _json(data))
-        return 0
     lines = [
         f"family: {data['family']}",
         f"ambient: {data['ambient']}",
@@ -163,8 +156,7 @@ def cmd_embed(args) -> int:
         f"expected kernel: {data['expected_kernel']}",
         "expected words: " + ", ".join(f"{name} = {w}" for name, w in data["expected_words"].items()),
     ]
-    _emit(args, "\n".join(lines))
-    return 0
+    return 0, data, "\n".join(lines)
 
 
 def _kernel_section(inst: EmbeddingInstance, kp: KernelPresentation):
@@ -176,135 +168,88 @@ def _kernel_section(inst: EmbeddingInstance, kp: KernelPresentation):
             for name, t, x, word in kp.table_rows(inst.ambient)
         ],
     }
-    text_lines = [f"mode: {data['mode']}", f"presentation: {data['presentation']}", "generators:"]
-    text_lines += [
+    lines = [f"mode: {data['mode']}", f"presentation: {data['presentation']}", "generators:"]
+    lines += [
         f"  {g['name']} = {g['defining_word']}  (t = {g['origin_t']}, x = {g['origin_x']})"
         for g in data["generators"]
     ]
-    return text_lines, data
+    return data, "\n".join(lines)
 
 
-def cmd_kernel(args) -> int:
+def cmd_kernel(args) -> CommandResult:
     inst = _build_instance(args)
     modes = ("evaluated", "raw") if args.mode == "both" else (args.mode,)
     raw = raw_kernel_presentation(inst.ambient, inst.hom, inst.transversal_gens)
     kernels = {"raw": raw}
     if "evaluated" in modes:
         kernels["evaluated"] = evaluated_kernel_presentation(inst, raw)
-    sections = [_kernel_section(inst, kernels[mode]) for mode in modes]
-    if args.format == "json":
-        payload = sections[0][1] if len(sections) == 1 else [s[1] for s in sections]
-        _emit(args, _json(payload))
-        return 0
-    lines: list[str] = []
-    for k, (text_lines, _) in enumerate(sections):
-        if k:
-            lines.append("")
-        lines.extend(text_lines)
-    _emit(args, "\n".join(lines))
-    return 0
+    data, texts = zip(*(_kernel_section(inst, kernels[mode]) for mode in modes))
+    return 0, data[0] if len(data) == 1 else list(data), "\n\n".join(texts)
 
 
-def cmd_simplify(args) -> int:
+def cmd_simplify(args) -> CommandResult:
     pres = _presentation_arg(args.presentation)
     simplified, trace = simplify(pres, SimplifyConfig(args.max_relator_length))
-    if args.format == "json":
-        _emit(
-            args,
-            _json(
-                {
-                    "presentation": serialize_presentation(simplified),
-                    "trace": trace.to_dict(),
-                }
-            ),
-        )
-    else:
-        _emit(args, serialize_presentation(simplified))
-    return 0
+    text = serialize_presentation(simplified)
+    return 0, {"presentation": text, "trace": trace.to_dict()}, text
 
 
-def cmd_order(args) -> int:
+def cmd_order(args) -> CommandResult:
     pres = _presentation_arg(args.presentation)
     order = group_order(pres, args.max_cosets)
     data = {"order": order}
     if order is None and certified_infinite(pres):
         data["infinite"] = True
-        value = "infinite"
-    else:
-        value = "budget-exceeded" if order is None else str(order)
-    _emit(args, _json(data) if args.format == "json" else value)
-    return 0
+        return 0, data, "infinite"
+    return 0, data, "budget-exceeded" if order is None else str(order)
 
 
-def cmd_index(args) -> int:
+def cmd_index(args) -> CommandResult:
     pres = _presentation_arg(args.presentation)
     sub = [parse_word(w, pres.gens) for w in args.word]
     table = todd_coxeter(pres, sub, args.max_cosets)
     index = table.num_cosets if table.complete else None
-    value = "budget-exceeded" if index is None else str(index)
-    _emit(args, _json({"index": index}) if args.format == "json" else value)
-    return 0
+    return 0, {"index": index}, "budget-exceeded" if index is None else str(index)
 
 
-def cmd_abelianization(args) -> int:
-    pres = _presentation_arg(args.presentation)
-    inv = abelianization(pres)
-    if args.format == "json":
-        _emit(args, _json({"free_rank": inv.free_rank, "torsion": list(inv.torsion)}))
-    else:
-        tors = ", ".join(str(d) for d in inv.torsion)
-        _emit(args, f"free rank {inv.free_rank}, torsion ({tors})")
-    return 0
+def cmd_abelianization(args) -> CommandResult:
+    inv = abelianization(_presentation_arg(args.presentation))
+    data = {"free_rank": inv.free_rank, "torsion": list(inv.torsion)}
+    tors = ", ".join(str(d) for d in inv.torsion)
+    return 0, data, f"free rank {inv.free_rank}, torsion ({tors})"
 
 
-def cmd_match(args) -> int:
+def cmd_match(args) -> CommandResult:
     p = _presentation_arg(args.presentation)
     q = _presentation_arg(args.other)
     result = match_presentations(p, q)
-    if args.format == "json":
-        mapping = None
-        if result is not None:
-            mapping = [
-                {"from": p.gens[g], "to": q.gens[idx], "sign": sign}
-                for g, (idx, sign) in enumerate(result)
-            ]
-        _emit(args, _json({"matched": result is not None, "mapping": mapping}))
-    elif result is None:
-        _emit(args, "none")
-    else:
-        parts = [
-            f"{p.gens[g]} -> {q.gens[idx]}" + ("" if sign == 1 else "^-1")
-            for g, (idx, sign) in enumerate(result)
-        ]
-        _emit(args, ", ".join(parts))
-    return 0 if result is not None else 1
+    if result is None:
+        return 1, {"matched": False, "mapping": None}, "none"
+    mapping = [
+        {"from": p.gens[g], "to": q.gens[idx], "sign": sign}
+        for g, (idx, sign) in enumerate(result)
+    ]
+    text = ", ".join(f"{m['from']} -> {m['to']}" + ("" if m["sign"] == 1 else "^-1") for m in mapping)
+    return 0, {"matched": True, "mapping": mapping}, text
 
 
-def cmd_verify(args) -> int:
+def cmd_verify(args) -> CommandResult:
     inst = _build_instance(args)
-    report = verify_instance(inst, _budgets(args))
+    budgets = Budgets(max_cosets=args.max_cosets, max_relator_length=args.max_relator_length)
+    report = verify_instance(inst, budgets)
     data = report.to_dict()
-    if args.format == "json":
-        _emit(args, _json(data))
-    else:
-        # instance fields bare, other sections as section.key; strings
-        # print as they are, everything else as JSON
-        lines = []
-        for key, value in data.items():
-            if key == "instance":
-                items = value.items()
-            elif isinstance(value, dict):
-                items = [(f"{key}.{sub}", v) for sub, v in value.items()]
-            else:
-                items = [(key, value)]
-            lines += [f"{k}: {v if isinstance(v, str) else json.dumps(v)}" for k, v in items]
-        _emit(args, "\n".join(lines))
-    return 0 if report.verdict == "pass" else 1
-
-
-def _add_common(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--format", choices=("text", "json"), default="text")
-    parser.add_argument("--out", default=None, help="write output to a file")
+    # instance fields bare, other sections as section.key; strings
+    # print as they are, everything else as JSON
+    lines = []
+    for key, value in data.items():
+        if key == "instance":
+            items = value.items()
+        elif isinstance(value, dict):
+            items = [(f"{key}.{sub}", v) for sub, v in value.items()]
+        else:
+            items = [(key, value)]
+        lines += [f"{k}: {v if isinstance(v, str) else json.dumps(v)}" for k, v in items]
+    return 0 if report.verdict == "pass" else 1, data, "\n".join(lines)
 
 
 def _add_budget_flags(parser: argparse.ArgumentParser, cosets=True, tietze=True) -> None:
@@ -332,56 +277,51 @@ def build_arg_parser() -> argparse.ArgumentParser:
     p.add_argument("kind", choices=("coxeter", "pc", "artin"))
     p.add_argument("--m", default=None, help="label matrix file")
     p.add_argument("--p", default=None, help="comma-separated orders (pc only)")
-    _add_common(p)
     p.set_defaults(func=cmd_build)
 
     p = sub.add_parser("embed", help="print an embedding instance")
     _add_family_flags(p)
-    _add_common(p)
     p.set_defaults(func=cmd_embed)
 
     p = sub.add_parser("kernel", help="kernel presentation of an instance")
     _add_family_flags(p)
     p.add_argument("--mode", choices=("evaluated", "raw", "both"), default="evaluated")
-    _add_common(p)
     p.set_defaults(func=cmd_kernel)
 
     p = sub.add_parser("simplify", help="Tietze-simplify a presentation")
     p.add_argument("presentation", help="quoted presentation or @file")
     _add_budget_flags(p, cosets=False)
-    _add_common(p)
     p.set_defaults(func=cmd_simplify)
 
     p = sub.add_parser("order", help="group order by coset enumeration")
     p.add_argument("presentation", help="quoted presentation or @file")
     _add_budget_flags(p, tietze=False)
-    _add_common(p)
     p.set_defaults(func=cmd_order)
 
     p = sub.add_parser("index", help="subgroup index by coset enumeration")
     p.add_argument("presentation", help="quoted presentation or @file")
     p.add_argument("word", nargs="+", help="subgroup generator words")
     _add_budget_flags(p, tietze=False)
-    _add_common(p)
     p.set_defaults(func=cmd_index)
 
     p = sub.add_parser("abelianization", help="free rank and torsion invariants")
     p.add_argument("presentation", help="quoted presentation or @file")
-    _add_common(p)
     p.set_defaults(func=cmd_abelianization)
 
     p = sub.add_parser("match", help="match two presentations up to relabeling")
     p.add_argument("presentation", help="quoted presentation or @file")
     p.add_argument("other", help="quoted presentation or @file")
-    _add_common(p)
     p.set_defaults(func=cmd_match)
 
     p = sub.add_parser("verify", help="run all checks for an instance")
     _add_family_flags(p)
     _add_budget_flags(p)
-    _add_common(p)
     p.set_defaults(func=cmd_verify)
 
+    # shared by every subcommand, added last so they list last in --help
+    for p in sub.choices.values():
+        p.add_argument("--format", choices=("text", "json"), default="text")
+        p.add_argument("--out", default=None, help="write output to a file")
     return parser
 
 
@@ -392,7 +332,13 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else 2
     try:
-        return args.func(args)
+        code, data, text = args.func(args)
+        out = (json.dumps(data, indent=2) if args.format == "json" else text) + "\n"
+        if args.out:
+            _write_text(args.out, out)
+        else:
+            sys.stdout.write(out)
+        return code
     except (UsageError, ParseError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -616,6 +616,22 @@ def _matrix_params(matrix: CoxeterMatrix, orders=None) -> dict:
     return params
 
 
+def _double_instance(family, matrix, orders, relators, images, expected, expected_words):
+    """The rank-2n double ``r_1..r_n, s_1..s_n`` over ``Z_2^n`` with the
+    ``r_i`` as transversal generators; ``orders`` is None for artin."""
+    n = matrix.n
+    return EmbeddingInstance(
+        family=family,
+        ambient=Presentation(_double_names(n), tuple(relators)),
+        hom=HomZ2n(n, images),
+        transversal_gens=tuple(range(n)),
+        rules=_double_rules(n),
+        expected_kernel=expected,
+        expected_words=expected_words,
+        params=_matrix_params(matrix, orders),
+    )
+
+
 def build_thm1_instance(matrix: CoxeterMatrix, orders) -> EmbeddingInstance:
     """Even-label double construction whose kernel is a power-commutator
     group with powers ``m_ij / 2`` and the given generator orders."""
@@ -623,23 +639,15 @@ def build_thm1_instance(matrix: CoxeterMatrix, orders) -> EmbeddingInstance:
         raise ValueError("all finite labels must be even")
     n = matrix.n
     orders = _check_orders(orders, n)
-    ambient = Presentation(_double_names(n), _double_relators(matrix, orders))
-    hom = HomZ2n(n, tuple(1 << i for i in range(n)) * 2)
     halved = [[INF] * n for _ in range(n)]
     for i, j, m in matrix.pairs():
         if is_finite(m):
             halved[i][j] = halved[j][i] = m // 2
     expected = pc_presentation(PcSpec(halved, orders)).rename(_names("a", n))
     expected_words = tuple((letter(n + i), letter(i)) for i in range(n))
-    return EmbeddingInstance(
-        family="thm1",
-        ambient=ambient,
-        hom=hom,
-        transversal_gens=tuple(range(n)),
-        rules=_double_rules(n),
-        expected_kernel=expected,
-        expected_words=expected_words,
-        params=_matrix_params(matrix, orders),
+    return _double_instance(
+        "thm1", matrix, orders, _double_relators(matrix, orders),
+        tuple(1 << i for i in range(n)) * 2, expected, expected_words,
     )
 
 
@@ -651,8 +659,6 @@ def build_prop2_instance(matrix: CoxeterMatrix, orders) -> EmbeddingInstance:
     for p in orders:
         if p != INF and p % 2 != 0:
             raise ValueError("finite generator orders must be even")
-    ambient = Presentation(_double_names(n), _double_relators(matrix, orders))
-    hom = HomZ2n(n, tuple(1 << i for i in range(n)) + (0,) * n)
     s = lambda i: letter(i)
     t = lambda i: letter(n + i)
     rels = [power((s(i),), 2) for i in range(n)]
@@ -676,15 +682,9 @@ def build_prop2_instance(matrix: CoxeterMatrix, orders) -> EmbeddingInstance:
     expected_words = tuple((amb_s(i),) for i in range(n)) + tuple(
         (amb_r(i), amb_s(i), amb_r(i)) for i in range(n)
     )
-    return EmbeddingInstance(
-        family="prop2",
-        ambient=ambient,
-        hom=hom,
-        transversal_gens=tuple(range(n)),
-        rules=_double_rules(n),
-        expected_kernel=expected,
-        expected_words=expected_words,
-        params=_matrix_params(matrix, orders),
+    return _double_instance(
+        "prop2", matrix, orders, _double_relators(matrix, orders),
+        tuple(1 << i for i in range(n)) + (0,) * n, expected, expected_words,
     )
 
 
@@ -748,19 +748,9 @@ def build_artin_instance(matrix: CoxeterMatrix) -> EmbeddingInstance:
             if i != j:
                 rels.append(commutator((r(i),), (s(j),)))
     rels += _braid_relators(matrix, lambda i: (s(i), r(i)))
-    ambient = Presentation(_double_names(n), tuple(rels))
-    hom = HomZ2n(n, tuple(1 << i for i in range(n)) * 2)
-    expected = artin_presentation(matrix)
-    expected_words = tuple((s(i), r(i)) for i in range(n))
-    return EmbeddingInstance(
-        family="artin",
-        ambient=ambient,
-        hom=hom,
-        transversal_gens=tuple(range(n)),
-        rules=_double_rules(n),
-        expected_kernel=expected,
-        expected_words=expected_words,
-        params=_matrix_params(matrix),
+    return _double_instance(
+        "artin", matrix, None, rels, tuple(1 << i for i in range(n)) * 2,
+        artin_presentation(matrix), tuple((s(i), r(i)) for i in range(n)),
     )
 
 

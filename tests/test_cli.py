@@ -271,6 +271,14 @@ def test_out_flag_writes_file(capsys, tmp_path):
     assert target.read_text() == "2\n"
 
 
+def test_out_flag_unwritable_path(capsys, tmp_path):
+    target = tmp_path / "missing" / "out.txt"
+    code, out, err = run_cli(capsys, "order", "< s | s^2 >", "--out", str(target))
+    assert code == 2
+    assert out == ""
+    assert err == f"error: cannot write {target}: No such file or directory\n"
+
+
 def test_exit_code_matrix_over_families(capsys, m4_file, m3_file):
     # (argv, expected exit code)
     matrix = [
@@ -398,3 +406,16 @@ def test_golden_outputs(capsys):
     if hashlib.sha256(f"{script.returncode}\n{script.stdout}".encode()).hexdigest() != RUN_EMBEDDINGS_DIGEST:
         changed.append("scripts/run_embeddings.py")
     assert changed == []
+
+
+def test_out_flag_on_every_golden_command(capsys, tmp_path):
+    # --out writes the bytes stdout would get and keeps the exit code, on
+    # every subcommand and on the exit-1 and exit-2 paths
+    target = tmp_path / "out.txt"
+    for command, _ in GOLDEN:
+        argv = [str(ROOT / a) if a.startswith("scripts/") else a for a in shlex.split(command)]
+        code, out, _ = run_cli(capsys, *argv)
+        target.unlink(missing_ok=True)
+        code_to_file, stdout, _ = run_cli(capsys, *argv, "--out", str(target))
+        written = target.read_bytes() if target.exists() else b""
+        assert (code_to_file, stdout, written) == (code, "", out.encode()), command
