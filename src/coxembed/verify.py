@@ -33,8 +33,11 @@ class CosetTable:
     ``status`` is ``complete`` or ``budget-exceeded``.  For complete
     tables, ``fwd[g][c]`` / ``bwd[g][c]`` give the action of generator g
     and its inverse on coset c (0-based; coset 0 is the subgroup), and
-    ``num_cosets`` is the index.  ``num_defined`` counts every coset ever
-    defined, including ones merged away by coincidences.
+    ``num_cosets`` is the index.  An involution (a generator with a
+    relator ``g^2`` or ``g^-2``) has one column in the enumeration, so its
+    ``bwd[g]`` equals ``fwd[g]``.  ``num_defined`` counts every coset ever
+    defined, including ones merged away by coincidences; it is also the
+    count that ``max_cosets`` bounds.
     """
 
     status: str
@@ -59,7 +62,14 @@ def todd_coxeter(
 
     Scans the subgroup words at coset 0, then every relator at every live
     coset in definition order, defining cosets on demand and merging
-    coincidences with a union-find (smallest index survives).  Exceeding
+    coincidences with a union-find (smallest index survives).  A generator
+    with a relator ``g^2`` or ``g^-2`` gets one table column that is its
+    own inverse column (Holt, Eick and O'Brien, *Handbook of Computational
+    Group Theory*, 2005, Sec. 5.1), so the table satisfies those relators
+    by construction and they are not scanned; every other generator gets a
+    column and an inverse column.  An involution thus fills one table
+    entry per coset instead of two, and an enumeration defines fewer
+    cosets; ``num_defined`` still counts every one of them.  Exceeding
     ``max_cosets`` defined cosets is a status, not an error; it is the
     unavoidable outcome for infinite-index inputs; a budget below 1 is a
     ``ValueError``.
@@ -67,18 +77,26 @@ def todd_coxeter(
     if max_cosets < 1:
         raise ValueError("max_cosets must be positive")
     ngens = pres.rank
-    ncols = 2 * ngens
+    squares = {r for r in pres.relators if len(r) == 2 and r[0] == r[1]}
+    involutions = {abs(r[0]) for r in squares}
+    col: Dict[int, int] = {}  # letter -> its table column
+    inv: List[int] = []  # column -> the column of the inverse letter
+    for g in range(1, ngens + 1):
+        col[g] = len(inv)
+        if g in involutions:
+            inv.append(col[g])
+        else:
+            inv += [col[g] + 1, col[g]]
+        col[-g] = inv[col[g]]
+    ncols = len(inv)
 
     def cols(w: Word) -> Tuple[int, ...]:
-        out = []
         for l in w:
-            g = abs(l) - 1
-            if g >= ngens:
+            if l not in col:
                 raise ValueError(f"letter {l} outside alphabet of rank {ngens}")
-            out.append(2 * g + (0 if l > 0 else 1))
-        return tuple(out)
+        return tuple(map(col.__getitem__, w))
 
-    rel_paths = [cols(r) for r in pres.relators]
+    rel_paths = [cols(r) for r in pres.relators if r not in squares]
     sub_paths = [cols(free_reduce(w)) for w in subgroup_words]
 
     table = [[-1] * ncols]
@@ -97,7 +115,7 @@ def todd_coxeter(
         labels.append(n)
         table.append([-1] * ncols)
         table[c][d] = n
-        table[n][d ^ 1] = c
+        table[n][inv[d]] = c
         return n
 
     def unify(a: int, b: int) -> None:
@@ -120,93 +138,103 @@ def todd_coxeter(
                     else:
                         stack.append((na, nb))
 
-    def scan_and_fill(alpha: int, path: Tuple[int, ...]) -> None:
-        # standard two-ended scan: walk defined entries forward from the
-        # start and backward from the end, then close the single gap as a
-        # deduction, define one coset to shrink a wider gap, or merge the
-        # two ends on a complete scan
-        f = find(alpha)
+    def scan_and_fill(f: int, path: Tuple[int, ...]) -> None:
+        # standard two-ended scan from the live coset f: walk defined
+        # entries forward from the start and backward from the end, then
+        # close a single gap as a deduction (both of its entries are still
+        # undefined), define one coset to shrink a wider gap, or merge the
+        # two ends on a complete scan; a live entry is taken without a
+        # find, and an entry naming a merged coset is rewritten to its root
         b = f
         i, j = 0, len(path) - 1
         while True:
             while i <= j:
-                nxt = table[f][path[i]]
+                row = table[f]
+                nxt = row[path[i]]
                 if nxt < 0:
                     break
-                f = find(nxt)
+                if labels[nxt] != nxt:
+                    nxt = row[path[i]] = find(nxt)
+                f = nxt
                 i += 1
             if i > j:
-                if f != b:
-                    unify(f, b)
-                return
+                break
             while j >= i:
-                nxt = table[b][path[j] ^ 1]
+                row = table[b]
+                nxt = row[inv[path[j]]]
                 if nxt < 0:
                     break
-                b = find(nxt)
+                if labels[nxt] != nxt:
+                    nxt = row[inv[path[j]]] = find(nxt)
+                b = nxt
                 j -= 1
             if j < i:
-                unify(f, b)
-                return
+                break
             if j == i:
-                d = path[i]
-                if table[f][d] >= 0:
-                    unify(table[f][d], b)
-                elif table[b][d ^ 1] >= 0:
-                    unify(table[b][d ^ 1], f)
-                else:
-                    table[f][d] = b
-                    table[b][d ^ 1] = f
+                table[f][path[i]] = b
+                table[b][inv[path[i]]] = f
                 return
             f = define(f, path[i])
             i += 1
+        if f != b:
+            unify(f, b)
 
     try:
         for path in sub_paths:
             scan_and_fill(0, path)
         i = 0
         while i < len(table):
-            if find(i) == i:
+            if labels[i] == i:
                 for path in rel_paths:
                     scan_and_fill(i, path)
-                    if find(i) != i:
+                    if labels[i] != i:
                         break
-                if find(i) == i:
+                if labels[i] == i:
+                    row = table[i]
                     for d in range(ncols):
-                        if table[i][d] < 0:
+                        if row[d] < 0:
                             define(i, d)
             i += 1
     except _Budget:
         return CosetTable("budget-exceeded", None, len(table), None, None, bool(sub_paths))
 
-    live = [c for c in range(len(table)) if find(c) == c]
-    index_of = {c: k for k, c in enumerate(live)}
-    fwd = tuple(
-        tuple(index_of[find(table[c][2 * g])] for c in live) for g in range(ngens)
-    )
-    bwd = tuple(
-        tuple(index_of[find(table[c][2 * g + 1])] for c in live) for g in range(ngens)
-    )
+    live = [c for c in range(len(table)) if labels[c] == c]
+    position = [0] * len(table)
+    for k, c in enumerate(live):
+        position[c] = k
+    index_of = [position[find(c)] for c in range(len(table))]
+    columns = [tuple(map(index_of.__getitem__, column)) for column in zip(*(table[c] for c in live))]
+    fwd = tuple(columns[col[g]] for g in range(1, ngens + 1))
+    bwd = tuple(columns[col[-g]] for g in range(1, ngens + 1))
     result = CosetTable("complete", len(live), len(table), fwd, bwd, bool(sub_paths))
     _assert_closed(result, pres, subgroup_words)
     return result
 
 
+def _trace(tab: CosetTable, w: Word) -> int:
+    """The coset that ``w`` carries coset 0 to in a complete table."""
+    e = 0
+    for l in w:
+        e = tab.fwd[l - 1][e] if l > 0 else tab.bwd[-l - 1][e]
+    return e
+
+
 def _assert_closed(tab: CosetTable, pres: Presentation, subgroup_words: Sequence[Word]) -> None:
     """Completeness invariants: relators trace to the identity at every
-    coset and subgroup words fix coset 0."""
+    coset and subgroup words fix coset 0.
+
+    Each relator is traced from all cosets at once, one list lookup per
+    letter."""
+    cosets = list(range(tab.num_cosets))
     for r in pres.relators:
-        for c in range(tab.num_cosets):
-            e = c
-            for l in r:
-                e = tab.fwd[l - 1][e] if l > 0 else tab.bwd[-l - 1][e]
-            if e != c:
-                raise AssertionError("relator trace does not close")
+        e = cosets
+        for l in r:
+            perm = tab.fwd[l - 1] if l > 0 else tab.bwd[-l - 1]
+            e = list(map(perm.__getitem__, e))
+        if e != cosets:
+            raise AssertionError("relator trace does not close")
     for w in subgroup_words:
-        e = 0
-        for l in free_reduce(w):
-            e = tab.fwd[l - 1][e] if l > 0 else tab.bwd[-l - 1][e]
-        if e != 0:
+        if _trace(tab, free_reduce(w)) != 0:
             raise AssertionError("subgroup word does not fix coset 0")
 
 
@@ -345,7 +373,11 @@ def regular_rep(tab: CosetTable) -> Tuple[Tuple[int, ...], ...]:
 
 
 def word_holds(rep: Sequence[Sequence[int]], w: Word) -> bool:
-    """True iff the permutation product of the word's letters is the identity."""
+    """True iff the permutation product of the word's letters is the
+    identity, checked at every point."""
+    for l in w:
+        if l == 0 or abs(l) > len(rep):
+            raise ValueError(f"letter {l} outside alphabet of rank {len(rep)}")
     npoints = len(rep[0]) if rep else 0
     inverses: Dict[int, Tuple[int, ...]] = {}
 
@@ -361,10 +393,7 @@ def word_holds(rep: Sequence[Sequence[int]], w: Word) -> bool:
     for start in range(npoints):
         e = start
         for l in w:
-            g = abs(l) - 1
-            if g >= len(rep):
-                raise ValueError(f"letter {l} outside alphabet of rank {len(rep)}")
-            e = rep[g][e] if l > 0 else inv_perm(g)[e]
+            e = rep[l - 1][e] if l > 0 else inv_perm(-l - 1)[e]
         if e != start:
             return False
     return True
@@ -641,7 +670,12 @@ def _finite_section(inst: EmbeddingInstance, max_cosets: int) -> Optional[dict]:
 
     The section needs complete enumerations of both the ambient and the
     expected kernel, and no enumeration of an infinite group completes,
-    so a certificate for either side skips all three enumerations."""
+    so a certificate for either side skips all three enumerations.
+
+    The cosets of the trivial subgroup carry the regular action, which is
+    free: a group element that fixes one coset is the identity.  So an
+    expanded relator holds in the ambient exactly when it carries coset 0
+    to itself, and each is traced from coset 0 alone."""
     if certified_infinite(inst.ambient) or certified_infinite(inst.expected_kernel):
         return None
     ambient_table = todd_coxeter(inst.ambient, (), max_cosets)
@@ -651,9 +685,8 @@ def _finite_section(inst: EmbeddingInstance, max_cosets: int) -> Optional[dict]:
     index_table = todd_coxeter(inst.ambient, inst.expected_words, max_cosets)
     if kernel_order is None or not index_table.complete:
         return None
-    rep = regular_rep(ambient_table)
     relators_hold = all(
-        word_holds(rep, expand_kernel_word(r, inst.expected_words))
+        _trace(ambient_table, expand_kernel_word(r, inst.expected_words)) == 0
         for r in inst.expected_kernel.relators
     )
     ambient_order = ambient_table.num_cosets

@@ -1,11 +1,13 @@
 import dataclasses
 import itertools
 import random
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from coxembed import verify
 from coxembed.presentations import (
     INF,
     CoxeterMatrix,
@@ -16,6 +18,7 @@ from coxembed.presentations import (
     build_prop2_instance,
     build_thm1_instance,
     coxeter_presentation,
+    parse_matrix_text,
     parse_presentation,
 )
 from coxembed.schreier import evaluated_kernel_presentation
@@ -242,6 +245,107 @@ def test_word_holds_examples():
     assert word_holds(rep, comm_sq)
     assert not word_holds(rep, inst.expected_words[0])
     assert word_holds(rep, ())
+    with pytest.raises(ValueError, match="outside alphabet"):
+        word_holds(rep, (5,))
+    # a rep with no generators has no points to walk, and its letters
+    # are still validated
+    trivial = regular_rep(todd_coxeter(Presentation((), ())))
+    assert trivial == () and word_holds(trivial, ())
+    for w in ((1,), (-1,)):
+        with pytest.raises(ValueError, match="outside alphabet"):
+            word_holds(trivial, w)
+
+
+def test_involution_columns_cross_checked_by_permutation_closure():
+    # involutions written g^2 and g^-2, inverse letters of involutions in
+    # other relators, generators that are not involutions, and subgroup
+    # words with inverted involution letters; each index is checked as the
+    # order over the order of the subgroup's closure in the regular rep
+    cases = [
+        ("< a | a^-2 >", 2, [((-1,),)]),
+        ("< a, b | a^-2, b^3, (a^-1 b)^5 >", 60, [((-1,),), ((-2,),), ((-1, 2),), ((-1,), (2,))]),
+        ("< a, b | a^2, b^-2, (a^-1 b^-1)^4 >", 8, [((-1, -2),), ((-2,),)]),
+        ("< a, b | a^4, a^2 b^-2, b^-1 a b a >", 8, [((-1,),)]),
+        ("< a, b | a^3, b^3, (a b)^3, (a b^-1)^3 >", 27, [((1, -2),)]),
+        ("< a, b, c | a^2, b^-2, c^2, (a b^-1)^3, (b^-1 c^-1)^4, (a c)^2 >", 48, [((-2,), (-3,)), ((-1, -3),)]),
+        ("< a, b, c | a^-2, b^3, c^2, (a b)^2, (b^-1 c)^2, (a c)^3 >", 18, [((-1, 3),), ((2,),)]),
+    ]
+    for text, order, subgroups in cases:
+        pres = parse_presentation(text)
+        tab = todd_coxeter(pres)
+        assert tab.complete and tab.num_cosets == order, text
+        involutions = {abs(r[0]) - 1 for r in pres.relators if len(r) == 2 and r[0] == r[1]}
+        for g in range(pres.rank):
+            if g in involutions:
+                assert tab.fwd[g] == tab.bwd[g]
+            else:
+                assert tab.bwd[g] == eval_word_perm((-g - 1,), tab.fwd)
+        rep = regular_rep(tab)
+        assert perm_closure(list(rep)) == order
+        for r in pres.relators:
+            assert eval_word_perm(r, rep) == tuple(range(order))
+        for sub in subgroups:
+            index = todd_coxeter(pres, sub).num_cosets
+            assert index * perm_closure([eval_word_perm(w, rep) for w in sub]) == order, (text, sub)
+
+
+def test_involution_columns_define_fewer_cosets():
+    # one column per involution: the rank-3 right-angled thm1 ambient with
+    # p = (6, 6, 6) defined 7617 cosets with a column and an inverse
+    # column for every generator
+    inst = build_thm1_instance(CoxeterMatrix.from_pairs(3, {}), (6, 6, 6))
+    tab = todd_coxeter(inst.ambient)
+    assert tab.num_cosets == 1728
+    assert tab.num_defined == 3863 < 7617
+    for g in range(inst.ambient.rank):
+        assert tab.fwd[g] == tab.bwd[g]
+
+
+def _finite_fixture_instances():
+    """The finite thm1, prop2 and klein instances built from the fixture
+    matrices (klein's ambient is infinite, so it contributes none)."""
+    fixtures = Path(__file__).resolve().parents[1] / "scripts" / "fixtures"
+    out = [build_klein_instance(), build_thm1_instance(CoxeterMatrix.from_rows([[1]]), (3,))]
+    for name in ("m2x2_3", "m2x2_4", "m3x3_right_angled"):
+        m = CoxeterMatrix.from_rows(parse_matrix_text((fixtures / f"{name}.txt").read_text()))
+        for p in (2, 4):
+            out.append(build_prop2_instance(m, (p,) * m.n))
+        for p in (2, 3, 4):
+            if m.is_even:
+                out.append(build_thm1_instance(m, (p,) * m.n))
+    out.append(build_prop2_instance(CoxeterMatrix.from_rows([[1]]), (4,)))
+    return [
+        inst
+        for inst in out
+        if not certified_infinite(inst.ambient) and not certified_infinite(inst.expected_kernel)
+    ]
+
+
+def test_relators_hold_at_coset_0_equals_all_points_oracle():
+    # the regular action is free, so tracing a word from coset 0 decides it
+    # as word_holds does at every point; a relator times one kernel
+    # generator is rejected by both
+    instances = _finite_fixture_instances()
+    assert len(instances) >= 6
+    for inst in instances:
+        tab = todd_coxeter(inst.ambient)
+        rep = regular_rep(tab)
+        words = inst.expected_words
+        for k, r in enumerate(inst.expected_kernel.relators):
+            w = expand_kernel_word(r, words)
+            assert verify._trace(tab, w) == 0 and word_holds(rep, w)
+            bad = expand_kernel_word(r + (k % len(words) + 1,), words)
+            assert verify._trace(tab, bad) != 0 and not word_holds(rep, bad)
+        assert verify._finite_section(inst, 50_000)["relators_hold"]
+        r = inst.expected_kernel.relators[0]
+        perturbed = dataclasses.replace(
+            inst,
+            expected_kernel=Presentation(
+                inst.expected_kernel.gens, inst.expected_kernel.relators[1:] + (r + (1,),)
+            ),
+        )
+        assert not word_holds(rep, expand_kernel_word(r + (1,), words))
+        assert verify._finite_section(perturbed, 50_000)["relators_hold"] is False
 
 
 def test_smith_normal_form_examples():
