@@ -1,3 +1,6 @@
+import hashlib
+import itertools
+import json
 import math
 
 import pytest
@@ -12,6 +15,7 @@ from coxembed.presentations import (
     Presentation,
     artin_presentation,
     build_artin_instance,
+    build_artin_inversion_instance,
     build_klein_instance,
     build_prop2_instance,
     build_thm1_instance,
@@ -323,3 +327,75 @@ def test_evenness():
     assert CoxeterMatrix.from_pairs(2, {(0, 1): INF}).is_even
     assert CoxeterMatrix.from_pairs(2, {(0, 1): 4}).is_even
     assert not CoxeterMatrix.from_pairs(2, {(0, 1): 3}).is_even
+
+
+LABELS = (2, 3, 4, 5, 6, INF)
+ORDERS = (2, 4, INF)
+RANK3 = (
+    {(0, 1): 3, (1, 2): 3},
+    {(0, 1): 4, (1, 2): 3, (0, 2): INF},
+    {(0, 1): 6, (1, 2): INF},
+    {(0, 1): 5, (1, 2): 3},
+)
+
+
+def _instance_sweep():
+    """Every builder over ranks 1-2 with labels in ``LABELS`` and orders in
+    ``ORDERS``, a few rank-3 matrices, and klein."""
+    cases = [(CoxeterMatrix.from_rows([[1]]), itertools.product(ORDERS, repeat=1))]
+    cases += [
+        (CoxeterMatrix.from_pairs(2, {(0, 1): m}), itertools.product(ORDERS, repeat=2))
+        for m in LABELS
+    ]
+    cases += [
+        (CoxeterMatrix.from_pairs(3, pairs), [(2, 4, INF), (4, 4, 4)]) for pairs in RANK3
+    ]
+    insts = [build_klein_instance()]
+    for matrix, order_tuples in cases:
+        insts += [build_artin_instance(matrix), build_artin_inversion_instance(matrix)]
+        for orders in order_tuples:
+            if matrix.is_even:
+                insts.append(build_thm1_instance(matrix, orders))
+            insts.append(build_prop2_instance(matrix, orders))
+    return insts
+
+
+def _instance_record(inst):
+    return repr((
+        inst.family,
+        inst.ambient.gens,
+        inst.ambient.relators,
+        inst.expected_kernel.gens,
+        inst.expected_kernel.relators,
+        inst.expected_words,
+        sorted(inst.rules.involutions),
+        sorted(inst.rules.commuting),
+        inst.hom.n,
+        inst.hom.images,
+        inst.transversal_gens,
+        json.dumps(inst.params, sort_keys=True),
+    ))
+
+
+# sha256 over every field of every instance of the sweep, relator order
+# included
+INSTANCE_PIN = "2c80aa1717afe53effcab1bb9ccd9f773e9cd117ec598311e791d46d80a66ff3"
+
+
+def test_instance_pins():
+    text = "\n".join(_instance_record(inst) for inst in _instance_sweep())
+    assert hashlib.sha256(text.encode()).hexdigest() == INSTANCE_PIN
+
+
+def test_rules_are_ambient_relations():
+    # evaluation rewrites with the rules inside the ambient, so each one
+    # must be a relator of it: g^2 for an involution, (a b)^2 or [a, b]
+    # for a commuting pair
+    for inst in _instance_sweep():
+        relators = {relator_nf(r) for r in inst.ambient.relators}
+        for g in inst.rules.involutions:
+            assert power((letter(g),), 2) in inst.ambient.relators, (inst.family, g)
+        for a, b in inst.rules.commuting:
+            x, y = (letter(a),), (letter(b),)
+            forms = {relator_nf(power(x + y, 2)), relator_nf(commutator(x, y))}
+            assert forms & relators, (inst.family, a, b)
