@@ -22,7 +22,7 @@ from coxembed.presentations import (
     serialize_word,
 )
 from coxembed.schreier import evaluated_kernel_presentation
-from coxembed.verify import Budgets, verify_instance
+from coxembed.verify import Budgets, certified_infinite, verify_instance
 
 
 def show(title, inst, budgets):
@@ -38,7 +38,13 @@ def show(title, inst, budgets):
     d = report.to_dict()
     finite = d["finite"]
     if finite == "skipped":
-        print("orders  : skipped (coset budget exceeded; ambient is infinite)")
+        if certified_infinite(inst.ambient):
+            reason = "ambient certified infinite"
+        elif certified_infinite(inst.expected_kernel):
+            reason = "expected kernel certified infinite"
+        else:
+            reason = "coset budget exceeded"
+        print(f"orders  : skipped ({reason})")
     else:
         print(
             f"orders  : ambient {finite['ambient_order']}, kernel {finite['kernel_order']},"

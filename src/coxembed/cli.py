@@ -41,7 +41,6 @@ from .verify import (
     Budgets,
     abelianization,
     certified_infinite,
-    group_order,
     match_presentations,
     todd_coxeter,
     verify_instance,
@@ -195,13 +194,16 @@ def cmd_simplify(args) -> CommandResult:
 
 
 def cmd_order(args) -> CommandResult:
+    """:func:`group_order`, with a certified-infinite group told apart from
+    an exhausted budget by one consult of the certificate."""
     pres = _presentation_arg(args.presentation)
-    order = group_order(pres, args.max_cosets)
-    data = {"order": order}
-    if order is None and certified_infinite(pres):
-        data["infinite"] = True
-        return 0, data, "infinite"
-    return 0, data, "budget-exceeded" if order is None else str(order)
+    if args.max_cosets < 1:
+        raise ValueError("max_cosets must be positive")
+    if certified_infinite(pres):
+        return 0, {"order": None, "infinite": True}, "infinite"
+    table = todd_coxeter(pres, (), args.max_cosets)
+    order = table.num_cosets if table.complete else None
+    return 0, {"order": order}, "budget-exceeded" if order is None else str(order)
 
 
 def cmd_index(args) -> CommandResult:

@@ -20,7 +20,6 @@ from .words import (
     commutator,
     concat,
     cyclic_reduce,
-    free_reduce,
     invert,
     letter,
     power,
@@ -509,16 +508,39 @@ def _names(prefix: str, n: int) -> Tuple[str, ...]:
     return tuple(f"{prefix}{i + 1}" for i in range(n))
 
 
+def _squares(n: int) -> list[Word]:
+    """``g^2`` for each of the first ``n`` generators, in order."""
+    return [power((letter(g),), 2) for g in range(n)]
+
+
+def _label_relators(triples: Iterable) -> list[Word]:
+    """``(x y)^m`` for each ``(x, y, m)`` with ``m`` finite, in order;
+    ``x`` and ``y`` are letters and an infinite label gives no relator."""
+    return [power((x, y), m) for x, y, m in triples if is_finite(m)]
+
+
+def _double_commuting(n: int) -> list[Tuple[int, int]]:
+    """The generator pairs every rank-2n double ``r_1..r_n, s_1..s_n``
+    makes commute, in order: ``(r_i, r_j)`` for ``i < j``, then
+    ``(r_i, s_j)`` for ``i != j``.
+
+    These are the double's rewrite rules.  thm1 and prop2 write each pair
+    ``(x, y)`` into the ambient as ``(x y)^2``, artin as ``[x, y]``.  The
+    rules are not derived from the ambient's relators: with ``p_i = 2``,
+    thm1 and prop2 have the relator ``(s_i r_i)^2``, and deriving would
+    add an ``(r_i, s_i)`` commutation and change the evaluated kernels."""
+    return [(i, j) for i in range(n) for j in range(i + 1, n)] + [
+        (i, n + j) for i in range(n) for j in range(n) if i != j
+    ]
+
+
 def coxeter_presentation(matrix: CoxeterMatrix) -> Presentation:
     """Generators ``s_i`` with ``s_i^2`` and ``(s_i s_j)^{m_ij}`` relators.
 
     Infinite labels contribute no relator.
     """
     n = matrix.n
-    rels = [power((letter(i),), 2) for i in range(n)]
-    for i, j, m in matrix.pairs():
-        if is_finite(m):
-            rels.append(power((letter(i), letter(j)), m))
+    rels = _squares(n) + _label_relators((letter(i), letter(j), m) for i, j, m in matrix.pairs())
     return Presentation(_names("s", n), tuple(rels))
 
 
@@ -535,7 +557,7 @@ def pc_presentation(spec: PcSpec) -> Presentation:
     return Presentation(_names("g", n), tuple(rels))
 
 
-def _braid_relators(matrix: CoxeterMatrix, a) -> Tuple[Word, ...]:
+def _braid_relators(matrix: CoxeterMatrix, a) -> list[Word]:
     """Braid relators ``(a_i a_j a_i ...)(a_j a_i a_j ...)^-1`` with ``m_ij``
     factors per block, finite labels only, where ``a(i)`` is the word
     standing for ``a_i``."""
@@ -543,59 +565,29 @@ def _braid_relators(matrix: CoxeterMatrix, a) -> Tuple[Word, ...]:
     def block(i: int, j: int, m: int) -> Word:
         return tuple(l for k in range(m) for l in a(i if k % 2 == 0 else j))
 
-    return tuple(
+    return [
         concat(block(i, j, m), invert(block(j, i, m)))
         for i, j, m in matrix.pairs()
         if is_finite(m)
-    )
+    ]
 
 
 def artin_presentation(matrix: CoxeterMatrix) -> Presentation:
     """Generators ``a_i`` with braid relators ``(a_i a_j a_i ...)(a_j a_i a_j ...)^-1``,
     ``m_ij`` letters per block, for finite labels only."""
-    return Presentation(_names("a", matrix.n), _braid_relators(matrix, lambda i: (letter(i),)))
+    return Presentation(_names("a", matrix.n), tuple(_braid_relators(matrix, lambda i: (letter(i),))))
 
 
-def _double_names(n: int) -> Tuple[str, ...]:
-    return _names("r", n) + _names("s", n)
-
-
-def _double_relators(matrix: CoxeterMatrix, orders) -> Tuple[Word, ...]:
+def _double_relators(matrix: CoxeterMatrix, orders) -> list[Word]:
     """Relators of the rank-2n ambient: involutions, commuting copies,
     ``(s_i s_j)^{m_ij}`` and ``(s_i r_i)^{p_i}``."""
     n = matrix.n
-    r = lambda i: letter(i)
     s = lambda i: letter(n + i)
-    rels = [power((r(i),), 2) for i in range(n)]
-    rels += [power((s(i),), 2) for i in range(n)]
-    for i in range(n):
-        for j in range(i + 1, n):
-            rels.append(power((r(i), r(j)), 2))
-    for i in range(n):
-        for j in range(n):
-            if i != j:
-                rels.append(power((r(i), s(j)), 2))
-    for i, j, m in matrix.pairs():
-        if is_finite(m):
-            rels.append(power((s(i), s(j)), m))
-    for i, p in enumerate(orders):
-        if is_finite(p):
-            rels.append(power((s(i), r(i)), p))
-    return tuple(rels)
-
-
-def _double_rules(n: int) -> RewriteRules:
-    commuting = set()
-    for i in range(n):
-        for j in range(i + 1, n):
-            commuting.add((i, j))
-    for i in range(n):
-        for j in range(n):
-            if i != j:
-                commuting.add((min(i, n + j), max(i, n + j)))
-    return RewriteRules(
-        involutions=frozenset(range(2 * n)),
-        commuting=frozenset(commuting),
+    return (
+        _squares(2 * n)
+        + _label_relators((letter(a), letter(b), 2) for a, b in _double_commuting(n))
+        + _label_relators((s(i), s(j), m) for i, j, m in matrix.pairs())
+        + _label_relators((s(i), letter(i), p) for i, p in enumerate(orders))
     )
 
 
@@ -618,14 +610,16 @@ def _matrix_params(matrix: CoxeterMatrix, orders=None) -> dict:
 
 def _double_instance(family, matrix, orders, relators, images, expected, expected_words):
     """The rank-2n double ``r_1..r_n, s_1..s_n`` over ``Z_2^n`` with the
-    ``r_i`` as transversal generators; ``orders`` is None for artin."""
+    ``r_i`` as transversal generators.  Every generator is an involution
+    and the rewrite rules' commuting pairs are :func:`_double_commuting`;
+    ``orders`` is None for artin."""
     n = matrix.n
     return EmbeddingInstance(
         family=family,
-        ambient=Presentation(_double_names(n), tuple(relators)),
+        ambient=Presentation(_names("r", n) + _names("s", n), tuple(relators)),
         hom=HomZ2n(n, images),
         transversal_gens=tuple(range(n)),
-        rules=_double_rules(n),
+        rules=RewriteRules(frozenset(range(2 * n)), frozenset(_double_commuting(n))),
         expected_kernel=expected,
         expected_words=expected_words,
         params=_matrix_params(matrix, orders),
@@ -639,11 +633,8 @@ def build_thm1_instance(matrix: CoxeterMatrix, orders) -> EmbeddingInstance:
         raise ValueError("all finite labels must be even")
     n = matrix.n
     orders = _check_orders(orders, n)
-    halved = [[INF] * n for _ in range(n)]
-    for i, j, m in matrix.pairs():
-        if is_finite(m):
-            halved[i][j] = halved[j][i] = m // 2
-    expected = pc_presentation(PcSpec(halved, orders)).rename(_names("a", n))
+    halved = {(i, j): m // 2 for i, j, m in matrix.pairs() if is_finite(m)}
+    expected = pc_presentation(PcSpec.from_pairs(n, halved, orders)).rename(_names("a", n))
     expected_words = tuple((letter(n + i), letter(i)) for i in range(n))
     return _double_instance(
         "thm1", matrix, orders, _double_relators(matrix, orders),
@@ -661,26 +652,18 @@ def build_prop2_instance(matrix: CoxeterMatrix, orders) -> EmbeddingInstance:
             raise ValueError("finite generator orders must be even")
     s = lambda i: letter(i)
     t = lambda i: letter(n + i)
-    rels = [power((s(i),), 2) for i in range(n)]
-    rels += [power((t(i),), 2) for i in range(n)]
-    for i, p in enumerate(orders):
-        if is_finite(p):
-            rels.append(power((s(i), t(i)), p // 2))
-    for i, j, m in matrix.pairs():
-        if is_finite(m):
-            rels.append(power((s(i), s(j)), m))
-    for i in range(n):
-        for j in range(n):
-            if i != j and is_finite(matrix.entry(i, j)):
-                rels.append(power((s(i), t(j)), matrix.entry(i, j)))
-    for i, j, m in matrix.pairs():
-        if is_finite(m):
-            rels.append(power((t(i), t(j)), m))
+    rels = (
+        _squares(2 * n)
+        + _label_relators((s(i), t(i), p // 2) for i, p in enumerate(orders) if is_finite(p))
+        + _label_relators((s(i), s(j), m) for i, j, m in matrix.pairs())
+        + _label_relators(
+            (s(i), t(j), matrix.entry(i, j)) for i in range(n) for j in range(n) if i != j
+        )
+        + _label_relators((t(i), t(j), m) for i, j, m in matrix.pairs())
+    )
     expected = Presentation(_names("s", n) + _names("t", n), tuple(rels))
-    amb_r = lambda i: letter(i)
-    amb_s = lambda i: letter(n + i)
-    expected_words = tuple((amb_s(i),) for i in range(n)) + tuple(
-        (amb_r(i), amb_s(i), amb_r(i)) for i in range(n)
+    expected_words = tuple((letter(n + i),) for i in range(n)) + tuple(
+        (letter(i), letter(n + i), letter(i)) for i in range(n)
     )
     return _double_instance(
         "prop2", matrix, orders, _double_relators(matrix, orders),
@@ -690,36 +673,23 @@ def build_prop2_instance(matrix: CoxeterMatrix, orders) -> EmbeddingInstance:
 
 def build_klein_instance() -> EmbeddingInstance:
     """Product of two infinite dihedral groups mapping onto ``Z_2^2`` with
-    the Klein bottle group as kernel."""
-    gens = ("r1", "s1", "r2", "s2")
+    the Klein bottle group as kernel.
+
+    The ambient is the Coxeter group on ``r1, s1, r2, s2`` with label
+    ``inf`` on ``(r1, s1)`` and ``(r2, s2)`` and 2 elsewhere; the rewrite
+    rules are its involutions and its label-2 pairs."""
+    matrix = CoxeterMatrix.from_pairs(4, {(0, 1): INF, (2, 3): INF})
     r1, s1, r2, s2 = (letter(i) for i in range(4))
-    rels = [
-        power((r1,), 2),
-        power((s1,), 2),
-        power((r2,), 2),
-        power((s2,), 2),
-        power((r1, r2), 2),
-        power((r1, s2), 2),
-        power((s1, r2), 2),
-        power((s1, s2), 2),
-    ]
-    ambient = Presentation(gens, tuple(rels))
-    hom = HomZ2n(2, (0b01, 0b11, 0b10, 0b10))
-    rules = RewriteRules(
-        involutions=frozenset(range(4)),
-        commuting=frozenset({(0, 2), (0, 3), (1, 2), (1, 3)}),
-    )
-    expected = Presentation(("a", "b"), (free_reduce((-1, 2, 1, 2)),))
-    expected_words = ((s1, r1, r2), (s2, r2))
     return EmbeddingInstance(
         family="klein",
-        ambient=ambient,
-        hom=hom,
+        ambient=coxeter_presentation(matrix).rename(("r1", "s1", "r2", "s2")),
+        hom=HomZ2n(2, (0b01, 0b11, 0b10, 0b10)),
         transversal_gens=(0, 2),
-        rules=rules,
-        expected_kernel=expected,
-        expected_words=expected_words,
-        params={},
+        rules=RewriteRules(
+            frozenset(range(4)), frozenset((i, j) for i, j, m in matrix.pairs() if m == 2)
+        ),
+        expected_kernel=Presentation(("a", "b"), ((-1, 2, 1, 2),)),
+        expected_words=((s1, r1, r2), (s2, r2)),
     )
 
 
@@ -736,21 +706,15 @@ def build_artin_instance(matrix: CoxeterMatrix) -> EmbeddingInstance:
     :func:`build_artin_inversion_instance` for an ambient whose kernel is
     exactly the Artin group."""
     n = matrix.n
-    r = lambda i: letter(i)
-    s = lambda i: letter(n + i)
-    rels = [power((r(i),), 2) for i in range(n)]
-    rels += [power((s(i),), 2) for i in range(n)]
-    for i in range(n):
-        for j in range(i + 1, n):
-            rels.append(commutator((r(i),), (r(j),)))
-    for i in range(n):
-        for j in range(n):
-            if i != j:
-                rels.append(commutator((r(i),), (s(j),)))
-    rels += _braid_relators(matrix, lambda i: (s(i), r(i)))
+    a = lambda i: (letter(n + i), letter(i))
+    rels = (
+        _squares(2 * n)
+        + [commutator((letter(x),), (letter(y),)) for x, y in _double_commuting(n)]
+        + _braid_relators(matrix, a)
+    )
     return _double_instance(
         "artin", matrix, None, rels, tuple(1 << i for i in range(n)) * 2,
-        artin_presentation(matrix), tuple((s(i), r(i)) for i in range(n)),
+        artin_presentation(matrix), tuple(a(i) for i in range(n)),
     )
 
 
@@ -761,20 +725,16 @@ def build_artin_inversion_instance(matrix: CoxeterMatrix) -> EmbeddingInstance:
     every ``a_i`` at once, which is an automorphism of every Artin group,
     so the kernel is exactly the Artin group of the matrix."""
     n = matrix.n
-    r = letter(0)
-    s = lambda i: letter(1 + i)
-    rels = [power((r,), 2)] + [power((s(i),), 2) for i in range(n)]
-    rels += _braid_relators(matrix, lambda i: (s(i), r))
+    a = lambda i: (letter(1 + i), letter(0))
     return EmbeddingInstance(
         family="artin-inversion",
-        ambient=Presentation(("r",) + _names("s", n), tuple(rels)),
+        ambient=Presentation(
+            ("r",) + _names("s", n), tuple(_squares(n + 1) + _braid_relators(matrix, a))
+        ),
         hom=HomZ2n(1, (1,) * (n + 1)),
         transversal_gens=(0,),
-        rules=RewriteRules(
-            involutions=frozenset(range(n + 1)),
-            commuting=frozenset(),
-        ),
+        rules=RewriteRules(frozenset(range(n + 1)), frozenset()),
         expected_kernel=artin_presentation(matrix),
-        expected_words=tuple((s(i), r) for i in range(n)),
+        expected_words=tuple(a(i) for i in range(n)),
         params=_matrix_params(matrix),
     )

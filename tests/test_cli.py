@@ -7,6 +7,7 @@ from pathlib import Path
 
 import pytest
 
+from coxembed import verify
 from coxembed.cli import main
 from coxembed.presentations import INF, PcSpec, parse_matrix_text, pc_presentation, serialize_presentation
 
@@ -68,6 +69,27 @@ def test_order_rejects_nonpositive_budget(capsys):
             assert code == 2
             assert out == ""
             assert "max_cosets must be positive" in err
+
+
+def test_order_consults_certificate_once(capsys, monkeypatch):
+    # the infiniteness certificate is decided once per command, on finite
+    # and infinite input alike
+    orig = verify.certified_infinite
+    calls = []
+
+    def counted(pres):
+        calls.append(pres)
+        return orig(pres)
+
+    for name, mod in list(sys.modules.items()):
+        if name.startswith("coxembed") and getattr(mod, "certified_infinite", None) is orig:
+            monkeypatch.setattr(mod, "certified_infinite", counted)
+    affine_a2 = "< s1, s2, s3 | s1^2, s2^2, s3^2, (s1 s2)^3, (s2 s3)^3, (s1 s3)^3 >"
+    dihedral = "< s1, s2 | s1^2, s2^2, (s1 s2)^3 >"
+    for pres, expected in (("< a, b | >", "infinite"), (affine_a2, "infinite"), (dihedral, "6")):
+        calls.clear()
+        assert run_cli(capsys, "order", pres)[:2] == (0, expected + "\n")
+        assert len(calls) == 1, pres
 
 
 def test_index(capsys, m4_file):
@@ -390,7 +412,7 @@ GOLDEN = [
 
 
 # the same for scripts/run_embeddings.py, run as its own process
-RUN_EMBEDDINGS_DIGEST = "cc62ed06952eb63c4f4d1011c2fa37583a7f3440264f9c7525329f1aa00c5618"
+RUN_EMBEDDINGS_DIGEST = "f6532db866da0b6382a719562d77b0c812b04540e869f29b2fffd313b5f3dad7"
 
 
 def test_golden_outputs(capsys):
