@@ -1,6 +1,10 @@
 import dataclasses
+import hashlib
 import itertools
+import json
 import random
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -701,3 +705,18 @@ def test_verify_instance_bounded_raw_comparison_is_skipped():
     d = verify_instance(thm1_fixture(), Budgets(max_relator_length=6)).to_dict()
     assert d["raw"] == {"generators_after_simplify": 8, "matched": "skipped"}
     assert d["verdict"] == "pass"
+
+
+def test_instance_digests_script_at_rank_1():
+    root = Path(__file__).resolve().parents[1]
+    proc = subprocess.run(
+        [sys.executable, str(root / "scripts/instance_digests.py"), "--max-rank", "1"],
+        capture_output=True,
+        text=True,
+        check=True,
+    )
+    lines = proc.stdout.splitlines()
+    assert [line.split(" ", 1)[0] for line in lines] == ["thm1"] * 4 + ["prop2"] * 4 + ["klein"]
+    assert lines[0].startswith('thm1 {"m": [[1]], "p": [2]} ')
+    report = json.dumps(verify_instance(build_klein_instance()).to_dict(), sort_keys=True)
+    assert lines[-1] == "klein {} " + hashlib.sha256(report.encode()).hexdigest()
