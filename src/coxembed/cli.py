@@ -15,6 +15,7 @@ import sys
 from typing import Optional, Sequence
 
 from .presentations import (
+    INF,
     CoxeterMatrix,
     EmbeddingInstance,
     ParseError,
@@ -40,7 +41,7 @@ from .verify import (
     DEFAULT_MAX_COSETS,
     Budgets,
     abelianization,
-    certified_infinite,
+    group_order,
     match_presentations,
     todd_coxeter,
     verify_instance,
@@ -194,15 +195,9 @@ def cmd_simplify(args) -> CommandResult:
 
 
 def cmd_order(args) -> CommandResult:
-    """:func:`group_order`, with a certified-infinite group told apart from
-    an exhausted budget by one consult of the certificate."""
-    pres = _presentation_arg(args.presentation)
-    if args.max_cosets < 1:
-        raise ValueError("max_cosets must be positive")
-    if certified_infinite(pres):
+    order = group_order(_presentation_arg(args.presentation), args.max_cosets)
+    if order == INF:
         return 0, {"order": None, "infinite": True}, "infinite"
-    table = todd_coxeter(pres, (), args.max_cosets)
-    order = table.num_cosets if table.complete else None
     return 0, {"order": order}, "budget-exceeded" if order is None else str(order)
 
 

@@ -73,7 +73,7 @@ class ParseError(ValueError):
 # presentation DSL
 #
 # presentation := "<" genlist "|" relatorlist? ">"
-# genlist      := name ("," name)*
+# genlist      := (name ("," name)*)?
 # relatorlist  := word ("," word)*
 # word         := factor+
 # factor       := atom ("^" int)?
@@ -227,10 +227,12 @@ def parse_presentation(text: str) -> Presentation:
     """Parse ``< a, b | a^2, [a,b]^2 >`` style presentation text."""
     p = _Parser(text)
     p.expect("<")
-    names = [p.expect("name")[1]]
-    while p.peek()[0] == ",":
-        p.next()
+    names = []
+    if p.peek()[0] != "|":
         names.append(p.expect("name")[1])
+        while p.peek()[0] == ",":
+            p.next()
+            names.append(p.expect("name")[1])
     seen = set()
     for name in names:
         if name in seen:

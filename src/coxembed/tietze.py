@@ -30,10 +30,9 @@ from .words import Code, code_invert, code_nf, code_reduce, decode, encode
 
 @dataclass(frozen=True)
 class SimplifyConfig:
+    """The longest relator an elimination in :func:`simplify` may write."""
+
     max_relator_length: int = 1000
-    # rewrite g^-1 to g for generators with a square relator; off by
-    # default so relator shapes like [a,b]^2 survive verbatim
-    involution_flips: bool = False
 
     def __post_init__(self):
         if self.max_relator_length <= 0:
@@ -91,15 +90,11 @@ class _Relators:
     the input's generator indices.  Alongside it: letter occurrences per
     generator, the relators containing each generator, and the relators
     having a single-occurrence generator in relator order, the only ones
-    an elimination can use.  With ``flips``, each normal form is also
-    canonical under rewriting ``g^-1`` to ``g`` for every generator ``g``
-    in ``squares``, those with the relator ``g^2``.
+    an elimination can use.
     """
 
-    def __init__(self, flips: bool, max_len: int):
-        self.flips = flips
+    def __init__(self, max_len: int):
         self.max_len = max_len
-        self.squares: Set[int] = set()
         self.rels: Set[Code] = set()
         self.occ: Dict[int, int] = defaultdict(int)
         self.containing: Dict[int, Set[Code]] = defaultdict(set)
@@ -109,25 +104,8 @@ class _Relators:
     def __len__(self) -> int:
         return len(self.rels)
 
-    def _canon(self, c: Code) -> Code:
-        """Flip-canonical form of the normal form ``c``.
-
-        Alternates the flip and re-normalization until the flip changes
-        nothing.  This ends: if two successive normal forms both came from
-        the inverted side, the flipped word and its flipped inverse would
-        each have a lesser least rotation than the other.
-        """
-        sq = self.squares
-        while True:
-            flipped = tuple(x & ~1 if x >> 1 in sq else x for x in c)
-            if flipped == c:
-                return c
-            c = code_nf(flipped)
-
     def add(self, c: Code) -> None:
         """Insert the normal form ``c`` unless it is empty or present."""
-        if self.squares:
-            c = self._canon(c)
         if not c or c in self.rels:
             return
         self.rels.add(c)
@@ -147,20 +125,6 @@ class _Relators:
             self.containing[x >> 1].discard(c)
         if self.singles.pop(c, None):
             del self.usable[bisect_left(self.usable, _order(c))]
-
-    def add_all(self, nfs) -> None:
-        """Insert normal forms, first taking up the squares among them."""
-        nfs = list(nfs)
-        if self.flips:
-            new = {c[0] >> 1 for c in nfs if len(c) == 2 and c[0] == c[1]} - self.squares
-            self.squares |= new
-            for s in new:
-                for c in list(self.containing[s]):
-                    if self._canon(c) != c:
-                        self.remove(c)
-                        self.add(c)
-        for c in nfs:
-            self.add(c)
 
     def _rewrite(self, g: int, r: Code, replacement: Code) -> Optional[List[Code]]:
         """Normal forms of the relators containing ``g`` other than ``r``
@@ -197,8 +161,8 @@ class _Relators:
         """Drop the relators containing ``g`` and insert ``rewritten``."""
         for w in list(self.containing[g]):
             self.remove(w)
-        self.squares.discard(g)
-        self.add_all(rewritten)
+        for c in rewritten:
+            self.add(c)
 
 
 def _expand(eliminated: List[Tuple[int, Code]]) -> Dict[int, Code]:
@@ -228,10 +192,7 @@ def simplify(pres: Presentation, cfg: Optional[SimplifyConfig] = None) -> Tuple[
     elimination leaves untouched may be longer.  Stops when no step applies,
     which takes at most one step per generator; ``trace.bounded`` is set
     when a single-occurrence elimination was left undone because of
-    ``max_relator_length``.  With
-    ``involution_flips`` enabled, normalization additionally rewrites
-    ``g^-1`` to ``g`` for generators whose square is a relator, merging
-    sign-variant relator classes.
+    ``max_relator_length``.  Normalization keeps the sign of every letter.
 
     Only the relators containing the eliminated generator are rewritten
     and re-normalized at each step (see the module docstring).
@@ -239,8 +200,9 @@ def simplify(pres: Presentation, cfg: Optional[SimplifyConfig] = None) -> Tuple[
     cfg = cfg or SimplifyConfig()
     names = pres.gens
     trace = SimplifyTrace()
-    rels = _Relators(cfg.involution_flips, cfg.max_relator_length)
-    rels.add_all(code_nf(encode(r)) for r in pres.relators)
+    rels = _Relators(cfg.max_relator_length)
+    for r in pres.relators:
+        rels.add(code_nf(encode(r)))
     if len(rels) != len(pres.relators):
         trace.steps.append(("dedupe", len(pres.relators) - len(rels)))
     trace.steps.append(("reduce",))

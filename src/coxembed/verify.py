@@ -12,12 +12,12 @@ import heapq
 from collections import defaultdict
 from dataclasses import dataclass
 from math import gcd
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple, Union
 
 from .presentations import INF, CoxeterMatrix, EmbeddingInstance, Presentation
 from .schreier import evaluated_kernel_presentation, image_rank, raw_kernel_presentation
 from .tietze import SimplifyConfig, simplify
-from .words import Word, expand_kernel_word, free_reduce, invert, relabel, relator_nf
+from .words import Word, encode, expand_kernel_word, free_reduce, invert, relabel, relator_nf
 
 DEFAULT_MAX_COSETS = 50_000
 
@@ -238,15 +238,15 @@ def _assert_closed(tab: CosetTable, pres: Presentation, subgroup_words: Sequence
             raise AssertionError("subgroup word does not fix coset 0")
 
 
-def group_order(pres: Presentation, max_cosets: int = DEFAULT_MAX_COSETS) -> Optional[int]:
-    """Order of the presented group, or None when it is unknown: the group
-    is certified infinite (:func:`certified_infinite`, no enumeration
-    runs) or the enumeration exceeds ``max_cosets``.  A budget below 1 is
-    a ``ValueError``."""
+def group_order(pres: Presentation, max_cosets: int = DEFAULT_MAX_COSETS) -> Union[int, float, None]:
+    """Order of the presented group: ``INF`` when the group is certified
+    infinite (:func:`certified_infinite`, no enumeration runs), None when
+    the enumeration exceeds ``max_cosets``.  A budget below 1 is a
+    ``ValueError``."""
     if max_cosets < 1:
         raise ValueError("max_cosets must be positive")
     if certified_infinite(pres):
-        return None
+        return INF
     tab = todd_coxeter(pres, (), max_cosets)
     return tab.num_cosets if tab.complete else None
 
@@ -701,6 +701,26 @@ def _finite_section(inst: EmbeddingInstance, max_cosets: int) -> Optional[dict]:
     }
 
 
+def _flip_involutions(pres: Presentation) -> Presentation:
+    """``pres`` with ``g^-1`` rewritten to ``g`` for every generator ``g``
+    with the relator ``g^2``, which presents the same group.
+
+    Each relator alternates the flip and :func:`relator_nf` until the flip
+    changes nothing.  This ends: if two successive normal forms both came
+    from the inverted side, the flipped word and its flipped inverse would
+    each have a lesser least rotation than the other.  Duplicates are
+    merged, and relators sorted by length, then letter codes, as
+    :func:`simplify` sorts them."""
+    squares = {abs(r[0]) for r in pres.relators if len(r) == 2 and r[0] == r[1]}
+    relators = set()
+    for r in pres.relators:
+        r = relator_nf(r)
+        while (flipped := tuple(abs(l) if abs(l) in squares else l for l in r)) != r:
+            r = relator_nf(flipped)
+        relators.add(r)
+    return Presentation(pres.gens, tuple(sorted(relators, key=lambda w: (len(w), encode(w)))))
+
+
 def verify_instance(inst: EmbeddingInstance, budgets: Optional[Budgets] = None) -> VerifyReport:
     """Run the full check battery for one embedding instance.
 
@@ -718,14 +738,15 @@ def verify_instance(inst: EmbeddingInstance, budgets: Optional[Budgets] = None) 
     ev_gens = evaluated.presentation.rank
     ev_match = evaluated_matches_expected(evaluated.presentation, inst.expected_kernel)
 
-    # flips merge the sign-variant relator classes of involutions on both
-    # sides, so one comparison decides the match; no match after a simplify
-    # that stopped at the length bound decides nothing (None)
-    cfg = SimplifyConfig(b.max_relator_length, involution_flips=True)
+    # flipping involution signs after simplify merges their sign-variant
+    # relator classes, so one comparison decides the match; no match after
+    # a simplify that stopped at the length bound decides nothing (None)
+    cfg = SimplifyConfig(b.max_relator_length)
     simplified, raw_trace = simplify(raw.presentation, cfg)
     expected, expected_trace = simplify(inst.expected_kernel, cfg)
     raw_gens = simplified.rank
-    raw_matched: Optional[bool] = match_presentations(simplified, expected) is not None
+    matching = match_presentations(_flip_involutions(simplified), _flip_involutions(expected))
+    raw_matched: Optional[bool] = matching is not None
     if not raw_matched and (raw_trace.bounded or expected_trace.bounded):
         raw_matched = None
 

@@ -151,11 +151,18 @@ def reference_simplify(pres, max_len=1000, flips=False):
     Follows the rules ``coxembed.tietze.simplify`` documents (shortest
     relator with a single-occurrence generator first, least growth
     estimate, length bound on the cyclically reduced rewrites of the
-    relators containing the eliminated generator, square
-    relators flipping ``g^-1`` to ``g``) and returns
+    relators containing the eliminated generator) and returns
     ``(str(presentation), steps, defining, bounded)``; ``bounded`` is set
     when it stops with a single-occurrence generator left, which only the
     length bound can cause.
+
+    With ``flips``, every normalization also rewrites ``g^-1`` to ``g``
+    for the generators with a square relator, so eliminations see flipped
+    relators.  ``simplify`` has no such mode; on the kernels of the built
+    families, this presentation is the reference for
+    ``coxembed.verify._flip_involutions`` applied after ``simplify``.  On
+    arbitrary presentations the two can differ, since flipping during
+    elimination changes deduplication and choices.
     """
 
     def normalize(p):

@@ -61,6 +61,14 @@ def test_order_infinite(capsys):
     assert out == '{\n  "order": null,\n  "infinite": true\n}\n'
 
 
+def test_order_of_the_trivial_presentation(capsys):
+    # the text that simplify prints for a trivial group parses back
+    code, out, _ = run_cli(capsys, "simplify", "< a | a >")
+    assert (code, out) == (0, "<  | >\n")
+    code, out, _ = run_cli(capsys, "order", "<  | >")
+    assert (code, out) == (0, "1\n")
+
+
 def test_order_rejects_nonpositive_budget(capsys):
     # the budget is checked before the infiniteness certificate
     for pres in ("< a | a^2 >", "< a | >"):

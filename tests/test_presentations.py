@@ -47,6 +47,18 @@ def test_parse_free_rank_one():
     assert p.relators == ()
 
 
+def test_parse_empty_generator_list():
+    # the serializer writes the trivial presentation as "<  | >"
+    trivial = Presentation((), ())
+    assert str(trivial) == "<  | >"
+    assert parse_presentation(str(trivial)) == trivial
+    assert parse_presentation("<|>") == parse_presentation("<\n |\t>") == trivial
+    for text in ("< >", "< , a | >"):
+        with pytest.raises(ParseError, match="expected 'name', found") as err:
+            parse_presentation(text)
+        assert (err.value.line, err.value.col) == (1, 3)
+
+
 def test_parse_errors_have_positions():
     with pytest.raises(ParseError) as err:
         parse_presentation("< a, b | a c >")

@@ -19,9 +19,10 @@ from coxembed.presentations import (
 )
 from coxembed.schreier import raw_kernel_presentation
 from coxembed.tietze import SimplifyConfig, simplify
-from coxembed.verify import abelianization, group_order, match_presentations
+from coxembed.verify import _flip_involutions, abelianization, group_order, match_presentations
 from coxembed.words import commutator, power, relator_nf
 from oracles import reference_simplify
+from test_presentations import _instance_sweep
 
 
 def test_simplify_merges_relator_variants():
@@ -66,13 +67,12 @@ def test_simplify_eliminates_through_short_relators():
 def test_eliminate_prop2_order_one_pairs():
     # with (s_i t_i)^1 relators the t_i are redundant; solving for them
     # substitutes s_i^-1, so recovering the Coxeter presentation verbatim
-    # needs the involution sign rewrite on top of the eliminations
+    # needs the involution sign flip after the eliminations
     inst = build_prop2_instance(CoxeterMatrix.from_pairs(2, {(0, 1): 3}), (2, 2))
     kernel = inst.expected_kernel
     target = coxeter_presentation(CoxeterMatrix.from_pairs(2, {(0, 1): 3}))
-    simplified, _ = simplify(kernel, SimplifyConfig(involution_flips=True))
-    assert match_presentations(simplified, target) is not None
     plain, _ = simplify(kernel)
+    assert match_presentations(_flip_involutions(plain), target) is not None
     assert plain.rank == 2
     assert group_order(plain) == 6 == group_order(target)
 
@@ -183,13 +183,13 @@ def test_simplify_preserves_abelianization(p):
     assert abelianization(simplified) == abelianization(p)
 
 
-def test_simplify_flips_relators_for_a_square_made_by_elimination():
+def test_flip_involutions_after_a_square_made_by_elimination():
     # eliminating a makes c^2 a relator; the untouched b c b c^-1 must
     # then flip to b c b c, as re-normalizing everything would
     p = parse_presentation("< a, b, c | a c, a c^-1, b c b c^-1 >")
-    out, trace = simplify(p, SimplifyConfig(involution_flips=True))
+    out = _flip_involutions(simplify(p)[0])
     assert str(out) == "< b, c | c^2, b c b c >"
-    assert (str(out), trace.steps, trace.defining, trace.bounded) == reference_simplify(p, flips=True)
+    assert str(out) == reference_simplify(p, flips=True)[0]
 
 
 @st.composite
@@ -199,13 +199,22 @@ def presentations_with_squares(draw):
     return Presentation(p.gens, p.relators + tuple((g, g) for g in squares))
 
 
-@given(presentations_with_squares(), st.sampled_from([3, 5, 1000]), st.booleans())
+@given(presentations_with_squares(), st.sampled_from([3, 5, 1000]))
 @settings(max_examples=300, deadline=None)
-def test_simplify_matches_whole_presentation_reference(p, max_len, flips):
-    cfg = SimplifyConfig(max_relator_length=max_len, involution_flips=flips)
-    out, trace = simplify(p, cfg)
+def test_simplify_matches_whole_presentation_reference(p, max_len):
+    out, trace = simplify(p, SimplifyConfig(max_relator_length=max_len))
     got = (str(out), trace.steps, trace.defining, trace.bounded)
-    assert got == reference_simplify(p, max_len, flips)
+    assert got == reference_simplify(p, max_len)
+
+
+def test_flip_involutions_after_simplify_matches_reference_on_family_kernels():
+    # verify compares simplified kernels with involution signs flipped; on
+    # the kernels of the built families that equals the reference that
+    # flips after every elimination (on arbitrary presentations it need not)
+    for inst in _instance_sweep():
+        raw = raw_kernel_presentation(inst.ambient, inst.hom, inst.transversal_gens).presentation
+        for p in (raw, inst.expected_kernel):
+            assert str(_flip_involutions(simplify(p)[0])) == reference_simplify(p, flips=True)[0], inst.params
 
 
 # Simplify output pinned by digests taken from the whole-presentation
@@ -298,6 +307,6 @@ def test_simplify_output_pinned(case):
     for cfg in DIGEST_CONFIGS:
         out, trace = simplify(raw, cfg)
         records.append(repr((str(out), trace.steps, trace.defining, trace.bounded)))
-    records.append(str(simplify(raw, SimplifyConfig(involution_flips=True))[0]))
+    records.append(str(_flip_involutions(simplify(raw)[0])))
     got = tuple(hashlib.sha256(record.encode()).hexdigest() for record in records)
     assert got == SIMPLIFY_DIGESTS[case]
