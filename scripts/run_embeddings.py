@@ -21,7 +21,7 @@ from coxembed.presentations import (
     serialize_presentation,
     serialize_word,
 )
-from coxembed.schreier import evaluated_kernel_presentation
+from coxembed.schreier import evaluated_kernel_presentation, raw_kernel_presentation
 from coxembed.verify import Budgets, certified_infinite, verify_instance
 
 
@@ -29,12 +29,13 @@ def show(title, inst, budgets):
     print("=" * 72)
     print(title)
     print("ambient :", serialize_presentation(inst.ambient))
-    kp = evaluated_kernel_presentation(inst)
+    raw = raw_kernel_presentation(inst.ambient, inst.hom, inst.transversal_gens)
+    kp = evaluated_kernel_presentation(inst, raw)
     print("kernel  :", serialize_presentation(kp.presentation))
     for gen in kp.table:
         print(f"   {gen.name} = {serialize_word(gen.defining, inst.ambient.gens)}")
     print("expected:", serialize_presentation(inst.expected_kernel))
-    report = verify_instance(inst, budgets)
+    report = verify_instance(inst, budgets, raw)
     d = report.to_dict()
     finite = d["finite"]
     if finite == "skipped":

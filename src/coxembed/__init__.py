@@ -53,6 +53,8 @@ from .verify import (
     abelianization,
     certified_infinite,
     coxeter_matrix_of,
+    coxeter_order,
+    coxeter_word_trivial,
     group_order,
     match_presentations,
     regular_rep,

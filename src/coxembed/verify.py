@@ -1,9 +1,10 @@
 """Independent verification tools.
 
 Todd-Coxeter coset enumeration (orders, indices, permutation
-representations), certificates that a group is infinite, abelianization
-via integer Smith normal form, presentation matching up to generator bijection with inversions, and
-per-instance verdict reports.
+representations), closed-form Coxeter group orders and an exact Coxeter
+word problem from the Tits cone, certificates that a group is infinite,
+abelianization via integer Smith normal form, presentation matching up
+to generator bijection with inversions, and per-instance verdict reports.
 """
 
 from __future__ import annotations
@@ -11,11 +12,12 @@ from __future__ import annotations
 import heapq
 from collections import defaultdict
 from dataclasses import dataclass
-from math import gcd
+from functools import partial
+from math import factorial, gcd, lcm
 from typing import Dict, List, Optional, Sequence, Tuple, Union
 
 from .presentations import INF, CoxeterMatrix, EmbeddingInstance, Presentation
-from .schreier import evaluated_kernel_presentation, image_rank, raw_kernel_presentation
+from .schreier import KernelPresentation, evaluated_kernel_presentation, image_rank, raw_kernel_presentation
 from .tietze import SimplifyConfig, simplify
 from .words import Word, encode, expand_kernel_word, free_reduce, invert, relabel, relator_nf
 
@@ -282,21 +284,23 @@ def coxeter_matrix_of(pres: Presentation) -> Optional[CoxeterMatrix]:
     return CoxeterMatrix.from_pairs(pres.rank, labels, default=INF)
 
 
-def _spherical(matrix: CoxeterMatrix) -> bool:
-    """True iff the Coxeter group of ``matrix`` is finite.
+def coxeter_order(matrix: CoxeterMatrix) -> Optional[int]:
+    """Order of the Coxeter group of ``matrix``, or None if it is infinite.
 
     Exact classification of the connected components of the Coxeter
     graph (edges are the labels >= 3): each must be a tree with finite
     labels of type A_n, B_n, D_n, E_6-8, F_4, H_3, H_4 or I_2(m)
     (Coxeter 1935; Humphreys, *Reflection Groups and Coxeter Groups*,
-    1990, Thm 6.4).  Integers only.
+    1990, Thm 6.4), and the order is the product of the component orders
+    (Humphreys, Sec. 2.11).  Integers only.
     """
     adj: Dict[int, Dict[int, int]] = {v: {} for v in range(matrix.n)}
     for i, j, m in matrix.pairs():
         if m == INF:
-            return False
+            return None
         if m > 2:
             adj[i][j] = adj[j][i] = m
+    order = 1
     seen = set()
     for root in range(matrix.n):
         if root in seen:
@@ -309,36 +313,48 @@ def _spherical(matrix: CoxeterMatrix) -> bool:
                     seen.add(u)
                     comp.append(u)
         if sum(len(adj[v]) for v in comp) != 2 * (len(comp) - 1):
-            return False  # a cycle
-        if not _spherical_tree(comp, adj):
-            return False
-    return True
+            return None  # a cycle
+        part = _tree_order(comp, adj)
+        if part is None:
+            return None
+        order *= part
+    return order
 
 
-def _spherical_tree(comp: List[int], adj: Dict[int, Dict[int, int]]) -> bool:
-    """``_spherical`` for one connected tree of the Coxeter graph."""
+# E_6, E_7 and E_8 by the vertex counts of their three legs
+_E_ORDERS = {(1, 2, 2): 51_840, (1, 2, 3): 2_903_040, (1, 2, 4): 696_729_600}
+
+
+def _tree_order(comp: List[int], adj: Dict[int, Dict[int, int]]) -> Optional[int]:
+    """``coxeter_order`` of one connected tree of the Coxeter graph."""
     k = len(comp)
-    if k <= 2:
-        return True  # A_1 or I_2(m)
+    if k == 1:
+        return 2  # A_1
+    if k == 2:
+        return 2 * next(iter(adj[comp[0]].values()))  # I_2(m)
     heavy = [(v, u, m) for v in comp for u, m in adj[v].items() if v < u and m > 3]
     branches = [v for v in comp if len(adj[v]) > 2]
     if len(heavy) + len(branches) > 1:
-        return False
+        return None
     if heavy:  # a path
         v, u, m = heavy[0]
         at_end = len(adj[v]) == 1 or len(adj[u]) == 1
-        if m == 4:
-            return at_end or k == 4  # B_k, or F_4 with the 4 in the middle
-        return m == 5 and at_end and k <= 4  # H_3, H_4
+        if m == 4 and at_end:
+            return 2**k * factorial(k)  # B_k
+        if m == 4 and k == 4:
+            return 1152  # F_4, with the 4 in the middle
+        if m == 5 and at_end and k <= 4:
+            return 120 if k == 3 else 14_400  # H_3, H_4
+        return None
     if not branches:
-        return True  # A_k
+        return factorial(k + 1)  # A_k
     centre = branches[0]
     if len(adj[centre]) > 3:
-        return False
-    # T_{p,q,r} with legs of p, q, r vertices is spherical iff
-    # 1/(p+1) + 1/(q+1) + 1/(r+1) > 1: D_k and E_6-8
-    a, b, c = (_leg_length(centre, u, adj) + 1 for u in adj[centre])
-    return a * b + b * c + c * a > a * b * c
+        return None
+    legs = tuple(sorted(_leg_length(centre, u, adj) for u in adj[centre]))
+    if legs[:2] == (1, 1):
+        return 2 ** (k - 1) * factorial(k)  # D_k
+    return _E_ORDERS.get(legs)
 
 
 def _leg_length(centre: int, u: int, adj: Dict[int, Dict[int, int]]) -> int:
@@ -359,8 +375,57 @@ def certified_infinite(pres: Presentation) -> bool:
     "finite"."""
     matrix = coxeter_matrix_of(pres)
     if matrix is not None:
-        return not _spherical(matrix)
+        return coxeter_order(matrix) is None
     return abelianization(pres).free_rank > 0
+
+
+def coxeter_word_trivial(matrix: CoxeterMatrix, word: Word) -> bool:
+    """True iff ``word`` is the identity in the Coxeter group of ``matrix``.
+
+    The group acts on the dual of its geometric representation simply
+    transitively on the chambers of its Tits cone (Humphreys, *Reflection
+    Groups and Coxeter Groups*, 1990, Sec. 5.13), so a word is trivial
+    exactly when it fixes ``f = (1, ..., 1)``, a point of the open
+    fundamental chamber.  Letter ``s`` (or its inverse, the same
+    reflection) sets ``f_s <- -f_s`` and ``f_t <- f_t + c_st f_s`` with
+    ``c_st = 2 cos(pi / m_st)``, or 2 for ``m_st = inf``.
+
+    Integers only: with ``N`` the lcm of ``2 m`` over the finite labels
+    ``m >= 3``, each coordinate is a polynomial in ``Z[x] / (x^N - 1)``,
+    and ``c_st = x^(N / 2m) + x^(-N / 2m)`` at ``x = exp(2 pi i / N)``, two
+    cyclic shifts.  A coordinate equals 1 there exactly when ``f_t - 1`` is
+    a multiple of the cyclotomic polynomial ``Phi_N``, that is, when its
+    product with ``x^(N / p) - 1`` for every prime ``p | N`` vanishes
+    modulo ``x^N - 1``: that product vanishes at every other ``N``-th root
+    of unity, and at none of the primitive ones.
+    """
+    n = matrix.n
+    N = lcm(*(2 * m for _, _, m in matrix.pairs() if m != INF and m > 2))
+    nbrs: List[List[Tuple[int, Optional[int]]]] = [[] for _ in range(n)]
+    for i, j, m in matrix.pairs():
+        if m == INF or m > 2:
+            shift = None if m == INF else N // (2 * m)
+            nbrs[i].append((j, shift))
+            nbrs[j].append((i, shift))
+    f = [[1] + [0] * (N - 1) for _ in range(n)]
+    for l in word:
+        if l == 0 or abs(l) > n:
+            raise ValueError(f"letter {l} outside alphabet of rank {n}")
+        s = abs(l) - 1
+        fs = f[s]
+        for t, a in nbrs[s]:
+            if a is None:
+                f[t] = [x + 2 * y for x, y in zip(f[t], fs)]
+            else:
+                f[t] = [x + y + z for x, y, z in zip(f[t], fs[-a:] + fs[:-a], fs[a:] + fs[:a])]
+        f[s] = [-x for x in fs]
+    primes = [p for p in range(2, N + 1) if N % p == 0 and all(p % q for q in range(2, p))]
+    for v in f:
+        v[0] -= 1
+        for p in primes:
+            a = N // p
+            v[:] = [x - y for x, y in zip(v[-a:] + v[:-a], v)]
+    return not any(map(any, f))
 
 
 def regular_rep(tab: CosetTable) -> Tuple[Tuple[int, ...], ...]:
@@ -615,10 +680,14 @@ class Budgets:
 @dataclass
 class VerifyReport:
     """Aggregated per-instance checks; verdict passes iff every enabled
-    check passes.  Finite checks that exhaust ``max_cosets`` or are not
-    run because the ambient or the expected kernel is certified infinite,
-    and a raw comparison that finds no match after a simplify stopped at
-    ``max_relator_length``, are reported as skipped, never as failures."""
+    check passes.  ``finite`` holds the ambient order, taken from the
+    Coxeter graph when the ambient is a Coxeter group and from an
+    enumeration otherwise, the enumerated kernel order and index, and
+    whether the expanded relators hold in the ambient.  Finite checks
+    that exhaust ``max_cosets`` or are not run because the ambient or the
+    expected kernel is certified infinite, and a raw comparison that finds
+    no match after a simplify stopped at ``max_relator_length``, are
+    reported as skipped, never as failures."""
 
     family: str
     params: dict
@@ -665,31 +734,37 @@ def evaluated_matches_expected(kernel: Presentation, expected: Presentation) -> 
 
 
 def _finite_section(inst: EmbeddingInstance, max_cosets: int) -> Optional[dict]:
-    """Orders, index and relator checks in the regular representation, or
-    None when an enumeration cannot complete.
+    """Orders, index and relator checks, or None when a group is
+    certified infinite or an enumeration cannot complete.
 
-    The section needs complete enumerations of both the ambient and the
-    expected kernel, and no enumeration of an infinite group completes,
-    so a certificate for either side skips all three enumerations.
-
-    The cosets of the trivial subgroup carry the regular action, which is
-    free: a group element that fixes one coset is the identity.  So an
-    expanded relator holds in the ambient exactly when it carries coset 0
-    to itself, and each is traced from coset 0 alone."""
-    if certified_infinite(inst.ambient) or certified_infinite(inst.expected_kernel):
-        return None
-    ambient_table = todd_coxeter(inst.ambient, (), max_cosets)
-    if not ambient_table.complete:
-        return None
+    A Coxeter ambient (:func:`coxeter_matrix_of`) is never enumerated:
+    its order comes from its Coxeter graph (:func:`coxeter_order`) and
+    each expanded relator is checked by its action on the fundamental
+    chamber (:func:`coxeter_word_trivial`).  Any other ambient is
+    enumerated, and since the regular action is free, an expanded relator
+    holds exactly when it carries coset 0 to itself.  The expected kernel
+    and the index of its image are always enumerated; no enumeration of an
+    infinite group completes, so a certificate for either side skips
+    them."""
+    matrix = coxeter_matrix_of(inst.ambient)
+    if matrix is not None:
+        ambient_order = coxeter_order(matrix)
+        if ambient_order is None or certified_infinite(inst.expected_kernel):
+            return None
+        holds = partial(coxeter_word_trivial, matrix)
+    else:
+        if certified_infinite(inst.ambient) or certified_infinite(inst.expected_kernel):
+            return None
+        ambient_table = todd_coxeter(inst.ambient, (), max_cosets)
+        if not ambient_table.complete:
+            return None
+        ambient_order = ambient_table.num_cosets
+        holds = lambda w: _trace(ambient_table, w) == 0  # noqa: E731
     kernel_order = todd_coxeter(inst.expected_kernel, (), max_cosets).num_cosets
     index_table = todd_coxeter(inst.ambient, inst.expected_words, max_cosets)
     if kernel_order is None or not index_table.complete:
         return None
-    relators_hold = all(
-        _trace(ambient_table, expand_kernel_word(r, inst.expected_words)) == 0
-        for r in inst.expected_kernel.relators
-    )
-    ambient_order = ambient_table.num_cosets
+    relators_hold = all(holds(expand_kernel_word(r, inst.expected_words)) for r in inst.expected_kernel.relators)
     index = index_table.num_cosets
     n = inst.hom.n
     return {
@@ -721,19 +796,23 @@ def _flip_involutions(pres: Presentation) -> Presentation:
     return Presentation(pres.gens, tuple(sorted(relators, key=lambda w: (len(w), encode(w)))))
 
 
-def verify_instance(inst: EmbeddingInstance, budgets: Optional[Budgets] = None) -> VerifyReport:
+def verify_instance(
+    inst: EmbeddingInstance, budgets: Optional[Budgets] = None, raw: Optional[KernelPresentation] = None
+) -> VerifyReport:
     """Run the full check battery for one embedding instance.
 
     The instance's constructor already rejects a hom that does not kill
     every ambient relator, so ``hom_valid`` is reported as true.  The
     finite section runs no coset enumeration when the ambient or the
     expected kernel is :func:`certified_infinite`; it reads skipped, as
-    it would once the budget ran out."""
+    it would once the budget ran out.  ``raw`` is the instance's raw
+    kernel when the caller already has it."""
     b = budgets or Budgets()
     n = inst.hom.n
     rank = image_rank(inst.hom)
 
-    raw = raw_kernel_presentation(inst.ambient, inst.hom, inst.transversal_gens)
+    if raw is None:
+        raw = raw_kernel_presentation(inst.ambient, inst.hom, inst.transversal_gens)
     evaluated = evaluated_kernel_presentation(inst, raw)
     ev_gens = evaluated.presentation.rank
     ev_match = evaluated_matches_expected(evaluated.presentation, inst.expected_kernel)

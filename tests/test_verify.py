@@ -3,6 +3,7 @@ import hashlib
 import itertools
 import json
 import random
+import runpy
 import subprocess
 import sys
 from pathlib import Path
@@ -25,13 +26,15 @@ from coxembed.presentations import (
     parse_matrix_text,
     parse_presentation,
 )
-from coxembed.schreier import evaluated_kernel_presentation
+from coxembed.schreier import evaluated_kernel_presentation, raw_kernel_presentation
 from coxembed.verify import (
     AbelianInvariants,
     Budgets,
     abelianization,
     certified_infinite,
     coxeter_matrix_of,
+    coxeter_order,
+    coxeter_word_trivial,
     expand_kernel_word,
     group_order,
     match_presentations,
@@ -350,6 +353,254 @@ def test_relators_hold_at_coset_0_equals_all_points_oracle():
         )
         assert not word_holds(rep, expand_kernel_word(r + (1,), words))
         assert verify._finite_section(perturbed, 50_000)["relators_hold"] is False
+
+
+def _coxeter_matrices(max_rank, labels=(2, 3, 4, 5, 6, INF)):
+    """Every Coxeter matrix of rank 1..max_rank with the given labels."""
+    for n in range(1, max_rank + 1):
+        pairs = list(itertools.combinations(range(n), 2))
+        for row in itertools.product(labels, repeat=len(pairs)):
+            yield CoxeterMatrix.from_pairs(n, dict(zip(pairs, row)))
+
+
+def test_coxeter_order_against_enumeration_and_permutation_closure():
+    # the closed form is None exactly where the bilinear form is not
+    # definite, and otherwise equals the enumerated order and the order of
+    # the permutation group generated by the coset table's columns
+    finite = []
+    for matrix in _coxeter_matrices(3):
+        pres = coxeter_presentation(matrix)
+        order = coxeter_order(matrix)
+        assert (order is None) is certified_infinite(pres)
+        assert (order is None) is not coxeter_form_positive_definite(matrix.entries)
+        if order is not None:
+            tab = todd_coxeter(pres)
+            assert tab.num_cosets == order == perm_closure(list(regular_rep(tab))), matrix
+            finite.append(order)
+    assert len(finite) == 34 and max(finite) == 120  # H_3
+
+
+def _path(*labels):
+    return CoxeterMatrix.from_pairs(len(labels) + 1, {(i, i + 1): m for i, m in enumerate(labels)})
+
+
+def _branched(path_length, leaf_at):
+    """A path of ``path_length`` vertices with label 3, plus one leaf
+    joined to vertex ``leaf_at``."""
+    edges = {(i, i + 1): 3 for i in range(path_length - 1)}
+    edges[(leaf_at, path_length)] = 3
+    return CoxeterMatrix.from_pairs(path_length + 1, edges)
+
+
+def test_coxeter_order_spot_values():
+    assert coxeter_order(_branched(5, 2)) == 51_840  # E_6
+    assert coxeter_order(_branched(6, 2)) == 2_903_040  # E_7
+    assert coxeter_order(_branched(7, 2)) == 696_729_600  # E_8
+    assert coxeter_order(_path(3, 4, 3)) == 1152  # F_4
+    assert coxeter_order(_path(5, 3)) == 120  # H_3
+    assert coxeter_order(_path(5, 3, 3)) == 14_400  # H_4
+    assert coxeter_order(_branched(3, 1)) == 192  # D_4
+    assert coxeter_order(_branched(4, 2)) == 1920  # D_5
+    assert coxeter_order(_path(3, 4)) == coxeter_order(_path(4, 3)) == 48  # B_3
+    assert coxeter_order(_path(3, 3, 4)) == 384  # B_4
+    assert coxeter_order(_path(3, 3, 3)) == 120  # A_4
+    assert coxeter_order(_path(7)) == 14  # I_2(7)
+    # products of components: A_1 x A_1, I_2(5) x A_1, A_2 x A_2
+    assert coxeter_order(_path(2)) == 4
+    assert coxeter_order(CoxeterMatrix.from_pairs(3, {(0, 1): 5})) == 20
+    assert coxeter_order(CoxeterMatrix.from_pairs(4, {(0, 1): 3, (2, 3): 3})) == 36
+    for matrix in (_path(3, 4, 3), _branched(3, 1), _branched(4, 2), _path(3, 3, 4), _path(3, 3, 3)):
+        assert todd_coxeter(coxeter_presentation(matrix)).num_cosets == coxeter_order(matrix)
+    # affine and hyperbolic: a cycle, a 6 or a 5 off the end, a heavy edge
+    # inside a long path, two heavy edges, T_{2,2,2}, and inf
+    for matrix in (
+        CoxeterMatrix.from_pairs(3, {(0, 1): 3, (1, 2): 3, (0, 2): 3}),
+        _path(3, 6),
+        _path(3, 5, 3),
+        _path(3, 3, 4, 3),
+        _path(4, 4),
+        CoxeterMatrix.from_pairs(7, {(0, 1): 3, (1, 2): 3, (2, 3): 3, (3, 4): 3, (2, 5): 3, (5, 6): 3}),
+        _path(INF),
+    ):
+        assert coxeter_order(matrix) is None, matrix
+        assert not coxeter_form_positive_definite(matrix.entries)
+
+
+def _thm1_prop2_instances(max_rank, labels=(2, 3, 4, 5, 6, INF), orders=(2, 4, 6, INF)):
+    """The thm1 (even labels) and prop2 instances of rank 1..max_rank."""
+    for matrix in _coxeter_matrices(max_rank, labels):
+        for p in itertools.product(orders, repeat=matrix.n):
+            if matrix.is_even:
+                yield build_thm1_instance(matrix, p)
+            yield build_prop2_instance(matrix, p)
+
+
+def _relator_words(inst):
+    """Each expanded expected relator, and the same relator times one
+    kernel generator, which the ambient does not satisfy."""
+    words = inst.expected_words
+    for k, r in enumerate(inst.expected_kernel.relators):
+        yield expand_kernel_word(r, words), expand_kernel_word(r + (k % len(words) + 1,), words)
+
+
+def test_chamber_check_agrees_with_coset_tracing_on_finite_ambients():
+    # every finite thm1 and prop2 ambient of rank <= 3 with labels 2-6
+    # and orders 2, 4, 6 (an inf label or order makes the ambient infinite)
+    ambients = 0
+    for inst in _thm1_prop2_instances(3, labels=(2, 3, 4, 5, 6), orders=(2, 4, 6)):
+        matrix = coxeter_matrix_of(inst.ambient)
+        if coxeter_order(matrix) is None:
+            continue
+        tab = todd_coxeter(inst.ambient)
+        assert tab.num_cosets == coxeter_order(matrix)
+        for holds, perturbed in _relator_words(inst):
+            assert coxeter_word_trivial(matrix, holds) and verify._trace(tab, holds) == 0
+            assert not coxeter_word_trivial(matrix, perturbed) and verify._trace(tab, perturbed) != 0
+        ambients += 1
+    assert ambients == 179
+
+
+def _finite_quotients(matrix):
+    """Tables of the finite groups got from ``matrix`` by giving every
+    ``inf`` label one finite value; each is a quotient of its group."""
+    for q in (2, 3, 4, 5, 6):
+        quotient = CoxeterMatrix.from_rows([[q if m == INF else m for m in row] for row in matrix.entries])
+        if (coxeter_order(quotient) or INF) <= 2000:
+            yield todd_coxeter(coxeter_presentation(quotient))
+
+
+def test_chamber_check_against_finite_quotients_of_infinite_ambients():
+    # a word that is nontrivial in a quotient is nontrivial in the group:
+    # the chamber check must reject it; the expanded relators hold in
+    # every infinite rank <= 2 ambient, and a relator times a kernel
+    # generator holds in none
+    confirmed = 0
+    for inst in _thm1_prop2_instances(2):
+        matrix = coxeter_matrix_of(inst.ambient)
+        if coxeter_order(matrix) is not None:
+            continue
+        quotients = list(_finite_quotients(matrix))
+        for holds, perturbed in _relator_words(inst):
+            assert coxeter_word_trivial(matrix, holds)
+            assert not coxeter_word_trivial(matrix, perturbed)
+            for tab in quotients:
+                assert verify._trace(tab, holds) == 0
+                confirmed += verify._trace(tab, perturbed) != 0
+    assert confirmed == 834
+    # random words on every rank-3 matrix with an inf label: any word that a
+    # finite quotient finds nontrivial is rejected
+    rng = random.Random(13)
+    confirmed = 0
+    for matrix in _coxeter_matrices(3):
+        if matrix.n < 3 or all(m != INF for _, _, m in matrix.pairs()):
+            continue
+        quotients = list(_finite_quotients(matrix))
+        for _ in range(5):
+            w = tuple(rng.choice((1, -1)) * rng.randint(1, 3) for _ in range(2 * rng.randint(1, 12)))
+            if coxeter_word_trivial(matrix, w):
+                assert all(verify._trace(tab, w) == 0 for tab in quotients)
+            else:
+                confirmed += any(verify._trace(tab, w) != 0 for tab in quotients)
+    assert confirmed == 250
+
+
+def test_chamber_check_negative_controls():
+    # a dropped letter or a single letter has odd length, so the sign
+    # character rejects it; an extra s t with m_st >= 3 conjugates s t,
+    # of order m_st, into a trivial word
+    instances = _finite_fixture_instances()
+    for inst in instances:
+        matrix = coxeter_matrix_of(inst.ambient)
+        heavy = [(i + 1, j + 1) for i, j, m in matrix.pairs() if m != 2]
+        for holds, _ in _relator_words(inst):
+            assert coxeter_word_trivial(matrix, holds)
+            for i in range(len(holds)):
+                assert not coxeter_word_trivial(matrix, holds[:i] + holds[i + 1 :])
+                for s, t in heavy:
+                    assert not coxeter_word_trivial(matrix, holds[:i] + (s, t) + holds[i:])
+        for s in range(1, matrix.n + 1):
+            assert not coxeter_word_trivial(matrix, (s,))
+            assert not coxeter_word_trivial(matrix, (-s,))
+            assert coxeter_word_trivial(matrix, (s, -s)) and coxeter_word_trivial(matrix, (s, s))
+        with pytest.raises(ValueError, match="outside alphabet"):
+            coxeter_word_trivial(matrix, (matrix.n + 1,))
+    assert coxeter_word_trivial(_path(INF), ())
+    assert not coxeter_word_trivial(_path(INF), (1, 2) * 50)
+
+
+def test_coxeter_ambients_are_never_enumerated(monkeypatch):
+    # the finite section takes a Coxeter ambient's order from its graph and
+    # checks relators on the chamber: no enumeration of the ambient runs;
+    # a non-Coxeter twin of the thm1 fixture, one (r_i r_j)^2 written as a
+    # commutator, presents the same group and is still enumerated
+    calls = []
+    enumerate_ = verify.todd_coxeter
+
+    def recorded(pres, words=(), *args):
+        calls.append((pres, tuple(words)))
+        return enumerate_(pres, words, *args)
+
+    monkeypatch.setattr(verify, "todd_coxeter", recorded)
+    instances = _finite_fixture_instances()
+    assert len(instances) >= 6
+    for inst in instances:
+        calls.clear()
+        finite = verify_instance(inst).finite
+        assert finite["product_ok"] and finite["relators_hold"]
+        assert (inst.ambient, ()) not in calls and len(calls) == 2
+
+    inst = thm1_fixture()
+    r1r2 = inst.ambient.relators.index((1, 2, 1, 2))
+    relators = list(inst.ambient.relators)
+    relators[r1r2] = (1, 2, -1, -2)
+    twin = dataclasses.replace(inst, ambient=Presentation(inst.ambient.gens, tuple(relators)))
+    assert coxeter_matrix_of(twin.ambient) is None
+    calls.clear()
+    assert verify_instance(twin).finite == verify_instance(inst).finite
+    assert (twin.ambient, ()) in calls
+
+
+def test_max_cosets_bounds_only_the_kernel_and_index_enumerations():
+    # the right-angled rank-3 doubles with p = (6, 6, 6) read skipped at
+    # 2000 cosets while their ambient was enumerated (3863 cosets defined);
+    # the kernel and index enumerations fit, so the section is decided
+    m = CoxeterMatrix.from_pairs(3, {})
+    for build in (build_thm1_instance, build_prop2_instance):
+        report = verify_instance(build(m, (6, 6, 6)), Budgets(max_cosets=2000))
+        assert report.finite == {
+            "ambient_order": 1728,
+            "kernel_order": 216,
+            "index": 8,
+            "product_ok": True,
+            "relators_hold": True,
+        }
+        assert report.verdict == "pass"
+
+
+def test_verify_instance_takes_the_raw_kernel(monkeypatch):
+    # a caller's raw kernel gives the same report and no second rewrite
+    inst = thm1_fixture()
+    raw = raw_kernel_presentation(inst.ambient, inst.hom, inst.transversal_gens)
+    expected = verify_instance(inst).to_dict()
+    calls = []
+    monkeypatch.setattr(verify, "raw_kernel_presentation", lambda *a: calls.append(a))
+    assert verify_instance(inst, None, raw).to_dict() == expected
+    assert calls == []
+
+
+def test_run_embeddings_rewrites_each_kernel_once(monkeypatch, capsys):
+    # 8 constructions, one raw rewrite each; the verify reports reuse them
+    import coxembed.schreier as schreier
+
+    calls = []
+    rewrite = schreier.raw_kernel_presentation
+    counted = lambda *a: calls.append(a) or rewrite(*a)  # noqa: E731
+    monkeypatch.setattr(schreier, "raw_kernel_presentation", counted)
+    monkeypatch.setattr(verify, "raw_kernel_presentation", counted)
+    script = Path(__file__).resolve().parents[1] / "scripts/run_embeddings.py"
+    runpy.run_path(str(script), run_name="__main__")
+    assert len(calls) == 8
+    assert capsys.readouterr().out.count("verdict :") == 8
 
 
 def test_smith_normal_form_examples():
