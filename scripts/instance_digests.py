@@ -2,6 +2,7 @@
 """Print the verify-report digest of every family instance up to a rank.
 
     python3 scripts/instance_digests.py --max-rank 3 > digests.txt
+    python3 scripts/instance_digests.py --max-rank 3 --simplify > simplify.txt
 
 Sweeps ranks 1..R: every Coxeter matrix with labels 2-6 and ``inf``,
 with generator orders from {2, 4, 6, inf} for thm1 (even labels only)
@@ -10,6 +11,12 @@ line per instance: its family, its params as JSON and the sha256 of its
 :func:`verify_instance` report (``to_dict`` as sorted JSON).  Two
 checkouts verify every instance alike exactly when a ``diff`` of their
 outputs is empty.  Rank 3 is about 18,500 instances and a few minutes.
+
+With ``--simplify`` each line instead carries two digests, of the
+:func:`simplify` result on the instance's raw kernel and on its expected
+kernel: the sha256 of ``repr((str(out), trace.steps, trace.defining,
+trace.bounded))`` at ``--max-relator-length``.  A ``diff`` then compares
+whole Tietze traces, not only the verdicts they lead to.
 """
 
 from __future__ import annotations
@@ -32,6 +39,8 @@ from coxembed.presentations import (  # noqa: E402
     build_prop2_instance,
     build_thm1_instance,
 )
+from coxembed.schreier import raw_kernel_presentation  # noqa: E402
+from coxembed.tietze import SimplifyConfig, simplify  # noqa: E402
 from coxembed.verify import DEFAULT_MAX_COSETS, Budgets, verify_instance  # noqa: E402
 
 LABELS = (2, 3, 4, 5, 6, INF)
@@ -60,16 +69,33 @@ def instances(max_rank):
     yield build_klein_instance()
 
 
+def sha256(text: str) -> str:
+    return hashlib.sha256(text.encode()).hexdigest()
+
+
+def simplify_digests(inst, cfg: SimplifyConfig) -> str:
+    raw = raw_kernel_presentation(inst.ambient, inst.hom, inst.transversal_gens).presentation
+    digests = []
+    for pres in (raw, inst.expected_kernel):
+        out, trace = simplify(pres, cfg)
+        digests.append(sha256(repr((str(out), trace.steps, trace.defining, trace.bounded))))
+    return " ".join(digests)
+
+
 def main(argv=None) -> int:
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     ap.add_argument("--max-rank", type=int, default=3)
     ap.add_argument("--max-cosets", type=int, default=DEFAULT_MAX_COSETS)
     ap.add_argument("--max-relator-length", type=int, default=Budgets().max_relator_length)
+    ap.add_argument("--simplify", action="store_true", help="digest the simplify traces, not the report")
     args = ap.parse_args(argv)
     budgets = Budgets(args.max_cosets, args.max_relator_length)
+    cfg = SimplifyConfig(args.max_relator_length)
     for inst in instances(args.max_rank):
-        report = json.dumps(verify_instance(inst, budgets).to_dict(), sort_keys=True)
-        digest = hashlib.sha256(report.encode()).hexdigest()
+        if args.simplify:
+            digest = simplify_digests(inst, cfg)
+        else:
+            digest = sha256(json.dumps(verify_instance(inst, budgets).to_dict(), sort_keys=True))
         print(inst.family, json.dumps(inst.params, sort_keys=True), digest)
     return 0
 
