@@ -140,24 +140,21 @@ class SchreierGen:
 
 class SymbolDict:
     """Raw kernel symbols: every nontrivial (representative, generator)
-    pair gets its own symbol, named after that origin."""
+    pair gets its own symbol, named after that origin.  ``letters`` maps
+    each (coset, generator) pair to its symbol's letter, 0 when trivial."""
 
     def __init__(self, pres: Presentation, hom: HomZ2n, trans: Transversal):
         self.table: list[SchreierGen] = []
-        self._by_origin: Dict[Tuple[int, int], Optional[int]] = {}
+        self.letters: Dict[Tuple[int, int], int] = {}
         for k, v in enumerate(trans.order):
             t = trans.reps[v]
             for x in range(pres.rank):
                 word = schreier_word(trans, hom, t, x)
                 if word:
-                    self._by_origin[(v, x)] = len(self.table)
                     self.table.append(SchreierGen(f"y{k}_{pres.gens[x]}", v, t, x, word))
+                    self.letters[(v, x)] = len(self.table)
                 else:
-                    self._by_origin[(v, x)] = None
-
-    def resolve(self, coset: int, x: int) -> Optional[int]:
-        """Symbol index for the pair, or None when trivial."""
-        return self._by_origin[(coset, x)]
+                    self.letters[(v, x)] = 0
 
     def names(self) -> Tuple[str, ...]:
         return tuple(g.name for g in self.table)
@@ -243,26 +240,29 @@ def reidemeister_rewrite(
     inverse of the symbol at (v', x).  The result is the rewrite of
     t w t^-1 from the trivial coset, t the representative of ``coset``:
     the letters of a prefix-closed transversal contribute only trivial
-    symbols.  Raises if the walk does not end where it started, i.e.
+    symbols.  Inverse pairs cancel as the walk appends, so the result is
+    freely reduced.  Raises if the walk does not end where it started, i.e.
     ``w`` has nonzero image.
     """
+    letters = symbols.letters
+    images = hom.images
     out: list[int] = []
     v = coset
     for l in w:
-        x = abs(l) - 1
         if l > 0:
-            idx = symbols.resolve(v, x)
-            v ^= hom.images[x]
-            if idx is not None:
-                out.append(letter(idx))
+            s = letters[(v, l - 1)]
+            v ^= images[l - 1]
         else:
-            v ^= hom.images[x]
-            idx = symbols.resolve(v, x)
-            if idx is not None:
-                out.append(letter(idx, -1))
+            v ^= images[-l - 1]
+            s = -letters[(v, -l - 1)]
+        if s:
+            if out and out[-1] == -s:
+                out.pop()
+            else:
+                out.append(s)
     if v != coset:
         raise ValueError("word is not in the kernel (nonzero image)")
-    return free_reduce(out)
+    return tuple(out)
 
 
 def raw_kernel_presentation(pres: Presentation, hom: HomZ2n, subset: Sequence[int]) -> KernelPresentation:

@@ -11,16 +11,19 @@ Computational Group Theory*, 2005, on Tietze transformations).  Relators
 are kept as normal forms in letter codes over the *input's* generator
 indices: deleting a generator keeps the order of the others, so a relator
 that does not contain the eliminated generator keeps its normal form and
-its place in the deterministic order.  Each elimination therefore rewrites
-and re-normalizes only the relators containing the eliminated generator,
-and updates occurrence counts as it goes.  The result equals re-normalizing
-the whole presentation after every elimination.
+its place in the deterministic order.  Each relator has an integer id,
+and each id keeps its generator counts.  An elimination rewrites and
+re-normalizes in place only the relators containing the eliminated
+generator, and changes the sets of relators containing a generator only
+for the generators that enter or leave a rewritten relator; a relator
+rewritten to the empty word or to another live relator is dropped.  The result equals
+re-normalizing the whole presentation after every elimination.
 """
 
 from __future__ import annotations
 
 from bisect import bisect_left, insort
-from collections import Counter, defaultdict
+from collections import defaultdict
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Set, Tuple
 
@@ -59,23 +62,6 @@ class SimplifyTrace:
         }
 
 
-def _order(c: Code) -> Tuple[int, Code]:
-    """Relator order: length, then letter order (native on codes)."""
-    return (len(c), c)
-
-
-def _substitute(w: Code, g: int, replacement: Code) -> Code:
-    """Free reduction of ``w`` with generator ``g`` replaced."""
-    inverse = code_invert(replacement)
-    out: list[int] = []
-    for x in w:
-        if x >> 1 == g:
-            out.extend(inverse if x & 1 else replacement)
-        else:
-            out.append(x)
-    return code_reduce(out)
-
-
 def _solve(r: Code, g: int) -> Code:
     """Solve the relator ``r`` (containing g exactly once) for g."""
     k = next(k for k, x in enumerate(r) if x >> 1 == g)
@@ -86,83 +72,105 @@ def _solve(r: Code, g: int) -> Code:
 class _Relators:
     """The relator set of one ``simplify`` run, kept normalized.
 
-    ``rels`` holds distinct nonempty normal forms in letter codes over
-    the input's generator indices.  Alongside it: letter occurrences per
-    generator, the relators containing each generator, and the relators
-    having a single-occurrence generator in relator order, the only ones
-    an elimination can use.
+    Each relator has an integer id.  ``ids`` maps each live normal form, a
+    nonempty code word over the input's generator indices, to its id;
+    ``forms`` and ``counts`` give an id's normal form and its letter
+    occurrences per generator.  Alongside them: letter occurrences per
+    generator, the ids of the relators containing each generator, each
+    relator's single-occurrence generators, and ``usable``, the sorted
+    ``(length, form, id)`` of the relators that have one, the only ones an
+    elimination can use.
     """
 
     def __init__(self, max_len: int):
         self.max_len = max_len
-        self.rels: Set[Code] = set()
+        self.ids: Dict[Code, int] = {}
+        self.forms: Dict[int, Code] = {}
+        self.counts: Dict[int, Dict[int, int]] = {}
         self.occ: Dict[int, int] = defaultdict(int)
-        self.containing: Dict[int, Set[Code]] = defaultdict(set)
-        self.singles: Dict[Code, List[int]] = {}
-        self.usable: List[Tuple[int, Code]] = []  # _order of relators with singles, sorted
+        self.containing: Dict[int, Set[int]] = defaultdict(set)
+        self.singles: Dict[int, List[int]] = {}
+        self.usable: List[Tuple[int, Code, int]] = []
 
     def __len__(self) -> int:
-        return len(self.rels)
+        return len(self.ids)
 
-    def add(self, c: Code) -> None:
-        """Insert the normal form ``c`` unless it is empty or present."""
-        if not c or c in self.rels:
-            return
-        self.rels.add(c)
-        counts = Counter(x >> 1 for x in c)
-        for g, k in counts.items():
-            self.occ[g] += k
-            self.containing[g].add(c)
-        singles = sorted(g for g, k in counts.items() if k == 1)
-        if singles:
-            self.singles[c] = singles
-            insort(self.usable, _order(c))
+    def put(self, i: int, c: Code) -> None:
+        """Give relator ``i`` the normal form ``c``, a new relator when ``i``
+        is not live.  It is dropped instead when ``c`` is empty or the form
+        of another live relator.  Only the generators entering or leaving
+        relator ``i`` change their ``containing`` sets."""
+        old = self.counts.pop(i, {})
+        if i in self.forms:
+            form = self.forms.pop(i)
+            del self.ids[form]
+            if self.singles.pop(i, None):
+                del self.usable[bisect_left(self.usable, (len(form), form, i))]
+        new: Dict[int, int] = {}
+        if c not in self.ids:
+            for x in c:
+                new[x >> 1] = new.get(x >> 1, 0) + 1
+        for g, k in old.items():
+            if g not in new:
+                self.occ[g] -= k
+                self.containing[g].discard(i)
+        for g, k in new.items():
+            self.occ[g] += k - old.get(g, 0)
+            if g not in old:
+                self.containing[g].add(i)
+        if new:
+            self.ids[c] = i
+            self.forms[i] = c
+            self.counts[i] = new
+            singles = sorted(g for g, k in new.items() if k == 1)
+            if singles:
+                self.singles[i] = singles
+                insort(self.usable, (len(c), c, i))
 
-    def remove(self, c: Code) -> None:
-        self.rels.remove(c)
-        for x in c:
-            self.occ[x >> 1] -= 1
-            self.containing[x >> 1].discard(c)
-        if self.singles.pop(c, None):
-            del self.usable[bisect_left(self.usable, _order(c))]
-
-    def _rewrite(self, g: int, r: Code, replacement: Code) -> Optional[List[Code]]:
-        """Normal forms of the relators containing ``g`` other than ``r``
-        with ``g`` replaced, or None when one would exceed the length
+    def _rewrite(self, g: int, r: int, replacement: Code) -> Optional[List[Tuple[int, Code]]]:
+        """``(id, normal form)`` of the relators containing ``g`` other than
+        ``r`` with ``g`` replaced, or None when one would exceed the length
         bound (cyclically reduced, as a presentation stores it).  Relators
         not containing ``g`` are left as they are, so the bound does not
         apply to them."""
+        inverse = code_invert(replacement)
         out = []
-        for w in self.containing[g]:
-            if w != r:
-                w = code_nf(_substitute(w, g, replacement))
-                if len(w) > self.max_len:
+        for i in self.containing[g]:
+            if i != r:
+                w: List[int] = []
+                for x in self.forms[i]:
+                    if x >> 1 == g:
+                        w.extend(inverse if x & 1 else replacement)
+                    else:
+                        w.append(x)
+                c = code_nf(w)
+                if len(c) > self.max_len:
                     return None
-                out.append(w)
+                out.append((i, c))
         return out
 
     def choose(self):
-        """First admissible elimination ``(g, r, replacement, rewritten)``.
+        """First admissible elimination ``(g, r, replacement, rewritten)``,
+        ``r`` the id of the relator solved for ``g``.
 
         Relators are tried in relator order; within one, its
         single-occurrence generators by growth estimate (occurrences
         elsewhere times replacement length minus one), then index.
         """
-        for _, r in self.usable:
-            grow = len(r) - 2
+        for n, c, r in self.usable:
+            grow = n - 2
             for g in sorted(self.singles[r], key=lambda g: ((self.occ[g] - 1) * grow, g)):
-                replacement = _solve(r, g)
+                replacement = _solve(c, g)
                 rewritten = self._rewrite(g, r, replacement)
                 if rewritten is not None:
                     return g, r, replacement, rewritten
         return None
 
-    def eliminate(self, g: int, rewritten: List[Code]) -> None:
-        """Drop the relators containing ``g`` and insert ``rewritten``."""
-        for w in list(self.containing[g]):
-            self.remove(w)
-        for c in rewritten:
-            self.add(c)
+    def eliminate(self, r: int, rewritten: List[Tuple[int, Code]]) -> None:
+        """Drop relator ``r`` and update the rewritten ones in place."""
+        self.put(r, ())
+        for i, c in rewritten:
+            self.put(i, c)
 
 
 def _expand(eliminated: List[Tuple[int, Code]]) -> Dict[int, Code]:
@@ -201,8 +209,8 @@ def simplify(pres: Presentation, cfg: Optional[SimplifyConfig] = None) -> Tuple[
     names = pres.gens
     trace = SimplifyTrace()
     rels = _Relators(cfg.max_relator_length)
-    for r in pres.relators:
-        rels.add(code_nf(encode(r)))
+    for i, r in enumerate(pres.relators):
+        rels.put(i, code_nf(encode(r)))
     if len(rels) != len(pres.relators):
         trace.steps.append(("dedupe", len(pres.relators) - len(rels)))
     trace.steps.append(("reduce",))
@@ -211,14 +219,14 @@ def simplify(pres: Presentation, cfg: Optional[SimplifyConfig] = None) -> Tuple[
     while chosen := rels.choose():
         g, r, replacement, rewritten = chosen
         trace.steps.append(
-            ("eliminate", names[g], serialize_word(decode(r), names), serialize_word(decode(replacement), names))
+            ("eliminate", names[g], serialize_word(decode(rels.forms[r]), names), serialize_word(decode(replacement), names))
         )
         eliminated.append((g, replacement))
-        emptied = rewritten.count(())
+        emptied = sum(1 for _, c in rewritten if not c)
         if emptied:
             trace.steps.append(("drop-empty", emptied))
         before = len(rels) - 1 - emptied
-        rels.eliminate(g, rewritten)
+        rels.eliminate(r, rewritten)
         if len(rels) != before:
             trace.steps.append(("dedupe", before - len(rels)))
         trace.steps.append(("reduce",))
@@ -230,7 +238,7 @@ def simplify(pres: Presentation, cfg: Optional[SimplifyConfig] = None) -> Tuple[
     survivors = [g for g in range(len(names)) if g not in words]
     new_index = {g: k for k, g in enumerate(survivors)}
     relators = tuple(
-        decode(2 * new_index[x >> 1] + (x & 1) for x in c) for c in sorted(rels.rels, key=_order)
+        decode(2 * new_index[x >> 1] + (x & 1) for x in c) for c in sorted(rels.ids, key=lambda c: (len(c), c))
     )
     trace.defining = {
         name: serialize_word(decode(words.get(g, (2 * g,))), names) or "1" for g, name in enumerate(names)

@@ -180,8 +180,15 @@ def code_invert(c: Sequence[int]) -> Code:
 
 
 def code_nf(c: Iterable[int]) -> Code:
-    """:func:`relator_nf` on letter codes: cyclically reduce, then take
-    the least of the least rotations of the word and of its inverse."""
+    """:func:`relator_nf` on letter codes: free and cyclic reduction, then
+    the least rotation of the word or of its inverse, whichever is less.
+
+    A least rotation starts with the least letter, so the least letter
+    ``m`` of the word often settles the side: if ``m`` is an inverse
+    letter, the inverse word holds ``m ^ 1 < m`` and wins; if ``m ^ 1`` is
+    absent, every letter of the inverse exceeds ``m`` and the word wins.
+    Only otherwise are both sides rotated.  Words of one or two letters
+    are written out."""
     v = code_reduce(c)
     i, j = 0, len(v) - 1
     while i < j and v[i] == v[j] ^ 1:
@@ -189,7 +196,17 @@ def code_nf(c: Iterable[int]) -> Code:
         j -= 1
     if i > j:
         return ()
+    if i == j:
+        return (v[i] & ~1,)
+    if j == i + 1:
+        a, b = v[i], v[j]
+        return min((a, b), (b, a), (b ^ 1, a ^ 1), (a ^ 1, b ^ 1))
     v = v[i : j + 1]
+    m = min(v)
+    if m & 1:
+        return _least_rotation(code_invert(v))
+    if m + 1 not in v:
+        return _least_rotation(v)
     return min(_least_rotation(v), _least_rotation(code_invert(v)))
 
 

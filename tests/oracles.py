@@ -1,7 +1,8 @@
 """Independent oracles used by the test suite.
 
 Everything here avoids the code paths under test: brute-force orbit
-enumeration for cyclic words, permutation closures for group orders,
+enumeration for cyclic words, an unreduced Reidemeister-Schreier walk,
+permutation closures for group orders,
 minor gcds for Smith diagonals, a whole-presentation Tietze loop for
 the incremental ``simplify``, the exhaustive presentation matcher, and
 the bilinear form of a Coxeter matrix for the infiniteness certificate.
@@ -28,6 +29,27 @@ def orbit_rotation_inversion(w) -> set:
         for i in range(len(word)):
             out.add(word[i:] + word[:i])
     return out
+
+
+def walk_rewrite(table, images, w, coset=0):
+    """Reidemeister-Schreier rewrite of ``w`` read from ``coset``: the raw
+    symbols of ``table`` looked up by their (coset, generator) origin, one
+    letter of ``w`` at a time, collected unreduced and then freely
+    reduced.  ``images`` are the generators' image vectors."""
+    symbol = {(g.coset, g.gen): k + 1 for k, g in enumerate(table)}
+    out = []
+    v = coset
+    for l in w:
+        x = abs(l) - 1
+        if l < 0:
+            v ^= images[x]
+        s = symbol.get((v, x))
+        if s:
+            out.append(s if l > 0 else -s)
+        if l > 0:
+            v ^= images[x]
+    assert v == coset, "word has nonzero image"
+    return free_reduce(out)
 
 
 def compose(p: Sequence[int], q: Sequence[int]) -> Tuple[int, ...]:

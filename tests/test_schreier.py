@@ -41,6 +41,7 @@ from coxembed.verify import (
     word_holds,
 )
 from coxembed.words import free_reduce, invert, power, relator_nf
+from oracles import walk_rewrite
 
 ROOT = Path(__file__).resolve().parents[1]
 
@@ -186,6 +187,24 @@ def test_raw_rewrite_is_exact_in_free_group():
                 assert expand_kernel_word(img, defining) == w
                 # the representative's letters contribute only trivial symbols
                 assert reidemeister_rewrite(t, inst.hom, sym, r, v) == img
+
+
+def test_reidemeister_rewrite_matches_unreduced_walk():
+    # random words with zero image, unreduced ones included, from every coset
+    rng = random.Random(20261018)
+    rank3 = build_prop2_instance(CoxeterMatrix.from_pairs(3, {(0, 1): 3, (0, 2): 2, (1, 2): 4}), (2, 4, 6))
+    for inst in (thm1_fixture(), rank3):
+        t = transversal(inst.ambient, inst.hom, inst.transversal_gens)
+        sym = SymbolDict(inst.ambient, inst.hom, t)
+        n = inst.ambient.rank
+        words = []
+        while len(words) < 200:
+            w = tuple(rng.choice((1, -1)) * rng.randrange(1, n + 1) for _ in range(rng.randrange(0, 16)))
+            if inst.hom.word_image(w) == 0:
+                words.append(w)
+        for v in t.order:
+            for w in words:
+                assert reidemeister_rewrite(t, inst.hom, sym, w, v) == walk_rewrite(sym.table, inst.hom.images, w, v)
 
 
 def test_evaluated_thm1():

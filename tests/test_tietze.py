@@ -18,6 +18,7 @@ from coxembed.presentations import (
     serialize_presentation,
 )
 from coxembed.schreier import raw_kernel_presentation
+from coxembed import tietze
 from coxembed.tietze import SimplifyConfig, simplify
 from coxembed.verify import _flip_involutions, abelianization, group_order, match_presentations
 from coxembed.words import commutator, power, relator_nf
@@ -215,6 +216,51 @@ def test_flip_involutions_after_simplify_matches_reference_on_family_kernels():
         raw = raw_kernel_presentation(inst.ambient, inst.hom, inst.transversal_gens).presentation
         for p in (raw, inst.expected_kernel):
             assert str(_flip_involutions(simplify(p)[0])) == reference_simplify(p, flips=True)[0], inst.params
+
+
+def _recount(rels):
+    """The bookkeeping of a ``tietze._Relators``, recounted from its live
+    forms; zero counts and empty sets left behind are dropped."""
+    forms = rels.forms
+    counts = {i: {} for i in forms}
+    for i, c in forms.items():
+        for x in c:
+            counts[i][x >> 1] = counts[i].get(x >> 1, 0) + 1
+    occ, containing = {}, {}
+    for i, cnt in counts.items():
+        for g, k in cnt.items():
+            occ[g] = occ.get(g, 0) + k
+            containing.setdefault(g, set()).add(i)
+    singles = {i: sorted(g for g, k in cnt.items() if k == 1) for i, cnt in counts.items()}
+    singles = {i: gs for i, gs in singles.items() if gs}
+    usable = sorted((len(forms[i]), forms[i], i) for i in singles)
+    return {c: i for i, c in forms.items()}, counts, occ, containing, singles, usable
+
+
+def test_relators_bookkeeping_after_every_elimination(monkeypatch):
+    eliminate = tietze._Relators.eliminate
+    checked = []
+
+    def checked_eliminate(rels, r, rewritten):
+        eliminate(rels, r, rewritten)
+        kept = (
+            rels.ids,
+            rels.counts,
+            {g: k for g, k in rels.occ.items() if k},
+            {g: s for g, s in rels.containing.items() if s},
+            rels.singles,
+            rels.usable,
+        )
+        assert kept == _recount(rels)
+        checked.append(r)
+
+    monkeypatch.setattr(tietze._Relators, "eliminate", checked_eliminate)
+    prop2 = build_prop2_instance(CoxeterMatrix.from_pairs(4, {(0, 1): 3, (1, 2): 3, (2, 3): 3}), (2, 4, 6, 2))
+    for inst in (build_thm1_instance(_chain(4), (2,) * 4), prop2, DIGEST_CASES["chain5"]()):
+        raw = raw_kernel_presentation(inst.ambient, inst.hom, inst.transversal_gens).presentation
+        before = len(checked)
+        out, trace = simplify(raw)
+        assert len(checked) - before == sum(1 for s in trace.steps if s[0] == "eliminate") > 0
 
 
 # Simplify output pinned by digests taken from the whole-presentation

@@ -1,4 +1,5 @@
 import doctest
+import itertools
 
 import pytest
 from hypothesis import given, settings
@@ -6,6 +7,7 @@ from hypothesis import strategies as st
 
 import coxembed.words
 from coxembed.words import (
+    code_nf,
     commutator,
     concat,
     cyclic_reduce,
@@ -126,6 +128,16 @@ def test_relator_nf_matches_bruteforce_orbit_minimum(ls):
     w = cyclic_reduce(ls)
     expected = min(orbit_rotation_inversion(w), key=word_key)
     assert relator_nf(ls) == expected
+
+
+def test_code_nf_matches_orbit_minimum_exhaustively():
+    # every code word of length <= 5 over 3 generators, unreduced ones
+    # included: the written-out 1- and 2-letter forms and both one-sided
+    # rotation branches (least letter an inverse, or its inverse absent)
+    for n in range(6):
+        for c in itertools.product(range(6), repeat=n):
+            orbit = orbit_rotation_inversion(cyclic_reduce(decode(c)))
+            assert code_nf(c) == min(encode(w) for w in orbit), c
 
 
 def test_relator_nf_long_and_periodic_words():
