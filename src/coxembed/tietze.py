@@ -16,8 +16,9 @@ and each id keeps its generator counts.  An elimination rewrites and
 re-normalizes in place only the relators containing the eliminated
 generator, and changes the sets of relators containing a generator only
 for the generators that enter or leave a rewritten relator; a relator
-rewritten to the empty word or to another live relator is dropped.  The result equals
-re-normalizing the whole presentation after every elimination.
+rewritten to the empty word or to another live relator is dropped.  The
+result equals re-normalizing the whole presentation after every
+elimination.
 """
 
 from __future__ import annotations
@@ -218,9 +219,8 @@ def simplify(pres: Presentation, cfg: Optional[SimplifyConfig] = None) -> Tuple[
     eliminated: List[Tuple[int, Code]] = []
     while chosen := rels.choose():
         g, r, replacement, rewritten = chosen
-        trace.steps.append(
-            ("eliminate", names[g], serialize_word(decode(rels.forms[r]), names), serialize_word(decode(replacement), names))
-        )
+        relator = serialize_word(decode(rels.forms[r]), names)
+        trace.steps.append(("eliminate", names[g], relator, serialize_word(decode(replacement), names)))
         eliminated.append((g, replacement))
         emptied = sum(1 for _, c in rewritten if not c)
         if emptied:
@@ -238,7 +238,8 @@ def simplify(pres: Presentation, cfg: Optional[SimplifyConfig] = None) -> Tuple[
     survivors = [g for g in range(len(names)) if g not in words]
     new_index = {g: k for k, g in enumerate(survivors)}
     relators = tuple(
-        decode(2 * new_index[x >> 1] + (x & 1) for x in c) for c in sorted(rels.ids, key=lambda c: (len(c), c))
+        decode(2 * new_index[x >> 1] + (x & 1) for x in c)
+        for c in sorted(rels.ids, key=lambda c: (len(c), c))
     )
     trace.defining = {
         name: serialize_word(decode(words.get(g, (2 * g,))), names) or "1" for g, name in enumerate(names)

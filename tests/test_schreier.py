@@ -204,7 +204,8 @@ def test_reidemeister_rewrite_matches_unreduced_walk():
                 words.append(w)
         for v in t.order:
             for w in words:
-                assert reidemeister_rewrite(t, inst.hom, sym, w, v) == walk_rewrite(sym.table, inst.hom.images, w, v)
+                expected = walk_rewrite(sym.table, inst.hom.images, w, v)
+                assert reidemeister_rewrite(t, inst.hom, sym, w, v) == expected
 
 
 def test_evaluated_thm1():
