@@ -2,10 +2,10 @@
 
 Everything here avoids the code paths under test: brute-force orbit
 enumeration for cyclic words, an unreduced Reidemeister-Schreier walk,
-permutation closures for group orders,
-minor gcds for Smith diagonals, a whole-presentation Tietze loop for
-the incremental ``simplify``, the exhaustive presentation matcher, and
-the bilinear form of a Coxeter matrix for the infiniteness certificate.
+permutation closures for group orders, minor gcds for Smith diagonals,
+a whole-presentation Tietze loop for the incremental ``simplify``, the
+exhaustive presentation matcher, and the bilinear form of a Coxeter
+matrix for the infiniteness certificate.
 """
 
 from __future__ import annotations

@@ -4,6 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from coxembed import tietze
 from coxembed.presentations import (
     INF,
     CoxeterMatrix,
@@ -18,7 +19,6 @@ from coxembed.presentations import (
     serialize_presentation,
 )
 from coxembed.schreier import raw_kernel_presentation
-from coxembed import tietze
 from coxembed.tietze import SimplifyConfig, simplify
 from coxembed.verify import _flip_involutions, abelianization, group_order, match_presentations
 from coxembed.words import commutator, power, relator_nf
