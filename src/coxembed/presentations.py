@@ -210,6 +210,17 @@ class Presentation:
         object.__setattr__(self, "gens", gens)
         object.__setattr__(self, "relators", tuple(rels))
 
+    @classmethod
+    def trusted(cls, gens: Tuple[str, ...], relators: Tuple[Word, ...]) -> "Presentation":
+        """A presentation built without validation, for words the program
+        has already reduced: ``gens`` distinct valid names and ``relators``
+        nonempty, cyclically reduced words over them.  It equals
+        ``Presentation(gens, relators)``."""
+        pres = object.__new__(cls)
+        object.__setattr__(pres, "gens", gens)
+        object.__setattr__(pres, "relators", relators)
+        return pres
+
     @property
     def rank(self) -> int:
         return len(self.gens)

@@ -24,7 +24,7 @@ from .presentations import (
     gf2_rank,
     serialize_word,
 )
-from .words import Word, expand_kernel_word, free_reduce, invert, letter, relator_nf
+from .words import Word, cyclic_trim, expand_kernel_word, free_reduce, invert, letter, relator_nf
 
 
 def check_hom(pres: Presentation, hom: HomZ2n) -> bool:
@@ -141,15 +141,18 @@ class SchreierGen:
 class SymbolDict:
     """Raw kernel symbols: every nontrivial (representative, generator)
     pair gets its own symbol, named after that origin.  ``letters`` maps
-    each (coset, generator) pair to its symbol's letter, 0 when trivial."""
+    each (coset, generator) pair to its symbol's letter, 0 when trivial.
+    The defining words are the :func:`schreier_word` values, read off the
+    transversal directly."""
 
     def __init__(self, pres: Presentation, hom: HomZ2n, trans: Transversal):
         self.table: list[SchreierGen] = []
         self.letters: Dict[Tuple[int, int], int] = {}
+        reps = trans.reps
         for k, v in enumerate(trans.order):
-            t = trans.reps[v]
+            t = reps[v]
             for x in range(pres.rank):
-                word = schreier_word(trans, hom, t, x)
+                word = free_reduce(t + (letter(x),) + invert(reps[v ^ hom.images[x]]))
                 if word:
                     self.table.append(SchreierGen(f"y{k}_{pres.gens[x]}", v, t, x, word))
                     self.letters[(v, x)] = len(self.table)
@@ -273,12 +276,16 @@ def raw_kernel_presentation(pres: Presentation, hom: HomZ2n, subset: Sequence[in
     trans = transversal(pres, hom, subset)
     symbols = SymbolDict(pres, hom, trans)
     rels = []
+    # each image is cyclically reduced: a cyclically reduced relator walks
+    # the coset graph without backtracking, so between two of its symbols,
+    # cyclically, lies no closed path of trivial ones, as a cancelling pair
+    # would need
     for v in trans.order:
         for r in pres.relators:
             img = reidemeister_rewrite(trans, hom, symbols, r, v)
             if img:
                 rels.append(img)
-    kernel = Presentation(symbols.names(), tuple(rels))
+    kernel = Presentation.trusted(symbols.names(), tuple(rels))
     return KernelPresentation(kernel, tuple(symbols.table), "raw", trans)
 
 
@@ -305,6 +312,6 @@ def evaluated_kernel_presentation(
         nf = relator_nf(img)
         if nf not in seen:
             seen.add(nf)
-            rels.append(img)
-    kernel = Presentation(tuple(g.name for g in table), tuple(rels))
+            rels.append(cyclic_trim(img))
+    kernel = Presentation.trusted(tuple(g.name for g in table), tuple(rels))
     return KernelPresentation(kernel, table, "evaluated", raw.transversal)

@@ -793,7 +793,7 @@ def _flip_involutions(pres: Presentation) -> Presentation:
         while (flipped := tuple(abs(l) if abs(l) in squares else l for l in r)) != r:
             r = relator_nf(flipped)
         relators.add(r)
-    return Presentation(pres.gens, tuple(sorted(relators, key=lambda w: (len(w), encode(w)))))
+    return Presentation.trusted(pres.gens, tuple(sorted(relators, key=lambda w: (len(w), encode(w)))))
 
 
 def verify_instance(

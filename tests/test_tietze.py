@@ -18,10 +18,10 @@ from coxembed.presentations import (
     parse_presentation,
     serialize_presentation,
 )
-from coxembed.schreier import raw_kernel_presentation
+from coxembed.schreier import evaluated_kernel_presentation, raw_kernel_presentation
 from coxembed.tietze import SimplifyConfig, simplify
 from coxembed.verify import _flip_involutions, abelianization, group_order, match_presentations
-from coxembed.words import commutator, power, relator_nf
+from coxembed.words import commutator, cyclic_reduce, decode, invert, power, relator_nf
 from oracles import reference_simplify
 from test_presentations import _instance_sweep
 
@@ -218,49 +218,147 @@ def test_flip_involutions_after_simplify_matches_reference_on_family_kernels():
             assert str(_flip_involutions(simplify(p)[0])) == reference_simplify(p, flips=True)[0], inst.params
 
 
+def test_trusted_presentations_equal_validated_ones():
+    # raw and evaluated kernels, simplify output and the involution flip
+    # skip validation; each must equal the validated, reduced presentation
+    for inst in _instance_sweep():
+        raw = raw_kernel_presentation(inst.ambient, inst.hom, inst.transversal_gens)
+        simplified = simplify(raw.presentation)[0]
+        built = (
+            raw.presentation,
+            evaluated_kernel_presentation(inst, raw).presentation,
+            simplified,
+            simplify(inst.expected_kernel)[0],
+            _flip_involutions(simplified),
+        )
+        for p in built:
+            assert p == Presentation(p.gens, p.relators), inst.params
+
+
+def _gen_counts(c):
+    counts = {}
+    for x in c:
+        counts[ord(x) >> 1] = counts.get(ord(x) >> 1, 0) + 1
+    return counts
+
+
 def _recount(rels):
-    """The bookkeeping of a ``tietze._Relators``, recounted from its live
-    forms; zero counts and empty sets left behind are dropped."""
+    """The bookkeeping a ``tietze._Relators`` keeps after every put,
+    recounted from its live forms; empty sets left behind are dropped."""
     forms = rels.forms
-    counts = {i: {} for i in forms}
+    containing = {}
     for i, c in forms.items():
         for x in c:
-            counts[i][x >> 1] = counts[i].get(x >> 1, 0) + 1
-    occ, containing = {}, {}
-    for i, cnt in counts.items():
+            containing.setdefault(x, set()).add(i)
+    short = tuple(
+        sorted(c for c in forms.values() if len(c) == n and 1 in _gen_counts(c).values()) for n in (1, 2)
+    )
+    return {c: i for i, c in forms.items()}, containing, short
+
+
+def _recount_long(rels):
+    """The counted bookkeeping of a ``tietze._Relators``, recounted from the
+    forms it last counted, which are the live forms of the ids not put
+    since."""
+    counted = rels.counted
+    for i in set(rels.forms) | set(counted):
+        if i not in rels.dirty:
+            assert counted.get(i, (None,))[0] == rels.forms.get(i)
+    counts = {i: _gen_counts(c) for i, (c, _) in counted.items()}
+    occ = {}
+    for cnt in counts.values():
         for g, k in cnt.items():
             occ[g] = occ.get(g, 0) + k
-            containing.setdefault(g, set()).add(i)
-    singles = {i: sorted(g for g, k in cnt.items() if k == 1) for i, cnt in counts.items()}
+    singles = {
+        i: sorted(g for g, k in cnt.items() if k == 1) for i, cnt in counts.items() if len(counted[i][0]) > 2
+    }
     singles = {i: gs for i, gs in singles.items() if gs}
-    usable = sorted((len(forms[i]), forms[i], i) for i in singles)
-    return {c: i for i, c in forms.items()}, counts, occ, containing, singles, usable
+    long_usable = sorted((len(counted[i][0]), counted[i][0], i) for i in singles)
+    return counts, occ, singles, long_usable
+
+
+def _still_rejected(rels, r, g):
+    """True when eliminating ``g`` by relator ``r`` would write a relator
+    longer than the bound, worked out on words."""
+    form = decode(rels.forms[r])
+    k = next(k for k, l in enumerate(form) if abs(l) - 1 == g)
+    rest = form[k + 1 :] + form[:k]
+    replacement = rest if form[k] < 0 else invert(rest)
+    inverse = invert(replacement)
+    for i, c in rels.forms.items():
+        w = decode(c)
+        if i != r and any(abs(l) - 1 == g for l in w):
+            out = []
+            for l in w:
+                out.extend((replacement if l > 0 else inverse) if abs(l) - 1 == g else (l,))
+            if len(cyclic_reduce(out)) > rels.max_len:
+                return True
+    return False
+
+
+def _check_bookkeeping(rels):
+    """Asserts the bookkeeping of ``rels``; returns the number of
+    remembered rejections it checked."""
+    kept = (rels.ids, {x: s for x, s in rels.containing.items() if s}, rels.short)
+    assert kept == _recount(rels)
+    for g, rs in rels.rejected.items():
+        for r in rs:
+            assert _gen_counts(rels.forms[r]).get(g) == 1 and _still_rejected(rels, r, g)
+    counted = {i: cnt for i, (_, cnt) in rels.counted.items()}
+    kept_long = (counted, {g: k for g, k in rels.occ.items() if k}, rels.singles, rels.long_usable)
+    assert kept_long == _recount_long(rels)
+    return sum(map(len, rels.rejected.values()))
+
+
+# inputs whose eliminations use relators of three or more letters, chosen
+# by the growth estimate, and one where the bound blocks the relator a b
+# until the longer relator holding a and b is gone
+LONG_ELIMINATIONS = parse_presentation("< a, b, c, d | a b c d, a^2 b c^-1 d^2, a d b d c^3 >")
+BLOCKED_SHORT = parse_presentation("< a, b, c | a b^-1 a^2 c^-1, a b >")
+
+
+def test_long_eliminations_match_reference():
+    out, trace = simplify(LONG_ELIMINATIONS)
+    eliminated = [s[1:3] for s in trace.steps if s[0] == "eliminate"]
+    assert eliminated == [("b", "a b c d"), ("a", "a d^-1 c^-2 d^2")]
+    assert (str(out), trace.steps, trace.defining, trace.bounded) == reference_simplify(LONG_ELIMINATIONS)
+
+
+def test_bound_blocks_a_short_elimination_until_the_long_relator_goes():
+    out, trace = simplify(BLOCKED_SHORT, SimplifyConfig(max_relator_length=4))
+    eliminated = [s[1:3] for s in trace.steps if s[0] == "eliminate"]
+    assert eliminated == [("c", "a^2 c^-1 a b^-1"), ("a", "a b")]
+    assert (str(out), trace.steps, trace.defining, trace.bounded) == reference_simplify(BLOCKED_SHORT, 4)
 
 
 def test_relators_bookkeeping_after_every_elimination(monkeypatch):
-    eliminate = tietze._Relators.eliminate
-    checked = []
+    eliminate, count = tietze._Relators.eliminate, tietze._Relators._count
+    checked, rejections = [], []
 
     def checked_eliminate(rels, r, rewritten):
         eliminate(rels, r, rewritten)
-        kept = (
-            rels.ids,
-            rels.counts,
-            {g: k for g, k in rels.occ.items() if k},
-            {g: s for g, s in rels.containing.items() if s},
-            rels.singles,
-            rels.usable,
-        )
-        assert kept == _recount(rels)
+        rejections.append(_check_bookkeeping(rels))
         checked.append(r)
 
+    def checked_count(rels):
+        count(rels)
+        assert not rels.dirty
+        _check_bookkeeping(rels)
+
     monkeypatch.setattr(tietze._Relators, "eliminate", checked_eliminate)
+    monkeypatch.setattr(tietze._Relators, "_count", checked_count)
     prop2 = build_prop2_instance(CoxeterMatrix.from_pairs(4, {(0, 1): 3, (1, 2): 3, (2, 3): 3}), (2, 4, 6, 2))
-    for inst in (build_thm1_instance(_chain(4), (2,) * 4), prop2, DIGEST_CASES["chain5"]()):
-        raw = raw_kernel_presentation(inst.ambient, inst.hom, inst.transversal_gens).presentation
+    cases = [
+        (raw_kernel_presentation(inst.ambient, inst.hom, inst.transversal_gens).presentation, cfg)
+        for inst in (build_thm1_instance(_chain(4), (2,) * 4), prop2, DIGEST_CASES["chain5"]())
+        for cfg in DIGEST_CONFIGS
+    ]
+    cases += [(LONG_ELIMINATIONS, SimplifyConfig()), (BLOCKED_SHORT, SimplifyConfig(max_relator_length=4))]
+    for p, cfg in cases:
         before = len(checked)
-        out, trace = simplify(raw)
+        out, trace = simplify(p, cfg)
         assert len(checked) - before == sum(1 for s in trace.steps if s[0] == "eliminate") > 0
+    assert sum(rejections) > 0
 
 
 # Simplify output pinned by digests taken from the whole-presentation

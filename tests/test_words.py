@@ -131,13 +131,14 @@ def test_relator_nf_matches_bruteforce_orbit_minimum(ls):
 
 
 def test_code_nf_matches_orbit_minimum_exhaustively():
-    # every code word of length <= 5 over 3 generators, unreduced ones
+    # every code string of length <= 5 over 3 generators, unreduced ones
     # included: the written-out 1- and 2-letter forms and both one-sided
     # rotation branches (least letter an inverse, or its inverse absent)
     for n in range(6):
         for c in itertools.product(range(6), repeat=n):
-            orbit = orbit_rotation_inversion(cyclic_reduce(decode(c)))
-            assert code_nf(c) == min(encode(w) for w in orbit), c
+            s = "".join(map(chr, c))
+            orbit = orbit_rotation_inversion(cyclic_reduce(decode(s)))
+            assert code_nf(s) == min(encode(w) for w in orbit), c
 
 
 def test_relator_nf_long_and_periodic_words():
