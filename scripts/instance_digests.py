@@ -3,6 +3,7 @@
 
     python3 scripts/instance_digests.py --max-rank 3 > digests.txt
     python3 scripts/instance_digests.py --max-rank 3 --simplify > simplify.txt
+    python3 scripts/instance_digests.py --max-rank 3 --evaluated > evaluated.txt
 
 Sweeps ranks 1..R: every Coxeter matrix with labels 2-6 and ``inf``,
 with generator orders from {2, 4, 6, inf} for thm1 (even labels only)
@@ -17,6 +18,12 @@ With ``--simplify`` each line instead carries two digests, of the
 kernel: the sha256 of ``repr((str(out), trace.steps, trace.defining,
 trace.bounded))`` at ``--max-relator-length``.  A ``diff`` then compares
 whole Tietze traces, not only the verdicts they lead to.
+
+With ``--evaluated`` each line carries the sha256 of the instance's
+evaluated kernel: ``repr((str(presentation), names, defining words))``
+over its symbol table.  It uses only :func:`raw_kernel_presentation` and
+:func:`evaluated_kernel_presentation`, so it runs against older checkouts
+too.
 """
 
 from __future__ import annotations
@@ -39,7 +46,7 @@ from coxembed.presentations import (  # noqa: E402
     build_prop2_instance,
     build_thm1_instance,
 )
-from coxembed.schreier import raw_kernel_presentation  # noqa: E402
+from coxembed.schreier import evaluated_kernel_presentation, raw_kernel_presentation  # noqa: E402
 from coxembed.tietze import SimplifyConfig, simplify  # noqa: E402
 from coxembed.verify import DEFAULT_MAX_COSETS, Budgets, verify_instance  # noqa: E402
 
@@ -82,18 +89,28 @@ def simplify_digests(inst, cfg: SimplifyConfig) -> str:
     return " ".join(digests)
 
 
+def evaluated_digest(inst) -> str:
+    raw = raw_kernel_presentation(inst.ambient, inst.hom, inst.transversal_gens)
+    ev = evaluated_kernel_presentation(inst, raw)
+    return sha256(repr((str(ev.presentation), [g.name for g in ev.table], [g.defining for g in ev.table])))
+
+
 def main(argv=None) -> int:
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     ap.add_argument("--max-rank", type=int, default=3)
     ap.add_argument("--max-cosets", type=int, default=DEFAULT_MAX_COSETS)
     ap.add_argument("--max-relator-length", type=int, default=Budgets().max_relator_length)
-    ap.add_argument("--simplify", action="store_true", help="digest the simplify traces, not the report")
+    mode = ap.add_mutually_exclusive_group()
+    mode.add_argument("--simplify", action="store_true", help="digest the simplify traces, not the report")
+    mode.add_argument("--evaluated", action="store_true", help="digest the evaluated kernel, not the report")
     args = ap.parse_args(argv)
     budgets = Budgets(args.max_cosets, args.max_relator_length)
     cfg = SimplifyConfig(args.max_relator_length)
     for inst in instances(args.max_rank):
         if args.simplify:
             digest = simplify_digests(inst, cfg)
+        elif args.evaluated:
+            digest = evaluated_digest(inst)
         else:
             digest = sha256(json.dumps(verify_instance(inst, budgets).to_dict(), sort_keys=True))
         print(inst.family, json.dumps(inst.params, sort_keys=True), digest)
