@@ -47,7 +47,7 @@ from coxembed.presentations import (  # noqa: E402
     build_thm1_instance,
 )
 from coxembed.schreier import evaluated_kernel_presentation, raw_kernel_presentation  # noqa: E402
-from coxembed.tietze import SimplifyConfig, simplify  # noqa: E402
+from coxembed.tietze import DEFAULT_MAX_RELATOR_LENGTH, simplify  # noqa: E402
 from coxembed.verify import DEFAULT_MAX_COSETS, Budgets, verify_instance  # noqa: E402
 
 LABELS = (2, 3, 4, 5, 6, INF)
@@ -80,11 +80,11 @@ def sha256(text: str) -> str:
     return hashlib.sha256(text.encode()).hexdigest()
 
 
-def simplify_digests(inst, cfg: SimplifyConfig) -> str:
+def simplify_digests(inst, max_relator_length: int) -> str:
     raw = raw_kernel_presentation(inst.ambient, inst.hom, inst.transversal_gens).presentation
     digests = []
     for pres in (raw, inst.expected_kernel):
-        out, trace = simplify(pres, cfg)
+        out, trace = simplify(pres, max_relator_length)
         digests.append(sha256(repr((str(out), trace.steps, trace.defining, trace.bounded))))
     return " ".join(digests)
 
@@ -99,16 +99,15 @@ def main(argv=None) -> int:
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     ap.add_argument("--max-rank", type=int, default=3)
     ap.add_argument("--max-cosets", type=int, default=DEFAULT_MAX_COSETS)
-    ap.add_argument("--max-relator-length", type=int, default=Budgets().max_relator_length)
+    ap.add_argument("--max-relator-length", type=int, default=DEFAULT_MAX_RELATOR_LENGTH)
     mode = ap.add_mutually_exclusive_group()
     mode.add_argument("--simplify", action="store_true", help="digest the simplify traces, not the report")
     mode.add_argument("--evaluated", action="store_true", help="digest the evaluated kernel, not the report")
     args = ap.parse_args(argv)
     budgets = Budgets(args.max_cosets, args.max_relator_length)
-    cfg = SimplifyConfig(args.max_relator_length)
     for inst in instances(args.max_rank):
         if args.simplify:
-            digest = simplify_digests(inst, cfg)
+            digest = simplify_digests(inst, args.max_relator_length)
         elif args.evaluated:
             digest = evaluated_digest(inst)
         else:

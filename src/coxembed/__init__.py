@@ -15,7 +15,6 @@ from .presentations import (
     ParseError,
     PcSpec,
     Presentation,
-    RewriteRules,
     artin_presentation,
     build_artin_instance,
     build_artin_inversion_instance,
@@ -35,16 +34,16 @@ from .schreier import (
     SymbolDict,
     Transversal,
     check_hom,
+    commuting_letters,
     evaluated_kernel_presentation,
     image_rank,
     merge_symbols,
-    normalize_with_rules,
     raw_kernel_presentation,
     reidemeister_rewrite,
-    schreier_word,
+    right_angled_nf,
     transversal,
 )
-from .tietze import SimplifyConfig, SimplifyTrace, simplify
+from .tietze import SimplifyTrace, simplify
 from .verify import (
     AbelianInvariants,
     Budgets,

@@ -36,7 +36,7 @@ from .presentations import (
     serialize_word,
 )
 from .schreier import KernelPresentation, evaluated_kernel_presentation, raw_kernel_presentation
-from .tietze import SimplifyConfig, simplify
+from .tietze import DEFAULT_MAX_RELATOR_LENGTH, simplify
 from .verify import (
     DEFAULT_MAX_COSETS,
     Budgets,
@@ -189,7 +189,7 @@ def cmd_kernel(args) -> CommandResult:
 
 def cmd_simplify(args) -> CommandResult:
     pres = _presentation_arg(args.presentation)
-    simplified, trace = simplify(pres, SimplifyConfig(args.max_relator_length))
+    simplified, trace = simplify(pres, args.max_relator_length)
     text = serialize_presentation(simplified)
     return 0, {"presentation": text, "trace": trace.to_dict()}, text
 
@@ -253,7 +253,7 @@ def _add_budget_flags(parser: argparse.ArgumentParser, cosets=True, tietze=True)
     if cosets:
         parser.add_argument("--max-cosets", type=int, default=DEFAULT_MAX_COSETS)
     if tietze:
-        parser.add_argument("--max-relator-length", type=int, default=Budgets().max_relator_length)
+        parser.add_argument("--max-relator-length", type=int, default=DEFAULT_MAX_RELATOR_LENGTH)
 
 
 def _add_family_flags(parser: argparse.ArgumentParser) -> None:

@@ -412,33 +412,6 @@ class PcSpec:
 
 
 @dataclass(frozen=True)
-class RewriteRules:
-    """Involution letters and commuting pairs, as generator indices.
-
-    Encodes exactly the relations used to evaluate Schreier words inside
-    the ambient group: squares of involutions and commutations.
-    """
-
-    involutions: frozenset
-    commuting: frozenset
-
-    def __post_init__(self):
-        for g in self.involutions:
-            if g < 0:
-                raise ValueError(f"involution letter {g} outside alphabet")
-        pairs = set()
-        for pair in self.commuting:
-            a, b = pair
-            if a == b:
-                raise ValueError("commuting pair must contain two distinct generators")
-            if min(a, b) < 0:
-                raise ValueError(f"commuting pair {pair} outside alphabet")
-            pairs.add((min(a, b), max(a, b)))
-        object.__setattr__(self, "involutions", frozenset(self.involutions))
-        object.__setattr__(self, "commuting", frozenset(pairs))
-
-
-@dataclass(frozen=True)
 class HomZ2n:
     """Generator-wise map onto (a subgroup of) ``Z_2^n``.
 
@@ -486,21 +459,37 @@ def gf2_rank(vectors: Iterable[int]) -> int:
 @dataclass(frozen=True)
 class EmbeddingInstance:
     """An ambient presentation bundled with a hom onto ``Z_2^n``, the
-    transversal generator subset, rewrite rules, and the expected kernel
-    with the defining words of its generators."""
+    transversal generator subset, the commuting generator pairs, and the
+    expected kernel with the defining words of its generators.
+
+    Every ambient generator is an involution (has a ``g^2`` relator), and
+    each commuting pair ``(a, b)``, ``a < b``, is a relation of the
+    ambient; so the right-angled Coxeter group of the pairs maps onto the
+    ambient, and the evaluated kernel merges symbols equal there."""
 
     family: str
     ambient: Presentation
     hom: HomZ2n
     transversal_gens: Tuple[int, ...]
-    rules: RewriteRules
+    commuting: frozenset
     expected_kernel: Presentation
     expected_words: Tuple[Word, ...]
     params: dict = field(default_factory=dict)
 
     def __post_init__(self):
-        if len(self.hom.images) != self.ambient.rank:
+        n = self.ambient.rank
+        if len(self.hom.images) != n:
             raise ValueError("hom must cover every ambient generator")
+        squared = {abs(r[0]) - 1 for r in self.ambient.relators if len(r) == 2 and r[0] == r[1]}
+        if len(squared) != n:
+            raise ValueError("every ambient generator needs a g^2 relator")
+        pairs = set()
+        for a, b in self.commuting:
+            if a == b:
+                raise ValueError("commuting pair must contain two distinct generators")
+            if not (0 <= a < n and 0 <= b < n):
+                raise ValueError(f"commuting pair {(a, b)} outside alphabet")
+            pairs.add((min(a, b), max(a, b)))
         for r in self.ambient.relators:
             if self.hom.word_image(r) != 0:
                 raise ValueError("hom does not kill every ambient relator")
@@ -510,6 +499,7 @@ class EmbeddingInstance:
         if gf2_rank(sub) != gf2_rank(self.hom.images):
             raise ValueError("transversal generators do not span the image")
         object.__setattr__(self, "transversal_gens", tuple(self.transversal_gens))
+        object.__setattr__(self, "commuting", frozenset(pairs))
         object.__setattr__(self, "expected_words", tuple(tuple(w) for w in self.expected_words))
 
 
@@ -537,9 +527,9 @@ def _double_commuting(n: int) -> list[Tuple[int, int]]:
     makes commute, in order: ``(r_i, r_j)`` for ``i < j``, then
     ``(r_i, s_j)`` for ``i != j``.
 
-    These are the double's rewrite rules.  thm1 and prop2 write each pair
+    These are the double's commuting pairs.  thm1 and prop2 write each pair
     ``(x, y)`` into the ambient as ``(x y)^2``, artin as ``[x, y]``.  The
-    rules are not derived from the ambient's relators: with ``p_i = 2``,
+    pairs are not derived from the ambient's relators: with ``p_i = 2``,
     thm1 and prop2 have the relator ``(s_i r_i)^2``, and deriving would
     add an ``(r_i, s_i)`` commutation and change the evaluated kernels."""
     return [(i, j) for i in range(n) for j in range(i + 1, n)] + [
@@ -624,7 +614,7 @@ def _matrix_params(matrix: CoxeterMatrix, orders=None) -> dict:
 def _double_instance(family, matrix, orders, relators, images, expected, expected_words):
     """The rank-2n double ``r_1..r_n, s_1..s_n`` over ``Z_2^n`` with the
     ``r_i`` as transversal generators.  Every generator is an involution
-    and the rewrite rules' commuting pairs are :func:`_double_commuting`;
+    and the commuting pairs are :func:`_double_commuting`;
     ``orders`` is None for artin."""
     n = matrix.n
     return EmbeddingInstance(
@@ -632,7 +622,7 @@ def _double_instance(family, matrix, orders, relators, images, expected, expecte
         ambient=Presentation(_names("r", n) + _names("s", n), tuple(relators)),
         hom=HomZ2n(n, images),
         transversal_gens=tuple(range(n)),
-        rules=RewriteRules(frozenset(range(2 * n)), frozenset(_double_commuting(n))),
+        commuting=frozenset(_double_commuting(n)),
         expected_kernel=expected,
         expected_words=expected_words,
         params=_matrix_params(matrix, orders),
@@ -689,8 +679,8 @@ def build_klein_instance() -> EmbeddingInstance:
     the Klein bottle group as kernel.
 
     The ambient is the Coxeter group on ``r1, s1, r2, s2`` with label
-    ``inf`` on ``(r1, s1)`` and ``(r2, s2)`` and 2 elsewhere; the rewrite
-    rules are its involutions and its label-2 pairs."""
+    ``inf`` on ``(r1, s1)`` and ``(r2, s2)`` and 2 elsewhere; the
+    commuting pairs are its label-2 pairs."""
     matrix = CoxeterMatrix.from_pairs(4, {(0, 1): INF, (2, 3): INF})
     r1, s1, r2, s2 = (letter(i) for i in range(4))
     return EmbeddingInstance(
@@ -698,9 +688,7 @@ def build_klein_instance() -> EmbeddingInstance:
         ambient=coxeter_presentation(matrix).rename(("r1", "s1", "r2", "s2")),
         hom=HomZ2n(2, (0b01, 0b11, 0b10, 0b10)),
         transversal_gens=(0, 2),
-        rules=RewriteRules(
-            frozenset(range(4)), frozenset((i, j) for i, j, m in matrix.pairs() if m == 2)
-        ),
+        commuting=frozenset((i, j) for i, j, m in matrix.pairs() if m == 2),
         expected_kernel=Presentation(("a", "b"), ((-1, 2, 1, 2),)),
         expected_words=((s1, r1, r2), (s2, r2)),
     )
@@ -746,7 +734,7 @@ def build_artin_inversion_instance(matrix: CoxeterMatrix) -> EmbeddingInstance:
         ),
         hom=HomZ2n(1, (1,) * (n + 1)),
         transversal_gens=(0,),
-        rules=RewriteRules(frozenset(range(n + 1)), frozenset()),
+        commuting=frozenset(),
         expected_kernel=artin_presentation(matrix),
         expected_words=tuple(a(i) for i in range(n)),
         params=_matrix_params(matrix),

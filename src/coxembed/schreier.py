@@ -5,22 +5,23 @@ the Schreier map, and rewrites words over the Schreier generators by a
 walk through the cosets.  Kernel presentations come in two modes: ``raw``
 keeps defining words at the free-group level (one symbol per nontrivial
 transversal/generator pair, one relator per ambient relator read from
-each coset); ``evaluated`` is the raw kernel with its defining words
-normalized by the instance's involution and commutation rules and the
-symbols that then coincide merged, computed from the same single rewrite.
-Both record the transversal they were rewritten over.
+each coset); ``evaluated`` is the raw kernel with the symbols merged whose
+defining words are equal in the right-angled Coxeter group of the
+instance's commuting pairs, which maps onto the ambient (every ambient
+generator is an involution), computed from the same single rewrite.
+Equality there is decided exactly by :func:`right_angled_nf`.  Both
+modes record the transversal they were rewritten over.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from typing import Dict, Optional, Sequence, Tuple
+from typing import Dict, Optional, Sequence, Set, Tuple
 
 from .presentations import (
     EmbeddingInstance,
     HomZ2n,
     Presentation,
-    RewriteRules,
     gf2_rank,
     serialize_word,
 )
@@ -81,50 +82,42 @@ def transversal(pres: Presentation, hom: HomZ2n, subset: Sequence[int]) -> Trans
     return Transversal(reps, tuple(order), subset)
 
 
-def schreier_word(trans: Transversal, hom: HomZ2n, t: Word, x: int) -> Word:
-    """The Schreier map value t x (rep of the target coset)^-1, freely reduced."""
-    v = hom.word_image(t)
-    if trans.reps.get(v) != tuple(t):
-        raise ValueError("t is not a representative of this transversal")
-    target = v ^ hom.images[x]
-    return free_reduce(tuple(t) + (letter(x),) + invert(trans.reps[target]))
+def commuting_letters(rank: int, commuting) -> Dict[int, Set[int]]:
+    """Each letter ``1..rank`` mapped to the letters of the generators it
+    commutes with, for ``commuting`` pairs of generator indices."""
+    near: Dict[int, Set[int]] = {g + 1: set() for g in range(rank)}
+    for a, b in commuting:
+        near[a + 1].add(b + 1)
+        near[b + 1].add(a + 1)
+    return near
 
 
-def normalize_with_rules(rules: RewriteRules, w: Sequence[int]) -> Word:
-    """Rewrite ``w`` to a fixpoint, applying at the leftmost position:
-    inverse removal on involution letters, deletion of adjacent cancelling
-    or repeated-involution letters, and swaps of adjacent commuting
-    letters into ascending generator order.  Idempotent and
-    length-non-increasing.
+def right_angled_nf(near: Dict[int, Set[int]], w: Sequence[int]) -> Word:
+    """The least reduced word, letters compared as integers, of the element
+    ``w`` names in the right-angled Coxeter group where letter ``a``
+    commutes with the letters ``near[a]`` (see :func:`commuting_letters`).
+
+    Signs are dropped, since every generator is an involution.  Each
+    letter walks left past the letters it commutes with; reaching its own
+    letter, the two cancel, and otherwise it goes in before the first
+    greater letter from there.  Reduced words of one element differ only
+    by commutations (Tits), and a word kept least in this way stays least
+    (the lexicographic normal form of a trace: Anisimov and Knuth, 1979).
     """
-    inv = rules.involutions
-    comm = rules.commuting
-    v = list(w)
-    changed = True
-    while changed:
-        changed = False
-        for i in range(len(v)):
-            let = v[i]
-            if let < 0 and (-let - 1) in inv:
-                v[i] = -let
-                changed = True
-                break
-            if i + 1 < len(v):
-                nxt = v[i + 1]
-                if nxt == -let:
-                    del v[i : i + 2]
-                    changed = True
-                    break
-                if nxt == let and let > 0 and (let - 1) in inv:
-                    del v[i : i + 2]
-                    changed = True
-                    break
-                a, b = abs(let) - 1, abs(nxt) - 1
-                if a > b and (b, a) in comm:
-                    v[i], v[i + 1] = nxt, let
-                    changed = True
-                    break
-    return tuple(v)
+    out: list[int] = []
+    for l in w:
+        g = abs(l)
+        commutes = near[g]
+        i = len(out)
+        while i and out[i - 1] in commutes:
+            i -= 1
+        if i and out[i - 1] == g:
+            del out[i - 1]
+            continue
+        while i < len(out) and out[i] < g:
+            i += 1
+        out.insert(i, g)
+    return tuple(out)
 
 
 @dataclass(frozen=True)
@@ -142,8 +135,8 @@ class SymbolDict:
     """Raw kernel symbols: every nontrivial (representative, generator)
     pair gets its own symbol, named after that origin.  ``letters`` maps
     each (coset, generator) pair to its symbol's letter, 0 when trivial.
-    The defining words are the :func:`schreier_word` values, read off the
-    transversal directly."""
+    The defining word of the pair (t, x) is t x (rep of the target
+    coset)^-1, freely reduced."""
 
     def __init__(self, pres: Presentation, hom: HomZ2n, trans: Transversal):
         self.table: list[SchreierGen] = []
@@ -168,30 +161,29 @@ def merge_symbols(
 ) -> Tuple[Tuple[SchreierGen, ...], Tuple[Word, ...]]:
     """Evaluated symbols of a raw symbol table, and each raw symbol's image.
 
-    In table order, each raw defining word is normalized with the instance
-    rules.  An empty word drops out (image: the empty word); a word equal
-    to an earlier symbol's word merges into it with sign +1, one whose
-    normalized inverse equals it with sign -1; a new word makes a symbol
-    named after its first origin, or after the expected generator it or
-    its inverse equals.
+    In table order, each raw defining word is put in :func:`right_angled_nf`
+    over the instance's commuting pairs.  An empty word drops out (image:
+    the empty word); a word equal to an earlier symbol's word merges into
+    it with sign +1, one whose normalized inverse equals it with sign -1; a
+    new word makes a symbol named after its first origin, or after the
+    expected generator it or its inverse equals.
     """
-    rules = inst.rules
+    near = commuting_letters(inst.ambient.rank, inst.commuting)
     expected = [
-        (name, normalize_with_rules(rules, w))
-        for name, w in zip(inst.expected_kernel.gens, inst.expected_words)
+        (name, right_angled_nf(near, w)) for name, w in zip(inst.expected_kernel.gens, inst.expected_words)
     ]
     merged: list[SchreierGen] = []
     by_word: Dict[Word, int] = {}
     images: list[Word] = []
     for g in table:
-        word = normalize_with_rules(rules, g.defining)
+        word = right_angled_nf(near, g.defining)
         if not word:
             images.append(())
             continue
         if word in by_word:
             images.append((letter(by_word[word]),))
             continue
-        inv_word = normalize_with_rules(rules, invert(word))
+        inv_word = right_angled_nf(near, word[::-1])  # the inverse, in involutions
         if inv_word in by_word:
             images.append((letter(by_word[inv_word], -1),))
             continue
@@ -292,8 +284,10 @@ def raw_kernel_presentation(pres: Presentation, hom: HomZ2n, subset: Sequence[in
 def evaluated_kernel_presentation(
     inst: EmbeddingInstance, raw: Optional[KernelPresentation] = None
 ) -> KernelPresentation:
-    """Rule-evaluated kernel presentation of an embedding instance: the
-    raw kernel with symbols that coincide in the ambient group merged.
+    """Evaluated kernel presentation of an embedding instance: the raw
+    kernel with the symbols merged whose defining words are equal in the
+    right-angled Coxeter group of the instance's commuting pairs, which
+    maps onto the ambient.
 
     The raw symbols are merged by :func:`merge_symbols`, their images are
     substituted into the raw relators, and the results are deduplicated by

@@ -33,15 +33,9 @@ from .presentations import Presentation, serialize_word
 from .words import Code, code_invert, code_nf, code_reduce, decode, encode
 
 
-@dataclass(frozen=True)
-class SimplifyConfig:
-    """The longest relator an elimination in :func:`simplify` may write."""
-
-    max_relator_length: int = 1000
-
-    def __post_init__(self):
-        if self.max_relator_length <= 0:
-            raise ValueError("max_relator_length must be positive")
+# the longest relator an elimination in :func:`simplify` may write, unless
+# told otherwise
+DEFAULT_MAX_RELATOR_LENGTH = 1000
 
 
 @dataclass
@@ -237,7 +231,9 @@ def _expand(eliminated: List[Tuple[int, Code]]) -> Dict[int, Code]:
     return words
 
 
-def simplify(pres: Presentation, cfg: Optional[SimplifyConfig] = None) -> Tuple[Presentation, SimplifyTrace]:
+def simplify(
+    pres: Presentation, max_relator_length: int = DEFAULT_MAX_RELATOR_LENGTH
+) -> Tuple[Presentation, SimplifyTrace]:
     """Iterate relator normalization and greedy elimination to completion.
 
     At each elimination step the shortest relator with a single-occurrence
@@ -252,10 +248,11 @@ def simplify(pres: Presentation, cfg: Optional[SimplifyConfig] = None) -> Tuple[
     Only the relators containing the eliminated generator are rewritten
     and re-normalized at each step (see the module docstring).
     """
-    cfg = cfg or SimplifyConfig()
+    if max_relator_length <= 0:
+        raise ValueError("max_relator_length must be positive")
     names = pres.gens
     trace = SimplifyTrace()
-    rels = _Relators(cfg.max_relator_length)
+    rels = _Relators(max_relator_length)
     for i, r in enumerate(pres.relators):
         rels.put(i, code_nf(encode(r)))
     if len(rels) != len(pres.relators):

@@ -18,7 +18,7 @@ from typing import Dict, List, Optional, Sequence, Tuple, Union
 
 from .presentations import INF, CoxeterMatrix, EmbeddingInstance, Presentation
 from .schreier import KernelPresentation, evaluated_kernel_presentation, image_rank, raw_kernel_presentation
-from .tietze import SimplifyConfig, simplify
+from .tietze import DEFAULT_MAX_RELATOR_LENGTH, simplify
 from .words import Word, encode, expand_kernel_word, free_reduce, invert, relabel, relator_nf
 
 DEFAULT_MAX_COSETS = 50_000
@@ -670,7 +670,7 @@ def match_presentations(p: Presentation, q: Presentation):
 @dataclass(frozen=True)
 class Budgets:
     max_cosets: int = DEFAULT_MAX_COSETS
-    max_relator_length: int = 1000
+    max_relator_length: int = DEFAULT_MAX_RELATOR_LENGTH
 
     def __post_init__(self):
         if self.max_cosets <= 0 or self.max_relator_length <= 0:
@@ -820,9 +820,8 @@ def verify_instance(
     # flipping involution signs after simplify merges their sign-variant
     # relator classes, so one comparison decides the match; no match after
     # a simplify that stopped at the length bound decides nothing (None)
-    cfg = SimplifyConfig(b.max_relator_length)
-    simplified, raw_trace = simplify(raw.presentation, cfg)
-    expected, expected_trace = simplify(inst.expected_kernel, cfg)
+    simplified, raw_trace = simplify(raw.presentation, b.max_relator_length)
+    expected, expected_trace = simplify(inst.expected_kernel, b.max_relator_length)
     raw_gens = simplified.rank
     matching = match_presentations(_flip_involutions(simplified), _flip_involutions(expected))
     raw_matched: Optional[bool] = matching is not None

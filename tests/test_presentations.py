@@ -2,6 +2,7 @@ import hashlib
 import itertools
 import json
 import math
+from dataclasses import replace
 
 import pytest
 from hypothesis import given, settings
@@ -283,6 +284,27 @@ def test_klein_instance():
     assert [inst.ambient.gens[g] for g in inst.transversal_gens] == ["r1", "r2"]
 
 
+def test_instance_commuting_pairs_are_validated():
+    inst = build_klein_instance()
+    assert replace(inst, commuting={(3, 0)}).commuting == frozenset({(0, 3)})
+    with pytest.raises(ValueError, match="distinct"):
+        replace(inst, commuting={(1, 1)})
+    with pytest.raises(ValueError, match="outside alphabet"):
+        replace(inst, commuting={(0, 4)})
+    with pytest.raises(ValueError, match="outside alphabet"):
+        replace(inst, commuting={(-1, 2)})
+
+
+def test_instance_rejects_a_generator_with_no_square():
+    inst = build_klein_instance()
+    no_s2_square = tuple(r for r in inst.ambient.relators if r != (4, 4))
+    with pytest.raises(ValueError, match="g\\^2"):
+        replace(inst, ambient=Presentation(inst.ambient.gens, no_s2_square))
+    # g^-2 is a square too
+    squares = tuple((-4, -4) if r == (4, 4) else r for r in inst.ambient.relators)
+    assert replace(inst, ambient=Presentation(inst.ambient.gens, squares)).ambient.relators == squares
+
+
 def test_artin_instance_braid_words():
     inst = build_artin_instance(CoxeterMatrix.from_pairs(2, {(0, 1): 3}))
     # w(1,2) = s1 r1 s2 r2 s1 r1 followed by w(2,1)^-1
@@ -380,8 +402,8 @@ def _instance_record(inst):
         inst.expected_kernel.gens,
         inst.expected_kernel.relators,
         inst.expected_words,
-        sorted(inst.rules.involutions),
-        sorted(inst.rules.commuting),
+        list(range(inst.ambient.rank)),
+        sorted(inst.commuting),
         inst.hom.n,
         inst.hom.images,
         inst.transversal_gens,
@@ -400,14 +422,15 @@ def test_instance_pins():
 
 
 def test_rules_are_ambient_relations():
-    # evaluation rewrites with the rules inside the ambient, so each one
-    # must be a relator of it: g^2 for an involution, (a b)^2 or [a, b]
-    # for a commuting pair
+    # evaluation merges symbols equal in the right-angled Coxeter group of
+    # the commuting pairs, so each of its relations must be a relator of
+    # the ambient: g^2 for every generator, (a b)^2 or [a, b] for a
+    # commuting pair
     for inst in _instance_sweep():
         relators = {relator_nf(r) for r in inst.ambient.relators}
-        for g in inst.rules.involutions:
+        for g in range(inst.ambient.rank):
             assert power((letter(g),), 2) in inst.ambient.relators, (inst.family, g)
-        for a, b in inst.rules.commuting:
+        for a, b in inst.commuting:
             x, y = (letter(a),), (letter(b),)
             forms = {relator_nf(power(x + y, 2)), relator_nf(commutator(x, y))}
             assert forms & relators, (inst.family, a, b)

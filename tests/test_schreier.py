@@ -23,16 +23,17 @@ from coxembed.presentations import (
 from coxembed.schreier import (
     SymbolDict,
     check_hom,
+    commuting_letters,
     evaluated_kernel_presentation,
     image_rank,
     merge_symbols,
-    normalize_with_rules,
     raw_kernel_presentation,
     reidemeister_rewrite,
-    schreier_word,
+    right_angled_nf,
     transversal,
 )
 from coxembed.verify import (
+    coxeter_word_trivial,
     evaluated_matches_expected,
     expand_kernel_word,
     group_order,
@@ -104,48 +105,124 @@ def test_transversal_rejects_nonspanning_subset():
 
 
 def test_schreier_word_examples():
+    # the raw symbol of (t, x) is defined by t x (rep of the target
+    # coset)^-1, freely reduced; none when that is empty
+    def defining(inst, t, x):
+        raw = raw_kernel_presentation(inst.ambient, inst.hom, inst.transversal_gens)
+        return {(g.coset_word, g.gen): g.defining for g in raw.table}.get((t, x), ())
+
     inst = thm1_fixture()
-    t = transversal(inst.ambient, inst.hom, inst.transversal_gens)
-    s1, r1 = 2, 0
-    assert schreier_word(t, inst.hom, (), s1) == (3, -1)  # s1 r1^-1
+    s1 = 2
+    assert defining(inst, (), s1) == (3, -1)  # s1 r1^-1
     # t x literally equal to the representative
-    assert schreier_word(t, inst.hom, (1,), 1) == ()
-    klein = build_klein_instance()
-    tk = transversal(klein.ambient, klein.hom, klein.transversal_gens)
-    assert schreier_word(tk, klein.hom, (), 1) == (2, -3, -1)  # s1 r2^-1 r1^-1
-    with pytest.raises(ValueError):
-        schreier_word(t, inst.hom, (3,), 0)  # s1 is not a representative
+    assert defining(inst, (1,), 1) == ()
+    assert defining(build_klein_instance(), (), 1) == (2, -3, -1)  # s1 r2^-1 r1^-1
 
 
-def test_normalize_with_rules_examples():
-    rules = thm1_fixture().rules
+def commuting_graphs():
+    """Instances whose commuting graphs the normal form is tested on."""
+    return [
+        thm1_fixture(),
+        build_klein_instance(),
+        build_artin_inversion_instance(CoxeterMatrix.from_pairs(3, {(0, 1): 3, (1, 2): 3})),
+        build_prop2_instance(CoxeterMatrix.from_pairs(3, {(0, 1): 3, (0, 2): 2, (1, 2): 4}), (2, 4, 6)),
+    ]
+
+
+def nf_of(inst):
+    near = commuting_letters(inst.ambient.rank, inst.commuting)
+    return lambda w: right_angled_nf(near, w)
+
+
+def random_word(rng, rank, max_len=12):
+    return tuple(rng.choice((1, -1)) * rng.randrange(1, rank + 1) for _ in range(rng.randrange(0, max_len)))
+
+
+def rule_move(rng, inst, w):
+    """``w`` after one random move that keeps its element: insert ``g g``
+    or ``g g^-1`` anywhere, or swap two adjacent commuting letters."""
+    w = list(w)
+    pairs = [
+        i for i in range(len(w) - 1) if tuple(sorted((abs(w[i]) - 1, abs(w[i + 1]) - 1))) in inst.commuting
+    ]
+    if pairs and rng.random() < 0.6:
+        i = rng.choice(pairs)
+        w[i], w[i + 1] = w[i + 1], w[i]
+    else:
+        g = rng.randrange(1, inst.ambient.rank + 1)
+        i = rng.randrange(len(w) + 1)
+        w[i:i] = [g, rng.choice((g, -g))]
+    return tuple(w)
+
+
+def test_right_angled_nf_examples():
+    nf = nf_of(thm1_fixture())
     # r1 r2 r1^-1 -> r2
-    assert normalize_with_rules(rules, (1, 2, -1)) == (2,)
+    assert nf((1, 2, -1)) == (2,)
     # r1 r2 s1 r2^-1 -> r1 s1  (r2 commutes past s1 and cancels)
-    assert normalize_with_rules(rules, (1, 2, 3, -2)) == (1, 3)
-    assert normalize_with_rules(rules, ()) == ()
+    assert nf((1, 2, 3, -2)) == (1, 3)
+    assert nf(()) == ()
+    # s1 r1 r2 and r2 s1 r1 are one element (r2 commutes with r1 and s1):
+    # one form, the least reduced word
+    assert nf((3, 1, 2)) == nf((2, 3, 1)) == (2, 3, 1)
 
 
 @given(st.lists(st.integers(-4, 4).filter(lambda x: x != 0), max_size=14))
 @settings(max_examples=300)
-def test_normalize_with_rules_idempotent_and_nonincreasing(ls):
-    rules = thm1_fixture().rules
+def test_right_angled_nf_idempotent_and_nonincreasing(ls):
+    nf = nf_of(thm1_fixture())
     w = free_reduce(ls)
-    n = normalize_with_rules(rules, w)
+    n = nf(w)
     assert len(n) <= len(w)
-    assert normalize_with_rules(rules, n) == n
+    assert nf(n) == n
 
 
-def test_normalize_with_rules_thousand_words_per_rule_set():
+def test_right_angled_nf_thousand_words_per_graph():
     rng = random.Random(271828)
-    for rules in (thm1_fixture().rules, build_klein_instance().rules):
+    for inst in commuting_graphs():
+        nf = nf_of(inst)
         for _ in range(1000):
-            w = free_reduce(
-                tuple(rng.choice((1, -1)) * rng.randrange(1, 5) for _ in range(rng.randrange(0, 14)))
-            )
-            n = normalize_with_rules(rules, w)
+            w = free_reduce(random_word(rng, inst.ambient.rank, 14))
+            n = nf(w)
             assert len(n) <= len(w)
-            assert normalize_with_rules(rules, n) == n
+            assert min(n, default=1) > 0
+            assert nf(n) == n
+
+
+def test_right_angled_nf_decides_the_chamber_word_problem():
+    # nf(u) == nf(v) exactly when u v^-1 is trivial in the right-angled
+    # Coxeter group of the commuting pairs, decided on its Tits cone; v is
+    # u after rule moves, u with one letter changed, or unrelated
+    rng = random.Random(20261019)
+    for inst in commuting_graphs():
+        n = inst.ambient.rank
+        nf = nf_of(inst)
+        matrix = CoxeterMatrix.from_pairs(n, {pair: 2 for pair in inst.commuting}, default=INF)
+        for _ in range(1500):
+            u = random_word(rng, n)
+            kind = rng.randrange(3)
+            if kind == 0:
+                v = u
+                for _ in range(rng.randrange(1, 6)):
+                    v = rule_move(rng, inst, v)
+            elif kind == 1 and u:
+                i = rng.randrange(len(u))
+                v = u[:i] + (rng.randrange(1, n + 1),) + u[i + 1:]
+            else:
+                v = random_word(rng, n)
+            assert (nf(u) == nf(v)) == coxeter_word_trivial(matrix, u + invert(v)), (inst.family, u, v)
+
+
+def test_rule_moves_keep_the_right_angled_nf():
+    rng = random.Random(161803)
+    for inst in commuting_graphs():
+        nf = nf_of(inst)
+        for _ in range(500):
+            w = random_word(rng, inst.ambient.rank)
+            v = w
+            for _ in range(rng.randrange(1, 8)):
+                v = rule_move(rng, inst, v)
+            assert nf(v) == nf(w), (inst.family, w, v)
 
 
 def test_raw_kernel_counts_thm1():
@@ -314,14 +391,13 @@ def test_merge_symbols_images():
                  build_artin_instance(CoxeterMatrix.from_pairs(2, {(0, 1): 3}))):
         raw = raw_kernel_presentation(inst.ambient, inst.hom, inst.transversal_gens)
         table, images = merge_symbols(inst, raw.table)
+        nf = nf_of(inst)
         assert len(images) == len(raw.table)
         assert tuple(g.name for g in table) == evaluated_kernel_presentation(inst).presentation.gens
         defining = [g.defining for g in table]
         for g, img in zip(raw.table, images):
             assert len(img) <= 1
-            assert normalize_with_rules(inst.rules, g.defining) == normalize_with_rules(
-                inst.rules, expand_kernel_word(img, defining)
-            )
+            assert nf(g.defining) == nf(expand_kernel_word(img, defining))
 
 
 def finite_fixtures():

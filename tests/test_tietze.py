@@ -19,7 +19,7 @@ from coxembed.presentations import (
     serialize_presentation,
 )
 from coxembed.schreier import evaluated_kernel_presentation, raw_kernel_presentation
-from coxembed.tietze import SimplifyConfig, simplify
+from coxembed.tietze import DEFAULT_MAX_RELATOR_LENGTH, simplify
 from coxembed.verify import _flip_involutions, abelianization, group_order, match_presentations
 from coxembed.words import commutator, cyclic_reduce, decode, invert, power, relator_nf
 from oracles import reference_simplify
@@ -136,8 +136,7 @@ def test_simplify_respects_relator_length_bound():
     inst = thm1_fixture()
     raw = raw_kernel_presentation(inst.ambient, inst.hom, inst.transversal_gens)
     initial_max = max(len(relator_nf(r)) for r in raw.presentation.relators)
-    cfg = SimplifyConfig(max_relator_length=4)
-    simplified, _ = simplify(raw.presentation, cfg)
+    simplified, _ = simplify(raw.presentation, max_relator_length=4)
     assert max(len(r) for r in simplified.relators) <= max(4, initial_max)
 
 
@@ -146,7 +145,7 @@ def test_simplify_length_bound_sets_bounded():
     # so simplify stops early and says so
     inst = thm1_fixture()
     raw = raw_kernel_presentation(inst.ambient, inst.hom, inst.transversal_gens)
-    simplified, trace = simplify(raw.presentation, SimplifyConfig(max_relator_length=6))
+    simplified, trace = simplify(raw.presentation, max_relator_length=6)
     assert simplified.rank == 8
     assert trace.bounded is True
 
@@ -154,7 +153,7 @@ def test_simplify_length_bound_sets_bounded():
 def test_simplify_length_bound_ignores_untouched_relators():
     # c^8 is longer than the bound, but eliminating a leaves it untouched
     p = parse_presentation("< a, b, c | a b, c^8 >")
-    out, trace = simplify(p, SimplifyConfig(max_relator_length=5))
+    out, trace = simplify(p, max_relator_length=5)
     assert str(out) == "< b, c | c^8 >"
     assert trace.bounded is False
     assert (str(out), trace.steps, trace.defining, trace.bounded) == reference_simplify(p, 5)
@@ -162,7 +161,7 @@ def test_simplify_length_bound_ignores_untouched_relators():
 
 def test_simplify_config_validation():
     with pytest.raises(ValueError):
-        SimplifyConfig(max_relator_length=0)
+        simplify(parse_presentation("< a | a^2 >"), max_relator_length=0)
 
 
 names = st.lists(st.sampled_from(["a", "b", "c", "d"]), min_size=1, max_size=4, unique=True)
@@ -203,7 +202,7 @@ def presentations_with_squares(draw):
 @given(presentations_with_squares(), st.sampled_from([3, 5, 1000]))
 @settings(max_examples=300, deadline=None)
 def test_simplify_matches_whole_presentation_reference(p, max_len):
-    out, trace = simplify(p, SimplifyConfig(max_relator_length=max_len))
+    out, trace = simplify(p, max_relator_length=max_len)
     got = (str(out), trace.steps, trace.defining, trace.bounded)
     assert got == reference_simplify(p, max_len)
 
@@ -325,7 +324,7 @@ def test_long_eliminations_match_reference():
 
 
 def test_bound_blocks_a_short_elimination_until_the_long_relator_goes():
-    out, trace = simplify(BLOCKED_SHORT, SimplifyConfig(max_relator_length=4))
+    out, trace = simplify(BLOCKED_SHORT, max_relator_length=4)
     eliminated = [s[1:3] for s in trace.steps if s[0] == "eliminate"]
     assert eliminated == [("c", "a^2 c^-1 a b^-1"), ("a", "a b")]
     assert (str(out), trace.steps, trace.defining, trace.bounded) == reference_simplify(BLOCKED_SHORT, 4)
@@ -349,30 +348,27 @@ def test_relators_bookkeeping_after_every_elimination(monkeypatch):
     monkeypatch.setattr(tietze._Relators, "_count", checked_count)
     prop2 = build_prop2_instance(CoxeterMatrix.from_pairs(4, {(0, 1): 3, (1, 2): 3, (2, 3): 3}), (2, 4, 6, 2))
     cases = [
-        (raw_kernel_presentation(inst.ambient, inst.hom, inst.transversal_gens).presentation, cfg)
+        (raw_kernel_presentation(inst.ambient, inst.hom, inst.transversal_gens).presentation, bound)
         for inst in (build_thm1_instance(_chain(4), (2,) * 4), prop2, DIGEST_CASES["chain5"]())
-        for cfg in DIGEST_CONFIGS
+        for bound in DIGEST_BOUNDS
     ]
-    cases += [(LONG_ELIMINATIONS, SimplifyConfig()), (BLOCKED_SHORT, SimplifyConfig(max_relator_length=4))]
-    for p, cfg in cases:
+    cases += [(LONG_ELIMINATIONS, DEFAULT_MAX_RELATOR_LENGTH), (BLOCKED_SHORT, 4)]
+    for p, bound in cases:
         before = len(checked)
-        out, trace = simplify(p, cfg)
+        out, trace = simplify(p, bound)
         assert len(checked) - before == sum(1 for s in trace.steps if s[0] == "eliminate") > 0
     assert sum(rejections) > 0
 
 
 # Simplify output pinned by digests taken from the whole-presentation
 # implementation that re-normalized every relator after each elimination.
-# The first two digests per case are for DIGEST_CONFIGS in order, each
+# The first two digests per case are for DIGEST_BOUNDS in order, each
 # covering str(presentation), trace.steps, trace.defining and
 # trace.bounded.  The third covers the text of the presentation with
 # involution signs flipped, as verify compares it.  chain5 at the first
-# config runs to 5 generators and equals
+# bound runs to 5 generators and equals
 # tests/oracles.py::reference_simplify, which takes about 30 s there.
-DIGEST_CONFIGS = (
-    SimplifyConfig(),
-    SimplifyConfig(max_relator_length=7),
-)
+DIGEST_BOUNDS = (DEFAULT_MAX_RELATOR_LENGTH, 7)
 
 
 def _chain(n):
@@ -448,8 +444,8 @@ def test_simplify_output_pinned(case):
     inst = DIGEST_CASES[case]()
     raw = raw_kernel_presentation(inst.ambient, inst.hom, inst.transversal_gens).presentation
     records = []
-    for cfg in DIGEST_CONFIGS:
-        out, trace = simplify(raw, cfg)
+    for bound in DIGEST_BOUNDS:
+        out, trace = simplify(raw, bound)
         records.append(repr((str(out), trace.steps, trace.defining, trace.bounded)))
     records.append(str(_flip_involutions(simplify(raw)[0])))
     got = tuple(hashlib.sha256(record.encode()).hexdigest() for record in records)
