@@ -276,7 +276,7 @@ def test_reidemeister_rewrite_matches_unreduced_walk():
         n = inst.ambient.rank
         words = []
         while len(words) < 200:
-            w = tuple(rng.choice((1, -1)) * rng.randrange(1, n + 1) for _ in range(rng.randrange(0, 16)))
+            w = random_word(rng, n, 16)
             if inst.hom.word_image(w) == 0:
                 words.append(w)
         for v in t.order:
@@ -410,13 +410,9 @@ def finite_fixtures():
 
 
 def random_kernel_words(inst, count, rng):
-    n = inst.ambient.rank
     words = []
     while len(words) < count:
-        length = rng.randrange(0, 12)
-        w = free_reduce(
-            tuple(rng.choice((1, -1)) * rng.randrange(1, n + 1) for _ in range(length))
-        )
+        w = free_reduce(random_word(rng, inst.ambient.rank))
         if inst.hom.word_image(w) == 0:
             words.append(w)
     return words
