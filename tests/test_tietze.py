@@ -348,8 +348,8 @@ def test_relators_bookkeeping_after_every_elimination(monkeypatch):
     monkeypatch.setattr(tietze._Relators, "_count", checked_count)
     prop2 = build_prop2_instance(CoxeterMatrix.from_pairs(4, {(0, 1): 3, (1, 2): 3, (2, 3): 3}), (2, 4, 6, 2))
     cases = [
-        (raw_kernel_presentation(inst.ambient, inst.hom, inst.transversal_gens).presentation, bound)
-        for inst in (build_thm1_instance(_chain(4), (2,) * 4), prop2, DIGEST_CASES["chain5"]())
+        (p, bound)
+        for p in (_raw(build_thm1_instance(_chain(4), (2,) * 4)), _raw(prop2), DIGEST_CASES["chain5"]())
         for bound in DIGEST_BOUNDS
     ]
     cases += [(LONG_ELIMINATIONS, DEFAULT_MAX_RELATOR_LENGTH), (BLOCKED_SHORT, 4)]
@@ -375,19 +375,37 @@ def _chain(n):
     return CoxeterMatrix.from_pairs(n, {(i, i + 1): 4 for i in range(n - 1)})
 
 
+def _raw(inst):
+    return raw_kernel_presentation(inst.ambient, inst.hom, inst.transversal_gens).presentation
+
+
+def _long(n):
+    """``scripts/simplify_chain.py``'s ``long`` input: the raw thm1 kernel
+    on the n-path, labels 4 and generator orders inf, without its relators
+    of one or two letters, so that every elimination solves a longer
+    relator."""
+    raw = _raw(build_thm1_instance(_chain(n), (INF,) * n))
+    return Presentation(raw.gens, tuple(r for r in raw.relators if len(relator_nf(r)) > 2))
+
+
+# each case gives the presentation to simplify
 DIGEST_CASES = {
-    "thm1-m2x2_4": lambda: build_thm1_instance(_chain(2), (2, 2)),
-    "thm1-m2x2_4-33": lambda: build_thm1_instance(_chain(2), (3, 3)),
-    "prop2-rank1": lambda: build_prop2_instance(CoxeterMatrix.from_rows([[1]]), (4,)),
-    "prop2-m2x2_3": lambda: build_prop2_instance(CoxeterMatrix.from_pairs(2, {(0, 1): 3}), (2, 2)),
-    "prop2-m2x2_3-44": lambda: build_prop2_instance(CoxeterMatrix.from_pairs(2, {(0, 1): 3}), (4, 4)),
-    "thm1-m3x3_right_angled": lambda: build_thm1_instance(
-        CoxeterMatrix.from_rows([[1, 2, INF], [2, 1, 2], [INF, 2, 1]]), (2, 2, 2)
+    "thm1-m2x2_4": lambda: _raw(build_thm1_instance(_chain(2), (2, 2))),
+    "thm1-m2x2_4-33": lambda: _raw(build_thm1_instance(_chain(2), (3, 3))),
+    "prop2-rank1": lambda: _raw(build_prop2_instance(CoxeterMatrix.from_rows([[1]]), (4,))),
+    "prop2-m2x2_3": lambda: _raw(build_prop2_instance(CoxeterMatrix.from_pairs(2, {(0, 1): 3}), (2, 2))),
+    "prop2-m2x2_3-44": lambda: _raw(build_prop2_instance(CoxeterMatrix.from_pairs(2, {(0, 1): 3}), (4, 4))),
+    "thm1-m3x3_right_angled": lambda: _raw(
+        build_thm1_instance(CoxeterMatrix.from_rows([[1, 2, INF], [2, 1, 2], [INF, 2, 1]]), (2, 2, 2))
     ),
-    "klein": build_klein_instance,
-    "artin-3": lambda: build_artin_instance(CoxeterMatrix.from_pairs(2, {(0, 1): 3})),
+    "klein": lambda: _raw(build_klein_instance()),
+    "artin-3": lambda: _raw(build_artin_instance(CoxeterMatrix.from_pairs(2, {(0, 1): 3}))),
     # 289 -> 5 generators
-    "chain5": lambda: build_thm1_instance(_chain(5), (2,) * 5),
+    "chain5": lambda: _raw(build_thm1_instance(_chain(5), (2,) * 5)),
+    # 113 -> 18 generators by 95 eliminations, each solving a relator of
+    # three or more letters (30 at the second bound); equals
+    # reference_simplify at both bounds
+    "long4": lambda: _long(4),
 }
 
 SIMPLIFY_DIGESTS = {
@@ -436,13 +454,17 @@ SIMPLIFY_DIGESTS = {
         "0b7996ba5dfbcdbf30cdb877ad12f75f03f219c268f1e4c2ee61fd3d1b1ace6b",
         "b4a96edc11ee7a5671fca1d7099ca4b1242befa20475fca4a731e19e44216a3a",
     ),
+    "long4": (
+        "69079bcd6de5a6e80b1e0be70d8a90858c366b7a62ef5693d0074245b45aceb4",
+        "e64007a2fe7ca9e1f5c60f196b9b47386faccd523de9540a1f96446e263a046a",
+        "7c61f58b8948135cf651a59beb69f7c87031af74dc96334c879eaddbab5f481c",
+    ),
 }
 
 
 @pytest.mark.parametrize("case", sorted(DIGEST_CASES))
 def test_simplify_output_pinned(case):
-    inst = DIGEST_CASES[case]()
-    raw = raw_kernel_presentation(inst.ambient, inst.hom, inst.transversal_gens).presentation
+    raw = DIGEST_CASES[case]()
     records = []
     for bound in DIGEST_BOUNDS:
         out, trace = simplify(raw, bound)
