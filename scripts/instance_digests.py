@@ -48,7 +48,7 @@ from coxembed.presentations import (  # noqa: E402
 )
 from coxembed.schreier import evaluated_kernel_presentation, raw_kernel_presentation  # noqa: E402
 from coxembed.tietze import DEFAULT_MAX_RELATOR_LENGTH, simplify  # noqa: E402
-from coxembed.verify import DEFAULT_MAX_COSETS, Budgets, verify_instance  # noqa: E402
+from coxembed.verify import DEFAULT_MAX_COSETS, verify_instance  # noqa: E402
 
 LABELS = (2, 3, 4, 5, 6, INF)
 ORDERS = (2, 4, 6, INF)
@@ -104,14 +104,14 @@ def main(argv=None) -> int:
     mode.add_argument("--simplify", action="store_true", help="digest the simplify traces, not the report")
     mode.add_argument("--evaluated", action="store_true", help="digest the evaluated kernel, not the report")
     args = ap.parse_args(argv)
-    budgets = Budgets(args.max_cosets, args.max_relator_length)
     for inst in instances(args.max_rank):
         if args.simplify:
             digest = simplify_digests(inst, args.max_relator_length)
         elif args.evaluated:
             digest = evaluated_digest(inst)
         else:
-            digest = sha256(json.dumps(verify_instance(inst, budgets).to_dict(), sort_keys=True))
+            report = verify_instance(inst, args.max_cosets, args.max_relator_length)
+            digest = sha256(json.dumps(report.to_dict(), sort_keys=True))
         print(inst.family, json.dumps(inst.params, sort_keys=True), digest)
     return 0
 

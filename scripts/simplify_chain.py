@@ -15,8 +15,10 @@ Chains:
 - ``thm1``: labels 4 on the path, generator orders ``inf``.
 - ``prop2``: labels 3 on the path, generator orders 4.
 - ``long``: the thm1 raw kernel without its relators whose normal form
-  has one or two letters, so that eliminations start from longer
-  relators; it has no ``verify_instance`` time.
+  has one or two letters, so that every elimination solves a longer
+  relator and recounts the generators of the live relators first; it has
+  no ``verify_instance`` time.  ``tests/test_tietze.py`` pins its rank-4
+  input.
 
 Uses the standard library and the ``coxembed`` sources of this checkout.
 """

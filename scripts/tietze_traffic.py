@@ -1,0 +1,82 @@
+#!/usr/bin/env python3
+"""Count the Tietze eliminations of one benchmark pass by solved-relator length.
+
+    python3 scripts/tietze_traffic.py --workload kernels --seed 1
+
+Prepares the seed's ops with ``perfbench/run.py``'s ``setup`` (CLI ops run
+in process), as ``scripts/op_digests.py`` does, with ``simplify`` wrapped
+wherever the package bound it.  Runs each op once and prints the number
+of ``simplify`` calls, their eliminations by the number of letters of the
+relator each solved (1, 2, 3 or more) and the calls that ended
+``bounded``.  The warm-up op of ``setup`` is not counted.  Only
+``trace.steps`` and ``trace.bounded`` are read, so it runs against older
+checkouts too.
+"""
+
+from __future__ import annotations
+
+import argparse
+import os
+import sys
+from collections import Counter
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parents[1]
+sys.path.insert(0, str(ROOT / "perfbench"))
+sys.path.insert(0, str(ROOT / "src"))
+
+import run  # noqa: E402
+import workloads  # noqa: E402
+from simplify_chain import letters  # noqa: E402
+
+
+class Traffic:
+    """Counts over the ``simplify`` calls made after ``install``."""
+
+    def __init__(self):
+        self.reset()
+
+    def reset(self) -> None:
+        self.calls = self.bounded = 0
+        self.solved: Counter = Counter()  # eliminations by min(letters, 3)
+
+    def install(self, modules: dict) -> None:
+        simplify = modules["coxembed.tietze"].simplify
+
+        def counted(*args, **kwargs):
+            out, trace = simplify(*args, **kwargs)
+            self.calls += 1
+            self.bounded += trace.bounded
+            for step in trace.steps:
+                if step[0] == "eliminate":
+                    self.solved[min(letters(step[2]), 3)] += 1
+            return out, trace
+
+        for mod in modules.values():
+            if mod.__dict__.get("simplify") is simplify:
+                mod.simplify = counted
+
+
+def main(argv=None) -> int:
+    ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    ap.add_argument("--workload", required=True, choices=workloads.WORKLOADS)
+    ap.add_argument("--seed", type=int, default=1)
+    args = ap.parse_args(argv)
+    os.chdir(ROOT)  # CLI ops name fixtures relative to the root
+    traffic = Traffic()
+    ops = workloads.draw(args.workload, args.seed)
+    items = run.setup(args.workload, ops, in_process=True, tracer=traffic)
+    traffic.reset()  # forget the warm-up op
+    for item in items:
+        item.check(item.run())
+    solved = traffic.solved
+    print(f"ops: {len(items)}")
+    print(f"simplify_calls: {traffic.calls}")
+    print(f"eliminations: {sum(solved.values())}", end=" ")
+    print(f"(1 letter: {solved[1]}, 2 letters: {solved[2]}, 3+ letters: {solved[3]})")
+    print(f"bounded_calls: {traffic.bounded}")
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

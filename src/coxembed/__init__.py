@@ -46,7 +46,6 @@ from .schreier import (
 from .tietze import SimplifyTrace, simplify
 from .verify import (
     AbelianInvariants,
-    Budgets,
     CosetTable,
     VerifyReport,
     abelianization,

@@ -39,7 +39,6 @@ from .schreier import KernelPresentation, evaluated_kernel_presentation, raw_ker
 from .tietze import DEFAULT_MAX_RELATOR_LENGTH, simplify
 from .verify import (
     DEFAULT_MAX_COSETS,
-    Budgets,
     abelianization,
     group_order,
     match_presentations,
@@ -232,8 +231,7 @@ def cmd_match(args) -> CommandResult:
 
 def cmd_verify(args) -> CommandResult:
     inst = _build_instance(args)
-    budgets = Budgets(max_cosets=args.max_cosets, max_relator_length=args.max_relator_length)
-    report = verify_instance(inst, budgets)
+    report = verify_instance(inst, args.max_cosets, args.max_relator_length)
     data = report.to_dict()
     # instance fields bare, other sections as section.key; strings
     # print as they are, everything else as JSON

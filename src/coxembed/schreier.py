@@ -220,24 +220,18 @@ class KernelPresentation:
         return rows
 
 
-def reidemeister_rewrite(
-    trans: Transversal,
-    hom: HomZ2n,
-    symbols: SymbolDict,
-    w: Sequence[int],
-    coset: int = 0,
-) -> Word:
+def reidemeister_rewrite(hom: HomZ2n, symbols: SymbolDict, w: Sequence[int], coset: int = 0) -> Word:
     """Rewrite ``w``, read from ``coset``, over the raw Schreier symbols.
 
-    The walk starts at ``coset`` (an image vector of ``trans``).  A
-    positive letter x at coset v contributes the symbol of the pair
-    (v, x); a letter x^-1 steps to v' = v + image(x) and contributes the
-    inverse of the symbol at (v', x).  The result is the rewrite of
-    t w t^-1 from the trivial coset, t the representative of ``coset``:
-    the letters of a prefix-closed transversal contribute only trivial
-    symbols.  Inverse pairs cancel as the walk appends, so the result is
-    freely reduced.  Raises if the walk does not end where it started, i.e.
-    ``w`` has nonzero image.
+    The walk starts at ``coset`` (the image vector of a transversal
+    element).  A positive letter x at coset v contributes the symbol of
+    the pair (v, x); a letter x^-1 steps to v' = v + image(x) and
+    contributes the inverse of the symbol at (v', x).  The result is the
+    rewrite of t w t^-1 from the trivial coset, t the representative of
+    ``coset``: the letters of a prefix-closed transversal contribute only
+    trivial symbols.  Inverse pairs cancel as the walk appends, so the
+    result is freely reduced.  Raises if the walk does not end where it
+    started, i.e. ``w`` has nonzero image.
     """
     letters = symbols.letters
     images = hom.images
@@ -274,7 +268,7 @@ def raw_kernel_presentation(pres: Presentation, hom: HomZ2n, subset: Sequence[in
     # would need
     for v in trans.order:
         for r in pres.relators:
-            img = reidemeister_rewrite(trans, hom, symbols, r, v)
+            img = reidemeister_rewrite(hom, symbols, r, v)
             if img:
                 rels.append(img)
     kernel = Presentation.trusted(symbols.names(), tuple(rels))

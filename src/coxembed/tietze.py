@@ -18,24 +18,29 @@ the sets of relators containing a letter only for the letters that enter
 or leave a rewritten relator; a relator rewritten to the empty word or to
 another live relator is dropped.  The result equals re-normalizing the
 whole presentation after every elimination.  Generator counts, needed
-only to choose among relators of three or more letters, are brought up to
-date only when no shorter relator offers an elimination.
+only to choose among relators of three or more letters, are taken afresh,
+in one pass over the live relators, only when no shorter relator offers an
+elimination.
 """
 
 from __future__ import annotations
 
 from bisect import bisect_left, insort
-from collections import defaultdict
+from collections import Counter, defaultdict
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Set, Tuple
 
 from .presentations import Presentation, serialize_word
-from .words import Code, code_invert, code_nf, code_reduce, decode, encode
+from .words import Code, _Memo, code_invert, code_nf, code_reduce, decode, encode
 
 
 # the longest relator an elimination in :func:`simplify` may write, unless
 # told otherwise
 DEFAULT_MAX_RELATOR_LENGTH = 1000
+
+# letter code -> chr(g), g its generator, so that str.translate and Counter
+# count generator occurrences at C speed
+_GEN = _Memo(lambda x: x >> 1)
 
 
 @dataclass
@@ -79,20 +84,9 @@ class _Relators:
     one letter and ``short[1]`` those of two letters of two generators:
     these relators have a single-occurrence generator, and choosing among
     them needs no counts.  Every elimination uses one of them while any
-    is admissible.
-
-    The rest of the bookkeeping serves the longer relators and is brought
-    up to date only when no short relator is admissible: ``counted``
-    holds each relator's form and generator counts as last counted,
-    ``occ`` the letter occurrences per generator over those counts,
-    ``singles`` the single-occurrence generators of the longer relators
-    and ``long_usable`` their sorted ``(length, form, id)``.  ``dirty``
-    holds the ids put since.
-
-    ``rejected[g]`` holds the ids of relators whose elimination of ``g``
-    the length bound rejected; an entry is dropped when a relator
-    containing ``g``, before or after, changes, since only then can the
-    answer change.
+    is admissible.  The longer relators need generator counts, which are
+    taken from the live forms only when no short relator is admissible;
+    nothing about them is kept between eliminations.
     """
 
     def __init__(self, max_len: int):
@@ -101,12 +95,6 @@ class _Relators:
         self.forms: Dict[int, Code] = {}
         self.containing: Dict[str, Set[int]] = defaultdict(set)
         self.short: Tuple[List[Code], List[Code]] = ([], [])
-        self.rejected: Dict[int, Set[int]] = {}
-        self.dirty: Set[int] = set()
-        self.counted: Dict[int, Tuple[Code, Dict[int, int]]] = {}
-        self.occ: Dict[int, int] = defaultdict(int)
-        self.singles: Dict[int, List[int]] = {}
-        self.long_usable: List[Tuple[int, Code, int]] = []
 
     def __len__(self) -> int:
         return len(self.ids)
@@ -131,39 +119,11 @@ class _Relators:
             self.containing[x].discard(i)
         for x in after - before:
             self.containing[x].add(i)
-        if self.rejected:
-            for x in before | after:
-                self.rejected.pop(ord(x) >> 1, None)
-        self.dirty.add(i)
         if c:
             self.ids[c] = i
             self.forms[i] = c
             if len(c) == 1 or (len(c) == 2 and c[0] != c[1]):
                 insort(self.short[len(c) - 1], c)
-
-    def _count(self) -> None:
-        """Bring the counts of the relators put since the last call up to
-        date."""
-        for i in self.dirty:
-            if i in self.counted:
-                form, counts = self.counted.pop(i)
-                for g, k in counts.items():
-                    self.occ[g] -= k
-                if self.singles.pop(i, None):
-                    del self.long_usable[bisect_left(self.long_usable, (len(form), form, i))]
-            form = self.forms.get(i)
-            if form:
-                counts = {}
-                for x in map(ord, form):
-                    counts[x >> 1] = counts.get(x >> 1, 0) + 1
-                for g, k in counts.items():
-                    self.occ[g] += k
-                self.counted[i] = form, counts
-                singles = sorted(g for g, k in counts.items() if k == 1)
-                if singles and len(form) > 2:
-                    self.singles[i] = singles
-                    insort(self.long_usable, (len(form), form, i))
-        self.dirty.clear()
 
     def _rewrite(self, g: int, r: int, replacement: Code) -> Optional[List[Tuple[int, Code]]]:
         """``(id, normal form)`` of the relators containing ``g`` other than
@@ -179,7 +139,6 @@ class _Relators:
             if i != r:
                 c = code_nf(forms[i].replace(x, replacement).replace(y, inverse))
                 if len(c) > max_len:
-                    self.rejected.setdefault(g, set()).add(r)
                     return None
                 out.append((i, c))
         return out
@@ -189,28 +148,32 @@ class _Relators:
         single-occurrence generator, in relator order, each with those
         generators by growth estimate (occurrences elsewhere times
         replacement length minus one), then index.  For a relator of one or
-        two letters the estimate is the same for each, so the counts are
-        brought up to date only when the longer relators are reached."""
+        two letters the estimate is the same for each, so the generators
+        are counted, in one pass over the live forms, only when the longer
+        relators are reached."""
         for forms in self.short:
             for c in forms:
                 yield c, self.ids[c], sorted({ord(x) >> 1 for x in c})
-        self._count()
-        for n, c, r in self.long_usable:
-            yield c, r, sorted(self.singles[r], key=lambda g: ((self.occ[g] - 1) * (n - 2), g))
+        occ = Counter("".join(self.ids).translate(_GEN))
+        for c in sorted((c for c in self.ids if len(c) > 2), key=lambda c: (len(c), c)):
+            singles = [ord(x) for x, k in Counter(c.translate(_GEN)).items() if k == 1]
+            if singles:
+                yield c, self.ids[c], sorted(singles, key=lambda g: ((occ[chr(g)] - 1) * (len(c) - 2), g))
 
     def choose(self):
         """First admissible elimination ``(g, r, replacement, rewritten)``,
-        ``r`` the id of the relator solved for ``g``; pairs the length
-        bound rejected are skipped while ``rejected`` holds them."""
+        ``r`` the id of the relator solved for ``g``.  None when no relator
+        offers one, False when the length bound rejected every one
+        offered."""
+        chosen = None
         for c, r, gens in self._candidates():
+            chosen = False
             for g in gens:
-                if r in self.rejected.get(g, ()):
-                    continue
                 replacement = _solve(c, g)
                 rewritten = self._rewrite(g, r, replacement)
                 if rewritten is not None:
                     return g, r, replacement, rewritten
-        return None
+        return chosen
 
     def eliminate(self, r: int, rewritten: List[Tuple[int, Code]]) -> None:
         """Drop relator ``r`` and update the rewritten ones in place."""
@@ -273,9 +236,8 @@ def simplify(
         if len(rels) != before:
             trace.steps.append(("dedupe", before - len(rels)))
         trace.steps.append(("reduce",))
-    # a relator with a single-occurrence generator is left only when the
-    # length bound rejected every elimination it offers
-    trace.bounded = bool(rels.short[0] or rels.short[1] or rels.long_usable)
+    # False: the length bound rejected every elimination offered
+    trace.bounded = chosen is False
 
     words = _expand(eliminated)
     survivors = [g for g in range(len(names)) if g not in words]

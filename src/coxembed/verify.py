@@ -667,16 +667,6 @@ def match_presentations(p: Presentation, q: Presentation):
 # instance verification
 
 
-@dataclass(frozen=True)
-class Budgets:
-    max_cosets: int = DEFAULT_MAX_COSETS
-    max_relator_length: int = DEFAULT_MAX_RELATOR_LENGTH
-
-    def __post_init__(self):
-        if self.max_cosets <= 0 or self.max_relator_length <= 0:
-            raise ValueError("budgets must be positive")
-
-
 @dataclass
 class VerifyReport:
     """Aggregated per-instance checks; verdict passes iff every enabled
@@ -797,7 +787,10 @@ def _flip_involutions(pres: Presentation) -> Presentation:
 
 
 def verify_instance(
-    inst: EmbeddingInstance, budgets: Optional[Budgets] = None, raw: Optional[KernelPresentation] = None
+    inst: EmbeddingInstance,
+    max_cosets: int = DEFAULT_MAX_COSETS,
+    max_relator_length: int = DEFAULT_MAX_RELATOR_LENGTH,
+    raw: Optional[KernelPresentation] = None,
 ) -> VerifyReport:
     """Run the full check battery for one embedding instance.
 
@@ -806,8 +799,10 @@ def verify_instance(
     finite section runs no coset enumeration when the ambient or the
     expected kernel is :func:`certified_infinite`; it reads skipped, as
     it would once the budget ran out.  ``raw`` is the instance's raw
-    kernel when the caller already has it."""
-    b = budgets or Budgets()
+    kernel when the caller already has it.  Both budgets are checked here,
+    since on a certified-infinite instance no coset enumeration would."""
+    if max_cosets <= 0 or max_relator_length <= 0:
+        raise ValueError("budgets must be positive")
     n = inst.hom.n
     rank = image_rank(inst.hom)
 
@@ -820,15 +815,15 @@ def verify_instance(
     # flipping involution signs after simplify merges their sign-variant
     # relator classes, so one comparison decides the match; no match after
     # a simplify that stopped at the length bound decides nothing (None)
-    simplified, raw_trace = simplify(raw.presentation, b.max_relator_length)
-    expected, expected_trace = simplify(inst.expected_kernel, b.max_relator_length)
+    simplified, raw_trace = simplify(raw.presentation, max_relator_length)
+    expected, expected_trace = simplify(inst.expected_kernel, max_relator_length)
     raw_gens = simplified.rank
     matching = match_presentations(_flip_involutions(simplified), _flip_involutions(expected))
     raw_matched: Optional[bool] = matching is not None
     if not raw_matched and (raw_trace.bounded or expected_trace.bounded):
         raw_matched = None
 
-    finite = _finite_section(inst, b.max_cosets)
+    finite = _finite_section(inst, max_cosets)
     finite_ok = finite is None or (finite["product_ok"] and finite["relators_hold"])
 
     # the instance's hom kills every ambient relator, so only the images

@@ -72,7 +72,7 @@ def evaluated_rewriter(inst):
     symbols = SymbolDict(inst.ambient, inst.hom, trans)
     table, images = merge_symbols(inst, symbols.table)
     return table, lambda w: expand_kernel_word(
-        reidemeister_rewrite(trans, inst.hom, symbols, w), images
+        reidemeister_rewrite(inst.hom, symbols, w), images
     )
 
 

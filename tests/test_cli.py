@@ -255,6 +255,17 @@ def test_verify_text_bounded_raw_comparison_skipped(capsys):
     assert out.rstrip().endswith("verdict: pass")
 
 
+def test_verify_rejects_nonpositive_budgets(capsys):
+    # with generator orders inf the ambient is certified infinite, so no
+    # coset enumeration runs to reject the budget
+    fixture = str(ROOT / "scripts/fixtures/m2x2_4.txt")
+    for flag in ("--max-cosets", "--max-relator-length"):
+        code, out, err = run_cli(capsys, "verify", "thm1", "--m", fixture, flag, "0")
+        assert code == 2
+        assert out == ""
+        assert "budgets must be positive" in err
+
+
 def test_verify_artin_label3_fails_honestly(capsys, m3_file):
     code, out, _ = run_cli(capsys, "verify", "artin", "--m", m3_file, "--max-cosets", "2000")
     assert code == 1

@@ -260,10 +260,10 @@ def test_raw_rewrite_is_exact_in_free_group():
             rep = t.reps[v]
             for r in inst.ambient.relators:
                 w = free_reduce(rep + r + invert(rep))
-                img = reidemeister_rewrite(t, inst.hom, sym, w)
+                img = reidemeister_rewrite(inst.hom, sym, w)
                 assert expand_kernel_word(img, defining) == w
                 # the representative's letters contribute only trivial symbols
-                assert reidemeister_rewrite(t, inst.hom, sym, r, v) == img
+                assert reidemeister_rewrite(inst.hom, sym, r, v) == img
 
 
 def test_reidemeister_rewrite_matches_unreduced_walk():
@@ -282,7 +282,7 @@ def test_reidemeister_rewrite_matches_unreduced_walk():
         for v in t.order:
             for w in words:
                 expected = walk_rewrite(sym.table, inst.hom.images, w, v)
-                assert reidemeister_rewrite(t, inst.hom, sym, w, v) == expected
+                assert reidemeister_rewrite(inst.hom, sym, w, v) == expected
 
 
 def test_evaluated_thm1():
@@ -365,7 +365,7 @@ def evaluated_rewriter(inst):
     t = transversal(inst.ambient, inst.hom, inst.transversal_gens)
     sym = SymbolDict(inst.ambient, inst.hom, t)
     table, images = merge_symbols(inst, sym.table)
-    return table, lambda w: expand_kernel_word(reidemeister_rewrite(t, inst.hom, sym, w), images)
+    return table, lambda w: expand_kernel_word(reidemeister_rewrite(inst.hom, sym, w), images)
 
 
 def test_reidemeister_rewrite_examples():

@@ -29,7 +29,6 @@ from coxembed.presentations import (
 from coxembed.schreier import evaluated_kernel_presentation, raw_kernel_presentation
 from coxembed.verify import (
     AbelianInvariants,
-    Budgets,
     abelianization,
     certified_infinite,
     coxeter_matrix_of,
@@ -173,10 +172,9 @@ def test_certificate_leaves_verify_reports_unchanged(monkeypatch):
     instances = _certified_instances()
     for inst in instances:
         assert certified_infinite(inst.ambient) or certified_infinite(inst.expected_kernel)
-    budgets = Budgets(max_cosets=2000)
-    certified = [verify_instance(inst, budgets).to_dict() for inst in instances]
+    certified = [verify_instance(inst, max_cosets=2000).to_dict() for inst in instances]
     monkeypatch.setattr(verify, "certified_infinite", lambda pres: False)
-    enumerated = [verify_instance(inst, budgets).to_dict() for inst in instances]
+    enumerated = [verify_instance(inst, max_cosets=2000).to_dict() for inst in instances]
     assert certified == enumerated
     assert all(d["finite"] == "skipped" for d in certified)
 
@@ -566,7 +564,7 @@ def test_max_cosets_bounds_only_the_kernel_and_index_enumerations():
     # the kernel and index enumerations fit, so the section is decided
     m = CoxeterMatrix.from_pairs(3, {})
     for build in (build_thm1_instance, build_prop2_instance):
-        report = verify_instance(build(m, (6, 6, 6)), Budgets(max_cosets=2000))
+        report = verify_instance(build(m, (6, 6, 6)), max_cosets=2000)
         assert report.finite == {
             "ambient_order": 1728,
             "kernel_order": 216,
@@ -584,7 +582,7 @@ def test_verify_instance_takes_the_raw_kernel(monkeypatch):
     expected = verify_instance(inst).to_dict()
     calls = []
     monkeypatch.setattr(verify, "raw_kernel_presentation", lambda *a: calls.append(a))
-    assert verify_instance(inst, None, raw).to_dict() == expected
+    assert verify_instance(inst, raw=raw).to_dict() == expected
     assert calls == []
 
 
@@ -856,7 +854,7 @@ def test_instance_guarantees_a_valid_hom():
 
 
 def test_verify_instance_klein():
-    report = verify_instance(build_klein_instance(), Budgets(max_cosets=5_000))
+    report = verify_instance(build_klein_instance(), max_cosets=5_000)
     d = report.to_dict()
     assert d["finite"] == "skipped"
     assert d["verdict"] == "pass"
@@ -925,7 +923,7 @@ def test_verify_instance_prop2_rank5_chain_matches_at_rank_10():
     inst = build_prop2_instance(
         CoxeterMatrix.from_pairs(5, {(i, i + 1): 3 for i in range(4)}), (4,) * 5
     )
-    report = verify_instance(inst, Budgets(max_cosets=2_000))
+    report = verify_instance(inst, max_cosets=2_000)
     assert report.raw_matched
     assert report.verdict == "pass"
 
@@ -949,11 +947,11 @@ def test_verify_instance_bounded_raw_comparison_is_skipped():
         inst = build_thm1_instance(
             CoxeterMatrix.from_pairs(n, {(i, i + 1): 4 for i in range(n - 1)}), (2,) * n
         )
-        d = verify_instance(inst, Budgets(max_cosets=2_000)).to_dict()
+        d = verify_instance(inst, max_cosets=2_000).to_dict()
         assert d["raw"] == {"generators_after_simplify": n, "matched": True}
         assert d["verdict"] == "pass"
     # a simplify stopped by the length bound decides nothing
-    d = verify_instance(thm1_fixture(), Budgets(max_relator_length=6)).to_dict()
+    d = verify_instance(thm1_fixture(), max_relator_length=6).to_dict()
     assert d["raw"] == {"generators_after_simplify": 8, "matched": "skipped"}
     assert d["verdict"] == "pass"
 
