@@ -4,6 +4,7 @@
     python3 scripts/instance_digests.py --max-rank 3 > digests.txt
     python3 scripts/instance_digests.py --max-rank 3 --simplify > simplify.txt
     python3 scripts/instance_digests.py --max-rank 3 --evaluated > evaluated.txt
+    python3 scripts/instance_digests.py --max-rank 3 --chamber > chamber.txt
 
 Sweeps ranks 1..R: every Coxeter matrix with labels 2-6 and ``inf``,
 with generator orders from {2, 4, 6, inf} for thm1 (even labels only)
@@ -24,6 +25,14 @@ evaluated kernel: ``repr((str(presentation), names, defining words))``
 over its symbol table.  It uses only :func:`raw_kernel_presentation` and
 :func:`evaluated_kernel_presentation`, so it runs against older checkouts
 too.
+
+With ``--chamber`` only the instances with a Coxeter ambient
+(:func:`coxeter_matrix_of`) are printed, each with the sha256 of the
+:func:`coxeter_word_trivial` verdicts, one ``0`` or ``1`` per word, on
+its expanded expected relators and on two perturbations of each: the
+last letter dropped, and letter 1 appended.  Only the one-word
+:func:`coxeter_word_trivial` is called, so it runs against older
+checkouts too.
 """
 
 from __future__ import annotations
@@ -48,7 +57,13 @@ from coxembed.presentations import (  # noqa: E402
 )
 from coxembed.schreier import evaluated_kernel_presentation, raw_kernel_presentation  # noqa: E402
 from coxembed.tietze import DEFAULT_MAX_RELATOR_LENGTH, simplify  # noqa: E402
-from coxembed.verify import DEFAULT_MAX_COSETS, verify_instance  # noqa: E402
+from coxembed.verify import (  # noqa: E402
+    DEFAULT_MAX_COSETS,
+    coxeter_matrix_of,
+    coxeter_word_trivial,
+    verify_instance,
+)
+from coxembed.words import expand_kernel_word  # noqa: E402
 
 LABELS = (2, 3, 4, 5, 6, INF)
 ORDERS = (2, 4, 6, INF)
@@ -95,6 +110,15 @@ def evaluated_digest(inst) -> str:
     return sha256(repr((str(ev.presentation), [g.name for g in ev.table], [g.defining for g in ev.table])))
 
 
+def chamber_digest(inst, matrix) -> str:
+    verdicts = []
+    for r in inst.expected_kernel.relators:
+        w = expand_kernel_word(r, inst.expected_words)
+        for word in (w, w[:-1], w + (1,)):
+            verdicts.append("1" if coxeter_word_trivial(matrix, word) else "0")
+    return sha256("".join(verdicts))
+
+
 def main(argv=None) -> int:
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     ap.add_argument("--max-rank", type=int, default=3)
@@ -103,12 +127,18 @@ def main(argv=None) -> int:
     mode = ap.add_mutually_exclusive_group()
     mode.add_argument("--simplify", action="store_true", help="digest the simplify traces, not the report")
     mode.add_argument("--evaluated", action="store_true", help="digest the evaluated kernel, not the report")
+    mode.add_argument("--chamber", action="store_true", help="digest the chamber check verdicts, not the report")
     args = ap.parse_args(argv)
     for inst in instances(args.max_rank):
         if args.simplify:
             digest = simplify_digests(inst, args.max_relator_length)
         elif args.evaluated:
             digest = evaluated_digest(inst)
+        elif args.chamber:
+            matrix = coxeter_matrix_of(inst.ambient)
+            if matrix is None:
+                continue
+            digest = chamber_digest(inst, matrix)
         else:
             report = verify_instance(inst, args.max_cosets, args.max_relator_length)
             digest = sha256(json.dumps(report.to_dict(), sort_keys=True))
