@@ -14,7 +14,7 @@ from collections import defaultdict
 from dataclasses import dataclass
 from functools import partial
 from math import factorial, gcd, lcm
-from typing import Dict, List, Optional, Sequence, Tuple, Union
+from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Tuple, Union
 
 from .presentations import INF, CoxeterMatrix, EmbeddingInstance, Presentation
 from .schreier import KernelPresentation, evaluated_kernel_presentation, image_rank, raw_kernel_presentation
@@ -382,23 +382,32 @@ def certified_infinite(pres: Presentation) -> bool:
 def coxeter_word_trivial(matrix: CoxeterMatrix, word: Word) -> bool:
     """True iff ``word`` is the identity in the Coxeter group of ``matrix``.
 
-    The group acts on the dual of its geometric representation simply
-    transitively on the chambers of its Tits cone (Humphreys, *Reflection
-    Groups and Coxeter Groups*, 1990, Sec. 5.13), so a word is trivial
-    exactly when it fixes ``f = (1, ..., 1)``, a point of the open
-    fundamental chamber.  Letter ``s`` (or its inverse, the same
-    reflection) sets ``f_s <- -f_s`` and ``f_t <- f_t + c_st f_s`` with
-    ``c_st = 2 cos(pi / m_st)``, or 2 for ``m_st = inf``.
+    A word is trivial iff it fixes ``f = (1, ..., 1)``, in the open
+    fundamental chamber of the Tits cone (Humphreys, *Reflection Groups
+    and Coxeter Groups*, 1990, Sec. 5.13).  Letter ``s`` or ``s^-1`` sets
+    ``f_s <- -f_s`` and ``f_t <- f_t + c_st f_s``, with ``c_st = 2`` for
+    ``m_st = inf`` and ``c_st = 2 cos(pi / m_st) = x^a + x^-a`` for
+    ``a = N / 2 m_st`` at ``x = exp(2 pi i / N)``, ``N`` the lcm of ``2 m``
+    over the finite labels ``m >= 3``.  Then ``f_t = 1`` iff ``f_t - 1``
+    times ``x^(N / p) - 1`` for each prime ``p | N``, a product that is 0
+    at all but the primitive ``N``-th roots of unity, is 0 in
+    ``Z[x] / (x^N - 1)``.
 
-    Integers only: with ``N`` the lcm of ``2 m`` over the finite labels
-    ``m >= 3``, each coordinate is a polynomial in ``Z[x] / (x^N - 1)``,
-    and ``c_st = x^(N / 2m) + x^(-N / 2m)`` at ``x = exp(2 pi i / N)``, two
-    cyclic shifts.  A coordinate equals 1 there exactly when ``f_t - 1`` is
-    a multiple of the cyclotomic polynomial ``Phi_N``, that is, when its
-    product with ``x^(N / p) - 1`` for every prime ``p | N`` vanishes
-    modulo ``x^N - 1``: that product vanishes at every other ``N``-th root
-    of unity, and at none of the primitive ones.
+    Each coordinate is one integer, its image under the ring map
+    ``x -> 2^B`` onto ``Z / M``, ``M = 2^(N B) - 1``: ``x^a`` rotates it by
+    ``a B`` bits and ``-v`` is ``M - v``.  A first pass bounds the l1 norm
+    of each coordinate: letter ``s`` adds twice the bound of ``f_s`` to
+    each neighbour's, and each ``x^(N / p) - 1`` at most doubles it.  With
+    ``2^(B - 1)`` above the final bound, the image ``sum c_i 2^(i B)`` of
+    a product lies strictly between ``-M`` and ``M``, and it is 0 only if
+    every ``c_i`` is (balanced base-``2^B`` digits are unique): the
+    product is zero iff its residue is 0 or ``M``.
     """
+    return next(_chamber_checks(matrix, (word,)))
+
+
+def _chamber_checks(matrix: CoxeterMatrix, words: Iterable[Word]) -> Iterator[bool]:
+    """:func:`coxeter_word_trivial` of each word, with one setup per matrix."""
     n = matrix.n
     N = lcm(*(2 * m for _, _, m in matrix.pairs() if m != INF and m > 2))
     nbrs: List[List[Tuple[int, Optional[int]]]] = [[] for _ in range(n)]
@@ -407,25 +416,41 @@ def coxeter_word_trivial(matrix: CoxeterMatrix, word: Word) -> bool:
             shift = None if m == INF else N // (2 * m)
             nbrs[i].append((j, shift))
             nbrs[j].append((i, shift))
-    f = [[1] + [0] * (N - 1) for _ in range(n)]
-    for l in word:
-        if l == 0 or abs(l) > n:
-            raise ValueError(f"letter {l} outside alphabet of rank {n}")
-        s = abs(l) - 1
-        fs = f[s]
-        for t, a in nbrs[s]:
-            if a is None:
-                f[t] = [x + 2 * y for x, y in zip(f[t], fs)]
-            else:
-                f[t] = [x + y + z for x, y, z in zip(f[t], fs[-a:] + fs[:-a], fs[a:] + fs[:a])]
-        f[s] = [-x for x in fs]
-    primes = [p for p in range(2, N + 1) if N % p == 0 and all(p % q for q in range(2, p))]
-    for v in f:
-        v[0] -= 1
-        for p in primes:
-            a = N // p
-            v[:] = [x - y for x, y in zip(v[-a:] + v[:-a], v)]
-    return not any(map(any, f))
+    steps = [N // p for p in range(2, N + 1) if N % p == 0 and all(p % q for q in range(2, p))]
+    for word in words:
+        bound = [1] * n
+        for l in word:
+            if l == 0 or abs(l) > n:
+                raise ValueError(f"letter {l} outside alphabet of rank {n}")
+            s = abs(l) - 1
+            for t, _ in nbrs[s]:
+                bound[t] += 2 * bound[s]
+        B = ((max(bound, default=0) + 1) << len(steps)).bit_length() + 1
+        K = N * B
+        M = (1 << K) - 1
+        f = [1] * n
+        for l in word:
+            s = abs(l) - 1
+            fs = f[s]
+            for t, a in nbrs[s]:
+                if a is None:
+                    v = f[t] + (fs << 1)
+                else:
+                    a *= B
+                    v = f[t] + (((fs << a) | (fs >> K - a)) & M) + (((fs << K - a) | (fs >> a)) & M)
+                v = (v & M) + (v >> K)
+                f[t] = v - M if v > M else v
+            f[s] = M - fs
+        for v in f:
+            v = (v or M) - 1
+            for a in steps:
+                v = (((v << a * B) | (v >> K - a * B)) & M) + M - v
+                v = v - M if v > M else v
+            if v % M:
+                yield False
+                break
+        else:
+            yield True
 
 
 def regular_rep(tab: CosetTable) -> Tuple[Tuple[int, ...], ...]:
@@ -730,18 +755,18 @@ def _finite_section(inst: EmbeddingInstance, max_cosets: int) -> Optional[dict]:
     A Coxeter ambient (:func:`coxeter_matrix_of`) is never enumerated:
     its order comes from its Coxeter graph (:func:`coxeter_order`) and
     each expanded relator is checked by its action on the fundamental
-    chamber (:func:`coxeter_word_trivial`).  Any other ambient is
-    enumerated, and since the regular action is free, an expanded relator
-    holds exactly when it carries coset 0 to itself.  The expected kernel
-    and the index of its image are always enumerated; no enumeration of an
-    infinite group completes, so a certificate for either side skips
-    them."""
+    chamber (:func:`coxeter_word_trivial`), all of them after one setup.
+    Any other ambient is enumerated, and since the regular action is free,
+    an expanded relator holds exactly when it carries coset 0 to itself.
+    The expected kernel and the index of its image are always enumerated;
+    no enumeration of an infinite group completes, so a certificate for
+    either side skips them."""
     matrix = coxeter_matrix_of(inst.ambient)
     if matrix is not None:
         ambient_order = coxeter_order(matrix)
         if ambient_order is None or certified_infinite(inst.expected_kernel):
             return None
-        holds = partial(coxeter_word_trivial, matrix)
+        holds = partial(_chamber_checks, matrix)
     else:
         if certified_infinite(inst.ambient) or certified_infinite(inst.expected_kernel):
             return None
@@ -749,12 +774,12 @@ def _finite_section(inst: EmbeddingInstance, max_cosets: int) -> Optional[dict]:
         if not ambient_table.complete:
             return None
         ambient_order = ambient_table.num_cosets
-        holds = lambda w: _trace(ambient_table, w) == 0  # noqa: E731
+        holds = lambda words: (_trace(ambient_table, w) == 0 for w in words)  # noqa: E731
     kernel_order = todd_coxeter(inst.expected_kernel, (), max_cosets).num_cosets
     index_table = todd_coxeter(inst.ambient, inst.expected_words, max_cosets)
     if kernel_order is None or not index_table.complete:
         return None
-    relators_hold = all(holds(expand_kernel_word(r, inst.expected_words)) for r in inst.expected_kernel.relators)
+    relators_hold = all(holds(expand_kernel_word(r, inst.expected_words) for r in inst.expected_kernel.relators))
     index = index_table.num_cosets
     n = inst.hom.n
     return {

@@ -4,18 +4,19 @@ Everything here avoids the code paths under test: brute-force orbit
 enumeration for cyclic words, an unreduced Reidemeister-Schreier walk,
 permutation closures for group orders, minor gcds for Smith diagonals,
 a whole-presentation Tietze loop for the incremental ``simplify``, the
-exhaustive presentation matcher, and the bilinear form of a Coxeter
-matrix for the infiniteness certificate.
+exhaustive presentation matcher, the bilinear form of a Coxeter
+matrix for the infiniteness certificate, and the chamber word check on
+coefficient lists for the packed one.
 """
 
 from __future__ import annotations
 
 import itertools
-from math import cos, gcd, inf, pi
-from typing import Sequence, Tuple
+from math import cos, gcd, inf, lcm, pi
+from typing import List, Optional, Sequence, Tuple
 
-from coxembed.presentations import Presentation, serialize_word
-from coxembed.words import concat, cyclic_reduce, free_reduce, invert, relabel, relator_nf, word_key
+from coxembed.presentations import INF, CoxeterMatrix, Presentation, serialize_word
+from coxembed.words import Word, concat, cyclic_reduce, free_reduce, invert, relabel, relator_nf, word_key
 
 
 def orbit_rotation_inversion(w) -> set:
@@ -278,3 +279,55 @@ def coxeter_form_positive_definite(entries) -> bool:
             for j in range(k + 1, n):
                 b[i][j] -= f * b[k][j]
     return True
+
+
+def list_coxeter_word_trivial(matrix: CoxeterMatrix, word: Word) -> bool:
+    """True iff ``word`` is the identity in the Coxeter group of ``matrix``:
+    the chamber check with one coefficient list per coordinate, the form
+    :func:`coxembed.verify.coxeter_word_trivial` had before it packed each
+    coordinate into one integer.
+
+    The group acts on the dual of its geometric representation simply
+    transitively on the chambers of its Tits cone (Humphreys, *Reflection
+    Groups and Coxeter Groups*, 1990, Sec. 5.13), so a word is trivial
+    exactly when it fixes ``f = (1, ..., 1)``, a point of the open
+    fundamental chamber.  Letter ``s`` (or its inverse, the same
+    reflection) sets ``f_s <- -f_s`` and ``f_t <- f_t + c_st f_s`` with
+    ``c_st = 2 cos(pi / m_st)``, or 2 for ``m_st = inf``.
+
+    Integers only: with ``N`` the lcm of ``2 m`` over the finite labels
+    ``m >= 3``, each coordinate is a polynomial in ``Z[x] / (x^N - 1)``,
+    and ``c_st = x^(N / 2m) + x^(-N / 2m)`` at ``x = exp(2 pi i / N)``, two
+    cyclic shifts.  A coordinate equals 1 there exactly when ``f_t - 1`` is
+    a multiple of the cyclotomic polynomial ``Phi_N``, that is, when its
+    product with ``x^(N / p) - 1`` for every prime ``p | N`` vanishes
+    modulo ``x^N - 1``: that product vanishes at every other ``N``-th root
+    of unity, and at none of the primitive ones.
+    """
+    n = matrix.n
+    N = lcm(*(2 * m for _, _, m in matrix.pairs() if m != INF and m > 2))
+    nbrs: List[List[Tuple[int, Optional[int]]]] = [[] for _ in range(n)]
+    for i, j, m in matrix.pairs():
+        if m == INF or m > 2:
+            shift = None if m == INF else N // (2 * m)
+            nbrs[i].append((j, shift))
+            nbrs[j].append((i, shift))
+    f = [[1] + [0] * (N - 1) for _ in range(n)]
+    for l in word:
+        if l == 0 or abs(l) > n:
+            raise ValueError(f"letter {l} outside alphabet of rank {n}")
+        s = abs(l) - 1
+        fs = f[s]
+        for t, a in nbrs[s]:
+            if a is None:
+                f[t] = [x + 2 * y for x, y in zip(f[t], fs)]
+            else:
+                f[t] = [x + y + z for x, y, z in zip(f[t], fs[-a:] + fs[:-a], fs[a:] + fs[:a])]
+        f[s] = [-x for x in fs]
+    primes = [p for p in range(2, N + 1) if N % p == 0 and all(p % q for q in range(2, p))]
+    for v in f:
+        v[0] -= 1
+        for p in primes:
+            a = N // p
+            v[:] = [x - y for x, y in zip(v[-a:] + v[:-a], v)]
+    return not any(map(any, f))

@@ -16,12 +16,20 @@ from coxembed.presentations import (
     build_thm1_instance,
     coxeter_presentation,
     parse_presentation,
+    parse_word,
     serialize_presentation,
 )
 from coxembed.schreier import evaluated_kernel_presentation, raw_kernel_presentation
 from coxembed.tietze import DEFAULT_MAX_RELATOR_LENGTH, simplify
-from coxembed.verify import _flip_involutions, abelianization, group_order, match_presentations
-from coxembed.words import commutator, power, relator_nf
+from coxembed.verify import (
+    _flip_involutions,
+    abelianization,
+    coxeter_matrix_of,
+    coxeter_word_trivial,
+    group_order,
+    match_presentations,
+)
+from coxembed.words import commutator, expand_kernel_word, invert, power, relator_nf
 from oracles import reference_simplify
 from test_presentations import _instance_sweep
 
@@ -310,8 +318,12 @@ def test_relators_bookkeeping_after_every_elimination(monkeypatch):
 DIGEST_BOUNDS = (DEFAULT_MAX_RELATOR_LENGTH, 7)
 
 
+def _path(n, label):
+    return CoxeterMatrix.from_pairs(n, {(i, i + 1): label for i in range(n - 1)})
+
+
 def _chain(n):
-    return CoxeterMatrix.from_pairs(n, {(i, i + 1): 4 for i in range(n - 1)})
+    return _path(n, 4)
 
 
 def _raw(inst):
@@ -411,3 +423,45 @@ def test_simplify_output_pinned(case):
     records.append(str(_flip_involutions(simplify(raw)[0])))
     got = tuple(hashlib.sha256(record.encode()).hexdigest() for record in records)
     assert got == SIMPLIFY_DIGESTS[case]
+
+
+def _unsound_words(raw_kernel, out, trace, matrix):
+    """The ambient words that must be trivial if ``simplify`` is sound:
+    each output relator with every surviving symbol replaced by its
+    Schreier defining word, and for every raw symbol its ``trace.defining``
+    entry, expanded alike, times the inverse of its own Schreier word.
+    Returns those that the chamber check finds nontrivial."""
+    schreier = {g.name: g.defining for g in raw_kernel.table}
+    images = [schreier[name] for name in out.gens]
+    words = [expand_kernel_word(r, images) for r in out.relators]
+    for name, text in trace.defining.items():
+        u = () if text == "1" else parse_word(text, out.gens)
+        words.append(expand_kernel_word(u, images) + invert(schreier[name]))
+    return [w for w in words if not coxeter_word_trivial(matrix, w)]
+
+
+@pytest.mark.parametrize("n", (5, 6))
+@pytest.mark.parametrize(
+    "build",
+    (
+        lambda n: build_thm1_instance(_chain(n), (INF,) * n),
+        lambda n: build_prop2_instance(_path(n, 3), (4,) * n),
+    ),
+    ids=("thm1", "prop2"),
+)
+def test_simplify_output_holds_in_the_coxeter_group(build, n):
+    # the Tits representation is faithful, so the chamber check decides
+    # equality in the ambient Coxeter group W at any rank: each output
+    # relator and each defining word of the raw kernel's simplification
+    # must hold in W once its symbols are read as their Schreier words
+    inst = build(n)
+    matrix = coxeter_matrix_of(inst.ambient)
+    raw_kernel = raw_kernel_presentation(inst.ambient, inst.hom, inst.transversal_gens)
+    out, trace = simplify(raw_kernel.presentation)
+    assert out.relators and len(trace.defining) == raw_kernel.presentation.rank
+    assert _unsound_words(raw_kernel, out, trace, matrix) == []
+    # negative control: the same check rejects the longest output relator
+    # with its first letter dropped, and nothing else
+    k = max(range(len(out.relators)), key=lambda i: len(out.relators[i]))
+    broken = Presentation.trusted(out.gens, out.relators[:k] + (out.relators[k][1:],) + out.relators[k + 1 :])
+    assert len(_unsound_words(raw_kernel, broken, trace, matrix)) == 1

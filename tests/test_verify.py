@@ -43,16 +43,18 @@ from coxembed.verify import (
     verify_instance,
     word_holds,
 )
-from coxembed.words import power, relabel, relator_nf
+from coxembed.words import invert, power, relabel, relator_nf
 from oracles import (
     brute_force_match,
     coxeter_form_positive_definite,
     dihedral_squared_times_klein_gens,
     eval_word_perm,
+    list_coxeter_word_trivial,
     minor_gcd_diagonal,
     perm_closure,
     triangle_times_klein_gens,
 )
+from test_presentations import _instance_sweep
 
 
 def thm1_fixture():
@@ -524,6 +526,89 @@ def test_chamber_check_negative_controls():
             coxeter_word_trivial(matrix, (matrix.n + 1,))
     assert coxeter_word_trivial(_path(INF), ())
     assert not coxeter_word_trivial(_path(INF), (1, 2) * 50)
+
+
+def _list_oracle_agrees(matrix, words):
+    """Whether the packed chamber check, batched and one word at a time,
+    gives the list form's verdict on every word; returns those verdicts."""
+    expected = [list_coxeter_word_trivial(matrix, w) for w in words]
+    assert list(verify._chamber_checks(matrix, words)) == expected, matrix
+    assert [coxeter_word_trivial(matrix, w) for w in words] == expected, matrix
+    return expected
+
+
+def test_packed_chamber_check_equals_list_oracle_on_the_instance_sweep():
+    # every expanded expected relator of every Coxeter-ambient instance of
+    # the sweep, and four perturbed copies of each: times a kernel
+    # generator, last letter dropped, letter 1 appended, first letter
+    # doubled
+    verdicts = []
+    for inst in _instance_sweep():
+        matrix = coxeter_matrix_of(inst.ambient)
+        if matrix is None:
+            continue
+        words = []
+        for holds, perturbed in _relator_words(inst):
+            words += [holds, perturbed, holds[:-1], holds + (1,), holds[:1] + holds]
+        verdicts += _list_oracle_agrees(matrix, words)
+    assert (verdicts.count(True), verdicts.count(False)) == (711, 4 * 711)
+
+
+def _random_matrix_words(rng, matrix, count, max_len=200):
+    """Random words on ``matrix``'s generators of up to about ``max_len``
+    letters, in turn: uniform ones; a word times its inverse; a product of
+    conjugates of ``s^2`` and ``(s t)^m_st``; such a product with one
+    letter replaced; and one with a false relation ``(s t)^k``, ``k`` in
+    2-6 and not ``m_st``, among its factors."""
+    n = matrix.n
+    relations = [(i + 1, i + 1) for i in range(n)]
+    relations += [(i + 1, j + 1) * m for i, j, m in matrix.pairs() if m != INF]
+    false = [(i + 1, j + 1) * k for i, j, m in matrix.pairs() for k in range(2, 7) if k != m]
+    words = []
+    for k in range(count):
+        length = rng.randint(0, max_len)
+        if k % 5 == 0:
+            words.append(tuple(rng.choice((1, -1)) * rng.randint(1, n) for _ in range(length)))
+        elif k % 5 == 1:
+            half = tuple(rng.choice((1, -1)) * rng.randint(1, n) for _ in range(length // 2))
+            words.append(half + invert(half))
+        else:
+            pieces = [()]
+            while sum(map(len, pieces)) < length:
+                pieces.append(tuple(rng.randint(1, n) for _ in range(rng.randint(0, 12))))
+                pieces[-1] += rng.choice(relations) + invert(pieces[-1])
+            if k % 5 == 4 and false:
+                u = tuple(rng.randint(1, n) for _ in range(rng.randint(0, 12)))
+                pieces[rng.randrange(len(pieces))] = u + rng.choice(false) + invert(u)
+            w = sum(pieces, ())
+            if k % 5 == 3 and w:
+                i = rng.randrange(len(w))
+                w = w[:i] + (rng.randint(1, n),) + w[i + 1 :]
+            words.append(w)
+    return words
+
+
+def test_packed_chamber_check_equals_list_oracle_on_long_random_words():
+    # hyperbolic labels make the coordinates grow exponentially along a
+    # word, so 200 letters need packing widths of hundreds of bits per
+    # coefficient
+    rng = random.Random(18)
+    labels = (2, 3, 4, 5, 6, INF)
+    verdicts = []
+    for n in (3, 4):
+        pairs = list(itertools.combinations(range(n), 2))
+        for _ in range(10):
+            matrix = CoxeterMatrix.from_pairs(n, {pair: rng.choice(labels) for pair in pairs})
+            verdicts += _list_oracle_agrees(matrix, _random_matrix_words(rng, matrix, 10))
+    assert (verdicts.count(True), verdicts.count(False)) == (101, 99)
+
+
+def test_packed_chamber_check_on_empty_words_and_batches():
+    for matrix in (CoxeterMatrix.from_rows([]), _path(INF), _path(3, 5), _branched(3, 1)):
+        assert list(verify._chamber_checks(matrix, [])) == []
+        assert _list_oracle_agrees(matrix, [(), ()]) == [True, True]
+    with pytest.raises(ValueError, match="outside alphabet"):
+        coxeter_word_trivial(CoxeterMatrix.from_rows([]), (1,))
 
 
 def test_coxeter_ambients_are_never_enumerated(monkeypatch):
