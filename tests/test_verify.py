@@ -529,8 +529,8 @@ def test_chamber_check_negative_controls():
 
 
 def _list_oracle_agrees(matrix, words):
-    """Whether the packed chamber check, batched and one word at a time,
-    gives the list form's verdict on every word; returns those verdicts."""
+    """Assert that the packed chamber check, batched and one word at a
+    time, gives the list form's verdict on every word; return them."""
     expected = [list_coxeter_word_trivial(matrix, w) for w in words]
     assert list(verify._chamber_checks(matrix, words)) == expected, matrix
     assert [coxeter_word_trivial(matrix, w) for w in words] == expected, matrix
