@@ -427,6 +427,10 @@ GOLDEN = [
      "0d4254b546ee9d585ad7cb6d059feac0f01d107781c837d6ad85ddd81d133fae"),
     ('kernel klein --mode both --format json',
      "d6b03852a9d7931414aa14c2923fc68da221c6fdf46d61b040ff30f7fb1b1b6a"),
+    # the raw kernel of thm1 on m2x2_4 with orders 2,2: the whole trace,
+    # steps and defining words included
+    ('simplify @scripts/fixtures/thm1_m2x2_4_raw.txt --format json',
+     "ee68f9f3a5e11c506701da32aa95c6d100cf4d7f04ba24836fa0443c79094e8f"),
 ]
 
 
@@ -434,10 +438,21 @@ GOLDEN = [
 RUN_EMBEDDINGS_DIGEST = "f6532db866da0b6382a719562d77b0c812b04540e869f29b2fffd313b5f3dad7"
 
 
+def _golden_argv(command):
+    """``command`` split, with ``scripts/`` paths (``@``-prefixed too)
+    made absolute."""
+    argv = shlex.split(command)
+    for k, a in enumerate(argv):
+        at = "@" if a.startswith("@") else ""
+        if a[len(at) :].startswith("scripts/"):
+            argv[k] = at + str(ROOT / a[len(at) :])
+    return argv
+
+
 def test_golden_outputs(capsys):
     changed = []
     for command, digest in GOLDEN:
-        argv = [str(ROOT / a) if a.startswith("scripts/") else a for a in shlex.split(command)]
+        argv = _golden_argv(command)
         code, out, _ = run_cli(capsys, *argv)
         if hashlib.sha256(f"{code}\n{out}".encode()).hexdigest() != digest:
             changed.append(command)
@@ -454,7 +469,7 @@ def test_out_flag_on_every_golden_command(capsys, tmp_path):
     # every subcommand and on the exit-1 and exit-2 paths
     target = tmp_path / "out.txt"
     for command, _ in GOLDEN:
-        argv = [str(ROOT / a) if a.startswith("scripts/") else a for a in shlex.split(command)]
+        argv = _golden_argv(command)
         code, out, _ = run_cli(capsys, *argv)
         target.unlink(missing_ok=True)
         code_to_file, stdout, _ = run_cli(capsys, *argv, "--out", str(target))
