@@ -8,7 +8,11 @@ For each chain and each rank given, builds the instance on the path
 Coxeter graph of that rank and prints one line: the raw kernel's
 generators and relators, the eliminations ``simplify`` makes and how many
 of them solve a relator of three or more letters, the best of
-``--repeat`` raw ``simplify`` times and the best ``verify_instance`` time.
+``--repeat`` raw ``simplify`` times, the best time of rendering its trace
+(``trace.to_dict()``, which serializes the steps and defining words that
+``simplify`` leaves unrendered) and the best ``verify_instance`` time.
+``simplify_s`` plus ``render_s`` compares with the ``simplify`` times of
+checkouts that rendered the trace during the call.
 
 Chains:
 
@@ -45,7 +49,7 @@ from coxembed.verify import verify_instance  # noqa: E402
 from coxembed.words import relator_nf  # noqa: E402
 
 CHAINS = ("thm1", "prop2", "long")
-ROW = "{:<6} {:>4} {:>6} {:>6} {:>6} {:>5} {:>11} {:>9}"
+ROW = "{:<6} {:>4} {:>6} {:>6} {:>6} {:>5} {:>11} {:>9} {:>9}"
 
 
 def path(n: int, label) -> CoxeterMatrix:
@@ -73,6 +77,16 @@ def best_of(k: int, fn):
     return best, result
 
 
+def simplify_and_render(raw):
+    """Seconds taken by ``simplify(raw)`` and by rendering its trace, and
+    the trace."""
+    t0 = time.perf_counter()
+    _, trace = simplify(raw)
+    t1 = time.perf_counter()
+    trace.to_dict()
+    return t1 - t0, time.perf_counter() - t1, trace
+
+
 def main(argv=None) -> int:
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     ap.add_argument("ranks", type=int, nargs="+")
@@ -82,21 +96,23 @@ def main(argv=None) -> int:
     chains = args.chains.split(",")
     if any(c not in CHAINS for c in chains) or args.repeat < 1 or min(args.ranks) < 1:
         ap.error("unknown chain, or rank or --repeat below 1")
-    print(ROW.format("chain", "rank", "gens", "rels", "elims", "long", "simplify_s", "verify_s"))
+    print(ROW.format("chain", "rank", "gens", "rels", "elims", "long", "simplify_s", "render_s", "verify_s"))
     for chain in chains:
         for n in args.ranks:
             inst = instance(chain, n)
             raw = raw_kernel_presentation(inst.ambient, inst.hom, inst.transversal_gens).presentation
             if chain == "long":
                 raw = Presentation(raw.gens, tuple(r for r in raw.relators if len(relator_nf(r)) > 2))
-            simplify_s, (_, trace) = best_of(args.repeat, lambda: simplify(raw))
+            runs = [simplify_and_render(raw) for _ in range(args.repeat)]
+            simplify_s, render_s = min(r[0] for r in runs), min(r[1] for r in runs)
+            trace = runs[-1][2]
             elims = [s for s in trace.steps if s[0] == "eliminate"]
             long_elims = sum(1 for s in elims if letters(s[2]) > 2)
             verify_s = "-"
             if chain != "long":
                 verify_s = f"{best_of(args.repeat, lambda: verify_instance(inst))[0]:.3f}"
             counts = (raw.rank, len(raw.relators), len(elims), long_elims)
-            print(ROW.format(chain, n, *counts, f"{simplify_s:.3f}", verify_s))
+            print(ROW.format(chain, n, *counts, f"{simplify_s:.3f}", f"{render_s:.3f}", verify_s))
             sys.stdout.flush()
     return 0
 

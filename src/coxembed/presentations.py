@@ -75,10 +75,11 @@ class ParseError(ValueError):
 # presentation := "<" genlist "|" relatorlist? ">"
 # genlist      := (name ("," name)*)?
 # relatorlist  := word ("," word)*
-# word         := factor+
+# word         := "1" | factor+
 # factor       := atom ("^" int)?
 # atom         := name | "(" word ")" | "[" word "," word "]"
-# "[u,v]" expands to u v u^-1 v^-1; whitespace insignificant.
+# "[u,v]" expands to u v u^-1 v^-1, "1" is the identity; whitespace
+# insignificant.
 
 _PUNCT = "<>|,^()[]"
 
@@ -144,6 +145,9 @@ class _Parser:
 
 
 def _parse_word(p: _Parser, gmap: Dict[str, int]) -> Word:
+    if p.peek()[:2] == ("int", 1):
+        p.next()
+        return ()
     factors = [_parse_factor(p, gmap)]
     while p.peek()[0] in ("name", "(", "["):
         factors.append(_parse_factor(p, gmap))

@@ -4,16 +4,18 @@ Relator normalization (canonical form, deduplication, deterministic
 ordering) and greedy single-occurrence generator elimination with a
 growth bound.  Every step preserves the presented group; the trace
 records the steps and carries a defining-word table expressing each
-original generator over the survivors.
+original generator over the survivors, both rendered only when read.
 
 ``simplify`` works incrementally (Holt, Eick and O'Brien, *Handbook of
 Computational Group Theory*, 2005, on Tietze transformations).  Relators
 are kept as normal forms, code strings (see :mod:`coxembed.words`) over
 the *input's* generator indices: deleting a generator keeps the order of
 the others, so a relator that does not contain the eliminated generator
-keeps its normal form and its place in the deterministic order.  Each
-relator has an integer id.  An elimination rewrites and re-normalizes in
-place only the relators containing the eliminated generator, and changes
+keeps its normal form and its place in the deterministic order.  Input
+relators are cyclically reduced, so loading them needs only
+:func:`~coxembed.words.rotation_nf`.  Each relator has an integer id.  An
+elimination rewrites and re-normalizes in place only the relators
+containing the eliminated generator, and changes
 the sets of relators containing a letter only for the letters that enter
 or leave a rewritten relator; a relator rewritten to the empty word or to
 another live relator is dropped.  The result equals re-normalizing the
@@ -27,11 +29,11 @@ from __future__ import annotations
 
 from bisect import bisect_left, insort
 from collections import Counter, defaultdict
-from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Set, Tuple
+from functools import cached_property
+from typing import Dict, Iterable, List, Optional, Sequence, Set, Tuple
 
 from .presentations import Presentation, serialize_word
-from .words import Code, _Memo, code_invert, code_nf, code_reduce, decode, encode
+from .words import Code, _Memo, code_invert, code_nf, code_reduce, decode, encode, rotation_nf
 
 
 # the longest relator an elimination in :func:`simplify` may write, unless
@@ -43,17 +45,35 @@ DEFAULT_MAX_RELATOR_LENGTH = 1000
 _GEN = _Memo(lambda x: x >> 1)
 
 
-@dataclass
 class SimplifyTrace:
     """Step log plus the defining-word table carried through eliminations.
 
     ``defining`` maps every original generator name to its expression as
-    a word over the surviving generators.
+    a word over the surviving generators.  ``simplify`` records each
+    elimination as a generator index and code strings; ``steps`` and
+    ``defining`` are rendered from the records on first access.
     """
 
-    steps: List[Tuple] = field(default_factory=list)
-    defining: Dict[str, str] = field(default_factory=dict)
-    bounded: bool = False
+    def __init__(self, names: Sequence[str], records: List[Tuple], bounded: bool):
+        self._names = names
+        self._records = records
+        self.bounded = bounded
+
+    @cached_property
+    def steps(self) -> List[Tuple]:
+        names = self._names
+        return [
+            (s[0], names[s[1]], *(serialize_word(decode(c), names) for c in s[2:])) if s[0] == "eliminate" else s
+            for s in self._records
+        ]
+
+    @cached_property
+    def defining(self) -> Dict[str, str]:
+        words = _expand([(s[1], s[3]) for s in self._records if s[0] == "eliminate"])
+        names = self._names
+        return {
+            name: serialize_word(decode(words.get(g, chr(2 * g))), names) or "1" for g, name in enumerate(names)
+        }
 
     def to_dict(self) -> dict:
         return {
@@ -89,41 +109,56 @@ class _Relators:
     nothing about them is kept between eliminations.
     """
 
-    def __init__(self, max_len: int):
+    def __init__(self, forms: Iterable[Code], max_len: int):
+        """Relator ``i`` has the ``i``-th form, unless an earlier one has
+        it."""
         self.max_len = max_len
         self.ids: Dict[Code, int] = {}
-        self.forms: Dict[int, Code] = {}
+        for i, c in enumerate(forms):
+            self.ids.setdefault(c, i)
+        self.forms: Dict[int, Code] = {i: c for c, i in self.ids.items()}
         self.containing: Dict[str, Set[int]] = defaultdict(set)
-        self.short: Tuple[List[Code], List[Code]] = ([], [])
+        for c, i in self.ids.items():
+            for x in set(c):
+                self.containing[x].add(i)
+        self.short: Tuple[List[Code], List[Code]] = (
+            sorted(c for c in self.ids if len(c) == 1),
+            sorted(c for c in self.ids if len(c) == 2 and c[0] != c[1]),
+        )
 
     def __len__(self) -> int:
         return len(self.ids)
 
+    def _unlist(self, i: int) -> Code:
+        """Relator ``i``'s form, out of ``forms``, ``ids`` and ``short``."""
+        old = self.forms.pop(i)
+        del self.ids[old]
+        if len(old) == 1 or (len(old) == 2 and old[0] != old[1]):
+            short = self.short[len(old) - 1]
+            del short[bisect_left(short, old)]
+        return old
+
+    def drop(self, i: int) -> None:
+        for x in set(self._unlist(i)):
+            self.containing[x].discard(i)
+
     def put(self, i: int, c: Code) -> None:
-        """Give relator ``i`` the normal form ``c``, a new relator when ``i``
-        is not live.  It is dropped instead when ``c`` is empty or the form
-        of another live relator.  Only the letters entering or leaving
-        relator ``i`` change their ``containing`` sets."""
-        old = self.forms.pop(i, "")
-        if old:
-            del self.ids[old]
-            if len(old) == 1 or (len(old) == 2 and old[0] != old[1]):
-                short = self.short[len(old) - 1]
-                del short[bisect_left(short, old)]
-        if c in self.ids:
-            c = ""
-        if not (old or c):
+        """Give relator ``i`` the normal form ``c``, other than its own.
+        It is dropped instead when ``c`` is empty or the form of another
+        live relator.  Only the letters entering or leaving relator ``i``
+        change their ``containing`` sets."""
+        if not c or c in self.ids:
+            self.drop(i)
             return
-        before, after = set(old), set(c)
+        before, after = set(self._unlist(i)), set(c)
         for x in before - after:
             self.containing[x].discard(i)
         for x in after - before:
             self.containing[x].add(i)
-        if c:
-            self.ids[c] = i
-            self.forms[i] = c
-            if len(c) == 1 or (len(c) == 2 and c[0] != c[1]):
-                insort(self.short[len(c) - 1], c)
+        self.ids[c] = i
+        self.forms[i] = c
+        if len(c) == 1 or (len(c) == 2 and c[0] != c[1]):
+            insort(self.short[len(c) - 1], c)
 
     def _rewrite(self, g: int, r: int, replacement: Code) -> Optional[List[Tuple[int, Code]]]:
         """``(id, normal form)`` of the relators containing ``g`` other than
@@ -177,7 +212,7 @@ class _Relators:
 
     def eliminate(self, r: int, rewritten: List[Tuple[int, Code]]) -> None:
         """Drop relator ``r`` and update the rewritten ones in place."""
-        self.put(r, "")
+        self.drop(r)
         for i, c in rewritten:
             self.put(i, c)
 
@@ -214,38 +249,31 @@ def simplify(
     if max_relator_length <= 0:
         raise ValueError("max_relator_length must be positive")
     names = pres.gens
-    trace = SimplifyTrace()
-    rels = _Relators(max_relator_length)
-    for i, r in enumerate(pres.relators):
-        rels.put(i, code_nf(encode(r)))
+    rels = _Relators(map(rotation_nf, map(encode, pres.relators)), max_relator_length)
+    steps: List[Tuple] = []
     if len(rels) != len(pres.relators):
-        trace.steps.append(("dedupe", len(pres.relators) - len(rels)))
-    trace.steps.append(("reduce",))
+        steps.append(("dedupe", len(pres.relators) - len(rels)))
+    steps.append(("reduce",))
 
-    eliminated: List[Tuple[int, Code]] = []
+    gone = set()
     while chosen := rels.choose():
         g, r, replacement, rewritten = chosen
-        relator = serialize_word(decode(rels.forms[r]), names)
-        trace.steps.append(("eliminate", names[g], relator, serialize_word(decode(replacement), names)))
-        eliminated.append((g, replacement))
+        steps.append(("eliminate", g, rels.forms[r], replacement))
+        gone.add(g)
         emptied = sum(1 for _, c in rewritten if not c)
         if emptied:
-            trace.steps.append(("drop-empty", emptied))
+            steps.append(("drop-empty", emptied))
         before = len(rels) - 1 - emptied
         rels.eliminate(r, rewritten)
         if len(rels) != before:
-            trace.steps.append(("dedupe", before - len(rels)))
-        trace.steps.append(("reduce",))
-    # False: the length bound rejected every elimination offered
-    trace.bounded = chosen is False
+            steps.append(("dedupe", before - len(rels)))
+        steps.append(("reduce",))
 
-    words = _expand(eliminated)
-    survivors = [g for g in range(len(names)) if g not in words]
+    survivors = [g for g in range(len(names)) if g not in gone]
     renumber = {}
     for k, g in enumerate(survivors):
         renumber[2 * g], renumber[2 * g + 1] = 2 * k, 2 * k + 1
     relators = tuple(decode(c.translate(renumber)) for c in sorted(rels.ids, key=lambda c: (len(c), c)))
-    trace.defining = {
-        name: serialize_word(decode(words.get(g, chr(2 * g))), names) or "1" for g, name in enumerate(names)
-    }
+    # False: the length bound rejected every elimination offered
+    trace = SimplifyTrace(names, steps, chosen is False)
     return Presentation.trusted(tuple(names[g] for g in survivors), relators), trace

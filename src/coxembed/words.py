@@ -236,7 +236,24 @@ def code_invert(c: str) -> Code:
 
 def code_nf(c: str) -> Code:
     """:func:`relator_nf` on code strings: free and cyclic reduction, then
-    the least rotation of the word or of its inverse, whichever is less.
+    :func:`rotation_nf`."""
+    # a word of two letters is freely reduced once it is cyclically reduced
+    v = list(map(ord, c)) if len(c) < 3 else _reduce(c)
+    i, j = 0, len(v) - 1
+    while i < j and v[i] == v[j] ^ 1:
+        i += 1
+        j -= 1
+    if i > j:
+        return ""
+    if j - i + 1 != len(c):
+        c = "".join(map(chr, v[i : j + 1]))
+    return rotation_nf(c)
+
+
+def rotation_nf(c: Code) -> Code:
+    """The least rotation of a nonempty, cyclically reduced code string or
+    of its inverse, whichever is less: :func:`code_nf` of a word that
+    needs no reduction.
 
     A least rotation starts with the least letter, so the least letter
     ``m`` of the word often settles the side: if ``m`` is an inverse
@@ -244,28 +261,18 @@ def code_nf(c: str) -> Code:
     absent, every letter of the inverse exceeds ``m`` and the word wins.
     Only otherwise are both sides rotated.  Words of one or two letters
     are written out."""
-    # a word of two letters is freely reduced once it is cyclically reduced
-    v = list(map(ord, c)) if len(c) < 3 else _reduce(c)
-    i, j = 0, len(v) - 1
-    while i < j and v[i] == v[j] ^ 1:
-        i += 1
-        j -= 1
-    if j - i > 1:
-        if j - i + 1 != len(c):
-            v = v[i : j + 1]
-            c = "".join(map(chr, v))
-        m = min(v)
-        if m & 1:
-            return _least_rotation(code_invert(c), chr(m ^ 1))
-        if m + 1 not in v:
-            return _least_rotation(c, chr(m))
-        return min(_least_rotation(c, chr(m)), _least_rotation(code_invert(c), chr(m)))
-    if i == j:
-        return chr(v[i] & ~1)
-    if i > j:
-        return ""
+    n = len(c)
+    if n > 2:
+        m = min(c)
+        if ord(m) & 1:
+            return _least_rotation(code_invert(c), chr(ord(m) ^ 1))
+        if chr(ord(m) + 1) not in c:
+            return _least_rotation(c, m)
+        return min(_least_rotation(c, m), _least_rotation(code_invert(c), m))
+    if n == 1:
+        return chr(ord(c) & ~1)
     # the least letter is the positive letter of the lesser generator
-    a, b = v[i], v[j]
+    a, b = map(ord, c)
     if a >> 1 > b >> 1:
         a, b = b, a
     elif a >> 1 == b >> 1:

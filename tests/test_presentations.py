@@ -24,6 +24,7 @@ from coxembed.presentations import (
     parse_presentation,
     parse_matrix_text,
     parse_vector_text,
+    parse_word,
     pc_presentation,
     serialize_presentation,
 )
@@ -58,6 +59,19 @@ def test_parse_empty_generator_list():
         with pytest.raises(ParseError, match="expected 'name', found") as err:
             parse_presentation(text)
         assert (err.value.line, err.value.col) == (1, 3)
+
+
+def test_parse_lone_one_as_the_identity():
+    # simplify's defining words and the kernel table's coset words write
+    # the identity as "1"
+    assert parse_word("1", ("a", "b")) == parse_word(" 1 ", ()) == ()
+    assert parse_presentation("< a | 1 >") == parse_presentation("< a | 1, 1 >") == Presentation(("a",))
+    assert parse_presentation("< a | a^2, 1 >") == parse_presentation("< a | a^2 >")
+    for text in ("2", "0", "-1", "1 a", "a 1", "1^2", "a^1 1"):
+        with pytest.raises(ParseError):
+            parse_word(text, ("a",))
+    with pytest.raises(ParseError, match="expected a word, found 2"):
+        parse_presentation("< a | 2 >")
 
 
 def test_parse_errors_have_positions():

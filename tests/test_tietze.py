@@ -18,6 +18,7 @@ from coxembed.presentations import (
     parse_presentation,
     parse_word,
     serialize_presentation,
+    serialize_word,
 )
 from coxembed.schreier import evaluated_kernel_presentation, raw_kernel_presentation
 from coxembed.tietze import DEFAULT_MAX_RELATOR_LENGTH, simplify
@@ -225,21 +226,42 @@ def test_flip_involutions_after_simplify_matches_reference_on_family_kernels():
             assert str(_flip_involutions(simplify(p)[0])) == reference_simplify(p, flips=True)[0], inst.params
 
 
-def test_trusted_presentations_equal_validated_ones():
-    # raw and evaluated kernels, simplify output and the involution flip
-    # skip validation; each must equal the validated, reduced presentation
+def test_trusted_presentations_equal_validated_ones(monkeypatch):
+    # the raw and evaluated kernels, simplify output and the involution
+    # flip skip validation; every presentation built that way must equal
+    # the validated one, with nonempty, cyclically reduced relators, as
+    # simplify's load relies on
+    built = []
+    trusted = Presentation.trusted.__func__
+
+    def recorded(cls, gens, relators):
+        built.append(trusted(cls, gens, relators))
+        return built[-1]
+
+    monkeypatch.setattr(Presentation, "trusted", classmethod(recorded))
     for inst in _instance_sweep():
         raw = raw_kernel_presentation(inst.ambient, inst.hom, inst.transversal_gens)
-        simplified = simplify(raw.presentation)[0]
-        built = (
-            raw.presentation,
-            evaluated_kernel_presentation(inst, raw).presentation,
-            simplified,
-            simplify(inst.expected_kernel)[0],
-            _flip_involutions(simplified),
-        )
+        evaluated_kernel_presentation(inst, raw)
+        for p in (raw.presentation, inst.expected_kernel):
+            _flip_involutions(simplify(p)[0])
+        assert len(built) == 6, inst.params
         for p in built:
             assert p == Presentation(p.gens, p.relators), inst.params
+        built.clear()
+
+
+def test_trace_reads_alike_however_it_is_read():
+    # steps and defining are rendered on first access and kept: reading
+    # them twice, after another simplify call or through to_dict gives
+    # equal values
+    p = DIGEST_CASES["chain5"]()
+    first, second, third = (simplify(p)[1] for _ in range(3))
+    as_dict = third.to_dict()
+    steps, defining = first.steps, first.defining
+    assert first.steps is steps and first.defining is defining
+    assert (second.defining, second.steps) == (defining, steps)
+    assert as_dict == {"steps": [list(s) for s in steps], "defining": defining, "bounded": False}
+    assert first.to_dict() == as_dict and (third.steps, third.defining) == (steps, defining)
 
 
 def _gen_counts(c):
@@ -435,26 +457,25 @@ def _unsound_words(raw_kernel, out, trace, matrix):
     images = [schreier[name] for name in out.gens]
     words = [expand_kernel_word(r, images) for r in out.relators]
     for name, text in trace.defining.items():
-        u = () if text == "1" else parse_word(text, out.gens)
-        words.append(expand_kernel_word(u, images) + invert(schreier[name]))
+        words.append(expand_kernel_word(parse_word(text, out.gens), images) + invert(schreier[name]))
     return [w for w in words if not coxeter_word_trivial(matrix, w)]
 
 
+# scripts/simplify_chain.py's thm1 and prop2 chains
+CHAINS = {
+    "thm1": lambda n: build_thm1_instance(_chain(n), (INF,) * n),
+    "prop2": lambda n: build_prop2_instance(_path(n, 3), (4,) * n),
+}
+
+
 @pytest.mark.parametrize("n", (5, 6))
-@pytest.mark.parametrize(
-    "build",
-    (
-        lambda n: build_thm1_instance(_chain(n), (INF,) * n),
-        lambda n: build_prop2_instance(_path(n, 3), (4,) * n),
-    ),
-    ids=("thm1", "prop2"),
-)
-def test_simplify_output_holds_in_the_coxeter_group(build, n):
+@pytest.mark.parametrize("chain", CHAINS)
+def test_simplify_output_holds_in_the_coxeter_group(chain, n):
     # the Tits representation is faithful, so the chamber check decides
     # equality in the ambient Coxeter group W at any rank: each output
     # relator and each defining word of the raw kernel's simplification
     # must hold in W once its symbols are read as their Schreier words
-    inst = build(n)
+    inst = CHAINS[chain](n)
     matrix = coxeter_matrix_of(inst.ambient)
     raw_kernel = raw_kernel_presentation(inst.ambient, inst.hom, inst.transversal_gens)
     out, trace = simplify(raw_kernel.presentation)
@@ -465,3 +486,19 @@ def test_simplify_output_holds_in_the_coxeter_group(build, n):
     k = max(range(len(out.relators)), key=lambda i: len(out.relators[i]))
     broken = Presentation.trusted(out.gens, out.relators[:k] + (out.relators[k][1:],) + out.relators[k + 1 :])
     assert len(_unsound_words(raw_kernel, broken, trace, matrix)) == 1
+
+
+@pytest.mark.parametrize("chain", CHAINS)
+def test_trace_and_table_words_parse_back(chain):
+    # the identity is written "1" in trace.defining and in the coset words
+    # of the kernel table; every entry parses back to the word it names
+    inst = CHAINS[chain](5)
+    raw_kernel = raw_kernel_presentation(inst.ambient, inst.hom, inst.transversal_gens)
+    out, trace = simplify(raw_kernel.presentation)
+    assert "1" in trace.defining.values()
+    for text in trace.defining.values():
+        assert (serialize_word(parse_word(text, out.gens), out.gens) or "1") == text
+    cosets = [row[1] for row in raw_kernel.table_rows(inst.ambient)]
+    assert "1" in cosets
+    for text in cosets:
+        assert (serialize_word(parse_word(text, inst.ambient.gens), inst.ambient.gens) or "1") == text

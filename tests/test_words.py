@@ -18,6 +18,7 @@ from coxembed.words import (
     letter_key,
     power,
     relator_nf,
+    rotation_nf,
     word_key,
 )
 from oracles import orbit_rotation_inversion
@@ -139,6 +140,17 @@ def test_code_nf_matches_orbit_minimum_exhaustively():
             s = "".join(map(chr, c))
             orbit = orbit_rotation_inversion(cyclic_reduce(decode(s)))
             assert code_nf(s) == min(encode(w) for w in orbit), c
+
+
+@given(st.lists(letters, max_size=40))
+@settings(max_examples=300)
+def test_rotation_nf_is_code_nf_on_cyclically_reduced_words(ls):
+    # simplify loads a presentation's relators, which are cyclically
+    # reduced and nonempty, with rotation_nf alone
+    w = cyclic_reduce(ls)
+    if w:
+        assert rotation_nf(encode(w)) == code_nf(encode(w))
+    assert decode(code_nf(encode(ls))) == relator_nf(ls)
 
 
 def test_relator_nf_long_and_periodic_words():
