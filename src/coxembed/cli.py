@@ -5,16 +5,19 @@ and verify, emitting deterministic text or JSON to stdout or to the
 ``--out`` file.  Exit codes: 0 on success or a passing verdict; 1 on a
 failing verdict or when ``match`` finds no match; 2 on usage or parse
 errors, or when the ``--out`` file cannot be written.
+
+Each command imports its engine, and ``json``, only where it uses them.
 """
 
 from __future__ import annotations
 
 import argparse
-import json
 import sys
-from typing import Optional, Sequence
+from typing import TYPE_CHECKING, Optional, Sequence
 
 from .presentations import (
+    DEFAULT_MAX_COSETS,
+    DEFAULT_MAX_RELATOR_LENGTH,
     INF,
     CoxeterMatrix,
     EmbeddingInstance,
@@ -35,16 +38,9 @@ from .presentations import (
     serialize_presentation,
     serialize_word,
 )
-from .schreier import KernelPresentation, evaluated_kernel_presentation, raw_kernel_presentation
-from .tietze import DEFAULT_MAX_RELATOR_LENGTH, simplify
-from .verify import (
-    DEFAULT_MAX_COSETS,
-    abelianization,
-    group_order,
-    match_presentations,
-    todd_coxeter,
-    verify_instance,
-)
+
+if TYPE_CHECKING:
+    from .schreier import KernelPresentation
 
 
 class UsageError(Exception):
@@ -83,7 +79,7 @@ def _load_rows(path: Optional[str]):
 
 def _load_orders(spec: Optional[str], n: int):
     if spec is None:
-        return (float("inf"),) * n
+        return (INF,) * n
     orders = parse_vector_text(spec)
     if len(orders) != n:
         raise UsageError(f"--p needs {n} entries, got {len(orders)}")
@@ -177,6 +173,7 @@ def _kernel_section(inst: EmbeddingInstance, kp: KernelPresentation):
 
 def cmd_kernel(args) -> CommandResult:
     inst = _build_instance(args)
+    from .schreier import evaluated_kernel_presentation, raw_kernel_presentation
     modes = ("evaluated", "raw") if args.mode == "both" else (args.mode,)
     raw = raw_kernel_presentation(inst.ambient, inst.hom, inst.transversal_gens)
     kernels = {"raw": raw}
@@ -188,13 +185,16 @@ def cmd_kernel(args) -> CommandResult:
 
 def cmd_simplify(args) -> CommandResult:
     pres = _presentation_arg(args.presentation)
+    from .tietze import simplify
     simplified, trace = simplify(pres, args.max_relator_length)
     text = serialize_presentation(simplified)
     return 0, {"presentation": text, "trace": trace.to_dict()}, text
 
 
 def cmd_order(args) -> CommandResult:
-    order = group_order(_presentation_arg(args.presentation), args.max_cosets)
+    pres = _presentation_arg(args.presentation)
+    from .verify import group_order
+    order = group_order(pres, args.max_cosets)
     if order == INF:
         return 0, {"order": None, "infinite": True}, "infinite"
     return 0, {"order": order}, "budget-exceeded" if order is None else str(order)
@@ -203,13 +203,16 @@ def cmd_order(args) -> CommandResult:
 def cmd_index(args) -> CommandResult:
     pres = _presentation_arg(args.presentation)
     sub = [parse_word(w, pres.gens) for w in args.word]
+    from .verify import todd_coxeter
     table = todd_coxeter(pres, sub, args.max_cosets)
     index = table.num_cosets if table.complete else None
     return 0, {"index": index}, "budget-exceeded" if index is None else str(index)
 
 
 def cmd_abelianization(args) -> CommandResult:
-    inv = abelianization(_presentation_arg(args.presentation))
+    pres = _presentation_arg(args.presentation)
+    from .verify import abelianization
+    inv = abelianization(pres)
     data = {"free_rank": inv.free_rank, "torsion": list(inv.torsion)}
     tors = ", ".join(str(d) for d in inv.torsion)
     return 0, data, f"free rank {inv.free_rank}, torsion ({tors})"
@@ -218,6 +221,7 @@ def cmd_abelianization(args) -> CommandResult:
 def cmd_match(args) -> CommandResult:
     p = _presentation_arg(args.presentation)
     q = _presentation_arg(args.other)
+    from .verify import match_presentations
     result = match_presentations(p, q)
     if result is None:
         return 1, {"matched": False, "mapping": None}, "none"
@@ -231,8 +235,10 @@ def cmd_match(args) -> CommandResult:
 
 def cmd_verify(args) -> CommandResult:
     inst = _build_instance(args)
+    from .verify import verify_instance
     report = verify_instance(inst, args.max_cosets, args.max_relator_length)
     data = report.to_dict()
+    import json
     # instance fields bare, other sections as section.key; strings
     # print as they are, everything else as JSON
     lines = []
@@ -328,7 +334,10 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         return exc.code if isinstance(exc.code, int) else 2
     try:
         code, data, text = args.func(args)
-        out = (json.dumps(data, indent=2) if args.format == "json" else text) + "\n"
+        if args.format == "json":
+            import json
+            text = json.dumps(data, indent=2)
+        out = text + "\n"
         if args.out:
             _write_text(args.out, out)
         else:

@@ -27,6 +27,11 @@ from .words import (
 
 INF = math.inf
 
+# default budgets: cosets one enumeration may define, and the longest
+# relator a Tietze elimination may write
+DEFAULT_MAX_COSETS = 50_000
+DEFAULT_MAX_RELATOR_LENGTH = 1000
+
 _NAME_RE = re.compile(r"[A-Za-z][A-Za-z0-9_]*\Z")
 
 

@@ -32,13 +32,9 @@ from collections import Counter, defaultdict
 from functools import cached_property
 from typing import Dict, Iterable, List, Optional, Sequence, Set, Tuple
 
-from .presentations import Presentation, serialize_word
+from .presentations import DEFAULT_MAX_RELATOR_LENGTH, Presentation, serialize_word
 from .words import Code, _Memo, code_invert, code_nf, code_reduce, decode, encode, rotation_nf
 
-
-# the longest relator an elimination in :func:`simplify` may write, unless
-# told otherwise
-DEFAULT_MAX_RELATOR_LENGTH = 1000
 
 # letter code -> chr(g), g its generator, so that str.translate and Counter
 # count generator occurrences at C speed

@@ -16,12 +16,17 @@ from functools import partial
 from math import factorial, gcd, lcm
 from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Tuple, Union
 
-from .presentations import INF, CoxeterMatrix, EmbeddingInstance, Presentation
+from .presentations import (
+    DEFAULT_MAX_COSETS,
+    DEFAULT_MAX_RELATOR_LENGTH,
+    INF,
+    CoxeterMatrix,
+    EmbeddingInstance,
+    Presentation,
+)
 from .schreier import KernelPresentation, evaluated_kernel_presentation, image_rank, raw_kernel_presentation
-from .tietze import DEFAULT_MAX_RELATOR_LENGTH, simplify
+from .tietze import simplify
 from .words import Word, encode, expand_kernel_word, free_reduce, invert, relabel, relator_nf
-
-DEFAULT_MAX_COSETS = 50_000
 
 
 class _Budget(Exception):
