@@ -24,7 +24,7 @@ _NAMES = {
     "tietze": "SimplifyTrace simplify",
     "verify": """AbelianInvariants CosetTable VerifyReport abelianization certified_infinite
         coxeter_matrix_of coxeter_order coxeter_word_trivial group_order match_presentations
-        regular_rep smith_normal_form todd_coxeter verify_instance word_holds""",
+        todd_coxeter verify_instance word_holds""",
     "words": "Word commutator concat cyclic_reduce free_reduce invert letter power relator_nf",
 }
 # exported name -> the submodule that defines it

@@ -35,10 +35,6 @@ DEFAULT_MAX_RELATOR_LENGTH = 1000
 _NAME_RE = re.compile(r"[A-Za-z][A-Za-z0-9_]*\Z")
 
 
-def is_finite(v) -> bool:
-    return v != INF
-
-
 def parse_extnat(text: str):
     text = text.strip()
     if text == "inf":
@@ -288,18 +284,13 @@ def serialize_word(w: Sequence[int], gens: Sequence[str]) -> str:
             run_len += 1
             continue
         if run_letter:
-            name = gens[gen_of_checked(run_letter, gens)]
+            if abs(run_letter) > len(gens):
+                raise ValueError(f"letter {run_letter} outside alphabet of rank {len(gens)}")
+            name = gens[abs(run_letter) - 1]
             exp = run_len * (1 if run_letter > 0 else -1)
             parts.append(name if exp == 1 else f"{name}^{exp}")
         run_letter, run_len = l, 1
     return " ".join(parts)
-
-
-def gen_of_checked(l: int, gens: Sequence[str]) -> int:
-    g = abs(l) - 1
-    if g >= len(gens):
-        raise ValueError(f"letter {l} outside alphabet of rank {len(gens)}")
-    return g
 
 
 def serialize_presentation(pres: Presentation) -> str:
@@ -359,9 +350,6 @@ class CoxeterMatrix:
     @property
     def n(self) -> int:
         return len(self.entries)
-
-    def entry(self, i: int, j: int):
-        return self.entries[i][j]
 
     def pairs(self):
         """Yield ``(i, j, m_ij)`` for i < j."""
@@ -443,6 +431,8 @@ class HomZ2n:
     def word_image(self, w: Sequence[int]) -> int:
         v = 0
         for l in w:
+            if l == 0:
+                raise ValueError("0 is not a letter")
             g = abs(l) - 1
             if g >= len(self.images):
                 raise ValueError("missing generator image")
@@ -504,6 +494,9 @@ class EmbeddingInstance:
                 raise ValueError("hom does not kill every ambient relator")
         if len(self.expected_words) != self.expected_kernel.rank:
             raise ValueError("one expected word per expected kernel generator")
+        for g in self.transversal_gens:
+            if not 0 <= g < n:
+                raise ValueError(f"transversal generator {g} outside alphabet")
         sub = [self.hom.images[g] for g in self.transversal_gens]
         if gf2_rank(sub) != gf2_rank(self.hom.images):
             raise ValueError("transversal generators do not span the image")
@@ -528,7 +521,7 @@ def _squares(n: int) -> list[Word]:
 def _label_relators(triples: Iterable) -> list[Word]:
     """``(x y)^m`` for each ``(x, y, m)`` with ``m`` finite, in order;
     ``x`` and ``y`` are letters and an infinite label gives no relator."""
-    return [power((x, y), m) for x, y, m in triples if is_finite(m)]
+    return [power((x, y), m) for x, y, m in triples if m != INF]
 
 
 def _double_commuting(n: int) -> list[Tuple[int, int]]:
@@ -561,10 +554,10 @@ def pc_presentation(spec: PcSpec) -> Presentation:
     n = spec.n
     rels = []
     for i, j, nij in spec.pairs():
-        if is_finite(nij):
+        if nij != INF:
             rels.append(power(commutator((letter(i),), (letter(j),)), nij))
     for i, p in enumerate(spec.orders):
-        if is_finite(p):
+        if p != INF:
             rels.append(power((letter(i),), p))
     return Presentation(_names("g", n), tuple(rels))
 
@@ -580,7 +573,7 @@ def _braid_relators(matrix: CoxeterMatrix, a) -> list[Word]:
     return [
         concat(block(i, j, m), invert(block(j, i, m)))
         for i, j, m in matrix.pairs()
-        if is_finite(m)
+        if m != INF
     ]
 
 
@@ -603,13 +596,13 @@ def _double_relators(matrix: CoxeterMatrix, orders) -> list[Word]:
     )
 
 
-def _check_orders(orders, n: int, minimum: int = 2):
+def _check_orders(orders, n: int):
     orders = tuple(orders)
     if len(orders) != n:
         raise ValueError(f"need {n} generator orders, got {len(orders)}")
     for p in orders:
-        if p != INF and (not isinstance(p, int) or p < minimum):
-            raise ValueError(f"generator order must be >= {minimum} or inf, got {p!r}")
+        if p != INF and (not isinstance(p, int) or p < 2):
+            raise ValueError(f"generator order must be >= 2 or inf, got {p!r}")
     return orders
 
 
@@ -645,7 +638,7 @@ def build_thm1_instance(matrix: CoxeterMatrix, orders) -> EmbeddingInstance:
         raise ValueError("all finite labels must be even")
     n = matrix.n
     orders = _check_orders(orders, n)
-    halved = {(i, j): m // 2 for i, j, m in matrix.pairs() if is_finite(m)}
+    halved = {(i, j): m // 2 for i, j, m in matrix.pairs() if m != INF}
     expected = pc_presentation(PcSpec.from_pairs(n, halved, orders)).rename(_names("a", n))
     expected_words = tuple((letter(n + i), letter(i)) for i in range(n))
     return _double_instance(
@@ -666,10 +659,10 @@ def build_prop2_instance(matrix: CoxeterMatrix, orders) -> EmbeddingInstance:
     t = lambda i: letter(n + i)
     rels = (
         _squares(2 * n)
-        + _label_relators((s(i), t(i), p // 2) for i, p in enumerate(orders) if is_finite(p))
+        + _label_relators((s(i), t(i), p // 2) for i, p in enumerate(orders) if p != INF)
         + _label_relators((s(i), s(j), m) for i, j, m in matrix.pairs())
         + _label_relators(
-            (s(i), t(j), matrix.entry(i, j)) for i in range(n) for j in range(n) if i != j
+            (s(i), t(j), matrix.entries[i][j]) for i in range(n) for j in range(n) if i != j
         )
         + _label_relators((t(i), t(j), m) for i, j, m in matrix.pairs())
     )

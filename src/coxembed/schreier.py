@@ -52,7 +52,6 @@ class Transversal:
 
     reps: Dict[int, Word]
     order: Tuple[int, ...]
-    subset: Tuple[int, ...]
 
     @property
     def size(self) -> int:
@@ -79,7 +78,7 @@ def transversal(pres: Presentation, hom: HomZ2n, subset: Sequence[int]) -> Trans
                 order.append(nv)
     if gf2_rank([hom.images[g] for g in subset]) != image_rank(hom):
         raise ValueError("subset does not span the image; unreachable cosets")
-    return Transversal(reps, tuple(order), subset)
+    return Transversal(reps, tuple(order))
 
 
 def commuting_letters(rank: int, commuting) -> Dict[int, Set[int]]:
@@ -151,9 +150,6 @@ class SymbolDict:
                     self.letters[(v, x)] = len(self.table)
                 else:
                     self.letters[(v, x)] = 0
-
-    def names(self) -> Tuple[str, ...]:
-        return tuple(g.name for g in self.table)
 
 
 def merge_symbols(
@@ -271,7 +267,7 @@ def raw_kernel_presentation(pres: Presentation, hom: HomZ2n, subset: Sequence[in
             img = reidemeister_rewrite(hom, symbols, r, v)
             if img:
                 rels.append(img)
-    kernel = Presentation.trusted(symbols.names(), tuple(rels))
+    kernel = Presentation.trusted(tuple(g.name for g in symbols.table), tuple(rels))
     return KernelPresentation(kernel, tuple(symbols.table), "raw", trans)
 
 

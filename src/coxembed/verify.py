@@ -1,10 +1,10 @@
 """Independent verification tools.
 
-Todd-Coxeter coset enumeration (orders, indices, permutation
-representations), closed-form Coxeter group orders and an exact Coxeter
-word problem from the Tits cone, certificates that a group is infinite,
-abelianization via integer Smith normal form, presentation matching up
-to generator bijection with inversions, and per-instance verdict reports.
+Todd-Coxeter coset enumeration (orders and indices), closed-form
+Coxeter group orders and an exact Coxeter word problem from the Tits
+cone, certificates that a group is infinite, abelianization via a sparse
+integer Smith normal form, presentation matching up to generator
+bijection with inversions, and per-instance verdict reports.
 """
 
 from __future__ import annotations
@@ -40,9 +40,10 @@ class CosetTable:
     ``status`` is ``complete`` or ``budget-exceeded``.  For complete
     tables, ``fwd[g][c]`` / ``bwd[g][c]`` give the action of generator g
     and its inverse on coset c (0-based; coset 0 is the subgroup), and
-    ``num_cosets`` is the index.  An involution (a generator with a
-    relator ``g^2`` or ``g^-2``) has one column in the enumeration, so its
-    ``bwd[g]`` equals ``fwd[g]``.  ``num_defined`` counts every coset ever
+    ``num_cosets`` is the index; in an incomplete table all three are
+    None.  An involution (a generator with a relator ``g^2`` or
+    ``g^-2``) has one column in the enumeration, so its ``bwd[g]``
+    equals ``fwd[g]``.  ``num_defined`` counts every coset ever
     defined, including ones merged away by coincidences; it is also the
     count that ``max_cosets`` bounds.
     """
@@ -52,7 +53,6 @@ class CosetTable:
     num_defined: int
     fwd: Optional[Tuple[Tuple[int, ...], ...]]
     bwd: Optional[Tuple[Tuple[int, ...], ...]]
-    has_subgroup: bool
 
     @property
     def complete(self) -> bool:
@@ -203,7 +203,7 @@ def todd_coxeter(
                             define(i, d)
             i += 1
     except _Budget:
-        return CosetTable("budget-exceeded", None, len(table), None, None, bool(sub_paths))
+        return CosetTable("budget-exceeded", None, len(table), None, None)
 
     live = [c for c in range(len(table)) if labels[c] == c]
     position = [0] * len(table)
@@ -213,7 +213,7 @@ def todd_coxeter(
     columns = [tuple(map(index_of.__getitem__, column)) for column in zip(*(table[c] for c in live))]
     fwd = tuple(columns[col[g]] for g in range(1, ngens + 1))
     bwd = tuple(columns[col[-g]] for g in range(1, ngens + 1))
-    result = CosetTable("complete", len(live), len(table), fwd, bwd, bool(sub_paths))
+    result = CosetTable("complete", len(live), len(table), fwd, bwd)
     _assert_closed(result, pres, subgroup_words)
     return result
 
@@ -458,15 +458,6 @@ def _chamber_checks(matrix: CoxeterMatrix, words: Iterable[Word]) -> Iterator[bo
             yield True
 
 
-def regular_rep(tab: CosetTable) -> Tuple[Tuple[int, ...], ...]:
-    """Generator actions as permutations from a complete, no-subgroup table."""
-    if not tab.complete:
-        raise ValueError("coset table is incomplete")
-    if tab.has_subgroup:
-        raise ValueError("regular representation needs an empty subgroup")
-    return tab.fwd
-
-
 def word_holds(rep: Sequence[Sequence[int]], w: Word) -> bool:
     """True iff the permutation product of the word's letters is the
     identity, checked at every point."""
@@ -498,25 +489,6 @@ def word_holds(rep: Sequence[Sequence[int]], w: Word) -> bool:
 # Smith normal form and abelianization
 
 
-def smith_normal_form(rows: Sequence[Sequence[int]]) -> Tuple[int, ...]:
-    """Diagonal of the Smith normal form of an integer matrix.
-
-    Returns ``(d_1, ..., d_k)`` with ``k = min(rows, cols)``, each
-    ``d_i >= 0`` and ``d_i | d_{i+1}``, computed by integer row/column
-    operations with unit determinant.  One sparse elimination pivots on
-    entries of least absolute value (see :func:`_sparse_smith_diagonal`);
-    gcd/lcm exchanges then order the non-unit diagonal entries into a
-    divisibility chain.
-    """
-    a = [list(map(int, r)) for r in rows]
-    m = len(a)
-    n = len(a[0]) if m else 0
-    for row in a:
-        if len(row) != n:
-            raise ValueError("ragged matrix")
-    return _sparse_smith_diagonal([{j: v for j, v in enumerate(r) if v} for r in a], min(m, n))
-
-
 def _sparse_smith_diagonal(rows: List[Dict[int, int]], k: int) -> Tuple[int, ...]:
     """Smith diagonal, of length ``k``, of the matrix with rows given as
     ``{column: nonzero entry}``; consumes ``rows``.
@@ -527,7 +499,8 @@ def _sparse_smith_diagonal(rows: List[Dict[int, int]], k: int) -> Tuple[int, ...
     is clear, column operations reduce the pivot row, touching no other
     row.  A pivot left alone in its row and column is a diagonal entry;
     otherwise a smaller remainder is pivoted next, so the least entry
-    falls until a pivot drops out.
+    falls until a pivot drops out.  gcd/lcm exchanges then order the
+    non-unit entries into a divisibility chain, zeros last.
     """
     rows = list(rows)  # a row becomes None once its pivot is on the diagonal
     cols: Dict[int, set] = defaultdict(set)
@@ -711,7 +684,6 @@ class VerifyReport:
 
     family: str
     params: dict
-    hom_valid: bool
     image_rank: int
     transversal_size: int
     evaluated_generators: int
@@ -725,7 +697,7 @@ class VerifyReport:
     def to_dict(self) -> dict:
         return {
             "instance": {"family": self.family, "params": self.params},
-            "hom_valid": self.hom_valid,
+            "hom_valid": True,
             "image_rank": self.image_rank,
             "transversal_size": self.transversal_size,
             "evaluated": {
@@ -825,7 +797,7 @@ def verify_instance(
     """Run the full check battery for one embedding instance.
 
     The instance's constructor already rejects a hom that does not kill
-    every ambient relator, so ``hom_valid`` is reported as true.  The
+    every ambient relator, so ``hom_valid`` always reads true.  The
     finite section runs no coset enumeration when the ambient or the
     expected kernel is :func:`certified_infinite`; it reads skipped, as
     it would once the budget ran out.  ``raw`` is the instance's raw
@@ -874,7 +846,6 @@ def verify_instance(
     return VerifyReport(
         family=inst.family,
         params=inst.params,
-        hom_valid=True,
         image_rank=rank,
         transversal_size=raw.transversal.size,
         evaluated_generators=ev_gens,

@@ -6,10 +6,11 @@ that is freely reduced; the empty tuple is the identity.  Generator
 display names live at the presentation level, so everything here is pure
 index arithmetic and all values are immutable.
 
-Relator normal forms are computed on *code strings* (:func:`encode`),
-one character per letter, whose code point order is the
-:func:`letter_key` order, so code strings compare as :func:`word_key`
-orders words without building keys, and substituting, deleting or
+Words are ordered lexicographically by letters, and letters by generator
+index ascending, each generator before its inverse.  Relator normal
+forms are computed on *code strings* (:func:`encode`), one character per
+letter, whose code point order is that letter order, so code strings
+compare natively in the word order, and substituting, deleting or
 inverting letters is a single :class:`str` operation.
 """
 
@@ -118,15 +119,6 @@ def expand_kernel_word(w: Sequence[int], defining: Sequence[Sequence[int]]) -> W
     return free_reduce(parts)
 
 
-def letter_key(let: int) -> Tuple[int, int]:
-    """Total order on letters: generator index ascending, + before -."""
-    return (abs(let), 0 if let > 0 else 1)
-
-
-def word_key(w: Sequence[int]) -> Tuple[Tuple[int, int], ...]:
-    return tuple(letter_key(l) for l in w)
-
-
 class _Memo(dict):
     """The values of ``f``, each computed on first use.  ``map`` and
     :meth:`str.translate` look them up at C speed; the values do not
@@ -155,9 +147,10 @@ _FLIP = _Memo(lambda x: x ^ 1)
 
 def encode(w: Sequence[int]) -> Code:
     """Code string of a word: the character ``chr(2g)`` for generator
-    ``g``, ``chr(2g + 1)`` for its inverse.  Codes compare as
-    :func:`letter_key` does, so code strings compare natively in the
-    :func:`word_key` order, and ``x ^ 1`` is the inverse of code ``x``.
+    ``g``, ``chr(2g + 1)`` for its inverse.  Codes compare in the letter
+    order (generator index ascending, each generator before its inverse),
+    so code strings compare natively in the word order of the module
+    docstring, and ``x ^ 1`` is the inverse of code ``x``.
 
     >>> encode((1, -1, -3))
     '\\x00\\x01\\x05'
@@ -284,8 +277,8 @@ def relator_nf(w: Sequence[int]) -> Word:
     """Canonical form of a relator up to rotation and inversion.
 
     Cyclically reduces ``w``, then returns the minimum over all rotations
-    of the result and of its inverse under the letter order of
-    :func:`letter_key`, found on letter codes in linear time by
+    of the result and of its inverse in the word order of the module
+    docstring, found on letter codes in linear time by
     :func:`code_nf`.  Constant on the orbit of a word under rotation,
     inversion and free conjugation.
     """

@@ -7,6 +7,12 @@ a whole-presentation Tietze loop for the incremental ``simplify``, the
 exhaustive presentation matcher, the bilinear form of a Coxeter
 matrix for the infiniteness certificate, and the chamber word check on
 coefficient lists for the packed one.
+
+Two helpers are entries to engine code rather than oracles, kept here
+because only tests call them: :func:`regular_rep` reads a group's action
+on itself off a complete Todd-Coxeter table, and
+:func:`smith_normal_form` runs the sparse Smith elimination on a dense
+matrix.
 """
 
 from __future__ import annotations
@@ -15,8 +21,9 @@ import itertools
 from math import cos, gcd, inf, lcm, pi
 from typing import List, Optional, Sequence, Tuple
 
-from coxembed.presentations import INF, CoxeterMatrix, Presentation, serialize_word
-from coxembed.words import Word, concat, cyclic_reduce, free_reduce, invert, relabel, relator_nf, word_key
+from coxembed.presentations import DEFAULT_MAX_COSETS, INF, CoxeterMatrix, Presentation, serialize_word
+from coxembed.verify import _sparse_smith_diagonal, todd_coxeter
+from coxembed.words import Word, concat, cyclic_reduce, free_reduce, invert, relabel, relator_nf
 
 
 def orbit_rotation_inversion(w) -> set:
@@ -30,6 +37,17 @@ def orbit_rotation_inversion(w) -> set:
         for i in range(len(word)):
             out.add(word[i:] + word[:i])
     return out
+
+
+def letter_key(let: int) -> Tuple[int, int]:
+    """Total order on letters: generator index ascending, each generator
+    before its inverse."""
+    return (abs(let), 0 if let > 0 else 1)
+
+
+def word_key(w: Sequence[int]) -> Tuple[Tuple[int, int], ...]:
+    """Lexicographic order on words by :func:`letter_key`."""
+    return tuple(letter_key(l) for l in w)
 
 
 def walk_rewrite(table, images, w, coset=0):
@@ -92,6 +110,16 @@ def eval_word_perm(w, perms) -> Tuple[int, ...]:
     return result
 
 
+def regular_rep(pres: Presentation, max_cosets: int = DEFAULT_MAX_COSETS) -> Tuple[Tuple[int, ...], ...]:
+    """Generator actions of the presented group on itself, as permutations:
+    the columns of a complete coset table of the trivial subgroup.  An
+    enumeration that exceeds ``max_cosets`` is a ``ValueError``."""
+    tab = todd_coxeter(pres, (), max_cosets)
+    if not tab.complete:
+        raise ValueError("coset table is incomplete")
+    return tab.fwd
+
+
 def dihedral_squared_times_klein_gens():
     """Explicit permutation realization of D4 x Z2 x Z2 on 8 points.
 
@@ -147,6 +175,13 @@ def minor_gcd_diagonal(rows) -> Tuple[int, ...]:
         diag.append(g // prev)
         prev = g
     return tuple(diag)
+
+
+def smith_normal_form(rows) -> Tuple[int, ...]:
+    """Smith diagonal of a dense integer matrix, of length ``min(rows,
+    cols)``, by the engine's sparse elimination."""
+    n = len(rows[0]) if rows else 0
+    return _sparse_smith_diagonal([{j: v for j, v in enumerate(r) if v} for r in rows], min(len(rows), n))
 
 
 def brute_force_match(p, q):

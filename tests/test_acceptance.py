@@ -33,8 +33,6 @@ from coxembed.verify import (
     expand_kernel_word,
     group_order,
     match_presentations,
-    regular_rep,
-    smith_normal_form,
     todd_coxeter,
     verify_instance,
     word_holds,
@@ -47,7 +45,6 @@ from coxembed.words import (
     invert,
     power,
     relator_nf,
-    word_key,
 )
 from oracles import (
     compose,
@@ -56,6 +53,9 @@ from oracles import (
     minor_gcd_diagonal,
     orbit_rotation_inversion,
     perm_closure,
+    regular_rep,
+    smith_normal_form,
+    word_key,
 )
 
 MAX_COSETS = 50_000
@@ -132,7 +132,7 @@ def _canonical_key(n, matrix, orders):
     for sigma in itertools.permutations(range(n)):
         key = (
             tuple(
-                matrix.entry(sigma[i], sigma[j])
+                matrix.entries[sigma[i]][sigma[j]]
                 for i in range(n)
                 for j in range(i + 1, n)
             ),
@@ -326,7 +326,7 @@ def test_criterion_8_engine_properties():
         build_prop2_instance(CoxeterMatrix.from_pairs(2, {(0, 1): 3}), (2, 2)),
     ]
     for inst in fixtures:
-        rep = regular_rep(todd_coxeter(inst.ambient, (), MAX_COSETS))
+        rep = regular_rep(inst.ambient, MAX_COSETS)
         table, rewrite = evaluated_rewriter(inst)
         defining = [g.defining for g in table]
         count = 0

@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 from coxembed.presentations import (
     INF,
     CoxeterMatrix,
+    HomZ2n,
     ParseError,
     PcSpec,
     Presentation,
@@ -307,6 +308,24 @@ def test_instance_commuting_pairs_are_validated():
         replace(inst, commuting={(0, 4)})
     with pytest.raises(ValueError, match="outside alphabet"):
         replace(inst, commuting={(-1, 2)})
+
+
+def test_instance_transversal_gens_are_validated():
+    # an index past either end is rejected like a commuting pair's; -1
+    # would otherwise read the last generator's image
+    inst = build_thm1_instance(CoxeterMatrix.from_pairs(2, {(0, 1): 4}), (2, 2))
+    for gens in ((0, -1), (0, 4), (0, 5)):
+        with pytest.raises(ValueError, match="outside alphabet"):
+            replace(inst, transversal_gens=gens)
+
+
+def test_hom_word_image_rejects_letters_outside_the_alphabet():
+    hom = HomZ2n(1, (1,))
+    assert hom.word_image((1, -1, 1)) == 1
+    with pytest.raises(ValueError, match="0 is not a letter"):
+        hom.word_image((0,))
+    with pytest.raises(ValueError, match="missing generator image"):
+        hom.word_image((2,))
 
 
 def test_instance_rejects_a_generator_with_no_square():

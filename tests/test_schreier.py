@@ -37,12 +37,10 @@ from coxembed.verify import (
     evaluated_matches_expected,
     expand_kernel_word,
     group_order,
-    regular_rep,
-    todd_coxeter,
     word_holds,
 )
 from coxembed.words import free_reduce, invert, power, relator_nf
-from oracles import walk_rewrite
+from oracles import regular_rep, walk_rewrite
 
 ROOT = Path(__file__).resolve().parents[1]
 
@@ -421,7 +419,7 @@ def random_kernel_words(inst, count, rng):
 def test_rewrite_soundness_in_regular_rep():
     rng = random.Random(20240817)
     for inst in finite_fixtures():
-        rep = regular_rep(todd_coxeter(inst.ambient))
+        rep = regular_rep(inst.ambient)
         table, rewrite = evaluated_rewriter(inst)
         for w in random_kernel_words(inst, 100, rng):
             expanded = expand_kernel_word(rewrite(w), [g.defining for g in table])

@@ -37,8 +37,6 @@ from coxembed.verify import (
     expand_kernel_word,
     group_order,
     match_presentations,
-    regular_rep,
-    smith_normal_form,
     todd_coxeter,
     verify_instance,
     word_holds,
@@ -52,6 +50,8 @@ from oracles import (
     list_coxeter_word_trivial,
     minor_gcd_diagonal,
     perm_closure,
+    regular_rep,
+    smith_normal_form,
     triangle_times_klein_gens,
 )
 from test_presentations import _instance_sweep
@@ -226,26 +226,23 @@ def test_permutation_realization_satisfies_ambient_relators():
 
 
 def test_regular_rep():
-    tab = todd_coxeter(parse_presentation("< s | s^2 >"))
-    rep = regular_rep(tab)
+    rep = regular_rep(parse_presentation("< s | s^2 >"))
     assert sorted(rep[0]) == [0, 1] and rep[0][0] != 0
 
     i23 = coxeter_presentation(CoxeterMatrix.from_pairs(2, {(0, 1): 3}))
-    rep = regular_rep(todd_coxeter(i23))
+    rep = regular_rep(i23)
     for perm in rep:
         assert eval_word_perm((1, 1), (perm,)) == tuple(range(6))
     for r in i23.relators:
         assert word_holds(rep, r)
 
     with pytest.raises(ValueError):
-        regular_rep(todd_coxeter(affine_a3(), (), max_cosets=5_000))
-    with pytest.raises(ValueError):
-        regular_rep(todd_coxeter(i23, ((1,),)))
+        regular_rep(affine_a3(), max_cosets=5_000)
 
 
 def test_word_holds_examples():
     inst = thm1_fixture()
-    rep = regular_rep(todd_coxeter(inst.ambient))
+    rep = regular_rep(inst.ambient)
     comm_sq = power(
         expand_kernel_word((1, 2, -1, -2), inst.expected_words), 2
     )
@@ -256,7 +253,7 @@ def test_word_holds_examples():
         word_holds(rep, (5,))
     # a rep with no generators has no points to walk, and its letters
     # are still validated
-    trivial = regular_rep(todd_coxeter(Presentation((), ())))
+    trivial = regular_rep(Presentation((), ()))
     assert trivial == () and word_holds(trivial, ())
     for w in ((1,), (-1,)):
         with pytest.raises(ValueError, match="outside alphabet"):
@@ -287,7 +284,7 @@ def test_involution_columns_cross_checked_by_permutation_closure():
                 assert tab.fwd[g] == tab.bwd[g]
             else:
                 assert tab.bwd[g] == eval_word_perm((-g - 1,), tab.fwd)
-        rep = regular_rep(tab)
+        rep = regular_rep(pres)
         assert perm_closure(list(rep)) == order
         for r in pres.relators:
             assert eval_word_perm(r, rep) == tuple(range(order))
@@ -336,7 +333,7 @@ def test_relators_hold_at_coset_0_equals_all_points_oracle():
     assert len(instances) >= 6
     for inst in instances:
         tab = todd_coxeter(inst.ambient)
-        rep = regular_rep(tab)
+        rep = regular_rep(inst.ambient)
         words = inst.expected_words
         for k, r in enumerate(inst.expected_kernel.relators):
             w = expand_kernel_word(r, words)
@@ -375,7 +372,7 @@ def test_coxeter_order_against_enumeration_and_permutation_closure():
         assert (order is None) is not coxeter_form_positive_definite(matrix.entries)
         if order is not None:
             tab = todd_coxeter(pres)
-            assert tab.num_cosets == order == perm_closure(list(regular_rep(tab))), matrix
+            assert tab.num_cosets == order == perm_closure(list(regular_rep(pres))), matrix
             finite.append(order)
     assert len(finite) == 34 and max(finite) == 120  # H_3
 
@@ -929,7 +926,7 @@ def test_instance_guarantees_a_valid_hom():
     # verify_instance reports hom_valid without checking it: the instance
     # constructor already rejects every hom that it would find invalid
     inst = build_prop2_instance(CoxeterMatrix.from_pairs(2, {(0, 1): 3}), (2, 2))
-    assert verify_instance(inst).hom_valid is True
+    assert verify_instance(inst).to_dict()["hom_valid"] is True
     with pytest.raises(ValueError, match="hom does not kill every ambient relator"):
         dataclasses.replace(inst, hom=HomZ2n(2, (1, 2, 1, 0)))
     with pytest.raises(ValueError, match="hom must cover every ambient generator"):

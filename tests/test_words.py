@@ -15,13 +15,11 @@ from coxembed.words import (
     encode,
     free_reduce,
     invert,
-    letter_key,
     power,
     relator_nf,
     rotation_nf,
-    word_key,
 )
-from oracles import orbit_rotation_inversion
+from oracles import letter_key, orbit_rotation_inversion, word_key
 
 letters = st.integers(min_value=-4, max_value=4).filter(lambda x: x != 0)
 raw_words = st.lists(letters, max_size=12)
@@ -191,11 +189,10 @@ def test_free_reduce_preserves_group_elements():
     import random
 
     from coxembed.presentations import CoxeterMatrix, coxeter_presentation
-    from coxembed.verify import regular_rep, todd_coxeter
-    from oracles import eval_word_perm
+    from oracles import eval_word_perm, regular_rep
 
     pres = coxeter_presentation(CoxeterMatrix.from_pairs(2, {(0, 1): 3}))
-    rep = regular_rep(todd_coxeter(pres))
+    rep = regular_rep(pres)
     rng = random.Random(424242)
     for _ in range(200):
         seq = [rng.choice((1, -1)) * rng.randrange(1, 3) for _ in range(rng.randrange(0, 14))]
