@@ -431,8 +431,8 @@ GOLDEN = [
     # steps and defining words included
     ('simplify @scripts/fixtures/thm1_m2x2_4_raw.txt --format json',
      "ee68f9f3a5e11c506701da32aa95c6d100cf4d7f04ba24836fa0443c79094e8f"),
-    # an infinite generator order and infinite commutator powers, and braid
-    # relators of a finite label
+    # build pc with an infinite generator order and commutator powers, and
+    # build artin with the braid relators of a finite label
     ('build pc --m scripts/fixtures/n3x3_raag.txt --p 2,2,inf',
      "934e5d4d1887241d1fe03a06a006f2ed4ecf711592f211d401ac097e871729bc"),
     ('build artin --m scripts/fixtures/m2x2_3.txt',
