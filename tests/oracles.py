@@ -12,11 +12,13 @@ Two helpers are entries to engine code rather than oracles, kept here
 because only tests call them: :func:`regular_rep` reads a group's action
 on itself off a complete Todd-Coxeter table, and
 :func:`smith_normal_form` runs the sparse Smith elimination on a dense
-matrix.
+matrix.  :func:`fields` and :func:`replace` read and rebuild a value
+object through its class's constructor.
 """
 
 from __future__ import annotations
 
+import inspect
 import itertools
 from math import cos, gcd, inf, lcm, pi
 from typing import List, Optional, Sequence, Tuple
@@ -48,6 +50,19 @@ def letter_key(let: int) -> Tuple[int, int]:
 def word_key(w: Sequence[int]) -> Tuple[Tuple[int, int], ...]:
     """Lexicographic order on words by :func:`letter_key`."""
     return tuple(letter_key(l) for l in w)
+
+
+def fields(obj) -> dict:
+    """The fields of a value object by name, in the order of its class's
+    constructor parameters."""
+    return {name: getattr(obj, name) for name in inspect.signature(type(obj)).parameters}
+
+
+def replace(obj, **changes):
+    """``obj`` with ``changes`` applied, rebuilt through its class's
+    constructor, so that every validation the constructor makes runs
+    again."""
+    return type(obj)(**{**fields(obj), **changes})
 
 
 def walk_rewrite(table, images, w, coset=0):

@@ -1,4 +1,3 @@
-import dataclasses
 import hashlib
 import itertools
 import json
@@ -51,6 +50,7 @@ from oracles import (
     minor_gcd_diagonal,
     perm_closure,
     regular_rep,
+    replace,
     smith_normal_form,
     triangle_times_klein_gens,
 )
@@ -342,7 +342,7 @@ def test_relators_hold_at_coset_0_equals_all_points_oracle():
             assert verify._trace(tab, bad) != 0 and not word_holds(rep, bad)
         assert verify._finite_section(inst, 50_000)["relators_hold"]
         r = inst.expected_kernel.relators[0]
-        perturbed = dataclasses.replace(
+        perturbed = replace(
             inst,
             expected_kernel=Presentation(
                 inst.expected_kernel.gens, inst.expected_kernel.relators[1:] + (r + (1,),)
@@ -633,7 +633,7 @@ def test_coxeter_ambients_are_never_enumerated(monkeypatch):
     r1r2 = inst.ambient.relators.index((1, 2, 1, 2))
     relators = list(inst.ambient.relators)
     relators[r1r2] = (1, 2, -1, -2)
-    twin = dataclasses.replace(inst, ambient=Presentation(inst.ambient.gens, tuple(relators)))
+    twin = replace(inst, ambient=Presentation(inst.ambient.gens, tuple(relators)))
     assert coxeter_matrix_of(twin.ambient) is None
     calls.clear()
     assert verify_instance(twin).finite == verify_instance(inst).finite
@@ -928,11 +928,11 @@ def test_instance_guarantees_a_valid_hom():
     inst = build_prop2_instance(CoxeterMatrix.from_pairs(2, {(0, 1): 3}), (2, 2))
     assert verify_instance(inst).to_dict()["hom_valid"] is True
     with pytest.raises(ValueError, match="hom does not kill every ambient relator"):
-        dataclasses.replace(inst, hom=HomZ2n(2, (1, 2, 1, 0)))
+        replace(inst, hom=HomZ2n(2, (1, 2, 1, 0)))
     with pytest.raises(ValueError, match="hom must cover every ambient generator"):
-        dataclasses.replace(inst, hom=HomZ2n(2, (1, 2, 0)))
+        replace(inst, hom=HomZ2n(2, (1, 2, 0)))
     with pytest.raises(ValueError, match="transversal generators do not span the image"):
-        dataclasses.replace(inst, transversal_gens=(0,))
+        replace(inst, transversal_gens=(0,))
 
 
 def test_verify_instance_klein():
