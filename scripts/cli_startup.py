@@ -7,7 +7,9 @@ For every ``coxembed ...`` line of the README's command-line block, runs
 ``python -m coxembed ...`` ``--runs`` times, each run next to a bare
 ``python -c pass`` so both see the same host speed, and prints the median
 wall time, the median excess over the bare interpreter and the coxembed
-modules the command loaded.  ``--src`` picks the source tree to run
+modules the command loaded.  A second line lists the other modules it
+loaded beyond those a bare interpreter has, so that a costly standard
+library import (such as ``dataclasses``) shows up per command.  ``--src`` picks the source tree to run
 (another checkout's ``src`` compares two versions on the same commands).
 """
 
@@ -21,11 +23,12 @@ import time
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
-# runs the command in-process, then prints the coxembed modules it loaded
+# runs the command in-process, then prints every module loaded
 PROBE = ("import contextlib, io, sys\nfrom coxembed.cli import main\n"
          "with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):\n"
          "    main(sys.argv[1:])\n"
-         "print(' '.join(sorted(m[9:] or m for m in sys.modules if m.split('.')[0] == 'coxembed')))")
+         "print(' '.join(sys.modules))")
+BARE = "import sys; print(' '.join(sys.modules))"
 
 
 def readme_commands():
@@ -46,15 +49,20 @@ def main():
         proc = subprocess.run([sys.executable, *argv], cwd=ROOT, env=env, capture_output=True, text=True)
         return time.perf_counter() - t0, proc.stdout
 
+    bare_modules = set(run("-c", BARE)[1].split())
     print(f"{'ms':>6} {'excess':>6}  command  [modules]")
+    print(f"{'':>15}+ other modules beyond a bare interpreter")
     for argv in readme_commands():
         bare, cmd = [], []
         for _ in range(args.runs):
             bare.append(run("-c", "pass")[0])
             cmd.append(run("-m", "coxembed", *argv)[0])
         excess = statistics.median(c - b for b, c in zip(bare, cmd))
-        modules = run("-c", PROBE, *argv)[1].strip()
-        print(f"{1e3 * statistics.median(cmd):6.1f} {1e3 * excess:6.1f}  {shlex.join(argv)}  [{modules}]")
+        loaded = set(run("-c", PROBE, *argv)[1].split()) - bare_modules
+        ours = sorted(m[9:] or m for m in loaded if m.split(".")[0] == "coxembed")
+        other = sorted(m for m in loaded if m.split(".")[0] != "coxembed")
+        print(f"{1e3 * statistics.median(cmd):6.1f} {1e3 * excess:6.1f}  {shlex.join(argv)}  [{' '.join(ours)}]")
+        print(f"{'':>15}+ {' '.join(other)}")
 
 
 if __name__ == "__main__":

@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import math
 import re
-from dataclasses import dataclass, field
 from typing import Dict, Iterable, Sequence, Tuple
 
 from .words import (
@@ -23,6 +22,7 @@ from .words import (
     invert,
     letter,
     power,
+    relator_nf,
 )
 
 INF = math.inf
@@ -59,6 +59,47 @@ def parse_matrix_text(text: str) -> Tuple[Tuple, ...]:
     if not rows:
         raise ValueError("empty matrix")
     return tuple(rows)
+
+
+class _Value:
+    """Immutable value over the fields its class names in ``__slots__``.
+
+    Two values are equal when they are of the same class with equal
+    fields, and a value hashes as the tuple of its fields (so not at all
+    while a field holds a dict).  The repr is ``Name(field=value, ...)``,
+    fields are set once by :meth:`_assign`, and copies and pickles
+    rebuild a value through its class's constructor, whose parameters
+    are the fields in order."""
+
+    __slots__ = ()
+
+    def _assign(self, *values):
+        for name, value in zip(self.__slots__, values, strict=True):
+            object.__setattr__(self, name, value)
+
+    def _values(self) -> tuple:
+        return tuple([getattr(self, name) for name in self.__slots__])
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return self._values() == other._values()
+        return NotImplemented
+
+    def __hash__(self):
+        return hash(self._values())
+
+    def __repr__(self):
+        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self.__slots__)
+        return f"{type(self).__qualname__}({fields})"
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __reduce__(self):
+        return type(self), self._values()
 
 
 class ParseError(ValueError):
@@ -186,34 +227,31 @@ def _parse_atom(p: _Parser, gmap: Dict[str, int]) -> Word:
     raise ParseError(f"expected a word, found {tok[1]!r}", tok[2], tok[3])
 
 
-@dataclass(frozen=True)
-class Presentation:
+class Presentation(_Value):
     """Generator names plus relator words over that alphabet.
 
     Relators are freely and cyclically reduced at construction; empty
     relators are dropped.  Values are immutable.
     """
 
-    gens: Tuple[str, ...]
-    relators: Tuple[Word, ...] = ()
+    __slots__ = ("gens", "relators")
 
-    def __post_init__(self):
-        gens = tuple(self.gens)
+    def __init__(self, gens: Tuple[str, ...], relators: Tuple[Word, ...] = ()):
+        gens = tuple(gens)
         if len(set(gens)) != len(gens):
             raise ValueError("duplicate generator name")
         for name in gens:
             if not _NAME_RE.match(name):
                 raise ValueError(f"bad generator name {name!r}")
         rels = []
-        for w in self.relators:
+        for w in relators:
             for l in w:
                 if l == 0 or abs(l) > len(gens):
                     raise ValueError(f"letter {l} outside alphabet of rank {len(gens)}")
             r = cyclic_reduce(w)
             if r:
                 rels.append(r)
-        object.__setattr__(self, "gens", gens)
-        object.__setattr__(self, "relators", tuple(rels))
+        self._assign(gens, tuple(rels))
 
     @classmethod
     def trusted(cls, gens: Tuple[str, ...], relators: Tuple[Word, ...]) -> "Presentation":
@@ -222,8 +260,7 @@ class Presentation:
         nonempty, cyclically reduced words over them.  It equals
         ``Presentation(gens, relators)``."""
         pres = object.__new__(cls)
-        object.__setattr__(pres, "gens", gens)
-        object.__setattr__(pres, "relators", relators)
+        pres._assign(gens, relators)
         return pres
 
     @property
@@ -278,12 +315,14 @@ def parse_word(text: str, gens: Sequence[str]) -> Word:
 def serialize_word(w: Sequence[int], gens: Sequence[str]) -> str:
     """Space-separated syllable form, e.g. ``a^2 b^-1``."""
     parts = []
-    run_letter, run_len = 0, 0
-    for l in list(w) + [0]:
+    run_letter, run_len = None, 0
+    for l in (*w, None):
         if l == run_letter:
             run_len += 1
             continue
-        if run_letter:
+        if run_letter is not None:
+            if run_letter == 0:
+                raise ValueError("0 is not a letter")
             if abs(run_letter) > len(gens):
                 raise ValueError(f"letter {run_letter} outside alphabet of rank {len(gens)}")
             name = gens[abs(run_letter) - 1]
@@ -319,20 +358,19 @@ def _check_symmetric(entries, minimum, what):
                 raise ValueError(f"{what} entries must be >= {minimum} or inf, got {v!r}")
 
 
-@dataclass(frozen=True)
-class CoxeterMatrix:
+class CoxeterMatrix(_Value):
     """Symmetric matrix of edge labels ``m_ij >= 2`` or inf; diagonal 1."""
 
-    entries: Tuple[Tuple, ...]
+    __slots__ = ("entries",)
 
-    def __post_init__(self):
-        entries = tuple(tuple(row) for row in self.entries)
+    def __init__(self, entries: Tuple[Tuple, ...]):
+        entries = tuple(tuple(row) for row in entries)
         _check_symmetric(entries, 2, "Coxeter matrix")
         entries = tuple(
             tuple(1 if i == j else v for j, v in enumerate(row))
             for i, row in enumerate(entries)
         )
-        object.__setattr__(self, "entries", entries)
+        self._assign(entries)
 
     @classmethod
     def from_rows(cls, rows) -> "CoxeterMatrix":
@@ -362,8 +400,7 @@ class CoxeterMatrix:
         return all(m == INF or m % 2 == 0 for _, _, m in self.pairs())
 
 
-@dataclass(frozen=True)
-class PcSpec:
+class PcSpec(_Value):
     """Rank, commutator powers ``n_ij >= 1`` or inf, generator orders.
 
     Generator orders ``p_i`` may be any integer >= 1 or inf; note that an
@@ -371,24 +408,22 @@ class PcSpec:
     accepts but the embedding builders reject.
     """
 
-    powers: Tuple[Tuple, ...]
-    orders: Tuple
+    __slots__ = ("powers", "orders")
 
-    def __post_init__(self):
-        powers = tuple(tuple(row) for row in self.powers)
+    def __init__(self, powers: Tuple[Tuple, ...], orders: Tuple):
+        powers = tuple(tuple(row) for row in powers)
         _check_symmetric(powers, 1, "commutator-power matrix")
         powers = tuple(
             tuple(INF if i == j else v for j, v in enumerate(row))
             for i, row in enumerate(powers)
         )
-        orders = tuple(self.orders)
+        orders = tuple(orders)
         if len(orders) != len(powers):
             raise ValueError("need one generator order per generator")
         for p in orders:
             if p != INF and (not isinstance(p, int) or p < 1):
                 raise ValueError(f"generator order must be >= 1 or inf, got {p!r}")
-        object.__setattr__(self, "powers", powers)
-        object.__setattr__(self, "orders", orders)
+        self._assign(powers, orders)
 
     @classmethod
     def from_pairs(cls, n: int, powers: Dict[Tuple[int, int], object], orders, default=INF) -> "PcSpec":
@@ -408,25 +443,23 @@ class PcSpec:
                 yield i, j, self.powers[i][j]
 
 
-@dataclass(frozen=True)
-class HomZ2n:
+class HomZ2n(_Value):
     """Generator-wise map onto (a subgroup of) ``Z_2^n``.
 
     Images are bitmasks; the image of a word is the XOR of its letters'
     images, signs irrelevant mod 2.
     """
 
-    n: int
-    images: Tuple[int, ...]
+    __slots__ = ("n", "images")
 
-    def __post_init__(self):
-        if self.n < 1:
+    def __init__(self, n: int, images: Tuple[int, ...]):
+        if n < 1:
             raise ValueError("n must be >= 1")
-        images = tuple(self.images)
+        images = tuple(images)
         for v in images:
-            if not 0 <= v < (1 << self.n):
-                raise ValueError(f"image {v} outside Z_2^{self.n}")
-        object.__setattr__(self, "images", images)
+            if not 0 <= v < (1 << n):
+                raise ValueError(f"image {v} outside Z_2^{n}")
+        self._assign(n, images)
 
     def word_image(self, w: Sequence[int]) -> int:
         v = 0
@@ -455,54 +488,74 @@ def gf2_rank(vectors: Iterable[int]) -> int:
     return len(basis)
 
 
-@dataclass(frozen=True)
-class EmbeddingInstance:
+class EmbeddingInstance(_Value):
     """An ambient presentation bundled with a hom onto ``Z_2^n``, the
     transversal generator subset, the commuting generator pairs, and the
     expected kernel with the defining words of its generators.
 
     Every ambient generator is an involution (has a ``g^2`` relator), and
     each commuting pair ``(a, b)``, ``a < b``, is a relation of the
-    ambient; so the right-angled Coxeter group of the pairs maps onto the
-    ambient, and the evaluated kernel merges symbols equal there."""
+    ambient: ``(a b)^2`` or ``[a, b]`` is an ambient relator, up to
+    :func:`relator_nf`.  So the right-angled Coxeter group of the pairs
+    maps onto the ambient, and the evaluated kernel merges symbols equal
+    there.  Every expected word lies in the kernel of the hom.  ``params``
+    defaults to a new empty dict."""
 
-    family: str
-    ambient: Presentation
-    hom: HomZ2n
-    transversal_gens: Tuple[int, ...]
-    commuting: frozenset
-    expected_kernel: Presentation
-    expected_words: Tuple[Word, ...]
-    params: dict = field(default_factory=dict)
+    __slots__ = (
+        "family", "ambient", "hom", "transversal_gens", "commuting", "expected_kernel",
+        "expected_words", "params",
+    )
 
-    def __post_init__(self):
-        n = self.ambient.rank
-        if len(self.hom.images) != n:
+    def __init__(
+        self,
+        family: str,
+        ambient: Presentation,
+        hom: HomZ2n,
+        transversal_gens: Tuple[int, ...],
+        commuting: frozenset,
+        expected_kernel: Presentation,
+        expected_words: Tuple[Word, ...],
+        params: dict | None = None,
+    ):
+        n = ambient.rank
+        if len(hom.images) != n:
             raise ValueError("hom must cover every ambient generator")
-        squared = {abs(r[0]) - 1 for r in self.ambient.relators if len(r) == 2 and r[0] == r[1]}
+        squared = {abs(r[0]) - 1 for r in ambient.relators if len(r) == 2 and r[0] == r[1]}
         if len(squared) != n:
             raise ValueError("every ambient generator needs a g^2 relator")
         pairs = set()
-        for a, b in self.commuting:
+        for a, b in commuting:
             if a == b:
                 raise ValueError("commuting pair must contain two distinct generators")
             if not (0 <= a < n and 0 <= b < n):
                 raise ValueError(f"commuting pair {(a, b)} outside alphabet")
             pairs.add((min(a, b), max(a, b)))
-        for r in self.ambient.relators:
-            if self.hom.word_image(r) != 0:
+        for r in ambient.relators:
+            if hom.word_image(r) != 0:
                 raise ValueError("hom does not kill every ambient relator")
-        if len(self.expected_words) != self.expected_kernel.rank:
+        # both relators of a pair have four letters, as do their normal forms
+        fours = {relator_nf(r) for r in ambient.relators if len(r) == 4}
+        for a, b in pairs:
+            x, y = letter(a), letter(b)
+            if relator_nf((x, y, x, y)) not in fours and relator_nf((x, y, -x, -y)) not in fours:
+                raise ValueError(f"commuting pair {(a, b)} is not an ambient relation")
+        if len(expected_words) != expected_kernel.rank:
             raise ValueError("one expected word per expected kernel generator")
-        for g in self.transversal_gens:
+        expected_words = tuple(tuple(w) for w in expected_words)
+        for w in expected_words:
+            if hom.word_image(w) != 0:
+                raise ValueError("expected word outside the kernel of the hom")
+        transversal_gens = tuple(transversal_gens)
+        for g in transversal_gens:
             if not 0 <= g < n:
                 raise ValueError(f"transversal generator {g} outside alphabet")
-        sub = [self.hom.images[g] for g in self.transversal_gens]
-        if gf2_rank(sub) != gf2_rank(self.hom.images):
+        sub = [hom.images[g] for g in transversal_gens]
+        if gf2_rank(sub) != gf2_rank(hom.images):
             raise ValueError("transversal generators do not span the image")
-        object.__setattr__(self, "transversal_gens", tuple(self.transversal_gens))
-        object.__setattr__(self, "commuting", frozenset(pairs))
-        object.__setattr__(self, "expected_words", tuple(tuple(w) for w in self.expected_words))
+        self._assign(
+            family, ambient, hom, transversal_gens, frozenset(pairs), expected_kernel,
+            expected_words, {} if params is None else params,
+        )
 
 
 # ---------------------------------------------------------------------------

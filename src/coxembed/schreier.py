@@ -15,13 +15,13 @@ modes record the transversal they were rewritten over.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
 from typing import Dict, Optional, Sequence, Set, Tuple
 
 from .presentations import (
     EmbeddingInstance,
     HomZ2n,
     Presentation,
+    _Value,
     gf2_rank,
     serialize_word,
 )
@@ -40,8 +40,7 @@ def image_rank(hom: HomZ2n) -> int:
     return gf2_rank(hom.images)
 
 
-@dataclass(frozen=True)
-class Transversal:
+class Transversal(_Value):
     """Schreier transversal of coset representatives, keyed by image vector.
 
     Representatives are positive words over the declared generator subset,
@@ -50,8 +49,10 @@ class Transversal:
     represented by the empty word.
     """
 
-    reps: Dict[int, Word]
-    order: Tuple[int, ...]
+    __slots__ = ("reps", "order")
+
+    def __init__(self, reps: Dict[int, Word], order: Tuple[int, ...]):
+        self._assign(reps, order)
 
     @property
     def size(self) -> int:
@@ -119,15 +120,13 @@ def right_angled_nf(near: Dict[int, Set[int]], w: Sequence[int]) -> Word:
     return tuple(out)
 
 
-@dataclass(frozen=True)
-class SchreierGen:
+class SchreierGen(_Value):
     """A surviving kernel symbol: its first origin and defining word."""
 
-    name: str
-    coset: int
-    coset_word: Word
-    gen: int
-    defining: Word
+    __slots__ = ("name", "coset", "coset_word", "gen", "defining")
+
+    def __init__(self, name: str, coset: int, coset_word: Word, gen: int, defining: Word):
+        self._assign(name, coset, coset_word, gen, defining)
 
 
 class SymbolDict:
@@ -193,19 +192,20 @@ def merge_symbols(
                 break
         by_word[canonical] = len(merged)
         images.append((letter(len(merged), sign),))
-        merged.append(replace(g, name=name, defining=canonical))
+        merged.append(SchreierGen(name, g.coset, g.coset_word, g.gen, canonical))
     return tuple(merged), tuple(images)
 
 
-@dataclass(frozen=True)
-class KernelPresentation:
+class KernelPresentation(_Value):
     """Kernel presentation plus the generator table, mode tag and the
     transversal it was rewritten over."""
 
-    presentation: Presentation
-    table: Tuple[SchreierGen, ...]
-    mode: str
-    transversal: Transversal
+    __slots__ = ("presentation", "table", "mode", "transversal")
+
+    def __init__(
+        self, presentation: Presentation, table: Tuple[SchreierGen, ...], mode: str, transversal: Transversal
+    ):
+        self._assign(presentation, table, mode, transversal)
 
     def table_rows(self, ambient: Presentation):
         """Display rows (name, origin t, origin x, defining word)."""

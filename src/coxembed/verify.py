@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import heapq
 from collections import defaultdict
-from dataclasses import dataclass
 from functools import partial
 from math import factorial, gcd, lcm
 from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Tuple, Union
@@ -23,6 +22,7 @@ from .presentations import (
     CoxeterMatrix,
     EmbeddingInstance,
     Presentation,
+    _Value,
 )
 from .schreier import KernelPresentation, evaluated_kernel_presentation, image_rank, raw_kernel_presentation
 from .tietze import simplify
@@ -33,8 +33,7 @@ class _Budget(Exception):
     pass
 
 
-@dataclass(frozen=True)
-class CosetTable:
+class CosetTable(_Value):
     """Result of a coset enumeration.
 
     ``status`` is ``complete`` or ``budget-exceeded``.  For complete
@@ -48,11 +47,17 @@ class CosetTable:
     count that ``max_cosets`` bounds.
     """
 
-    status: str
-    num_cosets: Optional[int]
-    num_defined: int
-    fwd: Optional[Tuple[Tuple[int, ...], ...]]
-    bwd: Optional[Tuple[Tuple[int, ...], ...]]
+    __slots__ = ("status", "num_cosets", "num_defined", "fwd", "bwd")
+
+    def __init__(
+        self,
+        status: str,
+        num_cosets: Optional[int],
+        num_defined: int,
+        fwd: Optional[Tuple[Tuple[int, ...], ...]],
+        bwd: Optional[Tuple[Tuple[int, ...], ...]],
+    ):
+        self._assign(status, num_cosets, num_defined, fwd, bwd)
 
     @property
     def complete(self) -> bool:
@@ -554,24 +559,22 @@ def _sparse_smith_diagonal(rows: List[Dict[int, int]], k: int) -> Tuple[int, ...
     return (1,) * units + tuple(torsion) + (0,) * (k - units - len(torsion))
 
 
-@dataclass(frozen=True)
-class AbelianInvariants:
+class AbelianInvariants(_Value):
     """Free rank plus torsion coefficients forming a divisibility chain."""
 
-    free_rank: int
-    torsion: Tuple[int, ...]
+    __slots__ = ("free_rank", "torsion")
 
-    def __post_init__(self):
-        if self.free_rank < 0:
+    def __init__(self, free_rank: int, torsion: Tuple[int, ...]):
+        if free_rank < 0:
             raise ValueError("free rank must be >= 0")
-        tors = tuple(self.torsion)
+        tors = tuple(torsion)
         for d in tors:
             if d < 2:
                 raise ValueError("torsion coefficients must be >= 2")
         for x, y in zip(tors, tors[1:]):
             if y % x:
                 raise ValueError("torsion coefficients must form a divisibility chain")
-        object.__setattr__(self, "torsion", tors)
+        self._assign(free_rank, tors)
 
 
 def abelianization(pres: Presentation) -> AbelianInvariants:
@@ -670,8 +673,7 @@ def match_presentations(p: Presentation, q: Presentation):
 # instance verification
 
 
-@dataclass
-class VerifyReport:
+class VerifyReport(_Value):
     """Aggregated per-instance checks; verdict passes iff every enabled
     check passes.  ``finite`` holds the ambient order, taken from the
     Coxeter graph when the ambient is a Coxeter group and from an
@@ -682,17 +684,31 @@ class VerifyReport:
     no match after a simplify stopped at ``max_relator_length``, are
     reported as skipped, never as failures."""
 
-    family: str
-    params: dict
-    image_rank: int
-    transversal_size: int
-    evaluated_generators: int
-    evaluated_relator_nf_match: bool
-    raw_generators_after_simplify: int
-    raw_matched: Optional[bool]
-    finite: Optional[dict]
-    split_section: bool
-    verdict: str
+    __slots__ = (
+        "family", "params", "image_rank", "transversal_size", "evaluated_generators",
+        "evaluated_relator_nf_match", "raw_generators_after_simplify", "raw_matched", "finite",
+        "split_section", "verdict",
+    )
+
+    def __init__(
+        self,
+        family: str,
+        params: dict,
+        image_rank: int,
+        transversal_size: int,
+        evaluated_generators: int,
+        evaluated_relator_nf_match: bool,
+        raw_generators_after_simplify: int,
+        raw_matched: Optional[bool],
+        finite: Optional[dict],
+        split_section: bool,
+        verdict: str,
+    ):
+        self._assign(
+            family, params, image_rank, transversal_size, evaluated_generators,
+            evaluated_relator_nf_match, raw_generators_after_simplify, raw_matched, finite,
+            split_section, verdict,
+        )
 
     def to_dict(self) -> dict:
         return {
@@ -797,8 +813,28 @@ def verify_instance(
     """Run the full check battery for one embedding instance.
 
     The instance's constructor already rejects a hom that does not kill
-    every ambient relator, so ``hom_valid`` always reads true.  The
-    finite section runs no coset enumeration when the ambient or the
+    every ambient relator, so ``hom_valid`` always reads true.
+
+    It also guarantees (0) that every commuting pair is a relation of the
+    ambient W, and (z) that every expected word lies in the kernel H of
+    the hom; with these, the evaluated match alone proves that the
+    expected kernel E is H.  Write phi: E -> W for ``a_j -> expected_words[j]`` and psi for
+    :func:`merge_symbols`' map from the raw Schreier symbols to E's
+    generators.  By Reidemeister-Schreier the raw symbols and relators
+    present H.  When the evaluated kernel matches E (the same names, and
+    the same relator normal-form multiset), psi sends every raw relator to
+    a relator of E or to the empty word, so it induces a homomorphism
+    H -> E, onto since every name of E occurs.  A merged symbol named
+    ``a_j`` has a defining word equal to ``expected_words[j]`` in the
+    right-angled Coxeter group of the pairs, which maps onto W by (0); so
+    phi psi (s) = s in W for every raw symbol s.  Each relator of E is
+    then psi of a raw relator, whose phi-image is trivial in W, so phi is
+    a homomorphism E -> W, into H by (z); and phi psi is the identity of
+    H, so psi is injective and phi maps E isomorphically onto H.  The one
+    trusted piece is :func:`right_angled_nf`.  The raw comparison and the
+    finite section check the same fact independently.
+
+    The finite section runs no coset enumeration when the ambient or the
     expected kernel is :func:`certified_infinite`; it reads skipped, as
     it would once the budget ran out.  ``raw`` is the instance's raw
     kernel when the caller already has it.  Both budgets are checked here,

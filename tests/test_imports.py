@@ -61,6 +61,21 @@ print(" ".join(sorted(m[9:] for m in sys.modules if m.startswith("coxembed."))))
 print("json" in sys.modules)
 """
 
+# runs ``main(argv)`` with its output captured, or only imports the CLI
+# when no arguments are given, then prints every module loaded
+LOADED = """\
+import contextlib, io, sys
+from coxembed.cli import main
+if sys.argv[1:]:
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+        main(sys.argv[1:])
+print(" ".join(sorted(sys.modules)))
+"""
+
+# modules no command may load: importing dataclasses imports inspect, and
+# the two take longer than most commands' own work
+HEAVY = {"dataclasses", "inspect"}
+
 ALL = {"cli", "presentations", "words", "schreier", "tietze", "verify"}
 LOADS = {
     "build": {"cli", "presentations", "words"},
@@ -92,6 +107,20 @@ def test_command_loads_only_what_it_runs(command):
     assert code == "0"
     assert set(modules.split()) == LOADS.get(argv[0], ALL)
     assert has_json == str("json" in argv or argv[0] == "verify")
+
+
+@pytest.fixture(scope="module")
+def bare_modules():
+    """The modules a bare interpreter in this environment has loaded, such
+    as those a ``.pth`` file imports at start-up."""
+    return set(_fresh("import sys; print(' '.join(sorted(sys.modules)))")[0].split())
+
+
+@pytest.mark.parametrize("command", ["", *_readme_commands()], ids=lambda c: c or "import coxembed.cli")
+def test_command_loads_no_heavy_module(command, bare_modules):
+    loaded = set(_fresh(LOADED, *shlex.split(command))[0].split())
+    assert "coxembed.cli" in loaded
+    assert not (loaded - bare_modules) & HEAVY
 
 
 def test_usage_error_loads_no_engine():

@@ -27,6 +27,7 @@ from coxembed.presentations import (
     parse_word,
     pc_presentation,
     serialize_presentation,
+    serialize_word,
 )
 from coxembed.words import commutator, letter, power, relator_nf
 from oracles import replace
@@ -308,6 +309,41 @@ def test_instance_commuting_pairs_are_validated():
         replace(inst, commuting={(0, 4)})
     with pytest.raises(ValueError, match="outside alphabet"):
         replace(inst, commuting={(-1, 2)})
+
+
+def test_instance_commuting_pairs_are_ambient_relations():
+    # klein's r1 and s1 have label inf, so no relator makes them commute
+    inst = build_klein_instance()
+    with pytest.raises(ValueError, match="commuting pair \\(0, 1\\) is not an ambient relation"):
+        replace(inst, commuting=inst.commuting | {(0, 1)})
+    # (r1 r2)^2 may be any rotation or inverse of itself or of [r1, r2],
+    # but not another word in r1 and r2 of four letters
+    relators = inst.ambient.relators
+    k = relators.index((1, 3, 1, 3))
+    for r, ok in (((-3, -1, -3, -1), True), ((3, 1, -3, -1), True), ((1, 3, 3, 1), False)):
+        ambient = Presentation(inst.ambient.gens, relators[:k] + (r,) + relators[k + 1:])
+        if ok:
+            assert replace(inst, ambient=ambient).ambient == ambient
+        else:
+            with pytest.raises(ValueError, match="commuting pair \\(0, 2\\) is not an ambient relation"):
+                replace(inst, ambient=ambient)
+
+
+def test_instance_expected_words_lie_in_the_kernel():
+    # s1 r1 maps to 0b10, not to 0: it is no element of the kernel
+    inst = build_klein_instance()
+    s1, r1, r2, s2 = 2, 1, 3, 4
+    assert replace(inst, expected_words=((s1, r1, r2), (s2, r2))) == inst
+    with pytest.raises(ValueError, match="expected word outside the kernel of the hom"):
+        replace(inst, expected_words=((s1, r1), (s2, r2)))
+
+
+def test_serialize_word_rejects_letter_zero():
+    assert serialize_word((1, 1, -2), ("a", "b")) == "a^2 b^-1"
+    assert serialize_word((), ("a",)) == ""
+    for w in ((1, 0, 1), (0,), (0, 0), (1, 0)):
+        with pytest.raises(ValueError, match="0 is not a letter"):
+            serialize_word(w, ("a",))
 
 
 def test_instance_transversal_gens_are_validated():
