@@ -61,21 +61,22 @@ def parse_matrix_text(text: str) -> Tuple[Tuple, ...]:
     return tuple(rows)
 
 
+# sets a field of a _Value once, in its constructor, past the
+# __setattr__ that refuses every later assignment
+_setattr = object.__setattr__
+
+
 class _Value:
     """Immutable value over the fields its class names in ``__slots__``.
 
     Two values are equal when they are of the same class with equal
     fields, and a value hashes as the tuple of its fields (so not at all
-    while a field holds a dict).  The repr is ``Name(field=value, ...)``,
-    fields are set once by :meth:`_assign`, and copies and pickles
-    rebuild a value through its class's constructor, whose parameters
-    are the fields in order."""
+    while a field holds a dict).  The repr is ``Name(field=value, ...)``.
+    The constructor sets each field with :data:`_setattr`, and copies and
+    pickles rebuild a value through the constructor, whose parameters are
+    the fields in order."""
 
     __slots__ = ()
-
-    def _assign(self, *values):
-        for name, value in zip(self.__slots__, values, strict=True):
-            object.__setattr__(self, name, value)
 
     def _values(self) -> tuple:
         return tuple([getattr(self, name) for name in self.__slots__])
@@ -93,10 +94,10 @@ class _Value:
         return f"{type(self).__qualname__}({fields})"
 
     def __setattr__(self, name, value):
-        raise AttributeError(f"cannot assign to field {name!r}")
+        raise AttributeError(f"cannot assign {name!r}: {type(self).__name__} is immutable")
 
     def __delattr__(self, name):
-        raise AttributeError(f"cannot delete field {name!r}")
+        raise AttributeError(f"cannot delete {name!r}: {type(self).__name__} is immutable")
 
     def __reduce__(self):
         return type(self), self._values()
@@ -251,7 +252,8 @@ class Presentation(_Value):
             r = cyclic_reduce(w)
             if r:
                 rels.append(r)
-        self._assign(gens, tuple(rels))
+        _setattr(self, "gens", gens)
+        _setattr(self, "relators", tuple(rels))
 
     @classmethod
     def trusted(cls, gens: Tuple[str, ...], relators: Tuple[Word, ...]) -> "Presentation":
@@ -260,7 +262,8 @@ class Presentation(_Value):
         nonempty, cyclically reduced words over them.  It equals
         ``Presentation(gens, relators)``."""
         pres = object.__new__(cls)
-        pres._assign(gens, relators)
+        _setattr(pres, "gens", gens)
+        _setattr(pres, "relators", relators)
         return pres
 
     @property
@@ -370,7 +373,7 @@ class CoxeterMatrix(_Value):
             tuple(1 if i == j else v for j, v in enumerate(row))
             for i, row in enumerate(entries)
         )
-        self._assign(entries)
+        _setattr(self, "entries", entries)
 
     @classmethod
     def from_rows(cls, rows) -> "CoxeterMatrix":
@@ -423,7 +426,8 @@ class PcSpec(_Value):
         for p in orders:
             if p != INF and (not isinstance(p, int) or p < 1):
                 raise ValueError(f"generator order must be >= 1 or inf, got {p!r}")
-        self._assign(powers, orders)
+        _setattr(self, "powers", powers)
+        _setattr(self, "orders", orders)
 
     @classmethod
     def from_pairs(cls, n: int, powers: Dict[Tuple[int, int], object], orders, default=INF) -> "PcSpec":
@@ -459,7 +463,8 @@ class HomZ2n(_Value):
         for v in images:
             if not 0 <= v < (1 << n):
                 raise ValueError(f"image {v} outside Z_2^{n}")
-        self._assign(n, images)
+        _setattr(self, "n", n)
+        _setattr(self, "images", images)
 
     def word_image(self, w: Sequence[int]) -> int:
         v = 0
@@ -552,10 +557,14 @@ class EmbeddingInstance(_Value):
         sub = [hom.images[g] for g in transversal_gens]
         if gf2_rank(sub) != gf2_rank(hom.images):
             raise ValueError("transversal generators do not span the image")
-        self._assign(
-            family, ambient, hom, transversal_gens, frozenset(pairs), expected_kernel,
-            expected_words, {} if params is None else params,
-        )
+        _setattr(self, "family", family)
+        _setattr(self, "ambient", ambient)
+        _setattr(self, "hom", hom)
+        _setattr(self, "transversal_gens", transversal_gens)
+        _setattr(self, "commuting", frozenset(pairs))
+        _setattr(self, "expected_kernel", expected_kernel)
+        _setattr(self, "expected_words", expected_words)
+        _setattr(self, "params", {} if params is None else params)
 
 
 # ---------------------------------------------------------------------------

@@ -21,6 +21,7 @@ from .presentations import (
     EmbeddingInstance,
     HomZ2n,
     Presentation,
+    _setattr,
     _Value,
     gf2_rank,
     serialize_word,
@@ -52,7 +53,8 @@ class Transversal(_Value):
     __slots__ = ("reps", "order")
 
     def __init__(self, reps: Dict[int, Word], order: Tuple[int, ...]):
-        self._assign(reps, order)
+        _setattr(self, "reps", reps)
+        _setattr(self, "order", order)
 
     @property
     def size(self) -> int:
@@ -126,7 +128,11 @@ class SchreierGen(_Value):
     __slots__ = ("name", "coset", "coset_word", "gen", "defining")
 
     def __init__(self, name: str, coset: int, coset_word: Word, gen: int, defining: Word):
-        self._assign(name, coset, coset_word, gen, defining)
+        _setattr(self, "name", name)
+        _setattr(self, "coset", coset)
+        _setattr(self, "coset_word", coset_word)
+        _setattr(self, "gen", gen)
+        _setattr(self, "defining", defining)
 
 
 class SymbolDict:
@@ -205,7 +211,10 @@ class KernelPresentation(_Value):
     def __init__(
         self, presentation: Presentation, table: Tuple[SchreierGen, ...], mode: str, transversal: Transversal
     ):
-        self._assign(presentation, table, mode, transversal)
+        _setattr(self, "presentation", presentation)
+        _setattr(self, "table", table)
+        _setattr(self, "mode", mode)
+        _setattr(self, "transversal", transversal)
 
     def table_rows(self, ambient: Presentation):
         """Display rows (name, origin t, origin x, defining word)."""

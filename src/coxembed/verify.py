@@ -22,6 +22,7 @@ from .presentations import (
     CoxeterMatrix,
     EmbeddingInstance,
     Presentation,
+    _setattr,
     _Value,
 )
 from .schreier import KernelPresentation, evaluated_kernel_presentation, image_rank, raw_kernel_presentation
@@ -57,7 +58,11 @@ class CosetTable(_Value):
         fwd: Optional[Tuple[Tuple[int, ...], ...]],
         bwd: Optional[Tuple[Tuple[int, ...], ...]],
     ):
-        self._assign(status, num_cosets, num_defined, fwd, bwd)
+        _setattr(self, "status", status)
+        _setattr(self, "num_cosets", num_cosets)
+        _setattr(self, "num_defined", num_defined)
+        _setattr(self, "fwd", fwd)
+        _setattr(self, "bwd", bwd)
 
     @property
     def complete(self) -> bool:
@@ -574,7 +579,8 @@ class AbelianInvariants(_Value):
         for x, y in zip(tors, tors[1:]):
             if y % x:
                 raise ValueError("torsion coefficients must form a divisibility chain")
-        self._assign(free_rank, tors)
+        _setattr(self, "free_rank", free_rank)
+        _setattr(self, "torsion", tors)
 
 
 def abelianization(pres: Presentation) -> AbelianInvariants:
@@ -704,11 +710,17 @@ class VerifyReport(_Value):
         split_section: bool,
         verdict: str,
     ):
-        self._assign(
-            family, params, image_rank, transversal_size, evaluated_generators,
-            evaluated_relator_nf_match, raw_generators_after_simplify, raw_matched, finite,
-            split_section, verdict,
-        )
+        _setattr(self, "family", family)
+        _setattr(self, "params", params)
+        _setattr(self, "image_rank", image_rank)
+        _setattr(self, "transversal_size", transversal_size)
+        _setattr(self, "evaluated_generators", evaluated_generators)
+        _setattr(self, "evaluated_relator_nf_match", evaluated_relator_nf_match)
+        _setattr(self, "raw_generators_after_simplify", raw_generators_after_simplify)
+        _setattr(self, "raw_matched", raw_matched)
+        _setattr(self, "finite", finite)
+        _setattr(self, "split_section", split_section)
+        _setattr(self, "verdict", verdict)
 
     def to_dict(self) -> dict:
         return {
