@@ -22,7 +22,6 @@ from .words import (
     invert,
     letter,
     power,
-    relator_nf,
 )
 
 INF = math.inf
@@ -500,10 +499,11 @@ class EmbeddingInstance(_Value):
 
     Every ambient generator is an involution (has a ``g^2`` relator), and
     each commuting pair ``(a, b)``, ``a < b``, is a relation of the
-    ambient: ``(a b)^2`` or ``[a, b]`` is an ambient relator, up to
-    :func:`relator_nf`.  So the right-angled Coxeter group of the pairs
-    maps onto the ambient, and the evaluated kernel merges symbols equal
-    there.  Every expected word lies in the kernel of the hom.  ``params``
+    ambient: some ambient relator of four letters alternates between
+    ``a`` and ``b``, signs aside, as ``(a b)^2`` and ``[a, b]`` do in
+    every rotation and inversion.  So the right-angled Coxeter group of
+    the pairs maps onto the ambient, and the evaluated kernel merges
+    symbols equal there.  Every expected word lies in the kernel of the hom.  ``params``
     defaults to a new empty dict."""
 
     __slots__ = (
@@ -538,12 +538,16 @@ class EmbeddingInstance(_Value):
         for r in ambient.relators:
             if hom.word_image(r) != 0:
                 raise ValueError("hom does not kill every ambient relator")
-        # both relators of a pair have four letters, as do their normal forms
-        fours = {relator_nf(r) for r in ambient.relators if len(r) == 4}
-        for a, b in pairs:
-            x, y = letter(a), letter(b)
-            if relator_nf((x, y, x, y)) not in fours and relator_nf((x, y, -x, -y)) not in fours:
-                raise ValueError(f"commuting pair {(a, b)} is not an ambient relation")
+        # between involutions, a relator of four letters alternating between
+        # them, signs aside, says that they commute
+        alternating = {
+            (min(abs(r[0]), abs(r[1])) - 1, max(abs(r[0]), abs(r[1])) - 1)
+            for r in ambient.relators
+            if len(r) == 4 and abs(r[0]) == abs(r[2]) != abs(r[1]) == abs(r[3])
+        }
+        for pair in pairs:
+            if pair not in alternating:
+                raise ValueError(f"commuting pair {pair} is not an ambient relation")
         if len(expected_words) != expected_kernel.rank:
             raise ValueError("one expected word per expected kernel generator")
         expected_words = tuple(tuple(w) for w in expected_words)
