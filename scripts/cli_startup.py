@@ -9,8 +9,9 @@ For every ``coxembed ...`` line of the README's command-line block, runs
 wall time, the median excess over the bare interpreter and the coxembed
 modules the command loaded.  A second line lists the other modules it
 loaded beyond those a bare interpreter has, so that a costly standard
-library import (such as ``dataclasses``) shows up per command.  ``--src`` picks the source tree to run
-(another checkout's ``src`` compares two versions on the same commands).
+library import (such as ``dataclasses``) shows up per command.  ``--src``
+picks the source tree to run (another checkout's ``src`` compares two
+versions on the same commands).
 """
 
 import argparse
