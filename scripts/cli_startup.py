@@ -6,12 +6,15 @@
 For every ``coxembed ...`` line of the README's command-line block, runs
 ``python -m coxembed ...`` ``--runs`` times, each run next to a bare
 ``python -c pass`` so both see the same host speed, and prints the median
-wall time, the median excess over the bare interpreter and the coxembed
-modules the command loaded.  A second line lists the other modules it
-loaded beyond those a bare interpreter has, so that a costly standard
-library import (such as ``dataclasses``) shows up per command.  ``--src``
-picks the source tree to run (another checkout's ``src`` compares two
-versions on the same commands).
+wall time, the median excess over the bare interpreter, the time to
+compile the sources of the coxembed modules the command loaded (per
+module the best of 30 ``compile()`` calls on its text, summed: what each
+process pays when no bytecode cache is written, as under
+``PYTHONDONTWRITEBYTECODE=1``) and those modules.  A second line lists
+the other modules it loaded beyond those a bare interpreter has, so that
+a costly standard library import (such as ``dataclasses``) shows up per
+command.  ``--src`` picks the source tree to run (another checkout's
+``src`` compares two versions on the same commands).
 """
 
 import argparse
@@ -21,6 +24,8 @@ import statistics
 import subprocess
 import sys
 import time
+import timeit
+from functools import cache
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -50,9 +55,15 @@ def main():
         proc = subprocess.run([sys.executable, *argv], cwd=ROOT, env=env, capture_output=True, text=True)
         return time.perf_counter() - t0, proc.stdout
 
+    @cache
+    def compile_s(module):
+        path = Path(args.src) / "coxembed" / ("__init__.py" if module == "coxembed" else f"{module}.py")
+        text = path.read_text(encoding="utf-8")
+        return min(timeit.repeat(lambda: compile(text, str(path), "exec"), number=1, repeat=30))
+
     bare_modules = set(run("-c", BARE)[1].split())
-    print(f"{'ms':>6} {'excess':>6}  command  [modules]")
-    print(f"{'':>15}+ other modules beyond a bare interpreter")
+    print(f"{'ms':>6} {'excess':>6} {'compile':>7}  command  [modules]")
+    print(f"{'':>23}+ other modules beyond a bare interpreter")
     for argv in readme_commands():
         bare, cmd = [], []
         for _ in range(args.runs):
@@ -62,8 +73,10 @@ def main():
         loaded = set(run("-c", PROBE, *argv)[1].split()) - bare_modules
         ours = sorted(m[9:] or m for m in loaded if m.split(".")[0] == "coxembed")
         other = sorted(m for m in loaded if m.split(".")[0] != "coxembed")
-        print(f"{1e3 * statistics.median(cmd):6.1f} {1e3 * excess:6.1f}  {shlex.join(argv)}  [{' '.join(ours)}]")
-        print(f"{'':>15}+ {' '.join(other)}")
+        compiled = sum(map(compile_s, ours))
+        print(f"{1e3 * statistics.median(cmd):6.1f} {1e3 * excess:6.1f} {1e3 * compiled:7.1f}"
+              f"  {shlex.join(argv)}  [{' '.join(ours)}]")
+        print(f"{'':>23}+ {' '.join(other)}")
 
 
 if __name__ == "__main__":

@@ -21,7 +21,6 @@ from .presentations import (
     INF,
     CoxeterMatrix,
     EmbeddingInstance,
-    ParseError,
     PcSpec,
     Presentation,
     artin_presentation,
@@ -343,7 +342,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         else:
             sys.stdout.write(out)
         return code
-    except (UsageError, ParseError, ValueError) as exc:
+    except (UsageError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -429,8 +429,8 @@ class PcSpec(_Value):
         _setattr(self, "orders", orders)
 
     @classmethod
-    def from_pairs(cls, n: int, powers: Dict[Tuple[int, int], object], orders, default=INF) -> "PcSpec":
-        rows = [[default] * n for _ in range(n)]
+    def from_pairs(cls, n: int, powers: Dict[Tuple[int, int], object], orders) -> "PcSpec":
+        rows = [[INF] * n for _ in range(n)]
         for (i, j), v in powers.items():
             rows[i][j] = v
             rows[j][i] = v

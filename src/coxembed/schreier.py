@@ -41,27 +41,15 @@ def image_rank(hom: HomZ2n) -> int:
     return gf2_rank(hom.images)
 
 
-class Transversal(_Value):
-    """Schreier transversal of coset representatives, keyed by image vector.
+def transversal(pres: Presentation, hom: HomZ2n, subset: Sequence[int]) -> Dict[int, Word]:
+    """Schreier transversal of coset representatives: each image vector
+    mapped to its representative, in breadth-first order.
 
     Representatives are positive words over the declared generator subset,
     built breadth-first so the set is prefix-closed and each word has
     minimal length, ties broken by discovery order.  The zero vector is
     represented by the empty word.
     """
-
-    __slots__ = ("reps", "order")
-
-    def __init__(self, reps: Dict[int, Word], order: Tuple[int, ...]):
-        _setattr(self, "reps", reps)
-        _setattr(self, "order", order)
-
-    @property
-    def size(self) -> int:
-        return len(self.order)
-
-
-def transversal(pres: Presentation, hom: HomZ2n, subset: Sequence[int]) -> Transversal:
     if not check_hom(pres, hom):
         raise ValueError("hom does not kill every relator")
     subset = tuple(sorted(set(subset)))
@@ -69,19 +57,16 @@ def transversal(pres: Presentation, hom: HomZ2n, subset: Sequence[int]) -> Trans
         if not 0 <= g < pres.rank:
             raise ValueError(f"generator index {g} outside alphabet")
     reps: Dict[int, Word] = {0: ()}
-    order = [0]
-    head = 0
-    while head < len(order):
-        v = order[head]
-        head += 1
+    queue = [0]
+    for v in queue:  # the queue grows as the walk finds cosets
         for g in subset:
             nv = v ^ hom.images[g]
             if nv not in reps:
                 reps[nv] = reps[v] + (letter(g),)
-                order.append(nv)
+                queue.append(nv)
     if gf2_rank([hom.images[g] for g in subset]) != image_rank(hom):
         raise ValueError("subset does not span the image; unreachable cosets")
-    return Transversal(reps, tuple(order))
+    return reps
 
 
 def commuting_letters(rank: int, commuting) -> Dict[int, Set[int]]:
@@ -125,11 +110,10 @@ def right_angled_nf(near: Dict[int, Set[int]], w: Sequence[int]) -> Word:
 class SchreierGen(_Value):
     """A surviving kernel symbol: its first origin and defining word."""
 
-    __slots__ = ("name", "coset", "coset_word", "gen", "defining")
+    __slots__ = ("name", "coset_word", "gen", "defining")
 
-    def __init__(self, name: str, coset: int, coset_word: Word, gen: int, defining: Word):
+    def __init__(self, name: str, coset_word: Word, gen: int, defining: Word):
         _setattr(self, "name", name)
-        _setattr(self, "coset", coset)
         _setattr(self, "coset_word", coset_word)
         _setattr(self, "gen", gen)
         _setattr(self, "defining", defining)
@@ -142,16 +126,14 @@ class SymbolDict:
     The defining word of the pair (t, x) is t x (rep of the target
     coset)^-1, freely reduced."""
 
-    def __init__(self, pres: Presentation, hom: HomZ2n, trans: Transversal):
+    def __init__(self, pres: Presentation, hom: HomZ2n, trans: Dict[int, Word]):
         self.table: list[SchreierGen] = []
         self.letters: Dict[Tuple[int, int], int] = {}
-        reps = trans.reps
-        for k, v in enumerate(trans.order):
-            t = reps[v]
+        for k, (v, t) in enumerate(trans.items()):
             for x in range(pres.rank):
-                word = free_reduce(t + (letter(x),) + invert(reps[v ^ hom.images[x]]))
+                word = free_reduce(t + (letter(x),) + invert(trans[v ^ hom.images[x]]))
                 if word:
-                    self.table.append(SchreierGen(f"y{k}_{pres.gens[x]}", v, t, x, word))
+                    self.table.append(SchreierGen(f"y{k}_{pres.gens[x]}", t, x, word))
                     self.letters[(v, x)] = len(self.table)
                 else:
                     self.letters[(v, x)] = 0
@@ -198,7 +180,7 @@ def merge_symbols(
                 break
         by_word[canonical] = len(merged)
         images.append((letter(len(merged), sign),))
-        merged.append(SchreierGen(name, g.coset, g.coset_word, g.gen, canonical))
+        merged.append(SchreierGen(name, g.coset_word, g.gen, canonical))
     return tuple(merged), tuple(images)
 
 
@@ -209,7 +191,7 @@ class KernelPresentation(_Value):
     __slots__ = ("presentation", "table", "mode", "transversal")
 
     def __init__(
-        self, presentation: Presentation, table: Tuple[SchreierGen, ...], mode: str, transversal: Transversal
+        self, presentation: Presentation, table: Tuple[SchreierGen, ...], mode: str, transversal: Dict[int, Word]
     ):
         _setattr(self, "presentation", presentation)
         _setattr(self, "table", table)
@@ -271,7 +253,7 @@ def raw_kernel_presentation(pres: Presentation, hom: HomZ2n, subset: Sequence[in
     # the coset graph without backtracking, so between two of its symbols,
     # cyclically, lies no closed path of trivial ones, as a cancelling pair
     # would need
-    for v in trans.order:
+    for v in trans:
         for r in pres.relators:
             img = reidemeister_rewrite(hom, symbols, r, v)
             if img:

@@ -8,12 +8,13 @@ exhaustive presentation matcher, the bilinear form of a Coxeter
 matrix for the infiniteness certificate, and the chamber word check on
 coefficient lists for the packed one.
 
-Two helpers are entries to engine code rather than oracles, kept here
+Three helpers are entries to engine code rather than oracles, kept here
 because only tests call them: :func:`regular_rep` reads a group's action
-on itself off a complete Todd-Coxeter table, and
+on itself off a complete Todd-Coxeter table,
 :func:`smith_normal_form` runs the sparse Smith elimination on a dense
-matrix.  :func:`fields` and :func:`replace` read and rebuild a value
-object through its class's constructor.
+matrix, and :func:`evaluated_rewriter` rewrites kernel words over the
+evaluated symbols.  :func:`fields` and :func:`replace` read and rebuild
+a value object through its class's constructor.
 """
 
 from __future__ import annotations
@@ -24,8 +25,18 @@ from math import cos, gcd, inf, lcm, pi
 from typing import List, Optional, Sequence, Tuple
 
 from coxembed.presentations import DEFAULT_MAX_COSETS, INF, CoxeterMatrix, Presentation, serialize_word
+from coxembed.schreier import SymbolDict, merge_symbols, reidemeister_rewrite, transversal
 from coxembed.verify import _sparse_smith_diagonal, todd_coxeter
-from coxembed.words import Word, concat, cyclic_reduce, free_reduce, invert, relabel, relator_nf
+from coxembed.words import (
+    Word,
+    concat,
+    cyclic_reduce,
+    expand_kernel_word,
+    free_reduce,
+    invert,
+    relabel,
+    relator_nf,
+)
 
 
 def orbit_rotation_inversion(w) -> set:
@@ -69,8 +80,16 @@ def walk_rewrite(table, images, w, coset=0):
     """Reidemeister-Schreier rewrite of ``w`` read from ``coset``: the raw
     symbols of ``table`` looked up by their (coset, generator) origin, one
     letter of ``w`` at a time, collected unreduced and then freely
-    reduced.  ``images`` are the generators' image vectors."""
-    symbol = {(g.coset, g.gen): k + 1 for k, g in enumerate(table)}
+    reduced.  ``images`` are the generators' image vectors; a symbol's
+    coset is the image of its representative word."""
+
+    def image(word):
+        v = 0
+        for l in word:
+            v ^= images[abs(l) - 1]
+        return v
+
+    symbol = {(image(g.coset_word), g.gen): k + 1 for k, g in enumerate(table)}
     out = []
     v = coset
     for l in w:
@@ -84,6 +103,15 @@ def walk_rewrite(table, images, w, coset=0):
             v ^= images[x]
     assert v == coset, "word has nonzero image"
     return free_reduce(out)
+
+
+def evaluated_rewriter(inst):
+    """The evaluated symbol table and a rewrite of kernel words over it:
+    the raw rewrite with each raw symbol replaced by its merge image."""
+    trans = transversal(inst.ambient, inst.hom, inst.transversal_gens)
+    symbols = SymbolDict(inst.ambient, inst.hom, trans)
+    table, images = merge_symbols(inst, symbols.table)
+    return table, lambda w: expand_kernel_word(reidemeister_rewrite(inst.hom, symbols, w), images)
 
 
 def compose(p: Sequence[int], q: Sequence[int]) -> Tuple[int, ...]:

@@ -17,14 +17,7 @@ from coxembed.presentations import (
     coxeter_presentation,
     serialize_word,
 )
-from coxembed.schreier import (
-    SymbolDict,
-    evaluated_kernel_presentation,
-    merge_symbols,
-    raw_kernel_presentation,
-    reidemeister_rewrite,
-    transversal,
-)
+from coxembed.schreier import evaluated_kernel_presentation, raw_kernel_presentation, transversal
 from coxembed.tietze import simplify
 from coxembed.verify import (
     AbelianInvariants,
@@ -50,6 +43,7 @@ from oracles import (
     compose,
     dihedral_squared_times_klein_gens,
     eval_word_perm,
+    evaluated_rewriter,
     minor_gcd_diagonal,
     orbit_rotation_inversion,
     perm_closure,
@@ -63,17 +57,6 @@ MAX_COSETS = 50_000
 
 def thm1_fixture():
     return build_thm1_instance(CoxeterMatrix.from_pairs(2, {(0, 1): 4}), (2, 2))
-
-
-def evaluated_rewriter(inst):
-    """The evaluated symbol table and a rewrite of kernel words over it:
-    the raw rewrite with each raw symbol replaced by its merge image."""
-    trans = transversal(inst.ambient, inst.hom, inst.transversal_gens)
-    symbols = SymbolDict(inst.ambient, inst.hom, trans)
-    table, images = merge_symbols(inst, symbols.table)
-    return table, lambda w: expand_kernel_word(
-        reidemeister_rewrite(inst.hom, symbols, w), images
-    )
 
 
 def test_criterion_1_thm1_fixture():
@@ -200,7 +183,7 @@ def test_criterion_4_prop2():
     )
     assert match_presentations(kp.presentation, four_cycle) is not None
     trans = transversal(inst.ambient, inst.hom, inst.transversal_gens)
-    assert trans.size == 4 == 2**2
+    assert len(trans) == 4 == 2**2
     assert todd_coxeter(inst.ambient, (), 20_000).status == "budget-exceeded"
 
     # (b) finite variant

@@ -40,7 +40,7 @@ from coxembed.verify import (
     word_holds,
 )
 from coxembed.words import free_reduce, invert, power, relator_nf
-from oracles import regular_rep, walk_rewrite
+from oracles import evaluated_rewriter, regular_rep, walk_rewrite
 
 ROOT = Path(__file__).resolve().parents[1]
 
@@ -72,28 +72,29 @@ def test_image_rank():
 def test_transversal_thm1():
     inst = thm1_fixture()
     t = transversal(inst.ambient, inst.hom, inst.transversal_gens)
-    assert t.size == 4
-    assert set(t.reps.values()) == {(), (1,), (2,), (1, 2)}
-    assert t.reps[0] == ()
+    assert len(t) == 4
+    assert set(t.values()) == {(), (1,), (2,), (1, 2)}
+    assert t[0] == ()
 
 
 def test_transversal_klein_restricted_and_full():
     inst = build_klein_instance()
     t = transversal(inst.ambient, inst.hom, inst.transversal_gens)
-    assert set(t.reps.values()) == {(), (1,), (3,), (1, 3)}
-    # over the full alphabet, BFS finds s1 at depth 1 before r1 r2
+    assert set(t.values()) == {(), (1,), (3,), (1, 3)}
+    # over the full alphabet, BFS finds s1 at depth 1 before r1 r2; the
+    # keys come in the order the walk found them
     t_full = transversal(inst.ambient, inst.hom, range(4))
-    assert set(t_full.reps.values()) == {(), (1,), (2,), (3,)}
+    assert list(t_full.items()) == [(0, ()), (1, (1,)), (3, (2,)), (2, (3,))]
 
 
 def test_transversal_invariants():
     inst = thm1_fixture()
     t = transversal(inst.ambient, inst.hom, inst.transversal_gens)
-    for v, w in t.reps.items():
+    for v, w in t.items():
         assert inst.hom.word_image(w) == v
         for k in range(len(w)):
-            assert w[:k] in t.reps.values()
-    assert t.size == 2 ** image_rank(inst.hom)
+            assert w[:k] in t.values()
+    assert len(t) == 2 ** image_rank(inst.hom)
 
 
 def test_transversal_rejects_nonspanning_subset():
@@ -254,8 +255,7 @@ def test_raw_rewrite_is_exact_in_free_group():
         t = transversal(inst.ambient, inst.hom, inst.transversal_gens)
         sym = SymbolDict(inst.ambient, inst.hom, t)
         defining = [g.defining for g in sym.table]
-        for v in t.order:
-            rep = t.reps[v]
+        for v, rep in t.items():
             for r in inst.ambient.relators:
                 w = free_reduce(rep + r + invert(rep))
                 img = reidemeister_rewrite(inst.hom, sym, w)
@@ -277,7 +277,7 @@ def test_reidemeister_rewrite_matches_unreduced_walk():
             w = random_word(rng, n, 16)
             if inst.hom.word_image(w) == 0:
                 words.append(w)
-        for v in t.order:
+        for v in t:
             for w in words:
                 expected = walk_rewrite(sym.table, inst.hom.images, w, v)
                 assert reidemeister_rewrite(inst.hom, sym, w, v) == expected
@@ -355,15 +355,6 @@ def test_evaluated_artin_classes():
     braid = relator_nf(inst3.expected_kernel.relators[0])
     flipped = relator_nf((-1, 2, -1, -2, 1, -2))  # braid relator in a1^-1, a2
     assert classes == {braid, flipped}
-
-
-def evaluated_rewriter(inst):
-    """The evaluated symbol table and a rewrite of kernel words over it:
-    the raw rewrite with each raw symbol replaced by its merge image."""
-    t = transversal(inst.ambient, inst.hom, inst.transversal_gens)
-    sym = SymbolDict(inst.ambient, inst.hom, t)
-    table, images = merge_symbols(inst, sym.table)
-    return table, lambda w: expand_kernel_word(reidemeister_rewrite(inst.hom, sym, w), images)
 
 
 def test_reidemeister_rewrite_examples():

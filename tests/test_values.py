@@ -1,6 +1,6 @@
 """The value classes: equality, hashing, repr, immutability and copies.
 
-Each of the eleven value types equals another of its class with equal
+Each of the ten value types equals another of its class with equal
 fields and nothing else, hashes as the tuple of its fields (or refuses to,
 where a field holds a dict), shows as ``Name(field=value, ...)``, rejects
 assignment and deletion of a field, and survives ``copy.copy``,
@@ -71,27 +71,20 @@ CASES = {
         "expected_words=((2, 1),), params={'m': [[1]]})",
         False,
     ),
-    "Transversal": (
-        lambda: _raw(_inversion()).transversal,
-        lambda: _raw(build_klein_instance()).transversal,
-        "Transversal(reps={0: (), 1: (1,)}, order=(0, 1))",
-        False,
-    ),
     "SchreierGen": (
         lambda: _raw(_inversion()).table[0],
         lambda: _raw(_inversion()).table[1],
-        "SchreierGen(name='y0_s1', coset=0, coset_word=(), gen=1, defining=(2, -1))",
+        "SchreierGen(name='y0_s1', coset_word=(), gen=1, defining=(2, -1))",
         True,
     ),
     "KernelPresentation": (
         lambda: _raw(_inversion()),
         lambda: evaluated_kernel_presentation(_inversion()),
         "KernelPresentation(presentation=Presentation(gens=('y0_s1', 'y1_r', 'y1_s1'), "
-        "relators=((2,), (1, 3), (2,), (3, 1))), table=(SchreierGen(name='y0_s1', coset=0, "
-        "coset_word=(), gen=1, defining=(2, -1)), SchreierGen(name='y1_r', coset=1, "
-        "coset_word=(1,), gen=0, defining=(1, 1)), SchreierGen(name='y1_s1', coset=1, "
-        "coset_word=(1,), gen=1, defining=(1, 2))), mode='raw', "
-        "transversal=Transversal(reps={0: (), 1: (1,)}, order=(0, 1)))",
+        "relators=((2,), (1, 3), (2,), (3, 1))), table=(SchreierGen(name='y0_s1', "
+        "coset_word=(), gen=1, defining=(2, -1)), SchreierGen(name='y1_r', coset_word=(1,), "
+        "gen=0, defining=(1, 1)), SchreierGen(name='y1_s1', coset_word=(1,), gen=1, "
+        "defining=(1, 2))), mode='raw', transversal={0: (), 1: (1,)})",
         False,
     ),
     "CosetTable": (

@@ -18,6 +18,7 @@ from coxembed.presentations import (
     HomZ2n,
     Presentation,
     build_artin_instance,
+    build_artin_inversion_instance,
     build_klein_instance,
     build_prop2_instance,
     build_thm1_instance,
@@ -46,6 +47,7 @@ from oracles import (
     coxeter_form_positive_definite,
     dihedral_squared_times_klein_gens,
     eval_word_perm,
+    evaluated_rewriter,
     list_coxeter_word_trivial,
     minor_gcd_diagonal,
     perm_closure,
@@ -165,6 +167,7 @@ def _certified_instances():
         build_klein_instance(),
         build_artin_instance(CoxeterMatrix.from_pairs(2, {(0, 1): 2})),
         build_artin_instance(m3),
+        build_artin_inversion_instance(m3),
     ]
 
 
@@ -987,6 +990,76 @@ def test_verify_instance_artin_reports_mismatch():
     d2 = verify_instance(inst2).to_dict()
     assert d2["evaluated"]["relator_nf_match"] is True
     assert d2["verdict"] == "pass"
+
+
+def test_evaluated_match_negative_controls():
+    # each control breaks E or the map a_j -> expected word, and the
+    # evaluated match must catch it and fail the verdict
+    m4 = CoxeterMatrix.from_pairs(2, {(0, 1): 4})
+    pc = build_thm1_instance(m4, (2, 2))
+    gens, rels = pc.expected_kernel.gens, pc.expected_kernel.relators
+    assert rels[1:] == ((1, 1), (2, 2))  # a1^2, a2^2
+    half = build_thm1_instance(m4, (2, INF))
+    prop2 = build_prop2_instance(CoxeterMatrix.from_pairs(2, {(0, 1): 3}), (4, 4))
+    p_gens, p_rels = prop2.expected_kernel.gens, prop2.expected_kernel.relators
+    k = p_rels.index((1, 2, 1, 2, 1, 2))  # (s1 s2)^3
+    controls = [
+        replace(pc, expected_kernel=Presentation(gens, rels[:-1])),
+        replace(pc, expected_kernel=Presentation(gens, (rels[0], (1, 1, 1, 1), rels[2]))),
+        replace(half, expected_words=half.expected_words[::-1]),
+        replace(prop2, expected_kernel=Presentation(p_gens, p_rels[:k] + p_rels[k + 1:])),
+    ]
+    reports = [verify_instance(inst) for inst in controls]
+    assert [r.evaluated_relator_nf_match for r in reports] == [False] * 4
+    assert [r.verdict for r in reports] == ["fail"] * 4
+    # a1 has order 2 and a2 infinite order, so only the evaluated match
+    # sees the swapped words: the raw comparison still matches
+    assert reports[2].raw_matched is True
+    # not a control: at orders (2, 2) swapping the words is an
+    # automorphism of E, so that instance still passes
+    assert verify_instance(replace(pc, expected_words=pc.expected_words[::-1])).verdict == "pass"
+
+
+def _rank2_family_instances():
+    """The family instances of rank at most 2: thm1 (even labels) and
+    prop2 at labels 2, 3, 4, 6 and inf and orders 2, 4, 6 and inf, artin
+    and artin-inversion at rank 2, and klein."""
+    matrices = [CoxeterMatrix.from_rows([[1]])]
+    matrices += [CoxeterMatrix.from_pairs(2, {(0, 1): m}) for m in (2, 3, 4, 6, INF)]
+    insts = [build_klein_instance()]
+    for matrix in matrices:
+        for orders in itertools.product((2, 4, 6, INF), repeat=matrix.n):
+            if matrix.is_even:
+                insts.append(build_thm1_instance(matrix, orders))
+            insts.append(build_prop2_instance(matrix, orders))
+        if matrix.n == 2:
+            insts += [build_artin_instance(matrix), build_artin_inversion_instance(matrix)]
+    return insts
+
+
+def test_expected_relators_hold_in_the_ambient():
+    # phi: a_j -> expected_words[j] sends every relator of E to the
+    # identity of W, decided by the chamber check on a Coxeter ambient
+    insts = _rank2_family_instances()
+    coxeter = [(inst, coxeter_matrix_of(inst.ambient)) for inst in insts]
+    coxeter = [(inst, matrix) for inst, matrix in coxeter if matrix is not None]
+    assert (len(insts), len(coxeter)) == (163, 154)
+    for inst, matrix in coxeter:
+        for r in inst.expected_kernel.relators:
+            word = expand_kernel_word(r, inst.expected_words)
+            assert coxeter_word_trivial(matrix, word), (inst.family, inst.params, r)
+
+
+def test_rewrite_sends_each_expected_word_to_its_generator():
+    # psi tau phi = id_E: the Reidemeister-Schreier rewrite tau of
+    # expected_words[j], merged by psi, is the one-letter word of the
+    # evaluated symbol named expected_kernel.gens[j]; this holds on the
+    # artin instances whose verdict is fail too
+    for inst in _rank2_family_instances():
+        table, rewrite = evaluated_rewriter(inst)
+        letters = {g.name: k + 1 for k, g in enumerate(table)}
+        for name, w in zip(inst.expected_kernel.gens, inst.expected_words):
+            assert rewrite(w) == (letters[name],), (inst.family, inst.params, name)
 
 
 def test_verify_instance_orders_agree_on_finite_fixtures():
