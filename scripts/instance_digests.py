@@ -22,7 +22,9 @@ whole Tietze traces, not only the verdicts they lead to.
 
 With ``--evaluated`` each line carries the sha256 of the instance's
 evaluated kernel: ``repr((str(presentation), names, defining words))``
-over its symbol table.  It uses only :func:`raw_kernel_presentation` and
+over its symbol table.  The kernel is built twice, from the raw kernel
+and without it; if the two differ the script names the instance on
+stderr and exits 1.  It uses only :func:`raw_kernel_presentation` and
 :func:`evaluated_kernel_presentation`, so it runs against older checkouts
 too.
 
@@ -43,6 +45,7 @@ import itertools
 import json
 import sys
 from pathlib import Path
+from typing import Optional
 
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
 
@@ -104,10 +107,15 @@ def simplify_digests(inst, max_relator_length: int) -> str:
     return " ".join(digests)
 
 
-def evaluated_digest(inst) -> str:
+def evaluated_digest(inst) -> Optional[str]:
+    """The digest of the evaluated kernel, or None when building it from
+    the raw kernel and without it give different kernels."""
     raw = raw_kernel_presentation(inst.ambient, inst.hom, inst.transversal_gens)
-    ev = evaluated_kernel_presentation(inst, raw)
-    return sha256(repr((str(ev.presentation), [g.name for g in ev.table], [g.defining for g in ev.table])))
+    texts = [
+        repr((str(ev.presentation), [g.name for g in ev.table], [g.defining for g in ev.table]))
+        for ev in (evaluated_kernel_presentation(inst, raw), evaluated_kernel_presentation(inst))
+    ]
+    return sha256(texts[0]) if texts[0] == texts[1] else None
 
 
 def chamber_digest(inst, matrix) -> str:
@@ -134,6 +142,10 @@ def main(argv=None) -> int:
             digest = simplify_digests(inst, args.max_relator_length)
         elif args.evaluated:
             digest = evaluated_digest(inst)
+            if digest is None:
+                print(f"{inst.family} {json.dumps(inst.params, sort_keys=True)}: the evaluated kernel "
+                      "differs with and without the raw kernel", file=sys.stderr)
+                return 1
         elif args.chamber:
             matrix = coxeter_matrix_of(inst.ambient)
             if matrix is None:

@@ -2,15 +2,18 @@
 
 Builds Schreier transversals for homomorphisms onto ``Z_2^n``, evaluates
 the Schreier map, and rewrites words over the Schreier generators by a
-walk through the cosets.  Kernel presentations come in two modes: ``raw``
-keeps defining words at the free-group level (one symbol per nontrivial
-transversal/generator pair, one relator per ambient relator read from
-each coset); ``evaluated`` is the raw kernel with the symbols merged whose
-defining words are equal in the right-angled Coxeter group of the
-instance's commuting pairs, which maps onto the ambient (every ambient
-generator is an involution), computed from the same single rewrite.
-Equality there is decided exactly by :func:`right_angled_nf`.  Both
-modes record the transversal they were rewritten over.
+walk through the cosets, one step-table lookup per letter.  Kernel
+presentations come in two modes: ``raw`` keeps defining words at the
+free-group level (one symbol per nontrivial transversal/generator pair,
+one relator per ambient relator read from each coset); ``evaluated`` is
+the raw kernel with the symbols merged whose defining words are equal in
+the right-angled Coxeter group of the instance's commuting pairs, which
+maps onto the ambient (every ambient generator is an involution).
+Equality there is decided exactly by :func:`right_angled_nf`.  The
+evaluated relators are the raw ones with each symbol replaced by its
+merged letter: read from the raw kernel when the caller has it, else
+walked from the cosets with no raw relator built.  Both modes record the
+transversal they were rewritten over.
 """
 
 from __future__ import annotations
@@ -26,7 +29,7 @@ from .presentations import (
     gf2_rank,
     serialize_word,
 )
-from .words import Word, cyclic_trim, expand_kernel_word, free_reduce, invert, letter, relator_nf
+from .words import Word, cyclic_trim, free_reduce, invert, letter, relator_nf
 
 
 def check_hom(pres: Presentation, hom: HomZ2n) -> bool:
@@ -121,22 +124,33 @@ class SchreierGen(_Value):
 
 class SymbolDict:
     """Raw kernel symbols: every nontrivial (representative, generator)
-    pair gets its own symbol, named after that origin.  ``letters`` maps
-    each (coset, generator) pair to its symbol's letter, 0 when trivial.
-    The defining word of the pair (t, x) is t x (rep of the target
-    coset)^-1, freely reduced."""
+    pair gets its own symbol, named after that origin.  The defining word
+    of the pair (t, x) is t x (rep of the target coset)^-1, freely reduced.
+
+    ``cosets`` maps each transversal image vector to its index in
+    transversal order.  ``steps[i]`` is the step table of coset ``i``: a
+    signed letter read there maps to (the letter of its symbol, 0 when
+    trivial, and the index of the coset it leads to).  A letter x at coset
+    v reads the symbol of (v, x); x^-1 reads the inverse of the symbol of
+    (v', x), v' = v + image(x), and leads to v'."""
 
     def __init__(self, pres: Presentation, hom: HomZ2n, trans: Dict[int, Word]):
         self.table: list[SchreierGen] = []
-        self.letters: Dict[Tuple[int, int], int] = {}
-        for k, (v, t) in enumerate(trans.items()):
+        self.cosets: Dict[int, int] = {v: i for i, v in enumerate(trans)}
+        self.steps: list[Dict[int, Tuple[int, int]]] = [{} for _ in trans]
+        inverses = [invert(t) for t in trans.values()]
+        images = hom.images
+        for i, (v, t) in enumerate(trans.items()):
+            step = self.steps[i]
             for x in range(pres.rank):
-                word = free_reduce(t + (letter(x),) + invert(trans[v ^ hom.images[x]]))
+                j = self.cosets[v ^ images[x]]
+                word = free_reduce(t + (letter(x),) + inverses[j])
+                s = 0
                 if word:
-                    self.table.append(SchreierGen(f"y{k}_{pres.gens[x]}", t, x, word))
-                    self.letters[(v, x)] = len(self.table)
-                else:
-                    self.letters[(v, x)] = 0
+                    self.table.append(SchreierGen(f"y{i}_{pres.gens[x]}", t, x, word))
+                    s = len(self.table)
+                step[x + 1] = (s, j)
+                self.steps[j][-x - 1] = (-s, i)
 
 
 def merge_symbols(
@@ -207,38 +221,45 @@ class KernelPresentation(_Value):
         return rows
 
 
+def _walk(steps: Sequence[Dict[int, Tuple[int, int]]], w: Sequence[int], i: int) -> Tuple[Word, int]:
+    """The letters read along ``w`` through ``steps`` from coset index
+    ``i``, inverse pairs cancelled as they are appended, and the index of
+    the coset where the walk ends."""
+    out: list[int] = []
+    try:
+        for l in w:
+            s, i = steps[i][l]
+            if s:
+                if out and out[-1] == -s:
+                    out.pop()
+                else:
+                    out.append(s)
+    except KeyError:
+        raise ValueError(f"letter {l} outside the alphabet") from None
+    return tuple(out), i
+
+
 def reidemeister_rewrite(hom: HomZ2n, symbols: SymbolDict, w: Sequence[int], coset: int = 0) -> Word:
     """Rewrite ``w``, read from ``coset``, over the raw Schreier symbols.
 
     The walk starts at ``coset`` (the image vector of a transversal
-    element).  A positive letter x at coset v contributes the symbol of
-    the pair (v, x); a letter x^-1 steps to v' = v + image(x) and
-    contributes the inverse of the symbol at (v', x).  The result is the
-    rewrite of t w t^-1 from the trivial coset, t the representative of
-    ``coset``: the letters of a prefix-closed transversal contribute only
-    trivial symbols.  Inverse pairs cancel as the walk appends, so the
-    result is freely reduced.  Raises if the walk does not end where it
-    started, i.e. ``w`` has nonzero image.
+    element) and reads one entry of the step table of
+    :class:`SymbolDict` per letter; ``hom`` is the homomorphism
+    ``symbols`` was built for.  The result is the rewrite of t w t^-1 from
+    the trivial coset, t the representative of ``coset``: the letters of
+    a prefix-closed transversal contribute only trivial symbols.  Inverse
+    pairs cancel as the walk appends, so the result is freely reduced.
+    Raises if a letter is outside the alphabet, if ``coset`` is not a
+    transversal vector, or if the walk does not end where it started,
+    i.e. ``w`` has nonzero image.
     """
-    letters = symbols.letters
-    images = hom.images
-    out: list[int] = []
-    v = coset
-    for l in w:
-        if l > 0:
-            s = letters[(v, l - 1)]
-            v ^= images[l - 1]
-        else:
-            v ^= images[-l - 1]
-            s = -letters[(v, -l - 1)]
-        if s:
-            if out and out[-1] == -s:
-                out.pop()
-            else:
-                out.append(s)
-    if v != coset:
+    i = symbols.cosets.get(coset)
+    if i is None:
+        raise ValueError(f"coset {coset} outside the transversal")
+    out, end = _walk(symbols.steps, w, i)
+    if end != i:
         raise ValueError("word is not in the kernel (nonzero image)")
-    return tuple(out)
+    return out
 
 
 def raw_kernel_presentation(pres: Presentation, hom: HomZ2n, subset: Sequence[int]) -> KernelPresentation:
@@ -270,23 +291,51 @@ def evaluated_kernel_presentation(
     right-angled Coxeter group of the instance's commuting pairs, which
     maps onto the ambient.
 
-    The raw symbols are merged by :func:`merge_symbols`, their images are
-    substituted into the raw relators, and the results are deduplicated by
-    relator normal form in first-appearance order.  ``raw`` is the
-    instance's raw kernel when the caller already has it.
+    The raw symbols are merged by :func:`merge_symbols`, which gives each
+    one an image of at most one letter.  ``raw`` is the instance's raw
+    kernel when the caller already has it: its relators are then read
+    through a one-coset step table from raw letter to merged letter.
+    Without it no raw relator is built: each (coset, ambient relator) pair
+    is walked through the raw step table with every symbol replaced by its
+    image.  Either way the images are freely reduced as they are read,
+    and are deduplicated by relator normal form in first-appearance order.
     """
     if raw is None:
-        raw = raw_kernel_presentation(inst.ambient, inst.hom, inst.transversal_gens)
-    table, images = merge_symbols(inst, raw.table)
+        trans = transversal(inst.ambient, inst.hom, inst.transversal_gens)
+        symbols = SymbolDict(inst.ambient, inst.hom, trans)
+        table, merged = _merged_letters(inst, symbols.table)
+        steps = [{l: (merged[s], j) for l, (s, j) in step.items()} for step in symbols.steps]
+        words = (_walk(steps, r, i)[0] for i in range(len(steps)) for r in inst.ambient.relators)
+    else:
+        trans = raw.transversal
+        table, merged = _merged_letters(inst, raw.table)
+        steps = [{l: (m, 0) for l, m in merged.items() if l}]
+        words = (_walk(steps, r, 0)[0] for r in raw.presentation.relators)
     rels = []
     seen = set()
-    for r in raw.presentation.relators:
-        img = expand_kernel_word(r, images)
-        if not img:
+    forms = set()
+    for img in words:
+        # equal images have equal normal forms; most images repeat
+        if not img or img in seen:
             continue
+        seen.add(img)
         nf = relator_nf(img)
-        if nf not in seen:
-            seen.add(nf)
+        if nf not in forms:
+            forms.add(nf)
             rels.append(cyclic_trim(img))
     kernel = Presentation.trusted(tuple(g.name for g in table), tuple(rels))
-    return KernelPresentation(kernel, table, "evaluated", raw.transversal)
+    return KernelPresentation(kernel, table, "evaluated", trans)
+
+
+def _merged_letters(
+    inst: EmbeddingInstance, table: Sequence[SchreierGen]
+) -> Tuple[Tuple[SchreierGen, ...], Dict[int, int]]:
+    """The evaluated symbols of :func:`merge_symbols`, and each signed raw
+    letter, and 0, mapped to its merged letter or 0."""
+    merged_table, images = merge_symbols(inst, table)
+    merged = {0: 0}
+    for k, img in enumerate(images, 1):
+        m = img[0] if img else 0
+        merged[k] = m
+        merged[-k] = -m
+    return merged_table, merged

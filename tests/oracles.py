@@ -5,8 +5,9 @@ enumeration for cyclic words, an unreduced Reidemeister-Schreier walk,
 permutation closures for group orders, minor gcds for Smith diagonals,
 a whole-presentation Tietze loop for the incremental ``simplify``, the
 exhaustive presentation matcher, the bilinear form of a Coxeter
-matrix for the infiniteness certificate, and the chamber word check on
-coefficient lists for the packed one.
+matrix for the infiniteness certificate, the chamber word check on
+coefficient lists for the packed one, and the evaluated kernel by
+substitution into the raw relators for the step-table walks.
 
 Three helpers are entries to engine code rather than oracles, kept here
 because only tests call them: :func:`regular_rep` reads a group's action
@@ -25,7 +26,7 @@ from math import cos, gcd, inf, lcm, pi
 from typing import List, Optional, Sequence, Tuple
 
 from coxembed.presentations import DEFAULT_MAX_COSETS, INF, CoxeterMatrix, Presentation, serialize_word
-from coxembed.schreier import SymbolDict, merge_symbols, reidemeister_rewrite, transversal
+from coxembed.schreier import KernelPresentation, SymbolDict, merge_symbols, reidemeister_rewrite, transversal
 from coxembed.verify import _sparse_smith_diagonal, todd_coxeter
 from coxembed.words import (
     Word,
@@ -112,6 +113,27 @@ def evaluated_rewriter(inst):
     symbols = SymbolDict(inst.ambient, inst.hom, trans)
     table, images = merge_symbols(inst, symbols.table)
     return table, lambda w: expand_kernel_word(reidemeister_rewrite(inst.hom, symbols, w), images)
+
+
+def reference_evaluated_kernel(inst, raw: KernelPresentation) -> KernelPresentation:
+    """The evaluated kernel from the raw one by substitution: each raw
+    relator with every symbol replaced by its :func:`merge_symbols` image
+    (:func:`expand_kernel_word`), empty images dropped and the rest
+    deduplicated by :func:`relator_nf` in first-appearance order, each kept
+    cyclically reduced."""
+    table, images = merge_symbols(inst, raw.table)
+    rels = []
+    seen = set()
+    for r in raw.presentation.relators:
+        img = expand_kernel_word(r, images)
+        if not img:
+            continue
+        nf = relator_nf(img)
+        if nf not in seen:
+            seen.add(nf)
+            rels.append(cyclic_reduce(img))
+    kernel = Presentation(tuple(g.name for g in table), tuple(rels))
+    return KernelPresentation(kernel, table, "evaluated", raw.transversal)
 
 
 def compose(p: Sequence[int], q: Sequence[int]) -> Tuple[int, ...]:

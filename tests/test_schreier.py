@@ -40,7 +40,8 @@ from coxembed.verify import (
     word_holds,
 )
 from coxembed.words import free_reduce, invert, power, relator_nf
-from oracles import evaluated_rewriter, regular_rep, walk_rewrite
+from oracles import evaluated_rewriter, reference_evaluated_kernel, regular_rep, walk_rewrite
+from test_presentations import _instance_sweep
 
 ROOT = Path(__file__).resolve().parents[1]
 
@@ -281,6 +282,49 @@ def test_reidemeister_rewrite_matches_unreduced_walk():
             for w in words:
                 expected = walk_rewrite(sym.table, inst.hom.images, w, v)
                 assert reidemeister_rewrite(inst.hom, sym, w, v) == expected
+
+
+def test_reidemeister_rewrite_rejects_letters_and_cosets_outside():
+    p = parse_presentation("< a | a^2 >")
+    hom = HomZ2n(1, (1,))
+    sym = SymbolDict(p, hom, transversal(p, hom, (0,)))
+    assert reidemeister_rewrite(hom, sym, (1, 1)) == (1,)
+    assert reidemeister_rewrite(hom, sym, (-1, 1), 1) == ()
+    for bad in (0, p.rank + 1, -(p.rank + 1)):
+        for w in ((bad,), (1, bad), (1, 1, bad, -1)):
+            with pytest.raises(ValueError, match=f"letter {bad} "):
+                reidemeister_rewrite(hom, sym, w)
+    for coset in (2, -1):
+        with pytest.raises(ValueError, match=f"coset {coset} "):
+            reidemeister_rewrite(hom, sym, (1, 1), coset)
+
+
+def test_evaluated_kernel_builds_no_raw_kernel(monkeypatch):
+    import coxembed.schreier as schreier
+
+    inst = thm1_fixture()
+    expected = reference_evaluated_kernel(
+        inst, raw_kernel_presentation(inst.ambient, inst.hom, inst.transversal_gens)
+    )
+
+    def refuse(*args):
+        raise AssertionError("raw kernel built")
+
+    monkeypatch.setattr(schreier, "raw_kernel_presentation", refuse)
+    assert evaluated_kernel_presentation(inst) == expected
+
+
+def test_evaluated_kernel_equals_substitution_oracle_on_the_instance_sweep():
+    # both step-table paths, with and without the raw kernel, against the
+    # raw relators with each symbol substituted
+    for inst in _instance_sweep():
+        raw = raw_kernel_presentation(inst.ambient, inst.hom, inst.transversal_gens)
+        ref = reference_evaluated_kernel(inst, raw)
+        for kp in (evaluated_kernel_presentation(inst), evaluated_kernel_presentation(inst, raw)):
+            assert kp.presentation.gens == ref.presentation.gens, inst.family
+            assert kp.presentation.relators == ref.presentation.relators, inst.family
+            assert kp.table == ref.table, inst.family
+            assert kp.transversal == raw.transversal
 
 
 def test_evaluated_thm1():
