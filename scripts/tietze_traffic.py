@@ -7,7 +7,9 @@ Prepares the seed's ops with ``perfbench/run.py``'s ``setup`` (CLI ops run
 in process), as ``scripts/op_digests.py`` does, with ``simplify`` wrapped
 wherever the package bound it.  Runs each op once and prints the number
 of ``simplify`` calls, their eliminations by the number of letters of the
-relator each solved (1, 2, 3 or more) and the calls that ended
+relator each solved (1, 2, 3 or more), the relators they dropped as
+empty and as duplicates of a live relator (the sums of the
+``drop-empty`` and ``dedupe`` steps) and the calls that ended
 ``bounded``.  The warm-up op of ``setup`` is not counted.  Only
 ``trace.steps`` and ``trace.bounded`` are read, so it runs against older
 checkouts too.
@@ -39,6 +41,7 @@ class Traffic:
     def reset(self) -> None:
         self.calls = self.bounded = 0
         self.solved: Counter = Counter()  # eliminations by min(letters, 3)
+        self.dropped: Counter = Counter()  # relators by drop-empty, dedupe
 
     def install(self, modules: dict) -> None:
         simplify = modules["coxembed.tietze"].simplify
@@ -50,6 +53,8 @@ class Traffic:
             for step in trace.steps:
                 if step[0] == "eliminate":
                     self.solved[min(letters(step[2]), 3)] += 1
+                elif step[0] in ("drop-empty", "dedupe"):
+                    self.dropped[step[0]] += step[1]
             return out, trace
 
         for mod in modules.values():
@@ -74,6 +79,8 @@ def main(argv=None) -> int:
     print(f"simplify_calls: {traffic.calls}")
     print(f"eliminations: {sum(solved.values())}", end=" ")
     print(f"(1 letter: {solved[1]}, 2 letters: {solved[2]}, 3+ letters: {solved[3]})")
+    dropped = traffic.dropped
+    print(f"dropped: {sum(dropped.values())} (empty: {dropped['drop-empty']}, duplicate: {dropped['dedupe']})")
     print(f"bounded_calls: {traffic.bounded}")
     return 0
 

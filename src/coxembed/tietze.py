@@ -13,24 +13,35 @@ the *input's* generator indices: deleting a generator keeps the order of
 the others, so a relator that does not contain the eliminated generator
 keeps its normal form and its place in the deterministic order.  Input
 relators are cyclically reduced, so loading them needs only
-:func:`~coxembed.words.rotation_nf`.  Each relator has an integer id.  An
-elimination rewrites and re-normalizes in place only the relators
-containing the eliminated generator, and changes
-the sets of relators containing a letter only for the letters that enter
-or leave a rewritten relator; a relator rewritten to the empty word or to
-another live relator is dropped.  The result equals re-normalizing the
-whole presentation after every elimination.  Generator counts, needed
-only to choose among relators of three or more letters, are taken afresh,
-in one pass over the live relators, only when no shorter relator offers an
+:func:`~coxembed.words.rotation_nf`.  Each relator has an integer id.
+
+The relators of one letter, or of two letters of two generators, wait in
+a heap ordered by length and form, and each step solves the least of them
+while one is admissible: the short-relator phase of Havas, Kenne,
+Richardson and Robertson (*A Tietze transformation program*, 1984).  An
+entry whose relator has since been rewritten or dropped is skipped when
+it is popped.  An elimination rewrites in place only the relators
+containing the eliminated generator, found through id sets kept per
+generator that only grow: an id whose relator is gone is skipped, and
+one whose relator has lost the generator rewrites to itself.  A rewrite
+replaces the generator's two letters by ``str.replace``.  It is freely
+and cyclically reduced only when a cancellation is possible: after a
+deletion or a longer replacement, or where a one-letter substitute meets
+its inverse, last letter to first included.  Otherwise it is only rotated
+into normal form.  A relator rewritten to the empty word or to another
+live relator is dropped.  The result equals re-normalizing the whole
+presentation after every elimination.  Generator counts, needed only to
+choose among relators of three or more letters, are taken afresh, in one
+pass over the live relators, only when no shorter relator offers an
 elimination.
 """
 
 from __future__ import annotations
 
-from bisect import bisect_left, insort
 from collections import Counter, defaultdict
 from functools import cached_property
-from typing import Dict, Iterable, List, Optional, Sequence, Set, Tuple
+from heapq import heapify, heappop, heappush
+from typing import Callable, Dict, Iterable, List, Optional, Sequence, Set, Tuple
 
 from .presentations import DEFAULT_MAX_RELATOR_LENGTH, Presentation, serialize_word
 from .words import Code, _Memo, code_invert, code_nf, code_reduce, decode, encode, rotation_nf
@@ -95,14 +106,24 @@ class _Relators:
 
     Each relator has an integer id.  ``ids`` maps each live normal form, a
     nonempty code string over the input's generator indices, to its id,
-    and ``forms`` maps back.  ``containing`` maps each letter to the ids
-    of the relators containing it.  ``short[0]`` holds the sorted forms of
-    one letter and ``short[1]`` those of two letters of two generators:
-    these relators have a single-occurrence generator, and choosing among
-    them needs no counts.  Every elimination uses one of them while any
+    and ``forms`` maps back.  ``containing`` maps a generator ``g``, keyed
+    by ``chr(g)`` as ``_GEN`` maps letters, to a set of ids that holds
+    every live relator containing ``g``.  The sets only grow until ``g``
+    is eliminated: they may hold stale ids, of relators dropped since, or
+    rewritten so that ``g`` cancelled.
+
+    ``heap`` holds ``(length, form, id)`` for the short forms, those of one
+    letter or of two letters of two generators: each of their generators
+    occurs once, and choosing among them needs no counts.  An entry counts
+    only while ``forms[id]`` still equals its form; stale entries are
+    popped and skipped.  Every elimination solves a short form while one
     is admissible.  The longer relators need generator counts, which are
-    taken from the live forms only when no short relator is admissible;
+    taken from the live forms only when no short form is admissible;
     nothing about them is kept between eliminations.
+
+    A short elimination rewrites no relator to more letters than it had,
+    so only the input relators longer than ``max_len``, whose ids are in
+    ``over``, can make the length bound reject it.
     """
 
     def __init__(self, forms: Iterable[Code], max_len: int):
@@ -114,103 +135,139 @@ class _Relators:
             self.ids.setdefault(c, i)
         self.forms: Dict[int, Code] = {i: c for c, i in self.ids.items()}
         self.containing: Dict[str, Set[int]] = defaultdict(set)
+        self.heap: List[Tuple[int, Code, int]] = []
+        self.over: Set[int] = set()
         for c, i in self.ids.items():
-            for x in set(c):
+            for x in c.translate(_GEN):
                 self.containing[x].add(i)
-        self.short: Tuple[List[Code], List[Code]] = (
-            sorted(c for c in self.ids if len(c) == 1),
-            sorted(c for c in self.ids if len(c) == 2 and c[0] != c[1]),
-        )
+            n = len(c)
+            if n == 1 or n == 2 and c[0] != c[1]:
+                self.heap.append((n, c, i))
+            if n > max_len:
+                self.over.add(i)
+        heapify(self.heap)
 
     def __len__(self) -> int:
         return len(self.ids)
 
-    def _unlist(self, i: int) -> Code:
-        """Relator ``i``'s form, out of ``forms``, ``ids`` and ``short``."""
-        old = self.forms.pop(i)
-        del self.ids[old]
-        if len(old) == 1 or (len(old) == 2 and old[0] != old[1]):
-            short = self.short[len(old) - 1]
-            del short[bisect_left(short, old)]
-        return old
+    def _admit(self, c: Code, r: int, gens: Iterable[int], short: bool):
+        """``(g, r, replacement, done)`` for the first of ``gens`` whose
+        elimination through relator ``r``, of form ``c``, the length bound
+        admits, or None.  ``done`` holds the rewrites made to check it;
+        for a ``short`` form only the relators in ``over`` are checked."""
+        for g in gens:
+            replacement = _solve(c, g)
+            check = self.containing[chr(g)]
+            done = self._rewrites(g, r, replacement, self.over & check if short else check)
+            if done is not None:
+                return g, r, replacement, done
+        return None
 
-    def drop(self, i: int) -> None:
-        for x in set(self._unlist(i)):
-            self.containing[x].discard(i)
-
-    def put(self, i: int, c: Code) -> None:
-        """Give relator ``i`` the normal form ``c``, other than its own.
-        It is dropped instead when ``c`` is empty or the form of another
-        live relator.  Only the letters entering or leaving relator ``i``
-        change their ``containing`` sets."""
-        if not c or c in self.ids:
-            self.drop(i)
-            return
-        before, after = set(self._unlist(i)), set(c)
-        for x in before - after:
-            self.containing[x].discard(i)
-        for x in after - before:
-            self.containing[x].add(i)
-        self.ids[c] = i
-        self.forms[i] = c
-        if len(c) == 1 or (len(c) == 2 and c[0] != c[1]):
-            insort(self.short[len(c) - 1], c)
-
-    def _rewrite(self, g: int, r: int, replacement: Code) -> Optional[List[Tuple[int, Code]]]:
-        """``(id, normal form)`` of the relators containing ``g`` other than
+    def _rewrites(self, g: int, r: int, replacement: Code, check: Set[int]) -> Optional[Dict[int, Code]]:
+        """``{id: normal form}`` of the relators among ``check`` other than
         ``r`` with ``g`` replaced, or None when one would exceed the length
-        bound (cyclically reduced, as a presentation stores it).  Relators
-        not containing ``g`` are left as they are, so the bound does not
-        apply to them."""
-        x, y = chr(2 * g), chr(2 * g + 1)
-        inverse = code_invert(replacement)
+        bound (cyclically reduced, as a presentation stores it)."""
         forms, max_len = self.forms, self.max_len
-        out = []
-        for i in self.containing[x] | self.containing[y]:
-            if i != r:
-                c = code_nf(forms[i].replace(x, replacement).replace(y, inverse))
-                if len(c) > max_len:
-                    return None
-                out.append((i, c))
-        return out
+        done = {}
+        if check:
+            rewrite = _rewriter(g, replacement)
+            for i in check:
+                f = forms.get(i)
+                if f is not None and i != r:
+                    done[i] = rewritten = rewrite(f)
+                    if len(rewritten) > max_len:
+                        return None
+        return done
 
-    def _candidates(self):
-        """``(form, id, generators)`` of the relators with a
-        single-occurrence generator, in relator order, each with those
-        generators by growth estimate (occurrences elsewhere times
-        replacement length minus one), then index.  For a relator of one or
-        two letters the estimate is the same for each, so the generators
-        are counted, in one pass over the live forms, only when the longer
-        relators are reached."""
-        for forms in self.short:
-            for c in forms:
-                yield c, self.ids[c], sorted({ord(x) >> 1 for x in c})
+    def choose(self):
+        """First admissible elimination ``(g, r, replacement, done)``, ``r``
+        the id of the relator solved for ``g`` (see :meth:`_admit`).  None
+        when no relator offers one, False when the length bound rejected
+        every one offered.  A short form the bound rejects goes back on
+        the heap, to be tried again at the next step."""
+        forms, heap = self.forms, self.heap
+        chosen = None
+        rejected = []
+        while heap and not chosen:
+            entry = heappop(heap)
+            c, r = entry[1:]
+            if forms.get(r) == c:
+                # a two-letter normal form starts with its lower generator
+                chosen = self._admit(c, r, [ord(x) >> 1 for x in c], short=True)
+                if not chosen:
+                    rejected.append(entry)
+        for entry in rejected:
+            heappush(heap, entry)
+        if chosen:
+            return chosen
+        chosen = False if rejected else None
         occ = Counter("".join(self.ids).translate(_GEN))
         for c in sorted((c for c in self.ids if len(c) > 2), key=lambda c: (len(c), c)):
             singles = [ord(x) for x, k in Counter(c.translate(_GEN)).items() if k == 1]
             if singles:
-                yield c, self.ids[c], sorted(singles, key=lambda g: ((occ[chr(g)] - 1) * (len(c) - 2), g))
-
-    def choose(self):
-        """First admissible elimination ``(g, r, replacement, rewritten)``,
-        ``r`` the id of the relator solved for ``g``.  None when no relator
-        offers one, False when the length bound rejected every one
-        offered."""
-        chosen = None
-        for c, r, gens in self._candidates():
-            chosen = False
-            for g in gens:
-                replacement = _solve(c, g)
-                rewritten = self._rewrite(g, r, replacement)
-                if rewritten is not None:
-                    return g, r, replacement, rewritten
+                # growth estimate: occurrences elsewhere times replacement
+                # length minus one, then index
+                singles.sort(key=lambda g: ((occ[chr(g)] - 1) * (len(c) - 2), g))
+                chosen = self._admit(c, self.ids[c], singles, short=False) or False
+                if chosen:
+                    return chosen
         return chosen
 
-    def eliminate(self, r: int, rewritten: List[Tuple[int, Code]]) -> None:
-        """Drop relator ``r`` and update the rewritten ones in place."""
-        self.drop(r)
-        for i, c in rewritten:
-            self.put(i, c)
+    def eliminate(self, g: int, r: int, replacement: Code, done: Dict[int, Code]) -> Tuple[int, int]:
+        """Drop relator ``r`` and rewrite in place the relators containing
+        ``g``, taking the rewrites in ``done`` as made.  A relator
+        rewritten to the empty word or to a live form is dropped; returns
+        how many were dropped each way."""
+        forms, ids, heap = self.forms, self.ids, self.heap
+        del ids[forms.pop(r)]
+        rewrite = _rewriter(g, replacement)
+        kept = []
+        emptied = deduped = 0
+        for i in self.containing.pop(chr(g)):
+            f = forms.get(i)
+            if f is None:
+                continue
+            c = done[i] if i in done else rewrite(f)
+            if c == f:
+                continue
+            del ids[f]
+            if not c:
+                del forms[i]
+                emptied += 1
+            elif c in ids:
+                del forms[i]
+                deduped += 1
+            else:
+                ids[c] = i
+                forms[i] = c
+                kept.append(i)
+                n = len(c)
+                if n == 1 or n == 2 and c[0] != c[1]:
+                    heappush(heap, (n, c, i))
+        for x in set(replacement.translate(_GEN)):
+            self.containing[x].update(kept)
+        return emptied, deduped
+
+
+def _rewriter(g: int, replacement: Code) -> Callable[[Code], Code]:
+    """The function taking a live normal form to its normal form with
+    ``g`` replaced by ``replacement``.  A live form is cyclically reduced,
+    so after substituting one letter ``z`` it can cancel only where ``z``
+    meets its inverse, last letter to first included: it is reduced only
+    then, and otherwise just rotated."""
+    x, y = chr(2 * g), chr(2 * g + 1)
+    z, zi = replacement, code_invert(replacement)
+    if len(z) != 1:
+        return lambda f: code_nf(f.replace(x, z).replace(y, zi))
+    pair, inverse_pair = z + zi, zi + z
+
+    def rewrite(f: Code) -> Code:
+        s = f.replace(x, z).replace(y, zi)
+        if pair in s or inverse_pair in s or ord(s[0]) ^ ord(s[-1]) == 1:
+            return code_nf(s)
+        return rotation_nf(s)
+
+    return rewrite
 
 
 def _expand(eliminated: List[Tuple[int, Code]]) -> Dict[int, Code]:
@@ -253,16 +310,14 @@ def simplify(
 
     gone = set()
     while chosen := rels.choose():
-        g, r, replacement, rewritten = chosen
+        g, r, replacement, done = chosen
         steps.append(("eliminate", g, rels.forms[r], replacement))
         gone.add(g)
-        emptied = sum(1 for _, c in rewritten if not c)
+        emptied, deduped = rels.eliminate(g, r, replacement, done)
         if emptied:
             steps.append(("drop-empty", emptied))
-        before = len(rels) - 1 - emptied
-        rels.eliminate(r, rewritten)
-        if len(rels) != before:
-            steps.append(("dedupe", before - len(rels)))
+        if deduped:
+            steps.append(("dedupe", deduped))
         steps.append(("reduce",))
 
     survivors = [g for g in range(len(names)) if g not in gone]

@@ -1,5 +1,6 @@
 import hashlib
 import json
+import os
 import shlex
 import subprocess
 import sys
@@ -346,6 +347,7 @@ def test_module_entry_point():
         [sys.executable, "-m", "coxembed", "order", "< s | s^2 >"],
         capture_output=True,
         text=True,
+        env=dict(os.environ, PYTHONPATH=str(ROOT / "src")),
     )
     assert proc.returncode == 0
     assert proc.stdout == "2\n"

@@ -1,7 +1,7 @@
 import hashlib
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from coxembed import tietze
@@ -30,7 +30,7 @@ from coxembed.verify import (
     group_order,
     match_presentations,
 )
-from coxembed.words import commutator, expand_kernel_word, invert, power, relator_nf
+from coxembed.words import commutator, decode, expand_kernel_word, invert, power, relator_nf
 from oracles import reference_simplify
 from test_presentations import _instance_sweep
 
@@ -208,6 +208,20 @@ def presentations_with_squares(draw):
     return Presentation(p.gens, p.relators + tuple((g, g) for g in squares))
 
 
+# edge cases of the rewrite in place, each named by what its first
+# elimination does to the other relators
+# substituting c for b makes c c^-1 inside a c b^-1 a d
+@example(parse_presentation("< a, b, c, d | b c^-1, a c b^-1 a d >"), 1000)
+# substituting c for b makes the last letter of b d c^-1 the inverse of the first
+@example(parse_presentation("< b, c, d | b c^-1, b d c^-1 >"), 1000)
+# deleting b leaves c next to c^-1 in a c b c^-1 d
+@example(parse_presentation("< a, b, c, d | b, a c b c^-1 d >"), 1000)
+# a c a c and a c b c both become b c b c, and a d^3 becomes the untouched b d^3
+@example(parse_presentation("< a, b, c, d | a b^-1, a c a c, a c b c, a d^3, b d^3 >"), 1000)
+# at bound 3, deleting b brings the input relator a b c d to 3 letters
+@example(parse_presentation("< a, b, c, d | b, a b c d >"), 3)
+# at bound 3, deleting b leaves the input relator a^4 b at 4 letters
+@example(parse_presentation("< a, b | b, a^4 b >"), 3)
 @given(presentations_with_squares(), st.sampled_from([3, 5, 1000]))
 @settings(max_examples=300, deadline=None)
 def test_simplify_matches_whole_presentation_reference(p, max_len):
@@ -264,25 +278,23 @@ def test_trace_reads_alike_however_it_is_read():
     assert first.to_dict() == as_dict and (third.steps, third.defining) == (steps, defining)
 
 
-def _gen_counts(c):
-    counts = {}
-    for x in c:
-        counts[ord(x) >> 1] = counts.get(ord(x) >> 1, 0) + 1
-    return counts
-
-
-def _recount(rels):
-    """The bookkeeping a ``tietze._Relators`` keeps after every put,
-    recounted from its live forms; empty sets left behind are dropped."""
+def _check_bookkeeping(rels):
+    """The invariants a ``tietze._Relators`` keeps between eliminations:
+    ``ids`` and ``forms`` are inverse maps over nonempty normal forms,
+    every generator of a live form has its id in ``containing``, and every
+    live short form has a heap entry that is still valid."""
     forms = rels.forms
-    containing = {}
+    assert rels.ids == {c: i for i, c in forms.items()}
+    assert len(rels.ids) == len(forms)
     for i, c in forms.items():
+        assert c and decode(c) == relator_nf(decode(c))
         for x in c:
-            containing.setdefault(x, set()).add(i)
-    short = tuple(
-        sorted(c for c in forms.values() if len(c) == n and 1 in _gen_counts(c).values()) for n in (1, 2)
-    )
-    return {c: i for i, c in forms.items()}, containing, short
+            assert i in rels.containing.get(chr(ord(x) >> 1), ())
+    heap = rels.heap
+    assert all(heap[(k - 1) // 2] <= heap[k] for k in range(1, len(heap)))
+    valid = {entry for entry in heap if forms.get(entry[2]) == entry[1]}
+    short = {(len(c), c, i) for i, c in forms.items() if len(c) == 1 or (len(c) == 2 and c[0] != c[1])}
+    assert short <= valid
 
 
 # inputs whose eliminations use relators of three or more letters, chosen
@@ -310,10 +322,11 @@ def test_relators_bookkeeping_after_every_elimination(monkeypatch):
     eliminate = tietze._Relators.eliminate
     checked = []
 
-    def checked_eliminate(rels, r, rewritten):
-        eliminate(rels, r, rewritten)
-        assert (rels.ids, {x: s for x, s in rels.containing.items() if s}, rels.short) == _recount(rels)
-        checked.append(r)
+    def checked_eliminate(rels, *args):
+        counts = eliminate(rels, *args)
+        _check_bookkeeping(rels)
+        checked.append(args)
+        return counts
 
     monkeypatch.setattr(tietze._Relators, "eliminate", checked_eliminate)
     prop2 = build_prop2_instance(CoxeterMatrix.from_pairs(4, {(0, 1): 3, (1, 2): 3, (2, 3): 3}), (2, 4, 6, 2))
