@@ -123,7 +123,8 @@ class _Relators:
 
     A short elimination rewrites no relator to more letters than it had,
     so only the input relators longer than ``max_len``, whose ids are in
-    ``over``, can make the length bound reject it.
+    ``over``, can make the length bound reject it.  ``over`` is never
+    updated: a relator rewritten since is within the bound.
     """
 
     def __init__(self, forms: Iterable[Code], max_len: int):
