@@ -21,7 +21,7 @@ from coxembed.presentations import (
     serialize_presentation,
     serialize_word,
 )
-from coxembed.schreier import evaluated_kernel_presentation, raw_kernel_presentation
+from coxembed.schreier import evaluated_kernel_presentation
 from coxembed.verify import certified_infinite, verify_instance
 
 
@@ -29,13 +29,12 @@ def show(title, inst):
     print("=" * 72)
     print(title)
     print("ambient :", serialize_presentation(inst.ambient))
-    raw = raw_kernel_presentation(inst.ambient, inst.hom, inst.transversal_gens)
-    kp = evaluated_kernel_presentation(inst, raw)
+    kp = evaluated_kernel_presentation(inst)
     print("kernel  :", serialize_presentation(kp.presentation))
     for gen in kp.table:
         print(f"   {gen.name} = {serialize_word(gen.defining, inst.ambient.gens)}")
     print("expected:", serialize_presentation(inst.expected_kernel))
-    report = verify_instance(inst, raw=raw)
+    report = verify_instance(inst)
     d = report.to_dict()
     finite = d["finite"]
     if finite == "skipped":

@@ -96,11 +96,9 @@ def _build_instance(args) -> EmbeddingInstance:
         return build_thm1_instance(matrix, _load_orders(args.p, matrix.n))
     if family == "prop2":
         return build_prop2_instance(matrix, _load_orders(args.p, matrix.n))
-    if family == "artin":
-        if args.p:
-            raise UsageError("artin takes no --p")
-        return build_artin_instance(matrix)
-    raise UsageError(f"unknown family {family!r}")
+    if args.p:
+        raise UsageError("artin takes no --p")
+    return build_artin_instance(matrix)
 
 
 def _instance_dict(inst: EmbeddingInstance) -> dict:

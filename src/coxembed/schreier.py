@@ -12,8 +12,7 @@ maps onto the ambient (every ambient generator is an involution).
 Equality there is decided exactly by :func:`right_angled_nf`.  The
 evaluated relators are the raw ones with each symbol replaced by its
 merged letter: read from the raw kernel when the caller has it, else
-walked from the cosets with no raw relator built.  Both modes record the
-transversal they were rewritten over.
+walked from the cosets with no raw relator built.
 """
 
 from __future__ import annotations
@@ -155,62 +154,58 @@ class SymbolDict:
 
 def merge_symbols(
     inst: EmbeddingInstance, table: Sequence[SchreierGen]
-) -> Tuple[Tuple[SchreierGen, ...], Tuple[Word, ...]]:
-    """Evaluated symbols of a raw symbol table, and each raw symbol's image.
+) -> Tuple[Tuple[SchreierGen, ...], Dict[int, int]]:
+    """Evaluated symbols of a raw symbol table, and each signed raw letter,
+    and 0, mapped to its merged letter or 0.
 
     In table order, each raw defining word is put in :func:`right_angled_nf`
-    over the instance's commuting pairs.  An empty word drops out (image:
-    the empty word); a word equal to an earlier symbol's word merges into
-    it with sign +1, one whose normalized inverse equals it with sign -1; a
-    new word makes a symbol named after its first origin, or after the
-    expected generator it or its inverse equals.
+    over the instance's commuting pairs.  An empty word drops out (letter
+    0); a word equal to an earlier symbol's word merges into it with sign
+    +1, one whose normalized inverse equals it with sign -1; a new word
+    makes a symbol named after its first origin, or after the expected
+    generator it or its inverse equals.  The inverse of a raw letter maps
+    to the inverse of its merged letter.
     """
     near = commuting_letters(inst.ambient.rank, inst.commuting)
     expected = [
         (name, right_angled_nf(near, w)) for name, w in zip(inst.expected_kernel.gens, inst.expected_words)
     ]
     merged: list[SchreierGen] = []
-    by_word: Dict[Word, int] = {}
-    images: list[Word] = []
-    for g in table:
+    by_word: Dict[Word, int] = {}  # a merged symbol's word -> its letter
+    letters = {0: 0}
+    for k, g in enumerate(table, 1):
         word = right_angled_nf(near, g.defining)
         if not word:
-            images.append(())
-            continue
-        if word in by_word:
-            images.append((letter(by_word[word]),))
-            continue
-        inv_word = right_angled_nf(near, word[::-1])  # the inverse, in involutions
-        if inv_word in by_word:
-            images.append((letter(by_word[inv_word], -1),))
-            continue
-        name, canonical, sign = g.name, word, 1
-        for ename, ew in expected:
-            if word == ew:
-                name = ename
-                break
-            if inv_word == ew:
-                name, canonical, sign = ename, ew, -1
-                break
-        by_word[canonical] = len(merged)
-        images.append((letter(len(merged), sign),))
-        merged.append(SchreierGen(name, g.coset_word, g.gen, canonical))
-    return tuple(merged), tuple(images)
+            m = 0
+        elif word in by_word:
+            m = by_word[word]
+        elif (inv_word := right_angled_nf(near, word[::-1])) in by_word:  # the inverse, in involutions
+            m = -by_word[inv_word]
+        else:
+            name, canonical, m = g.name, word, letter(len(merged))
+            for ename, ew in expected:
+                if word == ew:
+                    name = ename
+                    break
+                if inv_word == ew:
+                    name, canonical, m = ename, ew, -m
+                    break
+            by_word[canonical] = abs(m)
+            merged.append(SchreierGen(name, g.coset_word, g.gen, canonical))
+        letters[k] = m
+        letters[-k] = -m
+    return tuple(merged), letters
 
 
 class KernelPresentation(_Value):
-    """Kernel presentation plus the generator table, mode tag and the
-    transversal it was rewritten over."""
+    """Kernel presentation plus the generator table and mode tag."""
 
-    __slots__ = ("presentation", "table", "mode", "transversal")
+    __slots__ = ("presentation", "table", "mode")
 
-    def __init__(
-        self, presentation: Presentation, table: Tuple[SchreierGen, ...], mode: str, transversal: Dict[int, Word]
-    ):
+    def __init__(self, presentation: Presentation, table: Tuple[SchreierGen, ...], mode: str):
         _setattr(self, "presentation", presentation)
         _setattr(self, "table", table)
         _setattr(self, "mode", mode)
-        _setattr(self, "transversal", transversal)
 
     def table_rows(self, ambient: Presentation):
         """Display rows (name, origin t, origin x, defining word)."""
@@ -239,15 +234,14 @@ def _walk(steps: Sequence[Dict[int, Tuple[int, int]]], w: Sequence[int], i: int)
     return tuple(out), i
 
 
-def reidemeister_rewrite(hom: HomZ2n, symbols: SymbolDict, w: Sequence[int], coset: int = 0) -> Word:
+def reidemeister_rewrite(symbols: SymbolDict, w: Sequence[int], coset: int = 0) -> Word:
     """Rewrite ``w``, read from ``coset``, over the raw Schreier symbols.
 
     The walk starts at ``coset`` (the image vector of a transversal
-    element) and reads one entry of the step table of
-    :class:`SymbolDict` per letter; ``hom`` is the homomorphism
-    ``symbols`` was built for.  The result is the rewrite of t w t^-1 from
-    the trivial coset, t the representative of ``coset``: the letters of
-    a prefix-closed transversal contribute only trivial symbols.  Inverse
+    element) and reads one entry of the step table of :class:`SymbolDict`
+    per letter.  The result is the rewrite of t w t^-1 from the trivial
+    coset, t the representative of ``coset``: the letters of a
+    prefix-closed transversal contribute only trivial symbols.  Inverse
     pairs cancel as the walk appends, so the result is freely reduced.
     Raises if a letter is outside the alphabet, if ``coset`` is not a
     transversal vector, or if the walk does not end where it started,
@@ -276,11 +270,11 @@ def raw_kernel_presentation(pres: Presentation, hom: HomZ2n, subset: Sequence[in
     # would need
     for v in trans:
         for r in pres.relators:
-            img = reidemeister_rewrite(hom, symbols, r, v)
+            img = reidemeister_rewrite(symbols, r, v)
             if img:
                 rels.append(img)
     kernel = Presentation.trusted(tuple(g.name for g in symbols.table), tuple(rels))
-    return KernelPresentation(kernel, tuple(symbols.table), "raw", trans)
+    return KernelPresentation(kernel, tuple(symbols.table), "raw")
 
 
 def evaluated_kernel_presentation(
@@ -291,25 +285,23 @@ def evaluated_kernel_presentation(
     right-angled Coxeter group of the instance's commuting pairs, which
     maps onto the ambient.
 
-    The raw symbols are merged by :func:`merge_symbols`, which gives each
-    one an image of at most one letter.  ``raw`` is the instance's raw
-    kernel when the caller already has it: its relators are then read
-    through a one-coset step table from raw letter to merged letter.
-    Without it no raw relator is built: each (coset, ambient relator) pair
-    is walked through the raw step table with every symbol replaced by its
-    image.  Either way the images are freely reduced as they are read,
-    and are deduplicated by relator normal form in first-appearance order.
+    The raw symbols are merged by :func:`merge_symbols`, which maps each
+    raw letter to one merged letter or to 0.  ``raw`` is the instance's
+    raw kernel when the caller already has it: its relators are then read
+    through a one-coset step table of that letter map.  Without it no raw
+    relator is built: each (coset, ambient relator) pair is walked through
+    the raw step table with every raw letter replaced by its merged one.
+    Either way the images are freely reduced as they are read, and are
+    deduplicated by relator normal form in first-appearance order.
     """
     if raw is None:
-        trans = transversal(inst.ambient, inst.hom, inst.transversal_gens)
-        symbols = SymbolDict(inst.ambient, inst.hom, trans)
-        table, merged = _merged_letters(inst, symbols.table)
-        steps = [{l: (merged[s], j) for l, (s, j) in step.items()} for step in symbols.steps]
+        symbols = SymbolDict(inst.ambient, inst.hom, transversal(inst.ambient, inst.hom, inst.transversal_gens))
+        table, letters = merge_symbols(inst, symbols.table)
+        steps = [{l: (letters[s], j) for l, (s, j) in step.items()} for step in symbols.steps]
         words = (_walk(steps, r, i)[0] for i in range(len(steps)) for r in inst.ambient.relators)
     else:
-        trans = raw.transversal
-        table, merged = _merged_letters(inst, raw.table)
-        steps = [{l: (m, 0) for l, m in merged.items() if l}]
+        table, letters = merge_symbols(inst, raw.table)
+        steps = [{l: (m, 0) for l, m in letters.items() if l}]
         words = (_walk(steps, r, 0)[0] for r in raw.presentation.relators)
     rels = []
     seen = set()
@@ -324,18 +316,4 @@ def evaluated_kernel_presentation(
             forms.add(nf)
             rels.append(cyclic_trim(img))
     kernel = Presentation.trusted(tuple(g.name for g in table), tuple(rels))
-    return KernelPresentation(kernel, table, "evaluated", trans)
-
-
-def _merged_letters(
-    inst: EmbeddingInstance, table: Sequence[SchreierGen]
-) -> Tuple[Tuple[SchreierGen, ...], Dict[int, int]]:
-    """The evaluated symbols of :func:`merge_symbols`, and each signed raw
-    letter, and 0, mapped to its merged letter or 0."""
-    merged_table, images = merge_symbols(inst, table)
-    merged = {0: 0}
-    for k, img in enumerate(images, 1):
-        m = img[0] if img else 0
-        merged[k] = m
-        merged[-k] = -m
-    return merged_table, merged
+    return KernelPresentation(kernel, table, "evaluated")

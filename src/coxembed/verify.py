@@ -25,7 +25,7 @@ from .presentations import (
     _setattr,
     _Value,
 )
-from .schreier import KernelPresentation, evaluated_kernel_presentation, image_rank, raw_kernel_presentation
+from .schreier import evaluated_kernel_presentation, image_rank, raw_kernel_presentation
 from .tietze import simplify
 from .words import Word, encode, expand_kernel_word, free_reduce, invert, relabel, relator_nf
 
@@ -818,7 +818,6 @@ def verify_instance(
     inst: EmbeddingInstance,
     max_cosets: int = DEFAULT_MAX_COSETS,
     max_relator_length: int = DEFAULT_MAX_RELATOR_LENGTH,
-    raw: Optional[KernelPresentation] = None,
 ) -> VerifyReport:
     """Run the full check battery for one embedding instance.
 
@@ -846,16 +845,14 @@ def verify_instance(
 
     The finite section runs no coset enumeration when the ambient or the
     expected kernel is :func:`certified_infinite`; it reads skipped, as
-    it would once the budget ran out.  ``raw`` is the instance's raw
-    kernel when the caller already has it.  Both budgets are checked here,
+    it would once the budget ran out.  Both budgets are checked here,
     since on a certified-infinite instance no coset enumeration would."""
     if max_cosets <= 0 or max_relator_length <= 0:
         raise ValueError("budgets must be positive")
     n = inst.hom.n
     rank = image_rank(inst.hom)
 
-    if raw is None:
-        raw = raw_kernel_presentation(inst.ambient, inst.hom, inst.transversal_gens)
+    raw = raw_kernel_presentation(inst.ambient, inst.hom, inst.transversal_gens)
     evaluated = evaluated_kernel_presentation(inst, raw)
     ev_gens = evaluated.presentation.rank
     ev_match = evaluated_matches_expected(evaluated.presentation, inst.expected_kernel)
@@ -879,10 +876,10 @@ def verify_instance(
     basis = tuple(1 << i for i in range(n))
     split_section = tuple(inst.hom.images[g] for g in inst.transversal_gens) == basis
 
-    # the transversal has 2^rank elements, so rank == n also fixes its size;
-    # the evaluated match compares generator names, so it fixes their number
+    # a split section maps the transversal generators onto the basis, which
+    # forces rank n; the evaluated match compares generator names, so it
+    # fixes their number
     checks = [
-        rank == n,
         ev_match,
         raw_matched is not False,
         finite_ok,
@@ -893,7 +890,7 @@ def verify_instance(
         family=inst.family,
         params=inst.params,
         image_rank=rank,
-        transversal_size=len(raw.transversal),
+        transversal_size=1 << rank,
         evaluated_generators=ev_gens,
         evaluated_relator_nf_match=ev_match,
         raw_generators_after_simplify=raw_gens,

@@ -9,11 +9,12 @@ matrix for the infiniteness certificate, the chamber word check on
 coefficient lists for the packed one, and the evaluated kernel by
 substitution into the raw relators for the step-table walks.
 
-Three helpers are entries to engine code rather than oracles, kept here
+Four helpers are entries to engine code rather than oracles, kept here
 because only tests call them: :func:`regular_rep` reads a group's action
 on itself off a complete Todd-Coxeter table,
 :func:`smith_normal_form` runs the sparse Smith elimination on a dense
-matrix, and :func:`evaluated_rewriter` rewrites kernel words over the
+matrix, :func:`merge_images` reads each raw symbol's merged image as a
+word, and :func:`evaluated_rewriter` rewrites kernel words over the
 evaluated symbols.  :func:`fields` and :func:`replace` read and rebuild
 a value object through its class's constructor.
 """
@@ -106,22 +107,29 @@ def walk_rewrite(table, images, w, coset=0):
     return free_reduce(out)
 
 
+def merge_images(inst, table):
+    """The evaluated symbol table of :func:`merge_symbols`, and each raw
+    symbol's image: the word of its merged letter, empty for 0."""
+    merged, letters = merge_symbols(inst, table)
+    return merged, [(m,) if (m := letters[k]) else () for k in range(1, len(table) + 1)]
+
+
 def evaluated_rewriter(inst):
     """The evaluated symbol table and a rewrite of kernel words over it:
     the raw rewrite with each raw symbol replaced by its merge image."""
     trans = transversal(inst.ambient, inst.hom, inst.transversal_gens)
     symbols = SymbolDict(inst.ambient, inst.hom, trans)
-    table, images = merge_symbols(inst, symbols.table)
-    return table, lambda w: expand_kernel_word(reidemeister_rewrite(inst.hom, symbols, w), images)
+    table, images = merge_images(inst, symbols.table)
+    return table, lambda w: expand_kernel_word(reidemeister_rewrite(symbols, w), images)
 
 
 def reference_evaluated_kernel(inst, raw: KernelPresentation) -> KernelPresentation:
     """The evaluated kernel from the raw one by substitution: each raw
-    relator with every symbol replaced by its :func:`merge_symbols` image
+    relator with every symbol replaced by its :func:`merge_images` image
     (:func:`expand_kernel_word`), empty images dropped and the rest
     deduplicated by :func:`relator_nf` in first-appearance order, each kept
     cyclically reduced."""
-    table, images = merge_symbols(inst, raw.table)
+    table, images = merge_images(inst, raw.table)
     rels = []
     seen = set()
     for r in raw.presentation.relators:
@@ -133,7 +141,7 @@ def reference_evaluated_kernel(inst, raw: KernelPresentation) -> KernelPresentat
             seen.add(nf)
             rels.append(cyclic_reduce(img))
     kernel = Presentation(tuple(g.name for g in table), tuple(rels))
-    return KernelPresentation(kernel, table, "evaluated", raw.transversal)
+    return KernelPresentation(kernel, table, "evaluated")
 
 
 def compose(p: Sequence[int], q: Sequence[int]) -> Tuple[int, ...]:

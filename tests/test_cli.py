@@ -267,6 +267,20 @@ def test_verify_rejects_nonpositive_budgets(capsys):
         assert "budgets must be positive" in err
 
 
+def test_verify_rejects_orders_that_do_not_fit(capsys):
+    # --p needs one order per generator, and artin takes none
+    cases = (
+        (("thm1", "m2x2_4.txt", "2,2,2"), "--p needs 2 entries, got 3"),
+        (("artin", "m2x2_3.txt", "2,2"), "artin takes no --p"),
+    )
+    for (family, matrix, orders), message in cases:
+        fixture = str(ROOT / "scripts/fixtures" / matrix)
+        code, out, err = run_cli(capsys, "verify", family, "--m", fixture, "--p", orders)
+        assert code == 2
+        assert out == ""
+        assert err == f"error: {message}\n"
+
+
 def test_verify_artin_label3_fails_honestly(capsys, m3_file):
     code, out, _ = run_cli(capsys, "verify", "artin", "--m", m3_file, "--max-cosets", "2000")
     assert code == 1

@@ -172,6 +172,17 @@ def test_pc_presentation_accepts_order_one():
     assert p.relators == ((1,),)
 
 
+def test_pc_spec_and_hom_reject_bad_input():
+    with pytest.raises(ValueError, match="need one generator order per generator"):
+        PcSpec.from_pairs(2, {(0, 1): 2}, (2,))
+    with pytest.raises(ValueError, match="generator order must be >= 1 or inf, got 0"):
+        PcSpec.from_pairs(1, {}, (0,))
+    with pytest.raises(ValueError, match="n must be >= 1"):
+        HomZ2n(0, ())
+    with pytest.raises(ValueError, match="image 4 outside Z_2\\^2"):
+        HomZ2n(2, (4,))
+
+
 def test_artin_presentation_examples():
     m3 = CoxeterMatrix.from_pairs(2, {(0, 1): 3})
     p = artin_presentation(m3)
@@ -229,6 +240,8 @@ def test_thm1_rejects_bad_input():
         build_thm1_instance(CoxeterMatrix.from_pairs(2, {(0, 1): 3}), (2, 2))
     with pytest.raises(ValueError):
         build_thm1_instance(CoxeterMatrix.from_pairs(2, {(0, 1): 4}), (1, 2))
+    with pytest.raises(ValueError, match="need 2 generator orders, got 1"):
+        build_thm1_instance(CoxeterMatrix.from_pairs(2, {(0, 1): 4}), (2,))
 
 
 def test_thm1_raag_ambient_right_angled():
@@ -338,6 +351,8 @@ def test_instance_expected_words_lie_in_the_kernel():
     assert replace(inst, expected_words=((s1, r1, r2), (s2, r2))) == inst
     with pytest.raises(ValueError, match="expected word outside the kernel of the hom"):
         replace(inst, expected_words=((s1, r1), (s2, r2)))
+    with pytest.raises(ValueError, match="one expected word per expected kernel generator"):
+        replace(inst, expected_words=inst.expected_words[:1])
 
 
 def test_serialize_word_rejects_letter_zero():

@@ -84,8 +84,8 @@ CASES = {
         "relators=((2,), (1, 3), (2,), (3, 1))), table=(SchreierGen(name='y0_s1', "
         "coset_word=(), gen=1, defining=(2, -1)), SchreierGen(name='y1_r', coset_word=(1,), "
         "gen=0, defining=(1, 1)), SchreierGen(name='y1_s1', coset_word=(1,), gen=1, "
-        "defining=(1, 2))), mode='raw', transversal={0: (), 1: (1,)})",
-        False,
+        "defining=(1, 2))), mode='raw')",
+        True,
     ),
     "CosetTable": (
         lambda: todd_coxeter(Presentation(("a",), ((1, 1),))),

@@ -34,6 +34,7 @@ from coxembed.verify import (
     coxeter_matrix_of,
     coxeter_order,
     coxeter_word_trivial,
+    evaluated_matches_expected,
     expand_kernel_word,
     group_order,
     match_presentations,
@@ -421,6 +422,7 @@ def test_coxeter_order_spot_values():
         _path(4, 4),
         CoxeterMatrix.from_pairs(7, {(0, 1): 3, (1, 2): 3, (2, 3): 3, (3, 4): 3, (2, 5): 3, (5, 6): 3}),
         _path(INF),
+        CoxeterMatrix.from_pairs(5, {(0, k): 3 for k in range(1, 5)}),  # affine D_4, a 4-star
     ):
         assert coxeter_order(matrix) is None, matrix
         assert not coxeter_form_positive_definite(matrix.entries)
@@ -660,19 +662,9 @@ def test_max_cosets_bounds_only_the_kernel_and_index_enumerations():
         assert report.verdict == "pass"
 
 
-def test_verify_instance_takes_the_raw_kernel(monkeypatch):
-    # a caller's raw kernel gives the same report and no second rewrite
-    inst = thm1_fixture()
-    raw = raw_kernel_presentation(inst.ambient, inst.hom, inst.transversal_gens)
-    expected = verify_instance(inst).to_dict()
-    calls = []
-    monkeypatch.setattr(verify, "raw_kernel_presentation", lambda *a: calls.append(a))
-    assert verify_instance(inst, raw=raw).to_dict() == expected
-    assert calls == []
-
-
 def test_run_embeddings_rewrites_each_kernel_once(monkeypatch, capsys):
-    # 8 constructions, one raw rewrite each; the verify reports reuse them
+    # 8 constructions, one raw rewrite each, made by verify; the printed
+    # evaluated kernels are walked from the cosets
     import coxembed.schreier as schreier
 
     calls = []
@@ -1018,6 +1010,10 @@ def test_evaluated_match_negative_controls():
     # not a control: at orders (2, 2) swapping the words is an
     # automorphism of E, so that instance still passes
     assert verify_instance(replace(pc, expected_words=pc.expected_words[::-1])).verdict == "pass"
+    # the same relators under another generator name are no match
+    kernel = evaluated_kernel_presentation(pc).presentation
+    assert evaluated_matches_expected(kernel, pc.expected_kernel)
+    assert not evaluated_matches_expected(kernel, pc.expected_kernel.rename(("a1", "b2")))
 
 
 def _rank2_family_instances():
