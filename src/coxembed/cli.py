@@ -151,9 +151,9 @@ def cmd_embed(args) -> CommandResult:
     return 0, data, "\n".join(lines)
 
 
-def _kernel_section(inst: EmbeddingInstance, kp: KernelPresentation):
+def _kernel_section(inst: EmbeddingInstance, mode: str, kp: KernelPresentation):
     data = {
-        "mode": kp.mode,
+        "mode": mode,
         "presentation": serialize_presentation(kp.presentation),
         "generators": [
             {"name": name, "origin_t": t, "origin_x": x, "defining_word": word}
@@ -172,11 +172,12 @@ def cmd_kernel(args) -> CommandResult:
     inst = _build_instance(args)
     from .schreier import evaluated_kernel_presentation, raw_kernel_presentation
     modes = ("evaluated", "raw") if args.mode == "both" else (args.mode,)
-    raw = raw_kernel_presentation(inst.ambient, inst.hom, inst.transversal_gens)
+    raw = raw_kernel_presentation(inst.ambient, inst.hom, inst.transversal_gens) if "raw" in modes else None
     kernels = {"raw": raw}
     if "evaluated" in modes:
+        # read from the raw kernel when there is one, else walked from the cosets
         kernels["evaluated"] = evaluated_kernel_presentation(inst, raw)
-    data, texts = zip(*(_kernel_section(inst, kernels[mode]) for mode in modes))
+    data, texts = zip(*(_kernel_section(inst, mode, kernels[mode]) for mode in modes))
     return 0, data[0] if len(data) == 1 else list(data), "\n\n".join(texts)
 
 
@@ -343,7 +344,3 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     except (UsageError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-
-
-if __name__ == "__main__":
-    sys.exit(main())

@@ -198,14 +198,13 @@ def merge_symbols(
 
 
 class KernelPresentation(_Value):
-    """Kernel presentation plus the generator table and mode tag."""
+    """Kernel presentation plus its generator table."""
 
-    __slots__ = ("presentation", "table", "mode")
+    __slots__ = ("presentation", "table")
 
-    def __init__(self, presentation: Presentation, table: Tuple[SchreierGen, ...], mode: str):
+    def __init__(self, presentation: Presentation, table: Tuple[SchreierGen, ...]):
         _setattr(self, "presentation", presentation)
         _setattr(self, "table", table)
-        _setattr(self, "mode", mode)
 
     def table_rows(self, ambient: Presentation):
         """Display rows (name, origin t, origin x, defining word)."""
@@ -274,7 +273,7 @@ def raw_kernel_presentation(pres: Presentation, hom: HomZ2n, subset: Sequence[in
             if img:
                 rels.append(img)
     kernel = Presentation.trusted(tuple(g.name for g in symbols.table), tuple(rels))
-    return KernelPresentation(kernel, tuple(symbols.table), "raw")
+    return KernelPresentation(kernel, tuple(symbols.table))
 
 
 def evaluated_kernel_presentation(
@@ -316,4 +315,4 @@ def evaluated_kernel_presentation(
             forms.add(nf)
             rels.append(cyclic_trim(img))
     kernel = Presentation.trusted(tuple(g.name for g in table), tuple(rels))
-    return KernelPresentation(kernel, table, "evaluated")
+    return KernelPresentation(kernel, table)

@@ -25,8 +25,6 @@ from .presentations import (
     _setattr,
     _Value,
 )
-from .schreier import evaluated_kernel_presentation, image_rank, raw_kernel_presentation
-from .tietze import simplify
 from .words import Word, encode, expand_kernel_word, free_reduce, invert, relabel, relator_nf
 
 
@@ -689,7 +687,7 @@ class VerifyReport(_Value):
     reported as skipped, never as failures."""
 
     __slots__ = (
-        "family", "params", "image_rank", "transversal_size", "evaluated_generators",
+        "family", "params", "image_rank", "evaluated_generators",
         "evaluated_relator_nf_match", "raw_generators_after_simplify", "raw_matched", "finite",
         "split_section", "verdict",
     )
@@ -699,7 +697,6 @@ class VerifyReport(_Value):
         family: str,
         params: dict,
         image_rank: int,
-        transversal_size: int,
         evaluated_generators: int,
         evaluated_relator_nf_match: bool,
         raw_generators_after_simplify: int,
@@ -711,7 +708,6 @@ class VerifyReport(_Value):
         _setattr(self, "family", family)
         _setattr(self, "params", params)
         _setattr(self, "image_rank", image_rank)
-        _setattr(self, "transversal_size", transversal_size)
         _setattr(self, "evaluated_generators", evaluated_generators)
         _setattr(self, "evaluated_relator_nf_match", evaluated_relator_nf_match)
         _setattr(self, "raw_generators_after_simplify", raw_generators_after_simplify)
@@ -725,7 +721,7 @@ class VerifyReport(_Value):
             "instance": {"family": self.family, "params": self.params},
             "hom_valid": True,
             "image_rank": self.image_rank,
-            "transversal_size": self.transversal_size,
+            "transversal_size": 1 << self.image_rank,
             "evaluated": {
                 "generators": self.evaluated_generators,
                 "relator_nf_match": self.evaluated_relator_nf_match,
@@ -849,6 +845,9 @@ def verify_instance(
     since on a certified-infinite instance no coset enumeration would."""
     if max_cosets <= 0 or max_relator_length <= 0:
         raise ValueError("budgets must be positive")
+    # imported here, so that the other checks load neither engine they check
+    from .schreier import evaluated_kernel_presentation, image_rank, raw_kernel_presentation
+    from .tietze import simplify
     n = inst.hom.n
     rank = image_rank(inst.hom)
 
@@ -890,7 +889,6 @@ def verify_instance(
         family=inst.family,
         params=inst.params,
         image_rank=rank,
-        transversal_size=1 << rank,
         evaluated_generators=ev_gens,
         evaluated_relator_nf_match=ev_match,
         raw_generators_after_simplify=raw_gens,

@@ -23,17 +23,15 @@ Word = Tuple[int, ...]
 Code = str
 
 
-def letter(gen: int, sign: int = 1) -> int:
-    """Encode generator index ``gen`` with the given sign.
+def letter(gen: int) -> int:
+    """The letter of generator index ``gen``; its inverse is the negative.
 
-    >>> letter(0), letter(2, -1)
+    >>> letter(0), -letter(2)
     (1, -3)
     """
     if gen < 0:
         raise ValueError("generator index must be >= 0")
-    if sign not in (1, -1):
-        raise ValueError("sign must be +1 or -1")
-    return (gen + 1) * sign
+    return gen + 1
 
 
 def free_reduce(letters: Iterable[int]) -> Word:

@@ -141,7 +141,7 @@ def reference_evaluated_kernel(inst, raw: KernelPresentation) -> KernelPresentat
             seen.add(nf)
             rels.append(cyclic_reduce(img))
     kernel = Presentation(tuple(g.name for g in table), tuple(rels))
-    return KernelPresentation(kernel, table, "evaluated")
+    return KernelPresentation(kernel, table)
 
 
 def compose(p: Sequence[int], q: Sequence[int]) -> Tuple[int, ...]:

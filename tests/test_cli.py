@@ -172,6 +172,23 @@ def test_kernel_both_modes_rewrites_once(capsys, monkeypatch, m4_file):
     assert len(calls) == 40
 
 
+@pytest.mark.parametrize(
+    "mode, raw_calls, evaluated_calls", [("evaluated", 0, 1), ("raw", 1, 0), ("both", 1, 1)]
+)
+def test_kernel_builds_only_the_kernels_it_prints(capsys, monkeypatch, mode, raw_calls, evaluated_calls):
+    # the evaluated kernel alone is walked from the cosets, with no raw kernel
+    import coxembed.schreier as schreier
+
+    calls = []
+    for name in ("raw_kernel_presentation", "evaluated_kernel_presentation"):
+        orig = getattr(schreier, name)
+        monkeypatch.setattr(schreier, name, lambda *a, name=name, orig=orig: calls.append(name) or orig(*a))
+    code, _, _ = run_cli(capsys, "kernel", "klein", "--mode", mode)
+    assert code == 0
+    assert calls.count("raw_kernel_presentation") == raw_calls
+    assert calls.count("evaluated_kernel_presentation") == evaluated_calls
+
+
 def test_readme_library_block(capsys):
     # the Library example runs and prints what its comments say
     readme = (ROOT / "README.md").read_text(encoding="utf-8")
@@ -333,6 +350,15 @@ def test_out_flag_unwritable_path(capsys, tmp_path):
     assert code == 2
     assert out == ""
     assert err == f"error: cannot write {target}: No such file or directory\n"
+
+
+def test_unreadable_input_file(capsys, tmp_path):
+    missing = tmp_path / "missing.txt"
+    for argv in (("order", f"@{missing}"), ("build", "coxeter", "--m", str(missing))):
+        code, out, err = run_cli(capsys, *argv)
+        assert code == 2
+        assert out == ""
+        assert err == f"error: cannot read {missing}: No such file or directory\n"
 
 
 def test_exit_code_matrix_over_families(capsys, m4_file, m3_file):

@@ -75,12 +75,16 @@ print(" ".join(sorted(sys.modules)))
 # the two take longer than most commands' own work
 HEAVY = {"dataclasses", "inspect"}
 
-ALL = {"cli", "presentations", "words", "schreier", "tietze", "verify"}
 LOADS = {
     "build": {"cli", "presentations", "words"},
     "embed": {"cli", "presentations", "words"},
     "kernel": {"cli", "presentations", "words", "schreier"},
     "simplify": {"cli", "presentations", "words", "tietze"},
+    "order": {"cli", "presentations", "verify", "words"},
+    "index": {"cli", "presentations", "verify", "words"},
+    "abelianization": {"cli", "presentations", "verify", "words"},
+    "match": {"cli", "presentations", "verify", "words"},
+    "verify": {"cli", "presentations", "schreier", "tietze", "verify", "words"},
 }
 
 
@@ -104,7 +108,7 @@ def test_command_loads_only_what_it_runs(command):
     argv = shlex.split(command)
     code, modules, has_json = _fresh(PROBE, *argv)
     assert code == "0"
-    assert set(modules.split()) == LOADS.get(argv[0], ALL)
+    assert set(modules.split()) == LOADS[argv[0]]
     assert has_json == str("json" in argv or argv[0] == "verify")
 
 
@@ -163,8 +167,9 @@ def test_exports_follow_a_patched_submodule(monkeypatch):
 
 
 def test_commands_call_the_engines_at_call_time(capsys, monkeypatch):
-    # the CLI binds no engine name at import, so a function wrapped in its
-    # module after the import is the one a command runs
+    # neither the CLI nor verify binds an engine name at import, so a
+    # function wrapped in its module after the import is the one a command
+    # runs, also inside verify_instance
     calls = []
 
     def counting(module, name):
@@ -176,8 +181,9 @@ def test_commands_call_the_engines_at_call_time(capsys, monkeypatch):
     counting(schreier, "raw_kernel_presentation")
     m4 = str(ROOT / "scripts/fixtures/m2x2_4.txt")
     assert main(["verify", "thm1", "--m", m4, "--p", "2,2"]) == 0
-    assert calls == ["verify_instance"]
+    verified = ["verify_instance", "raw_kernel_presentation", "simplify", "simplify"]
+    assert calls == verified
     assert main(["simplify", "< a, b | b a^-1 >"]) == 0
     assert main(["kernel", "thm1", "--m", m4, "--p", "2,2", "--mode", "both"]) == 0
-    assert calls == ["verify_instance", "simplify", "raw_kernel_presentation"]
+    assert calls == [*verified, "simplify", "raw_kernel_presentation"]
     capsys.readouterr()

@@ -99,6 +99,22 @@ def test_presentation_normalizes_relators():
     assert p.relators == ((1,),)
 
 
+def test_rename_needs_one_name_per_generator():
+    p = Presentation(("a", "b"), ((1, 1),))
+    assert p.rename(("x", "y")) == Presentation(("x", "y"), ((1, 1),))
+    for names in (("x",), ("x", "y", "z")):
+        with pytest.raises(ValueError, match="rename needs one name per generator"):
+            p.rename(names)
+
+
+def test_parse_matrix_text_rejects_bad_entries_and_no_rows():
+    with pytest.raises(ValueError, match="bad extended-natural entry 'x'"):
+        parse_matrix_text("1,x\nx,1\n")
+    for text in ("", "\n  \n"):
+        with pytest.raises(ValueError, match="empty matrix"):
+            parse_matrix_text(text)
+
+
 def test_presentation_rejects_bad_input():
     with pytest.raises(ValueError):
         Presentation(("a", "a"))
@@ -360,6 +376,12 @@ def test_serialize_word_rejects_letter_zero():
     assert serialize_word((), ("a",)) == ""
     for w in ((1, 0, 1), (0,), (0, 0), (1, 0)):
         with pytest.raises(ValueError, match="0 is not a letter"):
+            serialize_word(w, ("a",))
+
+
+def test_serialize_word_rejects_letters_outside_the_alphabet():
+    for w in ((2,), (1, -2)):
+        with pytest.raises(ValueError, match="letter -?2 outside alphabet of rank 1"):
             serialize_word(w, ("a",))
 
 

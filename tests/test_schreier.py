@@ -105,6 +105,15 @@ def test_transversal_rejects_nonspanning_subset():
         transversal(inst.ambient, inst.hom, (0,))
 
 
+def test_transversal_rejects_a_bad_hom_or_subset():
+    with pytest.raises(ValueError, match="hom does not kill every relator"):
+        transversal(parse_presentation("< a | a^3 >"), HomZ2n(1, (1,)), (0,))
+    inst = thm1_fixture()
+    for subset, bad in (((0, 1, 4), 4), ((-1, 0, 1), -1)):
+        with pytest.raises(ValueError, match=f"generator index {bad} outside alphabet"):
+            transversal(inst.ambient, inst.hom, subset)
+
+
 def test_schreier_word_examples():
     # the raw symbol of (t, x) is defined by t x (rep of the target
     # coset)^-1, freely reduced; none when that is empty
@@ -229,7 +238,6 @@ def test_rule_moves_keep_the_right_angled_nf():
 def test_raw_kernel_counts_thm1():
     inst = thm1_fixture()
     kp = raw_kernel_presentation(inst.ambient, inst.hom, inst.transversal_gens)
-    assert kp.mode == "raw"
     assert kp.presentation.rank <= 16
     assert len(kp.presentation.relators) == 40
 

@@ -84,7 +84,7 @@ CASES = {
         "relators=((2,), (1, 3), (2,), (3, 1))), table=(SchreierGen(name='y0_s1', "
         "coset_word=(), gen=1, defining=(2, -1)), SchreierGen(name='y1_r', coset_word=(1,), "
         "gen=0, defining=(1, 1)), SchreierGen(name='y1_s1', coset_word=(1,), gen=1, "
-        "defining=(1, 2))), mode='raw')",
+        "defining=(1, 2))))",
         True,
     ),
     "CosetTable": (
@@ -103,7 +103,7 @@ CASES = {
         lambda: verify_instance(_inversion()),
         lambda: verify_instance(build_klein_instance(), max_cosets=5_000),
         "VerifyReport(family='artin-inversion', params={'m': [[1]]}, image_rank=1, "
-        "transversal_size=2, evaluated_generators=1, evaluated_relator_nf_match=True, "
+        "evaluated_generators=1, evaluated_relator_nf_match=True, "
         "raw_generators_after_simplify=1, raw_matched=True, finite=None, split_section=True, "
         "verdict='pass')",
         False,

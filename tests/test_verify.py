@@ -115,6 +115,24 @@ def test_todd_coxeter_index_and_budget():
     assert group_order(pres, max_cosets=2) == 2
 
 
+def test_todd_coxeter_rejects_subgroup_letters_outside_the_alphabet():
+    pres = parse_presentation("< a | a^2 >")
+    for w in ((2,), (1, -2)):
+        with pytest.raises(ValueError, match="letter -?2 outside alphabet of rank 1"):
+            todd_coxeter(pres, [w])
+
+
+def test_assert_closed_rejects_a_broken_table():
+    # two cosets swapped by a: a^3 does not close, and a moves coset 0
+    swap = verify.CosetTable("complete", 2, 2, ((1, 0),), ((1, 0),))
+    involution = parse_presentation("< a | a^2 >")
+    verify._assert_closed(swap, involution, ())
+    with pytest.raises(AssertionError, match="relator trace does not close"):
+        verify._assert_closed(swap, parse_presentation("< a | a^3 >"), ())
+    with pytest.raises(AssertionError, match="subgroup word does not fix coset 0"):
+        verify._assert_closed(swap, involution, [(1,)])
+
+
 def test_certificate_equals_bilinear_form_oracle():
     # every Coxeter matrix of rank 1-4 with labels 2-6 and inf: the graph
     # classification calls a group infinite iff its form is not definite
@@ -671,7 +689,6 @@ def test_run_embeddings_rewrites_each_kernel_once(monkeypatch, capsys):
     rewrite = schreier.raw_kernel_presentation
     counted = lambda *a: calls.append(a) or rewrite(*a)  # noqa: E731
     monkeypatch.setattr(schreier, "raw_kernel_presentation", counted)
-    monkeypatch.setattr(verify, "raw_kernel_presentation", counted)
     script = Path(__file__).resolve().parents[1] / "scripts/run_embeddings.py"
     runpy.run_path(str(script), run_name="__main__")
     assert len(calls) == 8
@@ -781,6 +798,16 @@ def test_abelianization_examples():
 
     free = parse_presentation("< a, b | >")
     assert abelianization(free) == AbelianInvariants(2, ())
+
+
+def test_abelian_invariants_reject_bad_input():
+    with pytest.raises(ValueError, match="free rank must be >= 0"):
+        AbelianInvariants(-1, ())
+    for torsion in ((1,), (2, 0)):
+        with pytest.raises(ValueError, match="torsion coefficients must be >= 2"):
+            AbelianInvariants(0, torsion)
+    with pytest.raises(ValueError, match="torsion coefficients must form a divisibility chain"):
+        AbelianInvariants(0, (2, 3))
 
 
 def test_match_presentations():

@@ -15,6 +15,7 @@ from coxembed.words import (
     encode,
     free_reduce,
     invert,
+    letter,
     power,
     relator_nf,
     rotation_nf,
@@ -40,6 +41,17 @@ def test_free_reduce_examples():
 def test_free_reduce_rejects_zero():
     with pytest.raises(ValueError):
         free_reduce([1, 0])
+
+
+def test_letter_rejects_a_negative_index():
+    assert (letter(0), letter(2)) == (1, 3)
+    with pytest.raises(ValueError, match="generator index must be >= 0"):
+        letter(-1)
+
+
+def test_encode_rejects_zero():
+    with pytest.raises(ValueError, match="0 is not a letter"):
+        encode((1, 0))
 
 
 def test_invert_examples():
