@@ -9,10 +9,11 @@ wherever the package bound it.  Runs each op once and prints the number
 of ``simplify`` calls, their eliminations by the number of letters of the
 relator each solved (1, 2, 3 or more), the relators they dropped as
 empty and as duplicates of a live relator (the sums of the
-``drop-empty`` and ``dedupe`` steps) and the calls that ended
-``bounded``.  The warm-up op of ``setup`` is not counted.  Only
-``trace.steps`` and ``trace.bounded`` are read, so it runs against older
-checkouts too.
+``drop-empty`` and ``dedupe`` steps), the calls that ended ``bounded``
+and the relator rewrites made, counted as calls of the functions that
+``coxembed.tietze._rewriter`` returns.  The warm-up op of ``setup`` is
+not counted.  Only ``trace.steps``, ``trace.bounded`` and ``_rewriter``
+are read, so it runs against older checkouts too.
 """
 
 from __future__ import annotations
@@ -39,12 +40,24 @@ class Traffic:
         self.reset()
 
     def reset(self) -> None:
-        self.calls = self.bounded = 0
+        self.calls = self.bounded = self.rewrites = 0
         self.solved: Counter = Counter()  # eliminations by min(letters, 3)
         self.dropped: Counter = Counter()  # relators by drop-empty, dedupe
 
     def install(self, modules: dict) -> None:
-        simplify = modules["coxembed.tietze"].simplify
+        tietze = modules["coxembed.tietze"]
+        simplify, rewriter = tietze.simplify, tietze._rewriter
+
+        def counted_rewriter(*args):
+            rewrite = rewriter(*args)
+
+            def counted_rewrite(f):
+                self.rewrites += 1
+                return rewrite(f)
+
+            return counted_rewrite
+
+        tietze._rewriter = counted_rewriter
 
         def counted(*args, **kwargs):
             out, trace = simplify(*args, **kwargs)
@@ -82,6 +95,7 @@ def main(argv=None) -> int:
     dropped = traffic.dropped
     print(f"dropped: {sum(dropped.values())} (empty: {dropped['drop-empty']}, duplicate: {dropped['dedupe']})")
     print(f"bounded_calls: {traffic.bounded}")
+    print(f"rewrites: {traffic.rewrites}")
     return 0
 
 

@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import argparse
 import sys
-from typing import TYPE_CHECKING, Optional, Sequence
+from typing import Optional, Sequence
 
 from .presentations import (
     DEFAULT_MAX_COSETS,
@@ -37,9 +37,6 @@ from .presentations import (
     serialize_presentation,
     serialize_word,
 )
-
-if TYPE_CHECKING:
-    from .schreier import KernelPresentation
 
 
 class UsageError(Exception):
@@ -151,7 +148,7 @@ def cmd_embed(args) -> CommandResult:
     return 0, data, "\n".join(lines)
 
 
-def _kernel_section(inst: EmbeddingInstance, mode: str, kp: KernelPresentation):
+def _kernel_section(inst: EmbeddingInstance, mode: str, kp):
     data = {
         "mode": mode,
         "presentation": serialize_presentation(kp.presentation),

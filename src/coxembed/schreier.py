@@ -258,20 +258,17 @@ def reidemeister_rewrite(symbols: SymbolDict, w: Sequence[int], coset: int = 0) 
 def raw_kernel_presentation(pres: Presentation, hom: HomZ2n, subset: Sequence[int]) -> KernelPresentation:
     """Free-group-faithful kernel presentation: one symbol per nontrivial
     (representative, generator) pair, and one relator per (coset, ambient
-    relator) pair, the relator rewritten from that coset; empty relators
-    are dropped."""
-    trans = transversal(pres, hom, subset)
-    symbols = SymbolDict(pres, hom, trans)
-    rels = []
+    relator) pair, cosets in transversal order, the relator walked from
+    that coset; empty relators are dropped.  :func:`transversal` has
+    checked that every relator has zero image, so each walk ends where it
+    started."""
+    symbols = SymbolDict(pres, hom, transversal(pres, hom, subset))
     # each image is cyclically reduced: a cyclically reduced relator walks
     # the coset graph without backtracking, so between two of its symbols,
     # cyclically, lies no closed path of trivial ones, as a cancelling pair
     # would need
-    for v in trans:
-        for r in pres.relators:
-            img = reidemeister_rewrite(symbols, r, v)
-            if img:
-                rels.append(img)
+    steps = symbols.steps
+    rels = (img for i in range(len(steps)) for r in pres.relators if (img := _walk(steps, r, i)[0]))
     kernel = Presentation.trusted(tuple(g.name for g in symbols.table), tuple(rels))
     return KernelPresentation(kernel, tuple(symbols.table))
 

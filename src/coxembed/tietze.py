@@ -23,7 +23,9 @@ entry whose relator has since been rewritten or dropped is skipped when
 it is popped.  An elimination rewrites in place only the relators
 containing the eliminated generator, found through id sets kept per
 generator that only grow: an id whose relator is gone is skipped, and
-one whose relator has lost the generator rewrites to itself.  A rewrite
+one whose relator has lost the generator rewrites to itself.  These
+rewrites are made once, when the elimination is admitted: each is checked
+against the length bound, and the elimination commits them.  A rewrite
 replaces the generator's two letters by ``str.replace``.  It is freely
 and cyclically reduced only when a cancellation is possible: after a
 deletion or a longer replacement, or where a one-letter substitute meets
@@ -41,7 +43,7 @@ from __future__ import annotations
 from collections import Counter, defaultdict
 from functools import cached_property
 from heapq import heapify, heappop, heappush
-from typing import Callable, Dict, Iterable, List, Optional, Sequence, Set, Tuple
+from typing import Callable, Dict, Iterable, List, Sequence, Set, Tuple
 
 from .presentations import DEFAULT_MAX_RELATOR_LENGTH, Presentation, serialize_word
 from .words import Code, _Memo, code_invert, code_nf, code_reduce, decode, encode, rotation_nf
@@ -121,10 +123,8 @@ class _Relators:
     taken from the live forms only when no short form is admissible;
     nothing about them is kept between eliminations.
 
-    A short elimination rewrites no relator to more letters than it had,
-    so only the input relators longer than ``max_len``, whose ids are in
-    ``over``, can make the length bound reject it.  ``over`` is never
-    updated: a relator rewritten since is within the bound.
+    An elimination's rewrites are made once, when :meth:`_admit` checks
+    them against the length bound, and :meth:`eliminate` commits them.
     """
 
     def __init__(self, forms: Iterable[Code], max_len: int):
@@ -137,48 +137,38 @@ class _Relators:
         self.forms: Dict[int, Code] = {i: c for c, i in self.ids.items()}
         self.containing: Dict[str, Set[int]] = defaultdict(set)
         self.heap: List[Tuple[int, Code, int]] = []
-        self.over: Set[int] = set()
         for c, i in self.ids.items():
             for x in c.translate(_GEN):
                 self.containing[x].add(i)
             n = len(c)
             if n == 1 or n == 2 and c[0] != c[1]:
                 self.heap.append((n, c, i))
-            if n > max_len:
-                self.over.add(i)
         heapify(self.heap)
 
     def __len__(self) -> int:
         return len(self.ids)
 
-    def _admit(self, c: Code, r: int, gens: Iterable[int], short: bool):
+    def _admit(self, c: Code, r: int, gens: Iterable[int]):
         """``(g, r, replacement, done)`` for the first of ``gens`` whose
         elimination through relator ``r``, of form ``c``, the length bound
-        admits, or None.  ``done`` holds the rewrites made to check it;
-        for a ``short`` form only the relators in ``over`` are checked."""
+        admits, or None.  ``done`` maps the id of every other live relator
+        that may contain ``g`` to its form with ``g`` replaced, cyclically
+        reduced as a presentation stores it: the rewrites the elimination
+        makes, each checked against the bound."""
+        forms, max_len = self.forms, self.max_len
         for g in gens:
             replacement = _solve(c, g)
-            check = self.containing[chr(g)]
-            done = self._rewrites(g, r, replacement, self.over & check if short else check)
-            if done is not None:
-                return g, r, replacement, done
-        return None
-
-    def _rewrites(self, g: int, r: int, replacement: Code, check: Set[int]) -> Optional[Dict[int, Code]]:
-        """``{id: normal form}`` of the relators among ``check`` other than
-        ``r`` with ``g`` replaced, or None when one would exceed the length
-        bound (cyclically reduced, as a presentation stores it)."""
-        forms, max_len = self.forms, self.max_len
-        done = {}
-        if check:
             rewrite = _rewriter(g, replacement)
-            for i in check:
+            done = {}
+            for i in self.containing[chr(g)]:
                 f = forms.get(i)
                 if f is not None and i != r:
                     done[i] = rewritten = rewrite(f)
                     if len(rewritten) > max_len:
-                        return None
-        return done
+                        break
+            else:
+                return g, r, replacement, done
+        return None
 
     def choose(self):
         """First admissible elimination ``(g, r, replacement, done)``, ``r``
@@ -194,7 +184,7 @@ class _Relators:
             c, r = entry[1:]
             if forms.get(r) == c:
                 # a two-letter normal form starts with its lower generator
-                chosen = self._admit(c, r, [ord(x) >> 1 for x in c], short=True)
+                chosen = self._admit(c, r, [ord(x) >> 1 for x in c])
                 if not chosen:
                     rejected.append(entry)
         for entry in rejected:
@@ -209,26 +199,22 @@ class _Relators:
                 # growth estimate: occurrences elsewhere times replacement
                 # length minus one, then index
                 singles.sort(key=lambda g: ((occ[chr(g)] - 1) * (len(c) - 2), g))
-                chosen = self._admit(c, self.ids[c], singles, short=False) or False
+                chosen = self._admit(c, self.ids[c], singles) or False
                 if chosen:
                     return chosen
         return chosen
 
     def eliminate(self, g: int, r: int, replacement: Code, done: Dict[int, Code]) -> Tuple[int, int]:
-        """Drop relator ``r`` and rewrite in place the relators containing
-        ``g``, taking the rewrites in ``done`` as made.  A relator
-        rewritten to the empty word or to a live form is dropped; returns
-        how many were dropped each way."""
+        """Drop relator ``r`` and commit the rewrites ``done`` that
+        :meth:`_admit` made.  A relator rewritten to the empty word or to
+        a live form is dropped; returns how many were dropped each way."""
         forms, ids, heap = self.forms, self.ids, self.heap
         del ids[forms.pop(r)]
-        rewrite = _rewriter(g, replacement)
+        del self.containing[chr(g)]
         kept = []
         emptied = deduped = 0
-        for i in self.containing.pop(chr(g)):
-            f = forms.get(i)
-            if f is None:
-                continue
-            c = done[i] if i in done else rewrite(f)
+        for i, c in done.items():
+            f = forms[i]
             if c == f:
                 continue
             del ids[f]

@@ -25,7 +25,18 @@ from .presentations import (
     _setattr,
     _Value,
 )
-from .words import Word, encode, expand_kernel_word, free_reduce, invert, relabel, relator_nf
+from .words import (
+    Word,
+    _least_rotation,
+    code_invert,
+    decode,
+    encode,
+    expand_kernel_word,
+    free_reduce,
+    invert,
+    relabel,
+    relator_nf,
+)
 
 
 class _Budget(Exception):
@@ -794,20 +805,25 @@ def _flip_involutions(pres: Presentation) -> Presentation:
     """``pres`` with ``g^-1`` rewritten to ``g`` for every generator ``g``
     with the relator ``g^2``, which presents the same group.
 
-    Each relator alternates the flip and :func:`relator_nf` until the flip
-    changes nothing.  This ends: if two successive normal forms both came
-    from the inverted side, the flipped word and its flipped inverse would
-    each have a lesser least rotation than the other.  Duplicates are
-    merged, and relators sorted by length, then letter codes, as
+    Each relator becomes the least rotation of the flipped word or of the
+    flipped inverse, whichever is less: one form for all the relators that
+    rotation, inversion and the signs of those generators carry into each
+    other.  A least rotation starts with the least letter, so when the two
+    sides' least letters differ, the lesser settles the side.  Duplicates
+    are merged, and relators sorted by length, then letter codes, as
     :func:`simplify` sorts them."""
-    squares = {abs(r[0]) for r in pres.relators if len(r) == 2 and r[0] == r[1]}
+    flip = {2 * abs(r[0]) - 1: 2 * abs(r[0]) - 2 for r in pres.relators if len(r) == 2 and r[0] == r[1]}
     relators = set()
     for r in pres.relators:
-        r = relator_nf(r)
-        while (flipped := tuple(abs(l) if abs(l) in squares else l for l in r)) != r:
-            r = relator_nf(flipped)
-        relators.add(r)
-    return Presentation.trusted(pres.gens, tuple(sorted(relators, key=lambda w: (len(w), encode(w)))))
+        c = encode(r)
+        c, ci = c.translate(flip), code_invert(c).translate(flip)
+        m, mi = min(c), min(ci)
+        if m != mi:
+            c = _least_rotation(c, m) if m < mi else _least_rotation(ci, mi)
+        else:
+            c = min(_least_rotation(c, m), _least_rotation(ci, m))
+        relators.add(c)
+    return Presentation.trusted(pres.gens, tuple(decode(c) for c in sorted(relators, key=lambda c: (len(c), c))))
 
 
 def verify_instance(

@@ -4,7 +4,8 @@ Everything here avoids the code paths under test: brute-force orbit
 enumeration for cyclic words, an unreduced Reidemeister-Schreier walk,
 permutation closures for group orders, minor gcds for Smith diagonals,
 a whole-presentation Tietze loop for the incremental ``simplify``, the
-exhaustive presentation matcher, the bilinear form of a Coxeter
+exhaustive presentation matcher, every flipped rotation for the
+involution sign flip, the bilinear form of a Coxeter
 matrix for the infiniteness certificate, the chamber word check on
 coefficient lists for the packed one, and the evaluated kernel by
 substitution into the raw relators for the step-table walks.
@@ -273,6 +274,20 @@ def brute_force_match(p, q):
             if sorted(relator_nf(relabel(r, mapping)) for r in p.relators) == target:
                 return tuple(zip(perm, signs))
     return None
+
+
+def reference_flip_involutions(pres) -> str:
+    """``coxembed.verify._flip_involutions`` by brute force: each relator
+    becomes the least, in the word order, of every rotation of it and of
+    its inverse with ``g^-1`` rewritten to ``g`` for every generator ``g``
+    with the relator ``g^2`` or ``g^-2``; equal forms are merged and
+    sorted by length, then word order.  Returned as a string."""
+    squares = {abs(r[0]) for r in pres.relators if len(r) == 2 and r[0] == r[1]}
+    forms = {
+        min((tuple(abs(l) if abs(l) in squares else l for l in v) for v in orbit_rotation_inversion(r)), key=word_key)
+        for r in pres.relators
+    }
+    return str(Presentation(pres.gens, tuple(sorted(forms, key=lambda w: (len(w), word_key(w))))))
 
 
 def reference_simplify(pres, max_len=1000, flips=False):

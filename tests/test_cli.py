@@ -160,13 +160,15 @@ def test_kernel_both_modes(capsys, m4_file):
 
 
 def test_kernel_both_modes_rewrites_once(capsys, monkeypatch, m4_file):
-    # the evaluated kernel is merged from the raw one: one rewrite per
-    # (coset, ambient relator) pair, 4 cosets times 10 ambient relators
+    # the evaluated kernel is merged from the raw one: one walk through
+    # the coset step tables per (coset, ambient relator) pair, 4 cosets
+    # times 10 ambient relators; the merged relators are read through a
+    # one-coset table
     import coxembed.schreier as schreier
 
     calls = []
-    rewrite = schreier.reidemeister_rewrite
-    monkeypatch.setattr(schreier, "reidemeister_rewrite", lambda *a: calls.append(a) or rewrite(*a))
+    walk = schreier._walk
+    monkeypatch.setattr(schreier, "_walk", lambda steps, *a: (len(steps) > 1 and calls.append(a)) or walk(steps, *a))
     code, _, _ = run_cli(capsys, "kernel", "thm1", "--m", m4_file, "--p", "2,2", "--mode", "both")
     assert code == 0
     assert len(calls) == 40

@@ -31,7 +31,7 @@ from coxembed.verify import (
     match_presentations,
 )
 from coxembed.words import commutator, decode, expand_kernel_word, invert, power, relator_nf
-from oracles import reference_simplify
+from oracles import reference_flip_involutions, reference_simplify
 from test_presentations import _instance_sweep
 
 
@@ -222,12 +222,53 @@ def presentations_with_squares(draw):
 @example(parse_presentation("< a, b, c, d | b, a b c d >"), 3)
 # at bound 3, deleting b leaves the input relator a^4 b at 4 letters
 @example(parse_presentation("< a, b | b, a^4 b >"), 3)
-@given(presentations_with_squares(), st.sampled_from([3, 5, 1000]))
+@given(presentations_with_squares(), st.sampled_from([1, 2, 3, 5, 1000]))
 @settings(max_examples=300, deadline=None)
 def test_simplify_matches_whole_presentation_reference(p, max_len):
     out, trace = simplify(p, max_relator_length=max_len)
     got = (str(out), trace.steps, trace.defining, trace.bounded)
     assert got == reference_simplify(p, max_len)
+
+
+def test_flip_involutions_gives_one_form_per_relator_class():
+    # the second relator of q is that of p inverted, with a^-1 written a;
+    # flipping and re-normalizing until nothing changed ended them at
+    # a b^-1 c b c^-1 and a c b^-1 c^-1 b, and no match
+    p = parse_presentation("< a, b, c | a^2, a b^-1 c b c^-1, a b c b >")
+    q = parse_presentation("< a, b, c | a^2, c b^-1 c^-1 b a, a b c b >")
+    assert _flip_involutions(p) == _flip_involutions(q)
+    assert str(_flip_involutions(q)) == "< a, b, c | a^2, a b c b, a b^-1 c b c^-1 >"
+    assert match_presentations(_flip_involutions(p), _flip_involutions(q)) is not None
+
+
+@given(presentations_with_squares(), st.data())
+@settings(max_examples=200, deadline=None)
+def test_flip_involutions_matches_brute_force(p, data):
+    out = _flip_involutions(p)
+    assert str(out) == reference_flip_involutions(p)
+    # each relator rotated, perhaps inverted, with the signs of some
+    # involutions changed throughout and of some involution letters
+    # changed where no neighbour has their generator, so that it stays
+    # cyclically reduced, gives the same forms
+    squares = {abs(r[0]) for r in p.relators if len(r) == 2 and r[0] == r[1]}
+    whole = data.draw(st.sets(st.sampled_from(sorted(squares)))) if squares else set()
+    moved = []
+    for r in p.relators:
+        n = len(r)
+        k = data.draw(st.integers(0, n - 1))
+        r = r[k:] + r[:k]
+        if data.draw(st.booleans()):
+            r = invert(r)
+        signs = data.draw(st.lists(st.booleans(), min_size=n, max_size=n))
+        r = tuple(
+            -l
+            if abs(l) in squares
+            and (abs(l) in whole) != (s and (n == 1 or abs(l) not in (abs(r[i - 1]), abs(r[(i + 1) % n]))))
+            else l
+            for i, (l, s) in enumerate(zip(r, signs))
+        )
+        moved.append(r)
+    assert _flip_involutions(Presentation(p.gens, tuple(moved))) == out
 
 
 def test_flip_involutions_after_simplify_matches_reference_on_family_kernels():

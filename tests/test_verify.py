@@ -1107,13 +1107,15 @@ def test_verify_instance_prop2_rank5_chain_matches_at_rank_10():
 
 
 def test_verify_instance_rewrites_once(monkeypatch):
-    # the evaluated kernel is merged from the raw one: one rewrite per
-    # (coset, ambient relator) pair, 4 cosets times 10 ambient relators
+    # the evaluated kernel is merged from the raw one: one walk through
+    # the coset step tables per (coset, ambient relator) pair, 4 cosets
+    # times 10 ambient relators; the merged relators are read through a
+    # one-coset table
     import coxembed.schreier as schreier
 
     calls = []
-    rewrite = schreier.reidemeister_rewrite
-    monkeypatch.setattr(schreier, "reidemeister_rewrite", lambda *a: calls.append(a) or rewrite(*a))
+    walk = schreier._walk
+    monkeypatch.setattr(schreier, "_walk", lambda steps, *a: (len(steps) > 1 and calls.append(a)) or walk(steps, *a))
     assert verify_instance(thm1_fixture()).verdict == "pass"
     assert len(calls) == 40
 
