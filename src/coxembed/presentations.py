@@ -35,13 +35,13 @@ _NAME_RE = re.compile(r"[A-Za-z][A-Za-z0-9_]*\Z")
 
 
 def parse_extnat(text: str):
+    """``inf``, or an optional sign and ASCII digits."""
     text = text.strip()
     if text == "inf":
         return INF
-    try:
-        return int(text)
-    except ValueError:
-        raise ValueError(f"bad extended-natural entry {text!r}") from None
+    if not re.fullmatch(r"[+-]?[0-9]+", text):
+        raise ValueError(f"bad extended-natural entry {text!r}")
+    return int(text)
 
 
 def parse_vector_text(text: str) -> Tuple:
@@ -121,14 +121,18 @@ class ParseError(ValueError):
 # factor       := atom ("^" int)?
 # atom         := name | "(" word ")" | "[" word "," word "]"
 # "[u,v]" expands to u v u^-1 v^-1, "1" is the identity; whitespace
-# insignificant.
+# insignificant.  Names and integers are ASCII, and brackets nest at most
+# _MAX_NESTING deep, which keeps the recursive descent within Python's
+# recursion limit.
 
 _PUNCT = "<>|,^()[]"
+_NAME_OR_INT = re.compile(r"[A-Za-z][A-Za-z0-9_]*|-?[0-9]+")
+_MAX_NESTING = 100
 
 
 def _tokenize(text: str):
     tokens = []
-    i, line, col = 0, 1, 1
+    i, line, col, depth = 0, 1, 1, 0
     while i < len(text):
         c = text[i]
         if c == "\n":
@@ -139,23 +143,17 @@ def _tokenize(text: str):
             i += 1
             col += 1
         elif c in _PUNCT:
+            depth += (c in "([") - (c in ")]")
+            if depth > _MAX_NESTING:
+                raise ParseError(f"brackets nested more than {_MAX_NESTING} deep", line, col)
             tokens.append((c, c, line, col))
             i += 1
             col += 1
-        elif c.isalpha():
-            j = i
-            while j < len(text) and (text[j].isalnum() or text[j] == "_"):
-                j += 1
-            tokens.append(("name", text[i:j], line, col))
-            col += j - i
-            i = j
-        elif c.isdigit() or (c == "-" and i + 1 < len(text) and text[i + 1].isdigit()):
-            j = i + 1
-            while j < len(text) and text[j].isdigit():
-                j += 1
-            tokens.append(("int", int(text[i:j]), line, col))
-            col += j - i
-            i = j
+        elif m := _NAME_OR_INT.match(text, i):
+            tok = m.group()
+            tokens.append(("name", tok, line, col) if tok[0].isalpha() else ("int", int(tok), line, col))
+            col += len(tok)
+            i = m.end()
         else:
             raise ParseError(f"unexpected character {c!r}", line, col)
     tokens.append(("end", "", line, col))

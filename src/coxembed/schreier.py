@@ -1,13 +1,14 @@
 """The Reidemeister-Schreier engine.
 
-Builds Schreier transversals for homomorphisms onto ``Z_2^n``, evaluates
-the Schreier map, and rewrites words over the Schreier generators by a
-walk through the cosets, one step-table lookup per letter.  Kernel
-presentations come in two modes: ``raw`` keeps defining words at the
-free-group level (one symbol per nontrivial transversal/generator pair,
-one relator per ambient relator read from each coset); ``evaluated`` is
-the raw kernel with the symbols merged whose defining words are equal in
-the right-angled Coxeter group of the instance's commuting pairs, which
+Builds Schreier transversals for homomorphisms onto ``Z_2^n``, the raw
+Schreier symbols and, per coset, a step table that reads each letter
+there as one symbol and the coset it leads to.  Kernel presentations
+come in two modes, and both read their relators through the step
+tables: ``raw`` keeps defining words at the free-group level (one
+symbol per nontrivial transversal/generator pair, one relator per
+ambient relator read from each coset); ``evaluated`` is the raw kernel
+with the symbols merged whose defining words are equal in the
+right-angled Coxeter group of the instance's commuting pairs, which
 maps onto the ambient (every ambient generator is an involution).
 Equality there is decided exactly by :func:`right_angled_nf`.  The
 evaluated relators are the raw ones with each symbol replaced by its
@@ -31,13 +32,6 @@ from .presentations import (
 from .words import Word, cyclic_trim, free_reduce, invert, letter, relator_nf
 
 
-def check_hom(pres: Presentation, hom: HomZ2n) -> bool:
-    """True iff every relator of ``pres`` maps to the zero vector."""
-    if len(hom.images) != pres.rank:
-        raise ValueError("missing generator image")
-    return all(hom.word_image(r) == 0 for r in pres.relators)
-
-
 def image_rank(hom: HomZ2n) -> int:
     """Rank over GF(2) of the image; equals ``n`` iff the hom is onto."""
     return gf2_rank(hom.images)
@@ -52,7 +46,9 @@ def transversal(pres: Presentation, hom: HomZ2n, subset: Sequence[int]) -> Dict[
     minimal length, ties broken by discovery order.  The zero vector is
     represented by the empty word.
     """
-    if not check_hom(pres, hom):
+    if len(hom.images) != pres.rank:
+        raise ValueError("missing generator image")
+    if any(hom.word_image(r) for r in pres.relators):
         raise ValueError("hom does not kill every relator")
     subset = tuple(sorted(set(subset)))
     for g in subset:
@@ -66,7 +62,8 @@ def transversal(pres: Presentation, hom: HomZ2n, subset: Sequence[int]) -> Dict[
             if nv not in reps:
                 reps[nv] = reps[v] + (letter(g),)
                 queue.append(nv)
-    if gf2_rank([hom.images[g] for g in subset]) != image_rank(hom):
+    # the walk reaches exactly the span of the subset's images
+    if len(reps) != 1 << image_rank(hom):
         raise ValueError("subset does not span the image; unreachable cosets")
     return reps
 
@@ -119,37 +116,6 @@ class SchreierGen(_Value):
         _setattr(self, "coset_word", coset_word)
         _setattr(self, "gen", gen)
         _setattr(self, "defining", defining)
-
-
-class SymbolDict:
-    """Raw kernel symbols: every nontrivial (representative, generator)
-    pair gets its own symbol, named after that origin.  The defining word
-    of the pair (t, x) is t x (rep of the target coset)^-1, freely reduced.
-
-    ``cosets`` maps each transversal image vector to its index in
-    transversal order.  ``steps[i]`` is the step table of coset ``i``: a
-    signed letter read there maps to (the letter of its symbol, 0 when
-    trivial, and the index of the coset it leads to).  A letter x at coset
-    v reads the symbol of (v, x); x^-1 reads the inverse of the symbol of
-    (v', x), v' = v + image(x), and leads to v'."""
-
-    def __init__(self, pres: Presentation, hom: HomZ2n, trans: Dict[int, Word]):
-        self.table: list[SchreierGen] = []
-        self.cosets: Dict[int, int] = {v: i for i, v in enumerate(trans)}
-        self.steps: list[Dict[int, Tuple[int, int]]] = [{} for _ in trans]
-        inverses = [invert(t) for t in trans.values()]
-        images = hom.images
-        for i, (v, t) in enumerate(trans.items()):
-            step = self.steps[i]
-            for x in range(pres.rank):
-                j = self.cosets[v ^ images[x]]
-                word = free_reduce(t + (letter(x),) + inverses[j])
-                s = 0
-                if word:
-                    self.table.append(SchreierGen(f"y{i}_{pres.gens[x]}", t, x, word))
-                    s = len(self.table)
-                step[x + 1] = (s, j)
-                self.steps[j][-x - 1] = (-s, i)
 
 
 def merge_symbols(
@@ -215,44 +181,53 @@ class KernelPresentation(_Value):
         return rows
 
 
+def _symbols(
+    pres: Presentation, hom: HomZ2n, subset: Sequence[int]
+) -> Tuple[list[SchreierGen], list[Dict[int, Tuple[int, int]]]]:
+    """Raw kernel symbols over the :func:`transversal` of ``subset``, and
+    the step table of each coset, cosets in transversal order.
+
+    Every nontrivial (representative, generator) pair gets its own symbol,
+    named after that origin.  The defining word of the pair (t, x) is
+    t x (rep of the target coset)^-1, freely reduced.  ``steps[i]`` is
+    the step table of coset ``i``: a signed letter read there maps to (the
+    letter of its symbol, 0 when trivial, and the index of the coset it
+    leads to).  A letter x at coset v reads the symbol of (v, x); x^-1
+    reads the inverse of the symbol of (v', x), v' = v + image(x), and
+    leads to v'."""
+    trans = transversal(pres, hom, subset)
+    cosets = {v: i for i, v in enumerate(trans)}
+    table: list[SchreierGen] = []
+    steps: list[Dict[int, Tuple[int, int]]] = [{} for _ in trans]
+    inverses = [invert(t) for t in trans.values()]
+    images = hom.images
+    for i, (v, t) in enumerate(trans.items()):
+        step = steps[i]
+        for x in range(pres.rank):
+            j = cosets[v ^ images[x]]
+            word = free_reduce(t + (letter(x),) + inverses[j])
+            s = 0
+            if word:
+                table.append(SchreierGen(f"y{i}_{pres.gens[x]}", t, x, word))
+                s = len(table)
+            step[x + 1] = (s, j)
+            steps[j][-x - 1] = (-s, i)
+    return table, steps
+
+
 def _walk(steps: Sequence[Dict[int, Tuple[int, int]]], w: Sequence[int], i: int) -> Tuple[Word, int]:
     """The letters read along ``w`` through ``steps`` from coset index
     ``i``, inverse pairs cancelled as they are appended, and the index of
     the coset where the walk ends."""
     out: list[int] = []
-    try:
-        for l in w:
-            s, i = steps[i][l]
-            if s:
-                if out and out[-1] == -s:
-                    out.pop()
-                else:
-                    out.append(s)
-    except KeyError:
-        raise ValueError(f"letter {l} outside the alphabet") from None
+    for l in w:
+        s, i = steps[i][l]
+        if s:
+            if out and out[-1] == -s:
+                out.pop()
+            else:
+                out.append(s)
     return tuple(out), i
-
-
-def reidemeister_rewrite(symbols: SymbolDict, w: Sequence[int], coset: int = 0) -> Word:
-    """Rewrite ``w``, read from ``coset``, over the raw Schreier symbols.
-
-    The walk starts at ``coset`` (the image vector of a transversal
-    element) and reads one entry of the step table of :class:`SymbolDict`
-    per letter.  The result is the rewrite of t w t^-1 from the trivial
-    coset, t the representative of ``coset``: the letters of a
-    prefix-closed transversal contribute only trivial symbols.  Inverse
-    pairs cancel as the walk appends, so the result is freely reduced.
-    Raises if a letter is outside the alphabet, if ``coset`` is not a
-    transversal vector, or if the walk does not end where it started,
-    i.e. ``w`` has nonzero image.
-    """
-    i = symbols.cosets.get(coset)
-    if i is None:
-        raise ValueError(f"coset {coset} outside the transversal")
-    out, end = _walk(symbols.steps, w, i)
-    if end != i:
-        raise ValueError("word is not in the kernel (nonzero image)")
-    return out
 
 
 def raw_kernel_presentation(pres: Presentation, hom: HomZ2n, subset: Sequence[int]) -> KernelPresentation:
@@ -262,15 +237,14 @@ def raw_kernel_presentation(pres: Presentation, hom: HomZ2n, subset: Sequence[in
     that coset; empty relators are dropped.  :func:`transversal` has
     checked that every relator has zero image, so each walk ends where it
     started."""
-    symbols = SymbolDict(pres, hom, transversal(pres, hom, subset))
+    table, steps = _symbols(pres, hom, subset)
     # each image is cyclically reduced: a cyclically reduced relator walks
     # the coset graph without backtracking, so between two of its symbols,
     # cyclically, lies no closed path of trivial ones, as a cancelling pair
     # would need
-    steps = symbols.steps
     rels = (img for i in range(len(steps)) for r in pres.relators if (img := _walk(steps, r, i)[0]))
-    kernel = Presentation.trusted(tuple(g.name for g in symbols.table), tuple(rels))
-    return KernelPresentation(kernel, tuple(symbols.table))
+    kernel = Presentation.trusted(tuple(g.name for g in table), tuple(rels))
+    return KernelPresentation(kernel, tuple(table))
 
 
 def evaluated_kernel_presentation(
@@ -291,9 +265,9 @@ def evaluated_kernel_presentation(
     deduplicated by relator normal form in first-appearance order.
     """
     if raw is None:
-        symbols = SymbolDict(inst.ambient, inst.hom, transversal(inst.ambient, inst.hom, inst.transversal_gens))
-        table, letters = merge_symbols(inst, symbols.table)
-        steps = [{l: (letters[s], j) for l, (s, j) in step.items()} for step in symbols.steps]
+        raw_table, raw_steps = _symbols(inst.ambient, inst.hom, inst.transversal_gens)
+        table, letters = merge_symbols(inst, raw_table)
+        steps = [{l: (letters[s], j) for l, (s, j) in step.items()} for step in raw_steps]
         words = (_walk(steps, r, i)[0] for i in range(len(steps)) for r in inst.ambient.relators)
     else:
         table, letters = merge_symbols(inst, raw.table)

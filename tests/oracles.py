@@ -28,7 +28,7 @@ from math import cos, gcd, inf, lcm, pi
 from typing import List, Optional, Sequence, Tuple
 
 from coxembed.presentations import DEFAULT_MAX_COSETS, INF, CoxeterMatrix, Presentation, serialize_word
-from coxembed.schreier import KernelPresentation, SymbolDict, merge_symbols, reidemeister_rewrite, transversal
+from coxembed.schreier import KernelPresentation, merge_symbols, raw_kernel_presentation
 from coxembed.verify import _sparse_smith_diagonal, todd_coxeter
 from coxembed.words import (
     Word,
@@ -84,7 +84,8 @@ def walk_rewrite(table, images, w, coset=0):
     symbols of ``table`` looked up by their (coset, generator) origin, one
     letter of ``w`` at a time, collected unreduced and then freely
     reduced.  ``images`` are the generators' image vectors; a symbol's
-    coset is the image of its representative word."""
+    coset is the image of its representative word.  Raises if ``w`` has
+    nonzero image."""
 
     def image(word):
         v = 0
@@ -104,7 +105,8 @@ def walk_rewrite(table, images, w, coset=0):
             out.append(s if l > 0 else -s)
         if l > 0:
             v ^= images[x]
-    assert v == coset, "word has nonzero image"
+    if v != coset:
+        raise ValueError("word has nonzero image")
     return free_reduce(out)
 
 
@@ -117,11 +119,11 @@ def merge_images(inst, table):
 
 def evaluated_rewriter(inst):
     """The evaluated symbol table and a rewrite of kernel words over it:
-    the raw rewrite with each raw symbol replaced by its merge image."""
-    trans = transversal(inst.ambient, inst.hom, inst.transversal_gens)
-    symbols = SymbolDict(inst.ambient, inst.hom, trans)
-    table, images = merge_images(inst, symbols.table)
-    return table, lambda w: expand_kernel_word(reidemeister_rewrite(symbols, w), images)
+    :func:`walk_rewrite` over the raw symbols with each raw symbol
+    replaced by its merge image."""
+    raw = raw_kernel_presentation(inst.ambient, inst.hom, inst.transversal_gens).table
+    table, images = merge_images(inst, raw)
+    return table, lambda w: expand_kernel_word(walk_rewrite(raw, inst.hom.images, w), images)
 
 
 def reference_evaluated_kernel(inst, raw: KernelPresentation) -> KernelPresentation:

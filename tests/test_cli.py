@@ -331,6 +331,21 @@ def test_parse_error_exit_code(capsys):
     assert "error:" in err
 
 
+def test_parser_faults_exit_2_with_a_message(capsys, tmp_path):
+    # deep nesting and non-ASCII digits are parse errors, not crashes
+    nested = "< a | " + "(" * 1000 + "a" + ")" * 1000 + " >"
+    for text, message in ((nested, "(line 1, column 107)"), ("< a | a^\u00b2 >", "(line 1, column 9)")):
+        code, out, err = run_cli(capsys, "abelianization", text)
+        assert (code, out) == (2, "")
+        assert message in err and "Traceback" not in err
+    path = tmp_path / "m.txt"
+    path.write_text("1,2_0\n2_0,1\n")
+    for argv in (("--m", str(path)), ("--m", str(ROOT / "scripts/fixtures/m2x2_3.txt"), "--p", "\u0663,2")):
+        code, _, err = run_cli(capsys, "embed", "prop2", *argv)
+        assert code == 2
+        assert "bad extended-natural entry" in err
+
+
 def test_usage_error_exit_code(capsys):
     code, _, err = run_cli(capsys, "verify", "thm1")  # missing --m
     assert code == 2

@@ -2,6 +2,7 @@ import hashlib
 import itertools
 import json
 import math
+import re
 
 import pytest
 from hypothesis import given, settings
@@ -88,6 +89,24 @@ def test_parse_errors_have_positions():
         parse_presentation("< a | $ >")
 
 
+def test_parse_rejects_brackets_nested_past_the_limit():
+    # "< a | " takes columns 1-6, so the 101st open bracket is at column 107
+    for opener, closer in (("(", ")"), ("[", ", a]")):
+        with pytest.raises(ParseError, match="nested more than 100 deep") as err:
+            parse_presentation("< a | " + opener * 1000 + "a" + closer * 1000 + " >")
+        assert (err.value.line, err.value.col) == (1, 107)
+    assert parse_presentation("< a | " + "(" * 100 + "a" + ")" * 100 + " >").relators == ((1,),)
+    assert parse_word("(" * 100 + "a" + ")" * 100, ("a",)) == (1,)
+
+
+def test_parse_takes_only_ascii_digits_and_names():
+    for text, col in (("< a | a^\u00b2 >", 9), ("< a | a^\u0663 >", 9), ("< a\u00e9 | >", 4), ("< a | a\u00b2 >", 8)):
+        with pytest.raises(ParseError, match="unexpected character") as err:
+            parse_presentation(text)
+        assert (err.value.line, err.value.col) == (1, col)
+    assert parse_presentation("< a_1 | a_1^-12 >").relators == ((-1,) * 12,)
+
+
 def test_serialize_examples():
     assert serialize_presentation(Presentation(("a",))) == "< a | >"
     klein = build_klein_instance().expected_kernel
@@ -110,6 +129,13 @@ def test_rename_needs_one_name_per_generator():
 def test_parse_matrix_text_rejects_bad_entries_and_no_rows():
     with pytest.raises(ValueError, match="bad extended-natural entry 'x'"):
         parse_matrix_text("1,x\nx,1\n")
+    # only "inf" or an optional sign and ASCII digits
+    for entry in ("2_0", "\u0663", "1e3", "+-2", "2.0", ""):
+        with pytest.raises(ValueError, match=re.escape(f"bad extended-natural entry {entry!r}")):
+            parse_matrix_text(f"1,{entry}\n{entry},1\n")
+    assert parse_vector_text(" +2, 4 ,-3,inf") == (2, 4, -3, INF)
+    with pytest.raises(ValueError, match="entries must be >= 2 or inf, got -3"):
+        CoxeterMatrix.from_rows(parse_matrix_text("1,-3\n-3,1\n"))
     for text in ("", "\n  \n"):
         with pytest.raises(ValueError, match="empty matrix"):
             parse_matrix_text(text)

@@ -21,14 +21,11 @@ from coxembed.presentations import (
     serialize_word,
 )
 from coxembed.schreier import (
-    SymbolDict,
-    check_hom,
     commuting_letters,
     evaluated_kernel_presentation,
     image_rank,
     merge_symbols,
     raw_kernel_presentation,
-    reidemeister_rewrite,
     right_angled_nf,
     transversal,
 )
@@ -40,7 +37,7 @@ from coxembed.verify import (
     verify_instance,
     word_holds,
 )
-from coxembed.words import free_reduce, invert, power, relator_nf
+from coxembed.words import cyclic_reduce, free_reduce, invert, power, relator_nf
 from oracles import evaluated_rewriter, reference_evaluated_kernel, regular_rep, replace, walk_rewrite
 from test_presentations import _instance_sweep
 
@@ -51,15 +48,15 @@ def thm1_fixture():
     return build_thm1_instance(CoxeterMatrix.from_pairs(2, {(0, 1): 4}), (2, 2))
 
 
-def test_check_hom():
-    inst = thm1_fixture()
-    assert check_hom(inst.ambient, inst.hom)
-    klein = build_klein_instance()
-    assert check_hom(klein.ambient, klein.hom)
-    p = parse_presentation("< a | a^3 >")
-    assert not check_hom(p, HomZ2n(1, (1,)))
-    with pytest.raises(ValueError):
-        check_hom(parse_presentation("< a, b | >"), HomZ2n(1, (1,)))
+def test_transversal_rejects_a_hom_of_the_wrong_shape():
+    p = parse_presentation("< a, b | a^2, b^2 >")
+    for images in ((1,), (1, 2, 3)):
+        with pytest.raises(ValueError, match="missing generator image"):
+            transversal(p, HomZ2n(2, images), (0, 1))
+    with pytest.raises(ValueError, match="hom does not kill every relator"):
+        transversal(parse_presentation("< a, b | a^2, b^3 >"), HomZ2n(2, (1, 2)), (0, 1))
+    for inst in (thm1_fixture(), build_klein_instance()):
+        assert len(transversal(inst.ambient, inst.hom, inst.transversal_gens)) == 2 ** image_rank(inst.hom)
 
 
 def test_image_rank():
@@ -257,53 +254,39 @@ def test_raw_symbols_lie_in_kernel():
         assert inst.hom.word_image(g.defining) == 0
 
 
+def raw_relator_origins(inst):
+    """The raw kernel of ``inst`` and, per relator, the (coset, its
+    representative, ambient relator) it was read from: every pair in
+    transversal order, those whose walk is empty left out."""
+    raw = raw_kernel_presentation(inst.ambient, inst.hom, inst.transversal_gens)
+    t = transversal(inst.ambient, inst.hom, inst.transversal_gens)
+    origins = [
+        (v, rep, r) for v, rep in t.items() for r in inst.ambient.relators
+        if walk_rewrite(raw.table, inst.hom.images, r, v)
+    ]
+    assert len(origins) == len(raw.presentation.relators)
+    return raw, origins
+
+
 def test_raw_rewrite_is_exact_in_free_group():
-    for inst in (thm1_fixture(), build_klein_instance(),
-                 build_artin_instance(CoxeterMatrix.from_pairs(2, {(0, 1): 3}))):
-        t = transversal(inst.ambient, inst.hom, inst.transversal_gens)
-        sym = SymbolDict(inst.ambient, inst.hom, t)
-        defining = [g.defining for g in sym.table]
-        for v, rep in t.items():
-            for r in inst.ambient.relators:
-                w = free_reduce(rep + r + invert(rep))
-                img = reidemeister_rewrite(sym, w)
-                assert expand_kernel_word(img, defining) == w
-                # the representative's letters contribute only trivial symbols
-                assert reidemeister_rewrite(sym, r, v) == img
+    # expanded through the defining words, each raw relator read from the
+    # coset of rep is rep r rep^-1 in the free group, and it is cyclically
+    # reduced as it stands
+    for inst in _instance_sweep():
+        raw, origins = raw_relator_origins(inst)
+        defining = [g.defining for g in raw.table]
+        for img, (_, rep, r) in zip(raw.presentation.relators, origins):
+            assert expand_kernel_word(img, defining) == free_reduce(rep + r + invert(rep))
+            assert cyclic_reduce(img) == img
 
 
-def test_reidemeister_rewrite_matches_unreduced_walk():
-    # random words with zero image, unreduced ones included, from every coset
-    rng = random.Random(20261018)
-    rank3 = build_prop2_instance(CoxeterMatrix.from_pairs(3, {(0, 1): 3, (0, 2): 2, (1, 2): 4}), (2, 4, 6))
-    for inst in (thm1_fixture(), rank3):
-        t = transversal(inst.ambient, inst.hom, inst.transversal_gens)
-        sym = SymbolDict(inst.ambient, inst.hom, t)
-        n = inst.ambient.rank
-        words = []
-        while len(words) < 200:
-            w = random_word(rng, n, 16)
-            if inst.hom.word_image(w) == 0:
-                words.append(w)
-        for v in t:
-            for w in words:
-                expected = walk_rewrite(sym.table, inst.hom.images, w, v)
-                assert reidemeister_rewrite(sym, w, v) == expected
-
-
-def test_reidemeister_rewrite_rejects_letters_and_cosets_outside():
-    p = parse_presentation("< a | a^2 >")
-    hom = HomZ2n(1, (1,))
-    sym = SymbolDict(p, hom, transversal(p, hom, (0,)))
-    assert reidemeister_rewrite(sym, (1, 1)) == (1,)
-    assert reidemeister_rewrite(sym, (-1, 1), 1) == ()
-    for bad in (0, p.rank + 1, -(p.rank + 1)):
-        for w in ((bad,), (1, bad), (1, 1, bad, -1)):
-            with pytest.raises(ValueError, match=f"letter {bad} "):
-                reidemeister_rewrite(sym, w)
-    for coset in (2, -1):
-        with pytest.raises(ValueError, match=f"coset {coset} "):
-            reidemeister_rewrite(sym, (1, 1), coset)
+def test_raw_relators_match_the_unreduced_walk():
+    # each raw relator is the independent one-word rewrite of its ambient
+    # relator from its coset
+    for inst in _instance_sweep():
+        raw, origins = raw_relator_origins(inst)
+        for img, (v, _, r) in zip(raw.presentation.relators, origins):
+            assert img == walk_rewrite(raw.table, inst.hom.images, r, v)
 
 
 def test_evaluated_kernel_builds_no_raw_kernel(monkeypatch):
