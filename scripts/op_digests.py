@@ -1,13 +1,17 @@
 #!/usr/bin/env python3
-"""Print the check digest of every benchmark op of one workload and seed.
+"""Print the check digest of every benchmark op of some workloads and seeds.
 
     python3 scripts/op_digests.py --workload kernels --seed 1 > digests.txt
+    python3 scripts/op_digests.py --workload kernels --workload cli --seed 1 --seed 97 > all.txt
 
-Prepares the seed's ops with ``perfbench/run.py``'s ``setup`` (CLI ops run
-in process), runs each op once and prints one line per op: its index and
-the digest its ``check`` returns, or ``FAILED`` and the error.  Two
+Prepares each seed's ops with ``perfbench/run.py``'s ``setup`` (CLI ops
+run in process), runs each op once and prints one line per op: its index
+and the digest its ``check`` returns, or ``FAILED`` and the error.
+``--workload`` and ``--seed`` may each be given more than once (the seed
+defaults to 1); every workload then runs at every seed, and with more
+than one of either each line starts with its workload and seed.  Two
 checkouts give the same output exactly when every op gives the same
-output, so one ``diff`` of two runs compares them.  Exits 1 if an op
+output, so one ``cmp`` of two runs compares them.  Exits 1 if an op
 failed.
 """
 
@@ -28,19 +32,23 @@ import workloads  # noqa: E402
 
 def main(argv=None) -> int:
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    ap.add_argument("--workload", required=True, choices=workloads.WORKLOADS)
-    ap.add_argument("--seed", type=int, default=1)
+    ap.add_argument("--workload", required=True, action="append", choices=workloads.WORKLOADS)
+    ap.add_argument("--seed", type=int, action="append")
     args = ap.parse_args(argv)
+    seeds = args.seed or [1]
     os.chdir(ROOT)  # CLI ops name fixtures relative to the root
-    items = run.setup(args.workload, workloads.draw(args.workload, args.seed), in_process=True)
     failed = 0
-    for item in items:
-        try:
-            line = item.check(item.run())
-        except Exception as exc:  # report and go on, as a benchmark run does
-            line = f"FAILED {type(exc).__name__}: {exc}"
-            failed += 1
-        print(item.op.index, line)
+    for workload in args.workload:
+        for seed in seeds:
+            prefix = f"{workload} {seed} " if len(args.workload) * len(seeds) > 1 else ""
+            items = run.setup(workload, workloads.draw(workload, seed), in_process=True)
+            for item in items:
+                try:
+                    line = item.check(item.run())
+                except Exception as exc:  # report and go on, as a benchmark run does
+                    line = f"FAILED {type(exc).__name__}: {exc}"
+                    failed += 1
+                print(prefix + str(item.op.index), line)
     return 1 if failed else 0
 
 

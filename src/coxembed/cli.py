@@ -29,6 +29,7 @@ from .presentations import (
     build_prop2_instance,
     build_thm1_instance,
     coxeter_presentation,
+    parse_int,
     parse_matrix_text,
     parse_presentation,
     parse_vector_text,
@@ -248,11 +249,19 @@ def cmd_verify(args) -> CommandResult:
     return 0 if report.verdict == "pass" else 1, data, "\n".join(lines)
 
 
+def _budget(text: str) -> int:
+    # read as matrix entries are; the engines reject a budget below 1
+    try:
+        return parse_int(text, "budget")
+    except ValueError as exc:
+        raise argparse.ArgumentTypeError(str(exc)) from None
+
+
 def _add_budget_flags(parser: argparse.ArgumentParser, cosets=True, tietze=True) -> None:
     if cosets:
-        parser.add_argument("--max-cosets", type=int, default=DEFAULT_MAX_COSETS)
+        parser.add_argument("--max-cosets", type=_budget, default=DEFAULT_MAX_COSETS)
     if tietze:
-        parser.add_argument("--max-relator-length", type=int, default=DEFAULT_MAX_RELATOR_LENGTH)
+        parser.add_argument("--max-relator-length", type=_budget, default=DEFAULT_MAX_RELATOR_LENGTH)
 
 
 def _add_family_flags(parser: argparse.ArgumentParser) -> None:

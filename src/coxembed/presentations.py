@@ -34,14 +34,19 @@ DEFAULT_MAX_RELATOR_LENGTH = 1000
 _NAME_RE = re.compile(r"[A-Za-z][A-Za-z0-9_]*\Z")
 
 
-def parse_extnat(text: str):
-    """``inf``, or an optional sign and ASCII digits."""
+def parse_int(text: str, what: str) -> int:
+    """An optional sign and ASCII digits, whitespace around them aside;
+    ``int`` alone would also read underscores and non-ASCII digits.  The
+    error calls ``text`` a ``what``."""
     text = text.strip()
-    if text == "inf":
-        return INF
     if not re.fullmatch(r"[+-]?[0-9]+", text):
-        raise ValueError(f"bad extended-natural entry {text!r}")
+        raise ValueError(f"bad {what} {text!r}")
     return int(text)
+
+
+def parse_extnat(text: str):
+    """``inf``, or an integer as :func:`parse_int` reads it."""
+    return INF if text.strip() == "inf" else parse_int(text, "extended-natural entry")
 
 
 def parse_vector_text(text: str) -> Tuple:
@@ -71,11 +76,25 @@ class _Value:
     Two values are equal when they are of the same class with equal
     fields, and a value hashes as the tuple of its fields (so not at all
     while a field holds a dict).  The repr is ``Name(field=value, ...)``.
-    The constructor sets each field with :data:`_setattr`, and copies and
-    pickles rebuild a value through the constructor, whose parameters are
-    the fields in order."""
+    The constructor takes the fields in ``__slots__`` order, positionally
+    and then by name, and sets each with :data:`_setattr`; a missing,
+    unknown or repeated field is a ``TypeError``.  A class that checks
+    its fields does so in its own ``__init__``, whose parameters are its
+    ``__slots__`` in order, and ends by calling this one.  So copies and
+    pickles rebuild a value by passing its fields in order to its class."""
 
     __slots__ = ()
+
+    def __init__(self, *args, **kwargs):
+        names = self.__slots__
+        if kwargs or len(args) != len(names):
+            given = dict(zip(names, args), **kwargs)
+            # a repeated field, or a positional one past the last, leaves given short
+            if len(given) != len(args) + len(kwargs) or given.keys() != set(names):
+                raise TypeError(f"{type(self).__name__} takes the fields {', '.join(names)}, each once")
+            args = [given[name] for name in names]
+        for name, value in zip(names, args):
+            _setattr(self, name, value)
 
     def _values(self) -> tuple:
         return tuple([getattr(self, name) for name in self.__slots__])
@@ -123,11 +142,19 @@ class ParseError(ValueError):
 # "[u,v]" expands to u v u^-1 v^-1, "1" is the identity; whitespace
 # insignificant.  Names and integers are ASCII, and brackets nest at most
 # _MAX_NESTING deep, which keeps the recursive descent within Python's
-# recursion limit.
+# recursion limit.  No integer, and no word, is longer than
+# _MAX_WORD_LENGTH letters: each is checked before it is built, since a
+# power or nested commutators ask for a word exponential in the text.
 
 _PUNCT = "<>|,^()[]"
 _NAME_OR_INT = re.compile(r"[A-Za-z][A-Za-z0-9_]*|-?[0-9]+")
 _MAX_NESTING = 100
+_MAX_WORD_LENGTH = 1_000_000
+
+
+def _check_length(length: int, tok) -> None:
+    if length > _MAX_WORD_LENGTH:
+        raise ParseError(f"word longer than {_MAX_WORD_LENGTH} letters", tok[2], tok[3])
 
 
 def _tokenize(text: str):
@@ -151,7 +178,14 @@ def _tokenize(text: str):
             col += 1
         elif m := _NAME_OR_INT.match(text, i):
             tok = m.group()
-            tokens.append(("name", tok, line, col) if tok[0].isalpha() else ("int", int(tok), line, col))
+            if tok[0].isalpha():
+                tokens.append(("name", tok, line, col))
+            else:
+                # bounded before int() reads it, since int() refuses 4300 digits
+                digits = tok.lstrip("-").lstrip("0") or "0"
+                if len(digits) > len(str(_MAX_WORD_LENGTH)) or int(digits) > _MAX_WORD_LENGTH:
+                    raise ParseError(f"integer outside -{_MAX_WORD_LENGTH}..{_MAX_WORD_LENGTH}", line, col)
+                tokens.append(("int", -int(digits) if tok[0] == "-" else int(digits), line, col))
             col += len(tok)
             i = m.end()
         else:
@@ -188,9 +222,12 @@ def _parse_word(p: _Parser, gmap: Dict[str, int]) -> Word:
     if p.peek()[:2] == ("int", 1):
         p.next()
         return ()
-    factors = [_parse_factor(p, gmap)]
-    while p.peek()[0] in ("name", "(", "["):
+    factors, length = [], 0
+    while not factors or p.peek()[0] in ("name", "(", "["):
+        tok = p.peek()
         factors.append(_parse_factor(p, gmap))
+        length += len(factors[-1])
+        _check_length(length, tok)
     return concat(*factors)
 
 
@@ -200,6 +237,7 @@ def _parse_factor(p: _Parser, gmap: Dict[str, int]) -> Word:
         p.next()
         tok = p.expect("int")
         k = tok[1]
+        _check_length(len(atom) * abs(k), tok)
         if k < 0:
             return power(invert(atom), -k)
         return power(atom, k)
@@ -221,6 +259,7 @@ def _parse_atom(p: _Parser, gmap: Dict[str, int]) -> Word:
         p.expect(",")
         v = _parse_word(p, gmap)
         p.expect("]")
+        _check_length(2 * (len(u) + len(v)), tok)
         return commutator(u, v)
     raise ParseError(f"expected a word, found {tok[1]!r}", tok[2], tok[3])
 
@@ -249,8 +288,7 @@ class Presentation(_Value):
             r = cyclic_reduce(w)
             if r:
                 rels.append(r)
-        _setattr(self, "gens", gens)
-        _setattr(self, "relators", tuple(rels))
+        super().__init__(gens, tuple(rels))
 
     @classmethod
     def trusted(cls, gens: Tuple[str, ...], relators: Tuple[Word, ...]) -> "Presentation":
@@ -259,8 +297,7 @@ class Presentation(_Value):
         nonempty, cyclically reduced words over them.  It equals
         ``Presentation(gens, relators)``."""
         pres = object.__new__(cls)
-        _setattr(pres, "gens", gens)
-        _setattr(pres, "relators", relators)
+        _Value.__init__(pres, gens, relators)
         return pres
 
     @property
@@ -370,7 +407,7 @@ class CoxeterMatrix(_Value):
             tuple(1 if i == j else v for j, v in enumerate(row))
             for i, row in enumerate(entries)
         )
-        _setattr(self, "entries", entries)
+        super().__init__(entries)
 
     @classmethod
     def from_rows(cls, rows) -> "CoxeterMatrix":
@@ -423,8 +460,7 @@ class PcSpec(_Value):
         for p in orders:
             if p != INF and (not isinstance(p, int) or p < 1):
                 raise ValueError(f"generator order must be >= 1 or inf, got {p!r}")
-        _setattr(self, "powers", powers)
-        _setattr(self, "orders", orders)
+        super().__init__(powers, orders)
 
     @classmethod
     def from_pairs(cls, n: int, powers: Dict[Tuple[int, int], object], orders) -> "PcSpec":
@@ -460,8 +496,7 @@ class HomZ2n(_Value):
         for v in images:
             if not 0 <= v < (1 << n):
                 raise ValueError(f"image {v} outside Z_2^{n}")
-        _setattr(self, "n", n)
-        _setattr(self, "images", images)
+        super().__init__(n, images)
 
     def word_image(self, w: Sequence[int]) -> int:
         v = 0
@@ -559,14 +594,10 @@ class EmbeddingInstance(_Value):
         sub = [hom.images[g] for g in transversal_gens]
         if gf2_rank(sub) != gf2_rank(hom.images):
             raise ValueError("transversal generators do not span the image")
-        _setattr(self, "family", family)
-        _setattr(self, "ambient", ambient)
-        _setattr(self, "hom", hom)
-        _setattr(self, "transversal_gens", transversal_gens)
-        _setattr(self, "commuting", frozenset(pairs))
-        _setattr(self, "expected_kernel", expected_kernel)
-        _setattr(self, "expected_words", expected_words)
-        _setattr(self, "params", {} if params is None else params)
+        super().__init__(
+            family, ambient, hom, transversal_gens, frozenset(pairs), expected_kernel,
+            expected_words, {} if params is None else params,
+        )
 
 
 # ---------------------------------------------------------------------------

@@ -111,6 +111,9 @@ class SchreierGen(_Value):
 
     __slots__ = ("name", "coset_word", "gen", "defining")
 
+    # sets its fields directly, not through _Value's constructor: this is
+    # the one value built per raw Schreier symbol (2^n * 2n per kernel),
+    # and the shared constructor takes about 70 % longer per call
     def __init__(self, name: str, coset_word: Word, gen: int, defining: Word):
         _setattr(self, "name", name)
         _setattr(self, "coset_word", coset_word)
@@ -167,10 +170,6 @@ class KernelPresentation(_Value):
     """Kernel presentation plus its generator table."""
 
     __slots__ = ("presentation", "table")
-
-    def __init__(self, presentation: Presentation, table: Tuple[SchreierGen, ...]):
-        _setattr(self, "presentation", presentation)
-        _setattr(self, "table", table)
 
     def table_rows(self, ambient: Presentation):
         """Display rows (name, origin t, origin x, defining word)."""

@@ -22,7 +22,6 @@ from .presentations import (
     CoxeterMatrix,
     EmbeddingInstance,
     Presentation,
-    _setattr,
     _Value,
 )
 from .words import (
@@ -58,20 +57,6 @@ class CosetTable(_Value):
     """
 
     __slots__ = ("status", "num_cosets", "num_defined", "fwd", "bwd")
-
-    def __init__(
-        self,
-        status: str,
-        num_cosets: Optional[int],
-        num_defined: int,
-        fwd: Optional[Tuple[Tuple[int, ...], ...]],
-        bwd: Optional[Tuple[Tuple[int, ...], ...]],
-    ):
-        _setattr(self, "status", status)
-        _setattr(self, "num_cosets", num_cosets)
-        _setattr(self, "num_defined", num_defined)
-        _setattr(self, "fwd", fwd)
-        _setattr(self, "bwd", bwd)
 
     @property
     def complete(self) -> bool:
@@ -588,8 +573,7 @@ class AbelianInvariants(_Value):
         for x, y in zip(tors, tors[1:]):
             if y % x:
                 raise ValueError("torsion coefficients must form a divisibility chain")
-        _setattr(self, "free_rank", free_rank)
-        _setattr(self, "torsion", tors)
+        super().__init__(free_rank, tors)
 
 
 def abelianization(pres: Presentation) -> AbelianInvariants:
@@ -702,30 +686,6 @@ class VerifyReport(_Value):
         "evaluated_relator_nf_match", "raw_generators_after_simplify", "raw_matched", "finite",
         "split_section", "verdict",
     )
-
-    def __init__(
-        self,
-        family: str,
-        params: dict,
-        image_rank: int,
-        evaluated_generators: int,
-        evaluated_relator_nf_match: bool,
-        raw_generators_after_simplify: int,
-        raw_matched: Optional[bool],
-        finite: Optional[dict],
-        split_section: bool,
-        verdict: str,
-    ):
-        _setattr(self, "family", family)
-        _setattr(self, "params", params)
-        _setattr(self, "image_rank", image_rank)
-        _setattr(self, "evaluated_generators", evaluated_generators)
-        _setattr(self, "evaluated_relator_nf_match", evaluated_relator_nf_match)
-        _setattr(self, "raw_generators_after_simplify", raw_generators_after_simplify)
-        _setattr(self, "raw_matched", raw_matched)
-        _setattr(self, "finite", finite)
-        _setattr(self, "split_section", split_section)
-        _setattr(self, "verdict", verdict)
 
     def to_dict(self) -> dict:
         return {

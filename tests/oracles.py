@@ -22,7 +22,6 @@ a value object through its class's constructor.
 
 from __future__ import annotations
 
-import inspect
 import itertools
 from math import cos, gcd, inf, lcm, pi
 from typing import List, Optional, Sequence, Tuple
@@ -68,8 +67,8 @@ def word_key(w: Sequence[int]) -> Tuple[Tuple[int, int], ...]:
 
 def fields(obj) -> dict:
     """The fields of a value object by name, in the order of its class's
-    constructor parameters."""
-    return {name: getattr(obj, name) for name in inspect.signature(type(obj)).parameters}
+    ``__slots__``, which its constructor takes in that order."""
+    return {name: getattr(obj, name) for name in type(obj).__slots__}
 
 
 def replace(obj, **changes):

@@ -332,9 +332,15 @@ def test_parse_error_exit_code(capsys):
 
 
 def test_parser_faults_exit_2_with_a_message(capsys, tmp_path):
-    # deep nesting and non-ASCII digits are parse errors, not crashes
+    # deep nesting, non-ASCII digits and words past the length limit are
+    # parse errors, not crashes
     nested = "< a | " + "(" * 1000 + "a" + ")" * 1000 + " >"
-    for text, message in ((nested, "(line 1, column 107)"), ("< a | a^\u00b2 >", "(line 1, column 9)")):
+    long_words = (
+        ("< a, b | " + "[" * 40 + "a" + ",b]" * 40 + " >", "word longer than 1000000 letters (line 1, column 31)"),
+        ("< a | a^1000000000 >", "integer outside -1000000..1000000 (line 1, column 9)"),
+        ("< a | a^" + "9" * 5000 + " >", "integer outside -1000000..1000000 (line 1, column 9)"),
+    )
+    for text, message in ((nested, "(line 1, column 107)"), ("< a | a^\u00b2 >", "(line 1, column 9)"), *long_words):
         code, out, err = run_cli(capsys, "abelianization", text)
         assert (code, out) == (2, "")
         assert message in err and "Traceback" not in err
@@ -344,6 +350,18 @@ def test_parser_faults_exit_2_with_a_message(capsys, tmp_path):
         code, _, err = run_cli(capsys, "embed", "prop2", *argv)
         assert code == 2
         assert "bad extended-natural entry" in err
+
+
+def test_budgets_take_only_sign_and_ascii_digits(capsys):
+    # a budget reads as matrix and order entries do: no underscores, no
+    # non-ASCII digits and no inf
+    for flag in ("--max-cosets", "--max-relator-length"):
+        for budget in ("1_0", "\u0663", "inf"):
+            code, out, err = run_cli(capsys, "verify", "klein", flag, budget)
+            assert (code, out) == (2, "")
+            assert f"argument {flag}: bad budget {budget!r}" in err
+    code, out, _ = run_cli(capsys, "order", "< s | s^2 >", "--max-cosets", " +3")
+    assert (code, out) == (0, "2\n")
 
 
 def test_usage_error_exit_code(capsys):

@@ -99,6 +99,45 @@ def test_parse_rejects_brackets_nested_past_the_limit():
     assert parse_word("(" * 100 + "a" + ")" * 100, ("a",)) == (1,)
 
 
+def test_parse_rejects_words_past_the_length_limit():
+    # each word is bounded before it is built, so a short text asking for
+    # 2^41 or 10^9 letters fails at once, at the integer or bracket that
+    # asks for them
+    cases = (
+        ("< a, b | " + "[" * 40 + "a" + ",b]" * 40 + " >", "word longer than 1000000 letters", 31),
+        ("< a | a^1000000000 >", "integer outside -1000000..1000000", 9),
+        ("< a | a^-1000001 >", "integer outside -1000000..1000000", 9),
+        ("< a | a^" + "9" * 5000 + " >", "integer outside -1000000..1000000", 9),
+        ("< a, b | (a b)^500001 >", "word longer than 1000000 letters", 16),
+    )
+    for text, message, col in cases:
+        with pytest.raises(ParseError, match=re.escape(message)) as err:
+            parse_presentation(text)
+        assert (err.value.line, err.value.col) == (1, col)
+    # leading zeros do not count against an integer
+    assert parse_presentation("< a | a^" + "0" * 5000 + "2 >").relators == ((1, 1),)
+
+
+def test_parse_word_length_limit_is_exact(monkeypatch):
+    # with a limit of 8 letters: a power, a commutator and a run of
+    # factors each reach it and fail one letter past it, counted before
+    # free reduction
+    monkeypatch.setattr("coxembed.presentations._MAX_WORD_LENGTH", 8)
+    for good, bad, col in (
+        ("a^8", "(a b)^5", 7),
+        ("(a b)^-4", "(a b a)^-3", 9),
+        ("[a b, b^2]", "[a b, b^3]", 1),
+        ("a^4 a^-4", "a^4 a^-4 b", 10),
+        ("[[a, b], 1]", "[[a, b], b]", 1),
+    ):
+        assert len(parse_word(good, ("a", "b"))) <= 8
+        with pytest.raises(ParseError, match="word longer than 8 letters") as err:
+            parse_word(bad, ("a", "b"))
+        assert (err.value.line, err.value.col) == (1, col)
+    with pytest.raises(ParseError, match=re.escape("integer outside -8..8")):
+        parse_word("a^-9", ("a",))
+
+
 def test_parse_takes_only_ascii_digits_and_names():
     for text, col in (("< a | a^\u00b2 >", 9), ("< a | a^\u0663 >", 9), ("< a\u00e9 | >", 4), ("< a | a\u00b2 >", 8)):
         with pytest.raises(ParseError, match="unexpected character") as err:

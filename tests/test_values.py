@@ -4,10 +4,13 @@ Each of the ten value types equals another of its class with equal
 fields and nothing else, hashes as the tuple of its fields (or refuses to,
 where a field holds a dict), shows as ``Name(field=value, ...)``, rejects
 assignment and deletion of a field, and survives ``copy.copy``,
-``copy.deepcopy`` and a pickle round trip.
+``copy.deepcopy`` and a pickle round trip.  The shared constructor binds
+fields in ``__slots__`` order, positionally or by name, and a class with
+its own constructor takes its fields in that order.
 """
 
 import copy
+import inspect
 import pickle
 
 import pytest
@@ -23,7 +26,7 @@ from coxembed.presentations import (
 )
 from coxembed.schreier import evaluated_kernel_presentation, raw_kernel_presentation
 from coxembed.verify import AbelianInvariants, todd_coxeter, verify_instance
-from oracles import fields
+from oracles import fields, replace
 
 
 def _inversion():
@@ -164,3 +167,48 @@ def test_copies_and_pickles_are_equal(name):
         assert type(twin) is type(value)
         assert twin == value
         assert repr(twin) == repr(value)
+
+
+@pytest.mark.parametrize("name", TYPES)
+def test_constructors_take_the_fields_in_slots_order(name):
+    # copies and pickles pass the fields in order to the class
+    cls = type(CASES[name][0]())
+    if "__init__" in vars(cls):
+        assert list(inspect.signature(cls).parameters) == list(cls.__slots__)
+
+
+# the classes built by the shared constructor alone
+PLAIN = ("CosetTable", "KernelPresentation", "VerifyReport")
+
+
+@pytest.mark.parametrize("name", PLAIN)
+def test_shared_constructor_binds_fields_by_position_or_name(name):
+    value = CASES[name][0]()
+    cls, named = type(value), fields(value)
+    assert "__init__" not in vars(cls)
+    first, *rest = named
+    assert cls(*named.values()) == cls(**named) == value
+    assert cls(named[first], **{field: named[field] for field in rest}) == value
+    # replace round-trips through the constructor
+    other = CASES[name][1]()
+    field = next(field for field in named if getattr(other, field) != named[field])
+    changed = replace(value, **{field: getattr(other, field)})
+    assert changed != value
+    assert replace(changed, **{field: named[field]}) == value
+
+
+@pytest.mark.parametrize("name", PLAIN)
+def test_shared_constructor_rejects_missing_unknown_and_repeated_fields(name):
+    value = CASES[name][0]()
+    cls, named = type(value), fields(value)
+    values, last = list(named.values()), list(named)[-1]
+    message = f"{name} takes the fields {', '.join(named)}, each once"
+    for args, kwargs in (
+        (values[:-1], {}),  # missing
+        (values, {"extra": 1}),  # unknown
+        (values, {last: values[-1]}),  # repeated
+        (values + [None], {}),  # one past the last
+    ):
+        with pytest.raises(TypeError) as err:
+            cls(*args, **kwargs)
+        assert str(err.value) == message
