@@ -173,8 +173,9 @@ def cmd_kernel(args) -> CommandResult:
     raw = raw_kernel_presentation(inst.ambient, inst.hom, inst.transversal_gens) if "raw" in modes else None
     kernels = {"raw": raw}
     if "evaluated" in modes:
-        # read from the raw kernel when there is one, else walked from the cosets
-        kernels["evaluated"] = evaluated_kernel_presentation(inst, raw)
+        # read from coset 0, or walked from the cosets when the instance
+        # misses that premise; never from the raw kernel
+        kernels["evaluated"] = evaluated_kernel_presentation(inst)
     data, texts = zip(*(_kernel_section(inst, mode, kernels[mode]) for mode in modes))
     return 0, data[0] if len(data) == 1 else list(data), "\n\n".join(texts)
 
@@ -198,7 +199,10 @@ def cmd_order(args) -> CommandResult:
 
 def cmd_index(args) -> CommandResult:
     pres = _presentation_arg(args.presentation)
-    sub = [parse_word(w, pres.gens) for w in args.word]
+    sub, letters = [], 0
+    for text in args.word:
+        sub.append(parse_word(text, pres.gens, letters))
+        letters += len(sub[-1])
     from .verify import todd_coxeter
     table = todd_coxeter(pres, sub, args.max_cosets)
     index = table.num_cosets if table.complete else None

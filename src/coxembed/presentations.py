@@ -34,14 +34,25 @@ DEFAULT_MAX_RELATOR_LENGTH = 1000
 _NAME_RE = re.compile(r"[A-Za-z][A-Za-z0-9_]*\Z")
 
 
+# digits read in a label, order or budget, leading zeros aside: one past
+# 10^18 asks for a word or a coset table that no machine holds
+_MAX_DIGITS = 18
+
+
 def parse_int(text: str, what: str) -> int:
     """An optional sign and ASCII digits, whitespace around them aside;
-    ``int`` alone would also read underscores and non-ASCII digits.  The
-    error calls ``text`` a ``what``."""
+    ``int`` alone would also read underscores and non-ASCII digits.  At
+    most ``_MAX_DIGITS`` digits are read, leading zeros aside, so ``int``
+    never meets one of its 4300 digits.  The error calls ``text`` a
+    ``what``."""
     text = text.strip()
-    if not re.fullmatch(r"[+-]?[0-9]+", text):
+    m = re.fullmatch(r"([+-]?)0*([0-9]+)", text)
+    if not m:
         raise ValueError(f"bad {what} {text!r}")
-    return int(text)
+    sign, digits = m.groups()
+    if len(digits) > _MAX_DIGITS:
+        raise ValueError(f"{what} {digits[:8]}... has {len(digits)} digits, more than {_MAX_DIGITS}")
+    return int(sign + digits)
 
 
 def parse_extnat(text: str):
@@ -142,9 +153,10 @@ class ParseError(ValueError):
 # "[u,v]" expands to u v u^-1 v^-1, "1" is the identity; whitespace
 # insignificant.  Names and integers are ASCII, and brackets nest at most
 # _MAX_NESTING deep, which keeps the recursive descent within Python's
-# recursion limit.  No integer, and no word, is longer than
-# _MAX_WORD_LENGTH letters: each is checked before it is built, since a
-# power or nested commutators ask for a word exponential in the text.
+# recursion limit.  No integer, no word, and no presentation or list of
+# words taken together is longer than _MAX_WORD_LENGTH letters: each is
+# checked before it is built, since a power or nested commutators ask for
+# a word exponential in the text.
 
 _PUNCT = "<>|,^()[]"
 _NAME_OR_INT = re.compile(r"[A-Za-z][A-Za-z0-9_]*|-?[0-9]+")
@@ -152,9 +164,13 @@ _MAX_NESTING = 100
 _MAX_WORD_LENGTH = 1_000_000
 
 
-def _check_length(length: int, tok) -> None:
+def _check_length(p: "_Parser", length: int, tok) -> None:
+    """Refuse a word of ``length`` letters, or one that with the words
+    parsed before it would pass the bound, at ``tok``."""
     if length > _MAX_WORD_LENGTH:
         raise ParseError(f"word longer than {_MAX_WORD_LENGTH} letters", tok[2], tok[3])
+    if p.letters + length > _MAX_WORD_LENGTH:
+        raise ParseError(f"words longer than {_MAX_WORD_LENGTH} letters in all", tok[2], tok[3])
 
 
 def _tokenize(text: str):
@@ -195,9 +211,11 @@ def _tokenize(text: str):
 
 
 class _Parser:
-    def __init__(self, text: str):
+    def __init__(self, text: str, letters: int = 0):
         self.tokens = _tokenize(text)
         self.pos = 0
+        # letters in the words parsed before, here or in other texts
+        self.letters = letters
 
     def peek(self):
         return self.tokens[self.pos]
@@ -227,7 +245,7 @@ def _parse_word(p: _Parser, gmap: Dict[str, int]) -> Word:
         tok = p.peek()
         factors.append(_parse_factor(p, gmap))
         length += len(factors[-1])
-        _check_length(length, tok)
+        _check_length(p, length, tok)
     return concat(*factors)
 
 
@@ -237,7 +255,7 @@ def _parse_factor(p: _Parser, gmap: Dict[str, int]) -> Word:
         p.next()
         tok = p.expect("int")
         k = tok[1]
-        _check_length(len(atom) * abs(k), tok)
+        _check_length(p, len(atom) * abs(k), tok)
         if k < 0:
             return power(invert(atom), -k)
         return power(atom, k)
@@ -259,7 +277,7 @@ def _parse_atom(p: _Parser, gmap: Dict[str, int]) -> Word:
         p.expect(",")
         v = _parse_word(p, gmap)
         p.expect("]")
-        _check_length(2 * (len(u) + len(v)), tok)
+        _check_length(p, 2 * (len(u) + len(v)), tok)
         return commutator(u, v)
     raise ParseError(f"expected a word, found {tok[1]!r}", tok[2], tok[3])
 
@@ -333,16 +351,20 @@ def parse_presentation(text: str) -> Presentation:
     relators = []
     if p.peek()[0] != ">":
         relators.append(_parse_word(p, gmap))
+        p.letters += len(relators[-1])
         while p.peek()[0] == ",":
             p.next()
             relators.append(_parse_word(p, gmap))
+            p.letters += len(relators[-1])
     p.expect(">")
     p.expect("end")
     return Presentation(tuple(names), tuple(relators))
 
 
-def parse_word(text: str, gens: Sequence[str]) -> Word:
-    p = _Parser(text)
+def parse_word(text: str, gens: Sequence[str], letters: int = 0) -> Word:
+    """Parse a word over ``gens``; ``letters`` is the length of the words
+    parsed with it, which count against the same bound."""
+    p = _Parser(text, letters)
     gmap = {name: i for i, name in enumerate(gens)}
     w = _parse_word(p, gmap)
     p.expect("end")

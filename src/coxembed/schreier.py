@@ -3,21 +3,23 @@
 Builds Schreier transversals for homomorphisms onto ``Z_2^n``, the raw
 Schreier symbols and, per coset, a step table that reads each letter
 there as one symbol and the coset it leads to.  Kernel presentations
-come in two modes, and both read their relators through the step
-tables: ``raw`` keeps defining words at the free-group level (one
-symbol per nontrivial transversal/generator pair, one relator per
-ambient relator read from each coset); ``evaluated`` is the raw kernel
-with the symbols merged whose defining words are equal in the
-right-angled Coxeter group of the instance's commuting pairs, which
-maps onto the ambient (every ambient generator is an involution).
-Equality there is decided exactly by :func:`right_angled_nf`.  The
-evaluated relators are the raw ones with each symbol replaced by its
-merged letter: read from the raw kernel when the caller has it, else
-walked from the cosets with no raw relator built.
+come in two modes: ``raw`` keeps defining words at the free-group level
+(one symbol per nontrivial transversal/generator pair, one relator per
+ambient relator walked through the step tables from each coset);
+``evaluated`` is the raw kernel with the symbols merged whose defining
+words are equal in the right-angled Coxeter group of the instance's
+commuting pairs, which maps onto the ambient (every ambient generator is
+an involution).  Equality there is decided exactly by
+:func:`right_angled_nf`.  The evaluated kernel is built with no raw
+relator: from coset 0, through the transversal generators' action by
+conjugation on the expected words, when the instance meets the premise
+of :func:`_coset0_kernel`; otherwise by walking every coset's step table
+with each raw letter replaced by its merged one.
 """
 
 from __future__ import annotations
 
+from itertools import chain, combinations, repeat
 from typing import Dict, Optional, Sequence, Set, Tuple
 
 from .presentations import (
@@ -29,7 +31,7 @@ from .presentations import (
     gf2_rank,
     serialize_word,
 )
-from .words import Word, cyclic_trim, free_reduce, invert, letter, relator_nf
+from .words import Word, code_nf, cyclic_trim, decode, encode, free_reduce, invert, letter
 
 
 def image_rank(hom: HomZ2n) -> int:
@@ -246,43 +248,148 @@ def raw_kernel_presentation(pres: Presentation, hom: HomZ2n, subset: Sequence[in
     return KernelPresentation(kernel, tuple(table))
 
 
-def evaluated_kernel_presentation(
-    inst: EmbeddingInstance, raw: Optional[KernelPresentation] = None
-) -> KernelPresentation:
+def _merged_kernel(table: Sequence[SchreierGen], codes) -> KernelPresentation:
+    """The evaluated kernel on merged symbols ``table`` whose relators are
+    the code strings ``codes``, freely reduced, in the order given: empty
+    ones and exact repeats dropped, the rest deduplicated by
+    :func:`code_nf` in first-appearance order, each kept cyclically
+    reduced."""
+    rels = []
+    forms = set()
+    # equal images have equal normal forms; most images repeat
+    for c in dict.fromkeys(codes):
+        if c and (nf := code_nf(c)) not in forms:
+            forms.add(nf)
+            rels.append(cyclic_trim(decode(c)))
+    kernel = Presentation.trusted(tuple(g.name for g in table), tuple(rels))
+    return KernelPresentation(kernel, tuple(table))
+
+
+def _walked_kernel(inst: EmbeddingInstance) -> KernelPresentation:
+    """The evaluated kernel by the coset walk: the raw symbols merged by
+    :func:`merge_symbols`, and each (coset, ambient relator) pair walked
+    through the raw step tables with every raw letter replaced by its
+    merged one, the images freely reduced as they are read."""
+    raw_table, raw_steps = _symbols(inst.ambient, inst.hom, inst.transversal_gens)
+    table, letters = merge_symbols(inst, raw_table)
+    steps = [{l: (letters[s], j) for l, (s, j) in step.items()} for step in raw_steps]
+    images = (_walk(steps, r, i)[0] for i in range(len(steps)) for r in inst.ambient.relators)
+    return _merged_kernel(table, map(encode, dict.fromkeys(images)))
+
+
+def _coset0_kernel(inst: EmbeddingInstance) -> Optional[KernelPresentation]:
+    """The evaluated kernel read from coset 0, or None when the instance
+    misses the premise below; then it equals :func:`_walked_kernel`.
+
+    Write C for the right-angled Coxeter group of the commuting pairs, E
+    for the expected kernel and phi for ``a_j -> expected_words[j]``.  The
+    premise: the transversal generators ``t_i`` map one-to-one onto the
+    basis of ``Z_2^n`` and commute pairwise; the expected words are
+    nontrivial in C and pairwise distinct up to inversion; each
+    ``t_i phi(a_j) t_i`` equals ``phi(a_k)^(+-1)`` in C, which defines a
+    signed permutation alpha_i of E's letters; and each coset-0 symbol
+    ``sigma_x = x t_(img x)`` is trivial in C or ``phi(a_k)^(+-1)``, its
+    letter psi(sigma_x).  Then the representative of coset v is, in C,
+    the involution ``t_v``, the product of the ``t_i`` over the bits of v
+    with ``t_u t_v = t_(u+v)``, so the raw symbol of (v, x), ``t_v x
+    t_(v + img x)``, is ``t_v sigma_x t_v`` and its letter is
+    ``alpha_v(psi(sigma_x))``.  That is the letter :func:`merge_symbols`
+    gives it: conjugation maps inverse pairs to inverse pairs, and an
+    element equal to its inverse keeps the sign +1 on both sides (Magnus,
+    Karrass and Solitar, *Combinatorial Group Theory*, 1966, ch. 2: W is
+    H split by the ``t_i``).  So the merged symbols, named and numbered by
+    their first (v, x) in raw-table order, are expected generators, and
+    the walk of a relator from coset v reads alpha_v of its walk from
+    coset 0.  A signed relabelling commutes with free reduction, so each
+    image is one :meth:`str.translate` of the coset-0 image.  The cost is
+    n k + 2k + 2n normal forms, for k expected generators, and 2^n
+    translations per ambient relator, against 2^n 2n normal forms and 2^n
+    Python walks per relator for the walk."""
+    amb, images, tgens = inst.ambient, inst.hom.images, inst.transversal_gens
+    if sorted(images[g] for g in tgens) != [1 << i for i in range(inst.hom.n)]:
+        return None
+    if any((a, b) not in inst.commuting for a, b in combinations(sorted(tgens), 2)):
+        return None
+    near = commuting_letters(amb.rank, inst.commuting)
+    expected = [right_angled_nf(near, w) for w in inst.expected_words]
+    code: Dict[Word, str] = {}  # an expected word, or its inverse, in C -> its E code
+    for k, w in enumerate(expected):
+        inv = right_angled_nf(near, w[::-1])
+        if not w or w in code or inv in code:
+            return None
+        code[w] = chr(2 * k)
+        code.setdefault(inv, chr(2 * k + 1))  # +1 when w is its own inverse
+    # alpha[image of t_i]: the code string whose character c is alpha_i(c)
+    alpha = {}
+    for g in tgens:
+        a = [code.get(right_angled_nf(near, (g + 1, *w, g + 1))) for w in expected]
+        if None in a:
+            return None
+        alpha[images[g]] = "".join(c + chr(ord(c) ^ 1) for c in a)
+    trans = transversal(amb, inst.hom, tgens)
+    psi = []  # psi(sigma_x) as an E code, "" when trivial
+    for x in range(amb.rank):
+        w = right_angled_nf(near, (x + 1, *trans[images[x]]))
+        if w and w not in code:
+            return None
+        psi.append(code[w] if w else "")
+    # alpha_v, the composite over the bits of v, by the last letter of
+    # v's representative, whose coset comes earlier in transversal order
+    alphas = {0: "".join(map(chr, range(2 * len(expected))))}
+    for v, t in trans.items():
+        if v:
+            b = images[t[-1] - 1]
+            alphas[v] = alphas[v ^ b].translate(alpha[b])
+    sigmas = "".join(psi)
+    xs = [x for x, c in enumerate(psi) if c]
+    table: list[SchreierGen] = []
+    merged: Dict[int, str] = {}  # E code -> merged code
+    for v, t in trans.items():
+        letters = sigmas.translate(alphas[v])  # of the nontrivial symbols of coset v
+        if merged.keys() >= set(map(ord, letters)):
+            continue
+        for x, c in zip(xs, letters):
+            if ord(c) not in merged:
+                e = ord(c) >> 1
+                merged[2 * e] = chr(2 * len(table))
+                merged[2 * e + 1] = chr(2 * len(table) + 1)
+                table.append(SchreierGen(inst.expected_kernel.gens[e], t, x, expected[e]))
+    rels = []  # each relator walked from coset 0, in merged codes
+    for r in amb.relators:
+        out: list[int] = []
+        v = 0
+        for l in r:
+            x = abs(l) - 1
+            if l < 0:
+                v ^= images[x]
+            if psi[x]:
+                c = ord(alphas[v][ord(psi[x])]) ^ (l < 0)
+                if out and out[-1] == c ^ 1:
+                    out.pop()
+                else:
+                    out.append(c)
+            if l > 0:
+                v ^= images[x]
+        if out:
+            rels.append("".join(map(chr, out)).translate(merged))
+    # alpha_v on merged codes: back to E codes, alpha_v, merged again
+    e_codes = "".join(map(chr, merged))
+    per_coset = (e_codes.translate(alphas[v]).translate(merged) for v in trans)
+    return _merged_kernel(table, chain.from_iterable(map(str.translate, rels, repeat(b)) for b in per_coset))
+
+
+def evaluated_kernel_presentation(inst: EmbeddingInstance) -> KernelPresentation:
     """Evaluated kernel presentation of an embedding instance: the raw
     kernel with the symbols merged whose defining words are equal in the
     right-angled Coxeter group of the instance's commuting pairs, which
     maps onto the ambient.
 
-    The raw symbols are merged by :func:`merge_symbols`, which maps each
-    raw letter to one merged letter or to 0.  ``raw`` is the instance's
-    raw kernel when the caller already has it: its relators are then read
-    through a one-coset step table of that letter map.  Without it no raw
-    relator is built: each (coset, ambient relator) pair is walked through
-    the raw step table with every raw letter replaced by its merged one.
-    Either way the images are freely reduced as they are read, and are
-    deduplicated by relator normal form in first-appearance order.
+    The raw symbols are merged by the rule of :func:`merge_symbols`, and
+    the images of the raw relators are freely reduced and deduplicated by
+    relator normal form in first-appearance order.  No raw relator is
+    built.  The kernel is read from coset 0 (:func:`_coset0_kernel`) on
+    every instance that meets its premise, and otherwise walked from the
+    cosets (:func:`_walked_kernel`); both give the same kernel.
     """
-    if raw is None:
-        raw_table, raw_steps = _symbols(inst.ambient, inst.hom, inst.transversal_gens)
-        table, letters = merge_symbols(inst, raw_table)
-        steps = [{l: (letters[s], j) for l, (s, j) in step.items()} for step in raw_steps]
-        words = (_walk(steps, r, i)[0] for i in range(len(steps)) for r in inst.ambient.relators)
-    else:
-        table, letters = merge_symbols(inst, raw.table)
-        steps = [{l: (m, 0) for l, m in letters.items() if l}]
-        words = (_walk(steps, r, 0)[0] for r in raw.presentation.relators)
-    rels = []
-    seen = set()
-    forms = set()
-    for img in words:
-        # equal images have equal normal forms; most images repeat
-        if not img or img in seen:
-            continue
-        seen.add(img)
-        nf = relator_nf(img)
-        if nf not in forms:
-            forms.add(nf)
-            rels.append(cyclic_trim(img))
-    kernel = Presentation.trusted(tuple(g.name for g in table), tuple(rels))
-    return KernelPresentation(kernel, table)
+    kernel = _coset0_kernel(inst)
+    return _walked_kernel(inst) if kernel is None else kernel

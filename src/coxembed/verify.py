@@ -827,14 +827,14 @@ def verify_instance(
     n = inst.hom.n
     rank = image_rank(inst.hom)
 
-    raw = raw_kernel_presentation(inst.ambient, inst.hom, inst.transversal_gens)
-    evaluated = evaluated_kernel_presentation(inst, raw)
+    evaluated = evaluated_kernel_presentation(inst)
     ev_gens = evaluated.presentation.rank
     ev_match = evaluated_matches_expected(evaluated.presentation, inst.expected_kernel)
 
     # flipping involution signs after simplify merges their sign-variant
     # relator classes, so one comparison decides the match; no match after
     # a simplify that stopped at the length bound decides nothing (None)
+    raw = raw_kernel_presentation(inst.ambient, inst.hom, inst.transversal_gens)
     simplified, raw_trace = simplify(raw.presentation, max_relator_length)
     expected, expected_trace = simplify(inst.expected_kernel, max_relator_length)
     raw_gens = simplified.rank

@@ -160,10 +160,9 @@ def test_kernel_both_modes(capsys, m4_file):
 
 
 def test_kernel_both_modes_rewrites_once(capsys, monkeypatch, m4_file):
-    # the evaluated kernel is merged from the raw one: one walk through
-    # the coset step tables per (coset, ambient relator) pair, 4 cosets
-    # times 10 ambient relators; the merged relators are read through a
-    # one-coset table
+    # one walk through the coset step tables per (coset, ambient relator)
+    # pair, 4 cosets times 10 ambient relators, all 40 for the raw kernel;
+    # the evaluated kernel is read from coset 0 and walks no coset
     import coxembed.schreier as schreier
 
     calls = []
@@ -178,7 +177,7 @@ def test_kernel_both_modes_rewrites_once(capsys, monkeypatch, m4_file):
     "mode, raw_calls, evaluated_calls", [("evaluated", 0, 1), ("raw", 1, 0), ("both", 1, 1)]
 )
 def test_kernel_builds_only_the_kernels_it_prints(capsys, monkeypatch, mode, raw_calls, evaluated_calls):
-    # the evaluated kernel alone is walked from the cosets, with no raw kernel
+    # the evaluated kernel alone is built from coset 0, with no raw kernel
     import coxembed.schreier as schreier
 
     calls = []
@@ -350,6 +349,38 @@ def test_parser_faults_exit_2_with_a_message(capsys, tmp_path):
         code, _, err = run_cli(capsys, "embed", "prop2", *argv)
         assert code == 2
         assert "bad extended-natural entry" in err
+
+
+def test_input_totals_past_the_word_bound_exit_2(capsys):
+    # four words of 1,000,000 letters each fit the word bound but not the
+    # presentation's; index words count together in the same way
+    big = ", ".join(["a^1000000"] * 4)
+    code, out, err = run_cli(capsys, "abelianization", f"< a | {big} >")
+    assert (code, out) == (2, "")
+    assert err == "error: words longer than 1000000 letters in all (line 1, column 20)\n"
+    code, out, err = run_cli(capsys, "index", "< a | a^2 >", "a^999999", "a^2")
+    assert (code, out) == (2, "")
+    assert err == "error: words longer than 1000000 letters in all (line 1, column 3)\n"
+    code, out, _ = run_cli(capsys, "index", "< a | a^2 >", "a^999999", "a")
+    assert (code, out) == (0, "1\n")
+
+
+def test_long_digit_strings_exit_2_naming_the_entry(capsys, tmp_path):
+    # matrix entries, orders and budgets refuse a digit string longer than
+    # 18 digits before int() reads it
+    digits = "9" * 5000
+    path = tmp_path / "m.txt"
+    path.write_text(f"1,{digits}\n{digits},1\n")
+    fixture = str(ROOT / "scripts/fixtures/m2x2_3.txt")
+    for argv, what in (
+        (("embed", "prop2", "--m", str(path)), "extended-natural entry"),
+        (("embed", "prop2", "--m", fixture, "--p", f"2,{digits}"), "extended-natural entry"),
+        (("verify", "klein", "--max-cosets", digits), "argument --max-cosets: budget"),
+    ):
+        code, out, err = run_cli(capsys, *argv)
+        assert (code, out) == (2, "")
+        assert f"{what} 99999999... has 5000 digits, more than 18" in err
+        assert "4300" not in err and "Traceback" not in err
 
 
 def test_budgets_take_only_sign_and_ascii_digits(capsys):

@@ -118,6 +118,31 @@ def test_parse_rejects_words_past_the_length_limit():
     assert parse_presentation("< a | a^" + "0" * 5000 + "2 >").relators == ((1, 1),)
 
 
+def test_parse_bounds_the_letters_of_a_whole_presentation(monkeypatch):
+    # the relators together, or words parsed together, hold at most the
+    # word bound: here 8 letters, each finished relator counted reduced
+    monkeypatch.setattr("coxembed.presentations._MAX_WORD_LENGTH", 8)
+    assert parse_presentation("< a, b | a^4, 1, (b a)^2 >").relators == ((1,) * 4, (2, 1, 2, 1))
+    assert parse_presentation("< a, b | a a^-1 b, b^7 >").relators == ((2,), (2,) * 7)
+    for text, col in (("< a, b | a^4, (b a)^2, b >", 24), ("< a, b | a^4, b^2, [a, b] >", 20)):
+        with pytest.raises(ParseError, match="words longer than 8 letters in all") as err:
+            parse_presentation(text)
+        assert (err.value.line, err.value.col) == (1, col)
+    assert parse_word("b^3", ("a", "b"), 5) == (2, 2, 2)
+    with pytest.raises(ParseError, match="words longer than 8 letters in all") as err:
+        parse_word("b a^3", ("a", "b"), 5)
+    assert (err.value.line, err.value.col) == (1, 3)
+
+
+def test_parse_int_bounds_its_digits():
+    # a long digit string is refused before int() reads it, naming the
+    # entry and the bound; leading zeros do not count
+    assert parse_vector_text("0" * 5000 + "7, -" + "9" * 18) == (7, -int("9" * 18))
+    for text in ("1" + "0" * 18, "-" + "9" * 5000):
+        with pytest.raises(ValueError, match=f"extended-natural entry .* has {len(text.lstrip('-'))} digits, more than 18"):
+            parse_vector_text(text)
+
+
 def test_parse_word_length_limit_is_exact(monkeypatch):
     # with a limit of 8 letters: a power, a commutator and a run of
     # factors each reach it and fail one letter past it, counted before

@@ -38,6 +38,7 @@ from coxembed.verify import (
     word_holds,
 )
 from coxembed.words import cyclic_reduce, free_reduce, invert, power, relator_nf
+import coxembed.schreier as schreier
 from oracles import evaluated_rewriter, reference_evaluated_kernel, regular_rep, replace, walk_rewrite
 from test_presentations import _instance_sweep
 
@@ -305,15 +306,61 @@ def test_evaluated_kernel_builds_no_raw_kernel(monkeypatch):
 
 
 def test_evaluated_kernel_equals_substitution_oracle_on_the_instance_sweep():
-    # both step-table paths, with and without the raw kernel, against the
-    # raw relators with each symbol substituted
+    # the kernel read from coset 0 and the coset walk, against the raw
+    # relators with each symbol substituted
     for inst in _instance_sweep():
         raw = raw_kernel_presentation(inst.ambient, inst.hom, inst.transversal_gens)
         ref = reference_evaluated_kernel(inst, raw)
-        for kp in (evaluated_kernel_presentation(inst), evaluated_kernel_presentation(inst, raw)):
+        assert schreier._coset0_kernel(inst) is not None, inst.family
+        for kp in (evaluated_kernel_presentation(inst), schreier._walked_kernel(inst)):
             assert kp.presentation.gens == ref.presentation.gens, inst.family
             assert kp.presentation.relators == ref.presentation.relators, inst.family
             assert kp.table == ref.table, inst.family
+
+
+def _takes_the_walk(inst):
+    # an instance that misses the coset-0 premise is walked from the
+    # cosets, and still equals the substitution oracle
+    raw = raw_kernel_presentation(inst.ambient, inst.hom, inst.transversal_gens)
+    assert schreier._coset0_kernel(inst) is None
+    assert evaluated_kernel_presentation(inst) == reference_evaluated_kernel(inst, raw)
+
+
+def test_coset0_premise_needs_the_transversal_on_the_basis():
+    # r2 maps to 0b11, so the transversal generators span Z_2^2 but are
+    # not its basis; klein's r1, s1, r2 are one generator too many
+    plain = thm1_fixture()
+    _takes_the_walk(replace(plain, hom=HomZ2n(2, (0b01, 0b11, 0b01, 0b11))))
+    _takes_the_walk(replace(build_klein_instance(), transversal_gens=(0, 1, 2)))
+
+
+def test_coset0_premise_needs_commuting_transversal_generators():
+    # s1 and s2 map onto the basis, but their label is 4
+    _takes_the_walk(replace(thm1_fixture(), transversal_gens=(2, 3)))
+
+
+def test_coset0_premise_needs_distinct_nontrivial_expected_words():
+    # s1 r1 and r1 s1 are inverse, s1 r1 twice is a repeat, and s1 s1 is
+    # trivial in the right-angled group
+    plain = thm1_fixture()
+    s1r1 = plain.expected_words[0]
+    for words in ((s1r1, invert(s1r1)), (s1r1, s1r1), (s1r1, (3, 3))):
+        _takes_the_walk(replace(plain, expected_words=words))
+
+
+def test_coset0_premise_needs_conjugation_to_permute_expected_words():
+    # r1 (s2 r2 s1 r1) r1 is neither expected word nor an inverse of one
+    plain = thm1_fixture()
+    s1r1, s2r2 = plain.expected_words
+    _takes_the_walk(replace(plain, expected_words=(s1r1, s2r2 + s1r1)))
+
+
+def test_coset0_premise_needs_expected_coset0_symbols():
+    # conjugation permutes s1 r1 and (s2 r2)^2 up to inversion, but the
+    # coset-0 symbol s2 r2 is neither
+    plain = thm1_fixture()
+    s1r1, s2r2 = plain.expected_words
+    _takes_the_walk(replace(plain, expected_words=(s1r1, s2r2 * 2)))
 
 
 def test_evaluated_thm1():

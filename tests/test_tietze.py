@@ -4,7 +4,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from coxembed import tietze
+from coxembed import schreier, tietze
 from coxembed.presentations import (
     INF,
     CoxeterMatrix,
@@ -282,8 +282,9 @@ def test_flip_involutions_after_simplify_matches_reference_on_family_kernels():
 
 
 def test_trusted_presentations_equal_validated_ones(monkeypatch):
-    # the raw and evaluated kernels, simplify output and the involution
-    # flip skip validation; every presentation built that way must equal
+    # the raw and evaluated kernels, both the one read from coset 0 and
+    # the coset walk, simplify output and the involution flip skip
+    # validation; every presentation built that way must equal
     # the validated one, with nonempty, cyclically reduced relators, as
     # simplify's load relies on
     built = []
@@ -296,10 +297,11 @@ def test_trusted_presentations_equal_validated_ones(monkeypatch):
     monkeypatch.setattr(Presentation, "trusted", classmethod(recorded))
     for inst in _instance_sweep():
         raw = raw_kernel_presentation(inst.ambient, inst.hom, inst.transversal_gens)
-        evaluated_kernel_presentation(inst, raw)
+        evaluated_kernel_presentation(inst)
+        schreier._walked_kernel(inst)
         for p in (raw.presentation, inst.expected_kernel):
             _flip_involutions(simplify(p)[0])
-        assert len(built) == 6, inst.params
+        assert len(built) == 7, inst.params
         for p in built:
             assert p == Presentation(p.gens, p.relators), inst.params
         built.clear()

@@ -682,7 +682,7 @@ def test_max_cosets_bounds_only_the_kernel_and_index_enumerations():
 
 def test_run_embeddings_rewrites_each_kernel_once(monkeypatch, capsys):
     # 8 constructions, one raw rewrite each, made by verify; the printed
-    # evaluated kernels are walked from the cosets
+    # evaluated kernels are built from coset 0
     import coxembed.schreier as schreier
 
     calls = []
@@ -1107,10 +1107,9 @@ def test_verify_instance_prop2_rank5_chain_matches_at_rank_10():
 
 
 def test_verify_instance_rewrites_once(monkeypatch):
-    # the evaluated kernel is merged from the raw one: one walk through
-    # the coset step tables per (coset, ambient relator) pair, 4 cosets
-    # times 10 ambient relators; the merged relators are read through a
-    # one-coset table
+    # one walk through the coset step tables per (coset, ambient relator)
+    # pair, 4 cosets times 10 ambient relators, all 40 for the raw kernel;
+    # the evaluated kernel is read from coset 0 and walks no coset
     import coxembed.schreier as schreier
 
     calls = []
