@@ -11,9 +11,14 @@ relator each solved (1, 2, 3 or more), the relators they dropped as
 empty and as duplicates of a live relator (the sums of the
 ``drop-empty`` and ``dedupe`` steps), the calls that ended ``bounded``
 and the relator rewrites made, counted as calls of the functions that
-``coxembed.tietze._rewriter`` returns.  The warm-up op of ``setup`` is
-not counted.  Only ``trace.steps``, ``trace.bounded`` and ``_rewriter``
-are read, so it runs against older checkouts too.
+``coxembed.tietze._rewriter`` returns.  It also prints the words
+``simplify`` hands to ``rotation_nf`` and to ``code_nf``, and how many
+of each are proper powers ``u^k``, ``k >= 2``, of three or more letters,
+read off the normal form, which is a proper power exactly when the
+cyclically reduced word is.  The warm-up op of ``setup`` is not counted.
+Only ``trace.steps``, ``trace.bounded``, ``_rewriter`` and the
+``rotation_nf`` and ``code_nf`` that ``coxembed.tietze`` binds are read,
+so it runs against older checkouts too.
 """
 
 from __future__ import annotations
@@ -43,6 +48,8 @@ class Traffic:
         self.calls = self.bounded = self.rewrites = 0
         self.solved: Counter = Counter()  # eliminations by min(letters, 3)
         self.dropped: Counter = Counter()  # relators by drop-empty, dedupe
+        self.nf: Counter = Counter()  # words by normal form function
+        self.powers: Counter = Counter()  # proper powers among them
 
     def install(self, modules: dict) -> None:
         tietze = modules["coxembed.tietze"]
@@ -58,6 +65,22 @@ class Traffic:
             return counted_rewrite
 
         tietze._rewriter = counted_rewriter
+
+        def counted_nf(name):
+            nf = getattr(tietze, name)
+
+            def counted(c):
+                out = nf(c)
+                self.nf[name] += 1
+                # a word recurs inside its square before its length exactly
+                # when it is a proper power
+                self.powers[name] += len(out) > 2 and (out + out).find(out, 1) < len(out)
+                return out
+
+            setattr(tietze, name, counted)
+
+        counted_nf("rotation_nf")
+        counted_nf("code_nf")
 
         def counted(*args, **kwargs):
             out, trace = simplify(*args, **kwargs)
@@ -96,6 +119,8 @@ def main(argv=None) -> int:
     print(f"dropped: {sum(dropped.values())} (empty: {dropped['drop-empty']}, duplicate: {dropped['dedupe']})")
     print(f"bounded_calls: {traffic.bounded}")
     print(f"rewrites: {traffic.rewrites}")
+    for name in ("rotation_nf", "code_nf"):
+        print(f"{name}_inputs: {traffic.nf[name]} (proper powers: {traffic.powers[name]})")
     return 0
 
 

@@ -641,6 +641,26 @@ def _label_relators(triples: Iterable) -> list[Word]:
     return [power((x, y), m) for x, y, m in triples if m != INF]
 
 
+def _check_letters(fixed: int, *sized: Tuple[str, Iterable[Tuple], int]) -> None:
+    """Refuse, before any word is built, a presentation whose relators
+    would hold more than ``_MAX_WORD_LENGTH`` letters in all, counted
+    before free reduction: the bound the parser keeps on a presentation it
+    reads.  ``fixed`` letters come from relators of fixed length.  Each
+    ``(kind, entries, per)`` gives entries ``(i, j, v)`` or ``(i, v)``, and
+    a finite ``v`` sizes relators of ``per * v`` letters; the entry that
+    passes the bound is named by ``kind`` and its 1-based indices."""
+    total = fixed
+    for kind, entries, per in sized:
+        for e in entries:
+            if e[-1] != INF:
+                total += per * e[-1]
+                if total > _MAX_WORD_LENGTH:
+                    at = ",".join(str(i + 1) for i in e[:-1])
+                    raise ValueError(
+                        f"{kind}[{at}] = {e[-1]} makes relators longer than {_MAX_WORD_LENGTH} letters in all"
+                    )
+
+
 def _double_commuting(n: int) -> list[Tuple[int, int]]:
     """The generator pairs every rank-2n double ``r_1..r_n, s_1..s_n``
     makes commute, in order: ``(r_i, r_j)`` for ``i < j``, then
@@ -662,6 +682,7 @@ def coxeter_presentation(matrix: CoxeterMatrix) -> Presentation:
     Infinite labels contribute no relator.
     """
     n = matrix.n
+    _check_letters(2 * n, ("label m", matrix.pairs(), 2))
     rels = _squares(n) + _label_relators((letter(i), letter(j), m) for i, j, m in matrix.pairs())
     return Presentation(_names("s", n), tuple(rels))
 
@@ -669,6 +690,7 @@ def coxeter_presentation(matrix: CoxeterMatrix) -> Presentation:
 def pc_presentation(spec: PcSpec) -> Presentation:
     """Generators ``g_i`` with ``[g_i,g_j]^{n_ij}`` and ``g_i^{p_i}`` relators."""
     n = spec.n
+    _check_letters(0, ("commutator power n", spec.pairs(), 4), ("order p", enumerate(spec.orders), 1))
     rels = []
     for i, j, nij in spec.pairs():
         if nij != INF:
@@ -697,6 +719,7 @@ def _braid_relators(matrix: CoxeterMatrix, a) -> list[Word]:
 def artin_presentation(matrix: CoxeterMatrix) -> Presentation:
     """Generators ``a_i`` with braid relators ``(a_i a_j a_i ...)(a_j a_i a_j ...)^-1``,
     ``m_ij`` letters per block, for finite labels only."""
+    _check_letters(0, ("label m", matrix.pairs(), 2))
     return Presentation(_names("a", matrix.n), tuple(_braid_relators(matrix, lambda i: (letter(i),))))
 
 
@@ -704,6 +727,8 @@ def _double_relators(matrix: CoxeterMatrix, orders) -> list[Word]:
     """Relators of the rank-2n ambient: involutions, commuting copies,
     ``(s_i s_j)^{m_ij}`` and ``(s_i r_i)^{p_i}``."""
     n = matrix.n
+    fixed = 4 * n + 4 * len(_double_commuting(n))
+    _check_letters(fixed, ("label m", matrix.pairs(), 2), ("order p", enumerate(orders), 2))
     s = lambda i: letter(n + i)
     return (
         _squares(2 * n)
@@ -755,12 +780,13 @@ def build_thm1_instance(matrix: CoxeterMatrix, orders) -> EmbeddingInstance:
         raise ValueError("all finite labels must be even")
     n = matrix.n
     orders = _check_orders(orders, n)
+    # checked first: the ambient holds more letters than the expected kernel
+    relators = _double_relators(matrix, orders)
     halved = {(i, j): m // 2 for i, j, m in matrix.pairs() if m != INF}
     expected = pc_presentation(PcSpec.from_pairs(n, halved, orders)).rename(_names("a", n))
     expected_words = tuple((letter(n + i), letter(i)) for i in range(n))
     return _double_instance(
-        "thm1", matrix, orders, _double_relators(matrix, orders),
-        tuple(1 << i for i in range(n)) * 2, expected, expected_words,
+        "thm1", matrix, orders, relators, tuple(1 << i for i in range(n)) * 2, expected, expected_words,
     )
 
 
@@ -772,6 +798,9 @@ def build_prop2_instance(matrix: CoxeterMatrix, orders) -> EmbeddingInstance:
     for p in orders:
         if p != INF and p % 2 != 0:
             raise ValueError("finite generator orders must be even")
+    relators = _double_relators(matrix, orders)
+    # (s_i t_i)^(p_i / 2), and (s_i s_j), (s_i t_j), (s_j t_i), (t_i t_j) to the m_ij
+    _check_letters(4 * n, ("order p", enumerate(orders), 1), ("label m", matrix.pairs(), 8))
     s = lambda i: letter(i)
     t = lambda i: letter(n + i)
     rels = (
@@ -788,7 +817,7 @@ def build_prop2_instance(matrix: CoxeterMatrix, orders) -> EmbeddingInstance:
         (letter(i), letter(n + i), letter(i)) for i in range(n)
     )
     return _double_instance(
-        "prop2", matrix, orders, _double_relators(matrix, orders),
+        "prop2", matrix, orders, relators,
         tuple(1 << i for i in range(n)) + (0,) * n, expected, expected_words,
     )
 
@@ -826,6 +855,7 @@ def build_artin_instance(matrix: CoxeterMatrix) -> EmbeddingInstance:
     :func:`build_artin_inversion_instance` for an ambient whose kernel is
     exactly the Artin group."""
     n = matrix.n
+    _check_letters(4 * n + 4 * len(_double_commuting(n)), ("label m", matrix.pairs(), 4))
     a = lambda i: (letter(n + i), letter(i))
     rels = (
         _squares(2 * n)
@@ -845,6 +875,7 @@ def build_artin_inversion_instance(matrix: CoxeterMatrix) -> EmbeddingInstance:
     every ``a_i`` at once, which is an automorphism of every Artin group,
     so the kernel is exactly the Artin group of the matrix."""
     n = matrix.n
+    _check_letters(2 * n + 2, ("label m", matrix.pairs(), 4))
     a = lambda i: (letter(1 + i), letter(0))
     return EmbeddingInstance(
         family="artin-inversion",

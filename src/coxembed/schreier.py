@@ -56,17 +56,25 @@ def transversal(pres: Presentation, hom: HomZ2n, subset: Sequence[int]) -> Dict[
     for g in subset:
         if not 0 <= g < pres.rank:
             raise ValueError(f"generator index {g} outside alphabet")
+    reps = _reps(hom.images, subset)
+    # the walk reaches exactly the span of the subset's images
+    if len(reps) != 1 << image_rank(hom):
+        raise ValueError("subset does not span the image; unreachable cosets")
+    return reps
+
+
+def _reps(images: Sequence[int], subset: Sequence[int]) -> Dict[int, Word]:
+    """The breadth-first walk of :func:`transversal` over the generators
+    ``subset``, sorted, with no check: each vector in the span of their
+    ``images`` mapped to its representative."""
     reps: Dict[int, Word] = {0: ()}
     queue = [0]
     for v in queue:  # the queue grows as the walk finds cosets
         for g in subset:
-            nv = v ^ hom.images[g]
+            nv = v ^ images[g]
             if nv not in reps:
                 reps[nv] = reps[v] + (letter(g),)
                 queue.append(nv)
-    # the walk reaches exactly the span of the subset's images
-    if len(reps) != 1 << image_rank(hom):
-        raise ValueError("subset does not span the image; unreachable cosets")
     return reps
 
 
@@ -326,7 +334,9 @@ def _coset0_kernel(inst: EmbeddingInstance) -> Optional[KernelPresentation]:
         if None in a:
             return None
         alpha[images[g]] = "".join(c + chr(ord(c) ^ 1) for c in a)
-    trans = transversal(amb, inst.hom, tgens)
+    # EmbeddingInstance has checked the hom, and the basis premise makes
+    # the transversal generators span Z_2^n
+    trans = _reps(images, sorted(tgens))
     psi = []  # psi(sigma_x) as an E code, "" when trivial
     for x in range(amb.rank):
         w = right_angled_nf(near, (x + 1, *trans[images[x]]))

@@ -11,7 +11,9 @@ index ascending, each generator before its inverse.  Relator normal
 forms are computed on *code strings* (:func:`encode`), one character per
 letter, whose code point order is that letter order, so code strings
 compare natively in the word order, and substituting, deleting or
-inverting letters is a single :class:`str` operation.
+inverting letters is a single :class:`str` operation.  A proper power
+``u^k`` of a primitive word ``u`` has the normal form of ``u`` repeated
+``k`` times, so it is normalized through its root (:func:`rotation_nf`).
 """
 
 from __future__ import annotations
@@ -251,9 +253,22 @@ def rotation_nf(c: Code) -> Code:
     letter, the inverse word holds ``m ^ 1 < m`` and wins; if ``m ^ 1`` is
     absent, every letter of the inverse exceeds ``m`` and the word wins.
     Only otherwise are both sides rotated.  Words of one or two letters
-    are written out."""
+    are written out.
+
+    A proper power ``u^k`` is normalized through its primitive root ``u``,
+    which is unique (Lyndon and Schützenberger, Michigan Math. J. 9,
+    1962): its form is ``rotation_nf(u) * k``.  The first place ``p > 0``
+    where ``c`` recurs in ``c c`` is the least rotation fixing ``c``, so it
+    divides ``len(c)`` and ``u = c[:p]``.  The rule keeps the form, because the root of a nonempty, cyclically
+    reduced word is itself cyclically reduced; the rotations of ``u^k``
+    are the ``k``-th powers of the rotations of ``u``; the inverse of
+    ``u^k`` is ``(u^-1)^k``; and two ``k``-th powers of words of equal
+    length compare as their roots do."""
     n = len(c)
     if n > 2:
+        p = (c + c).find(c, 1)
+        if p < n:
+            return rotation_nf(c[:p]) * (n // p)
         m = min(c)
         if ord(m) & 1:
             return _least_rotation(code_invert(c), chr(ord(m) ^ 1))

@@ -365,6 +365,22 @@ def test_input_totals_past_the_word_bound_exit_2(capsys):
     assert (code, out) == (0, "1\n")
 
 
+def test_family_builds_past_the_word_bound_exit_2(capsys, tmp_path, monkeypatch):
+    # a label of 1,000,000 asks for a relator of 2,000,000 letters; it is
+    # refused before any word is built
+    path = tmp_path / "m.txt"
+    path.write_text("1,1000000\n1000000,1\n")
+
+    def refuse(*args):
+        raise AssertionError("word built")
+
+    monkeypatch.setattr("coxembed.presentations.power", refuse)
+    for argv in (("build", "coxeter", "--m", str(path)), ("embed", "thm1", "--m", str(path), "--p", "2,2")):
+        code, out, err = run_cli(capsys, *argv)
+        assert (code, out) == (2, "")
+        assert err == "error: label m[1,2] = 1000000 makes relators longer than 1000000 letters in all\n"
+
+
 def test_long_digit_strings_exit_2_naming_the_entry(capsys, tmp_path):
     # matrix entries, orders and budgets refuse a digit string longer than
     # 18 digits before int() reads it

@@ -143,6 +143,49 @@ def test_parse_int_bounds_its_digits():
             parse_vector_text(text)
 
 
+def test_family_builders_bound_their_letters_exactly(monkeypatch):
+    # every builder counts its relators' letters, before free reduction,
+    # before it builds a word, and refuses one letter past the bound,
+    # naming the entry that passes it; an instance bounds its ambient and
+    # its expected kernel each
+    m3 = CoxeterMatrix.from_pairs(3, {(0, 1): 3, (1, 2): INF})
+    even = CoxeterMatrix.from_pairs(3, {(0, 1): 4, (1, 2): 6, (0, 2): INF})
+    builders = (
+        lambda: [coxeter_presentation(m3)],
+        lambda: [pc_presentation(PcSpec.from_pairs(3, {(0, 1): 2, (1, 2): 3}, (4, INF, 5)))],
+        lambda: [artin_presentation(m3)],
+        lambda: [build_thm1_instance(even, (2, INF, 4))],
+        lambda: [build_prop2_instance(m3, (4, INF, 2))],
+        lambda: [build_artin_instance(m3)],
+    )
+    entry = r"(label m|commutator power n|order p)\[\d(,\d)?\] = \d+"
+    for build in builders:
+        built = [
+            p for x in build() for p in ((x.ambient, x.expected_kernel) if hasattr(x, "ambient") else (x,))
+        ]
+        letters = max(sum(map(len, p.relators)) for p in built)
+        monkeypatch.setattr("coxembed.presentations._MAX_WORD_LENGTH", letters)
+        build()
+        monkeypatch.setattr("coxembed.presentations._MAX_WORD_LENGTH", letters - 1)
+        with pytest.raises(ValueError, match=f"^{entry} makes relators longer than {letters - 1} letters in all$"):
+            build()
+        monkeypatch.undo()
+    # 6 letters of squares and 6 + 4 of labels
+    monkeypatch.setattr("coxembed.presentations._MAX_WORD_LENGTH", 15)
+    with pytest.raises(ValueError, match=r"^label m\[1,3\] = 2 makes relators longer than 15 letters in all$"):
+        coxeter_presentation(m3)
+    monkeypatch.undo()
+    # each braid relator in a_i = s_i r cancels one r r^-1: 8 letters of
+    # squares and 12 + 8 of braids are counted, 4 of them cancel
+    inst = build_artin_inversion_instance(m3)
+    assert sum(map(len, inst.ambient.relators)) == 24
+    monkeypatch.setattr("coxembed.presentations._MAX_WORD_LENGTH", 28)
+    assert build_artin_inversion_instance(m3) == inst
+    monkeypatch.setattr("coxembed.presentations._MAX_WORD_LENGTH", 27)
+    with pytest.raises(ValueError, match=r"^label m\[1,3\] = 2 makes relators longer than 27 letters in all$"):
+        build_artin_inversion_instance(m3)
+
+
 def test_parse_word_length_limit_is_exact(monkeypatch):
     # with a limit of 8 letters: a power, a commutator and a run of
     # factors each reach it and fail one letter past it, counted before

@@ -305,6 +305,19 @@ def test_evaluated_kernel_builds_no_raw_kernel(monkeypatch):
     assert evaluated_kernel_presentation(inst) == expected
 
 
+def test_coset0_kernel_checks_no_hom_again(monkeypatch):
+    # EmbeddingInstance has checked that the hom kills every relator
+    for inst in (thm1_fixture(), build_prop2_instance(CoxeterMatrix.from_pairs(2, {(0, 1): 3}), (4, 4))):
+        expected = evaluated_kernel_presentation(inst)
+        calls = []
+        word_image = HomZ2n.word_image
+        monkeypatch.setattr(HomZ2n, "word_image", lambda *a: calls.append(a) or word_image(*a))
+        assert schreier._coset0_kernel(inst) is not None
+        assert evaluated_kernel_presentation(inst) == expected
+        assert calls == []
+        monkeypatch.undo()
+
+
 def test_evaluated_kernel_equals_substitution_oracle_on_the_instance_sweep():
     # the kernel read from coset 0 and the coset walk, against the raw
     # relators with each symbol substituted

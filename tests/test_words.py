@@ -172,12 +172,45 @@ def test_relator_nf_long_and_periodic_words():
     words += [power((1, -2, 1, 3), k) for k in (1, 7, 100)]
     words += [power((2,), 40) + (1,), (1,) * 300 + (-2,), power((3, -1), 150) + (2,)]
     words += [tuple(rng.choice((1, -1)) * rng.randint(1, 3) for _ in range(n)) for n in (200, 400, 600)]
+    # proper powers: a root whose least letter is an inverse letter, roots
+    # holding their least letter and its inverse, a root that is a power
+    words += [power((-1, 2, -3), 4), power((1, 2, -1, 3), 3), power((1, 2, -1, 3, 1, -2, -1, -3), 2)]
+    words += [power(power((1, 2, -1, -3), 2), 3), power(power((-2, 1), 3), 5)]
+    # an aperiodic root past _FEW letters whose least letter is dense
+    # enough for the Duval scan, raised to a power
+    root = tuple(rng.choice((1, 1, 2, -3)) for _ in range(300))
+    assert all(root[d:] + root[:d] != root for d in range(1, len(root))) and root.count(1) > len(root) // 4 + 1
+    assert len(root) > coxembed.words._FEW
+    words += [power(root, 3)]
     for w in words:
         v = cyclic_reduce(w)
         expected = min(orbit_rotation_inversion(v), key=word_key)
         assert relator_nf(w) == expected
         assert relator_nf(invert(w)) == expected
         assert relator_nf(w[1:] + w[:1]) == expected
+
+
+@given(st.lists(letters, min_size=1, max_size=6), st.integers(2, 6))
+@settings(max_examples=300)
+def test_rotation_nf_of_a_power_is_the_power_of_the_root_form(ls, k):
+    u = cyclic_reduce(ls)
+    if not u:
+        return
+    c = encode(power(u, k))
+    expected = min(map(encode, orbit_rotation_inversion(power(u, k))))
+    assert rotation_nf(c) == expected == rotation_nf(encode(u)) * k
+
+
+def test_rotation_nf_of_a_power_rotates_only_its_root(monkeypatch):
+    # (a b)^4's least letter fills a quarter of the word plus one letter,
+    # which once sent it to the Duval scan; its root (a b) is written out
+    calls = []
+    least_rotation = coxembed.words._least_rotation
+    monkeypatch.setattr(coxembed.words, "_least_rotation", lambda *a: calls.append(a) or least_rotation(*a))
+    assert rotation_nf(encode(power((1, 2), 4))) == encode((1, 2)) * 4
+    assert calls == []
+    assert rotation_nf(encode(power((1, 2, -3), 2))) == encode((1, 2, -3)) * 2
+    assert len(calls) == 1
 
 
 @given(raw_words, raw_words)
