@@ -727,12 +727,13 @@ def _double_relators(matrix: CoxeterMatrix, orders) -> list[Word]:
     """Relators of the rank-2n ambient: involutions, commuting copies,
     ``(s_i s_j)^{m_ij}`` and ``(s_i r_i)^{p_i}``."""
     n = matrix.n
-    fixed = 4 * n + 4 * len(_double_commuting(n))
+    commuting = _double_commuting(n)
+    fixed = 4 * n + 4 * len(commuting)
     _check_letters(fixed, ("label m", matrix.pairs(), 2), ("order p", enumerate(orders), 2))
     s = lambda i: letter(n + i)
     return (
         _squares(2 * n)
-        + _label_relators((letter(a), letter(b), 2) for a, b in _double_commuting(n))
+        + _label_relators((letter(a), letter(b), 2) for a, b in commuting)
         + _label_relators((s(i), s(j), m) for i, j, m in matrix.pairs())
         + _label_relators((s(i), letter(i), p) for i, p in enumerate(orders))
     )
@@ -855,11 +856,12 @@ def build_artin_instance(matrix: CoxeterMatrix) -> EmbeddingInstance:
     :func:`build_artin_inversion_instance` for an ambient whose kernel is
     exactly the Artin group."""
     n = matrix.n
-    _check_letters(4 * n + 4 * len(_double_commuting(n)), ("label m", matrix.pairs(), 4))
+    commuting = _double_commuting(n)
+    _check_letters(4 * n + 4 * len(commuting), ("label m", matrix.pairs(), 4))
     a = lambda i: (letter(n + i), letter(i))
     rels = (
         _squares(2 * n)
-        + [commutator((letter(x),), (letter(y),)) for x, y in _double_commuting(n)]
+        + [commutator((letter(x),), (letter(y),)) for x, y in commuting]
         + _braid_relators(matrix, a)
     )
     return _double_instance(

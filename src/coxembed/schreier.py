@@ -131,6 +131,23 @@ class SchreierGen(_Value):
         _setattr(self, "defining", defining)
 
 
+def _expected_codes(inst: EmbeddingInstance) -> Tuple[Dict[int, Set[int]], list[Word], Dict[Word, str]]:
+    """The :func:`commuting_letters` of the instance's commuting pairs, its
+    expected words in :func:`right_angled_nf`, and the expected-letter
+    table: each of those words mapped to ``chr(2k)`` and its inverse's
+    form to ``chr(2k + 1)``, for the k-th expected generator.  Both go in
+    by ``setdefault`` in expected-generator order, so the first expected
+    generator a word or its inverse equals wins, and a word equal to its
+    own inverse keeps ``chr(2k)``."""
+    near = commuting_letters(inst.ambient.rank, inst.commuting)
+    expected = [right_angled_nf(near, w) for w in inst.expected_words]
+    code: Dict[Word, str] = {}
+    for k, w in enumerate(expected):
+        code.setdefault(w, chr(2 * k))
+        code.setdefault(right_angled_nf(near, w[::-1]), chr(2 * k + 1))
+    return near, expected, code
+
+
 def merge_symbols(
     inst: EmbeddingInstance, table: Sequence[SchreierGen]
 ) -> Tuple[Tuple[SchreierGen, ...], Dict[int, int]]:
@@ -141,14 +158,13 @@ def merge_symbols(
     over the instance's commuting pairs.  An empty word drops out (letter
     0); a word equal to an earlier symbol's word merges into it with sign
     +1, one whose normalized inverse equals it with sign -1; a new word
-    makes a symbol named after its first origin, or after the expected
-    generator it or its inverse equals.  The inverse of a raw letter maps
-    to the inverse of its merged letter.
+    makes a symbol named after its first origin, or, by the table of
+    :func:`_expected_codes`, after the first expected generator it or its
+    inverse equals, taking that generator's word and the sign -1 for the
+    inverse.  The inverse of a raw letter maps to the inverse of its
+    merged letter.
     """
-    near = commuting_letters(inst.ambient.rank, inst.commuting)
-    expected = [
-        (name, right_angled_nf(near, w)) for name, w in zip(inst.expected_kernel.gens, inst.expected_words)
-    ]
+    near, expected, code = _expected_codes(inst)
     merged: list[SchreierGen] = []
     by_word: Dict[Word, int] = {}  # a merged symbol's word -> its letter
     letters = {0: 0}
@@ -162,13 +178,9 @@ def merge_symbols(
             m = -by_word[inv_word]
         else:
             name, canonical, m = g.name, word, letter(len(merged))
-            for ename, ew in expected:
-                if word == ew:
-                    name = ename
-                    break
-                if inv_word == ew:
-                    name, canonical, m = ename, ew, -m
-                    break
+            if c := code.get(word):
+                e, inverse = divmod(ord(c), 2)
+                name, canonical, m = inst.expected_kernel.gens[e], expected[e], -m if inverse else m
             by_word[canonical] = abs(m)
             merged.append(SchreierGen(name, g.coset_word, g.gen, canonical))
         letters[k] = m
@@ -224,10 +236,9 @@ def _symbols(
     return table, steps
 
 
-def _walk(steps: Sequence[Dict[int, Tuple[int, int]]], w: Sequence[int], i: int) -> Tuple[Word, int]:
+def _walk(steps: Sequence[Dict[int, Tuple[int, int]]], w: Sequence[int], i: int) -> Word:
     """The letters read along ``w`` through ``steps`` from coset index
-    ``i``, inverse pairs cancelled as they are appended, and the index of
-    the coset where the walk ends."""
+    ``i``, inverse pairs cancelled as they are appended."""
     out: list[int] = []
     for l in w:
         s, i = steps[i][l]
@@ -236,7 +247,7 @@ def _walk(steps: Sequence[Dict[int, Tuple[int, int]]], w: Sequence[int], i: int)
                 out.pop()
             else:
                 out.append(s)
-    return tuple(out), i
+    return tuple(out)
 
 
 def raw_kernel_presentation(pres: Presentation, hom: HomZ2n, subset: Sequence[int]) -> KernelPresentation:
@@ -251,7 +262,7 @@ def raw_kernel_presentation(pres: Presentation, hom: HomZ2n, subset: Sequence[in
     # the coset graph without backtracking, so between two of its symbols,
     # cyclically, lies no closed path of trivial ones, as a cancelling pair
     # would need
-    rels = (img for i in range(len(steps)) for r in pres.relators if (img := _walk(steps, r, i)[0]))
+    rels = (img for i in range(len(steps)) for r in pres.relators if (img := _walk(steps, r, i)))
     kernel = Presentation.trusted(tuple(g.name for g in table), tuple(rels))
     return KernelPresentation(kernel, tuple(table))
 
@@ -281,7 +292,7 @@ def _walked_kernel(inst: EmbeddingInstance) -> KernelPresentation:
     raw_table, raw_steps = _symbols(inst.ambient, inst.hom, inst.transversal_gens)
     table, letters = merge_symbols(inst, raw_table)
     steps = [{l: (letters[s], j) for l, (s, j) in step.items()} for step in raw_steps]
-    images = (_walk(steps, r, i)[0] for i in range(len(steps)) for r in inst.ambient.relators)
+    images = (_walk(steps, r, i) for i in range(len(steps)) for r in inst.ambient.relators)
     return _merged_kernel(table, map(encode, dict.fromkeys(images)))
 
 
@@ -293,15 +304,18 @@ def _coset0_kernel(inst: EmbeddingInstance) -> Optional[KernelPresentation]:
     for the expected kernel and phi for ``a_j -> expected_words[j]``.  The
     premise: the transversal generators ``t_i`` map one-to-one onto the
     basis of ``Z_2^n`` and commute pairwise; the expected words are
-    nontrivial in C and pairwise distinct up to inversion; each
-    ``t_i phi(a_j) t_i`` equals ``phi(a_k)^(+-1)`` in C, which defines a
-    signed permutation alpha_i of E's letters; and each coset-0 symbol
-    ``sigma_x = x t_(img x)`` is trivial in C or ``phi(a_k)^(+-1)``, its
-    letter psi(sigma_x).  Then the representative of coset v is, in C,
-    the involution ``t_v``, the product of the ``t_i`` over the bits of v
-    with ``t_u t_v = t_(u+v)``, so the raw symbol of (v, x), ``t_v x
-    t_(v + img x)``, is ``t_v sigma_x t_v`` and its letter is
-    ``alpha_v(psi(sigma_x))``.  That is the letter :func:`merge_symbols`
+    nontrivial in C and pairwise distinct up to inversion, read off the
+    expected-letter table of :func:`_expected_codes` that
+    :func:`merge_symbols` names symbols by: each expected generator puts a
+    code of its own in it; each ``t_i phi(a_j) t_i``
+    equals ``phi(a_k)^(+-1)`` in C, which defines a signed permutation
+    alpha_i of E's letters; and each coset-0 symbol ``sigma_x = x
+    t_(img x)`` is trivial in C or ``phi(a_k)^(+-1)``, its letter
+    psi(sigma_x), both found in that table.  Then the representative of
+    coset v is, in C, the involution ``t_v``, the product of the ``t_i``
+    over the bits of v with ``t_u t_v = t_(u+v)``, so the raw symbol of
+    (v, x), ``t_v x t_(v + img x)``, is ``t_v sigma_x t_v`` and its letter
+    is ``alpha_v(psi(sigma_x))``.  That is the letter :func:`merge_symbols`
     gives it: conjugation maps inverse pairs to inverse pairs, and an
     element equal to its inverse keeps the sign +1 on both sides (Magnus,
     Karrass and Solitar, *Combinatorial Group Theory*, 1966, ch. 2: W is
@@ -309,7 +323,8 @@ def _coset0_kernel(inst: EmbeddingInstance) -> Optional[KernelPresentation]:
     their first (v, x) in raw-table order, are expected generators, and
     the walk of a relator from coset v reads alpha_v of its walk from
     coset 0.  A signed relabelling commutes with free reduction, so each
-    image is one :meth:`str.translate` of the coset-0 image.  The cost is
+    image is one :meth:`str.translate` of the coset-0 image in E codes,
+    by alpha_v followed by the merged numbering.  The cost is
     n k + 2k + 2n normal forms, for k expected generators, and 2^n
     translations per ambient relator, against 2^n 2n normal forms and 2^n
     Python walks per relator for the walk."""
@@ -318,15 +333,10 @@ def _coset0_kernel(inst: EmbeddingInstance) -> Optional[KernelPresentation]:
         return None
     if any((a, b) not in inst.commuting for a, b in combinations(sorted(tgens), 2)):
         return None
-    near = commuting_letters(amb.rank, inst.commuting)
-    expected = [right_angled_nf(near, w) for w in inst.expected_words]
-    code: Dict[Word, str] = {}  # an expected word, or its inverse, in C -> its E code
-    for k, w in enumerate(expected):
-        inv = right_angled_nf(near, w[::-1])
-        if not w or w in code or inv in code:
-            return None
-        code[w] = chr(2 * k)
-        code.setdefault(inv, chr(2 * k + 1))  # +1 when w is its own inverse
+    near, expected, code = _expected_codes(inst)
+    # a word equal to an earlier one or its inverse puts no code in
+    if not all(expected) or len({ord(c) >> 1 for c in code.values()}) != len(expected):
+        return None
     # alpha[image of t_i]: the code string whose character c is alpha_i(c)
     alpha = {}
     for g in tgens:
@@ -364,7 +374,7 @@ def _coset0_kernel(inst: EmbeddingInstance) -> Optional[KernelPresentation]:
                 merged[2 * e] = chr(2 * len(table))
                 merged[2 * e + 1] = chr(2 * len(table) + 1)
                 table.append(SchreierGen(inst.expected_kernel.gens[e], t, x, expected[e]))
-    rels = []  # each relator walked from coset 0, in merged codes
+    rels = []  # each relator walked from coset 0, in E codes
     for r in amb.relators:
         out: list[int] = []
         v = 0
@@ -381,10 +391,9 @@ def _coset0_kernel(inst: EmbeddingInstance) -> Optional[KernelPresentation]:
             if l > 0:
                 v ^= images[x]
         if out:
-            rels.append("".join(map(chr, out)).translate(merged))
-    # alpha_v on merged codes: back to E codes, alpha_v, merged again
-    e_codes = "".join(map(chr, merged))
-    per_coset = (e_codes.translate(alphas[v]).translate(merged) for v in trans)
+            rels.append("".join(map(chr, out)))
+    # alpha_v into merged codes: every E code an image holds is a symbol
+    per_coset = (alphas[v].translate(merged) for v in trans)
     return _merged_kernel(table, chain.from_iterable(map(str.translate, rels, repeat(b)) for b in per_coset))
 
 

@@ -361,6 +361,36 @@ def test_coset0_premise_needs_distinct_nontrivial_expected_words():
         _takes_the_walk(replace(plain, expected_words=words))
 
 
+def test_merged_symbols_take_the_first_expected_generator():
+    # literal rows and raw-letter signs on instances that take the walk,
+    # so the naming rule is pinned without merge_symbols as its own oracle
+    plain = thm1_fixture()
+    s1r1 = plain.expected_words[0]
+    prop2 = build_prop2_instance(CoxeterMatrix.from_rows([[1]]), (4,))
+    r1s1r1 = prop2.expected_words[1]
+    thm1_signs = [1, 2, 0, -1, 2, 0, 0, 1, -2, 0, 0, -1, -2]
+    cases = [
+        # r1 s1 is the second expected word, but the inverse of the first:
+        # a1 names it, with sign -1
+        (replace(plain, expected_words=(s1r1, invert(s1r1))),
+         [("a1", "s1 r1"), ("y0_s2", "s2 r2")], thm1_signs),
+        # a repeated word: the first generator names it, with sign +1
+        (replace(plain, expected_words=(s1r1, s1r1)),
+         [("a1", "s1 r1"), ("y0_s2", "s2 r2")], thm1_signs),
+        # r1 s1 r1 is its own inverse: it keeps +1
+        (replace(prop2, expected_words=(r1s1r1, r1s1r1)),
+         [("y0_s1", "s1"), ("s1", "r1 s1 r1")], [1, 0, 2]),
+    ]
+    for inst, rows, signs in cases:
+        assert schreier._coset0_kernel(inst) is None
+        raw = raw_kernel_presentation(inst.ambient, inst.hom, inst.transversal_gens)
+        table, letters = merge_symbols(inst, raw.table)
+        kp = evaluated_kernel_presentation(inst)
+        assert kp.table == table
+        assert [(g.name, serialize_word(g.defining, inst.ambient.gens)) for g in table] == rows
+        assert [letters[k] for k in range(1, len(raw.table) + 1)] == signs
+
+
 def test_coset0_premise_needs_conjugation_to_permute_expected_words():
     # r1 (s2 r2 s1 r1) r1 is neither expected word nor an inverse of one
     plain = thm1_fixture()
