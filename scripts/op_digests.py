@@ -30,25 +30,39 @@ import run  # noqa: E402
 import workloads  # noqa: E402
 
 
-def main(argv=None) -> int:
-    ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    ap.add_argument("--workload", required=True, action="append", choices=workloads.WORKLOADS)
-    ap.add_argument("--seed", type=int, action="append")
-    args = ap.parse_args(argv)
-    seeds = args.seed or [1]
+def run_ops(names, seeds):
+    """Prepare each workload's ops at each seed and run each op once;
+    yield its workload, seed, index and the digest its ``check`` returns,
+    or ``FAILED`` and the error."""
     os.chdir(ROOT)  # CLI ops name fixtures relative to the root
-    failed = 0
-    for workload in args.workload:
+    for workload in names:
         for seed in seeds:
-            prefix = f"{workload} {seed} " if len(args.workload) * len(seeds) > 1 else ""
-            items = run.setup(workload, workloads.draw(workload, seed), in_process=True)
-            for item in items:
+            for item in run.setup(workload, workloads.draw(workload, seed), in_process=True):
                 try:
                     line = item.check(item.run())
                 except Exception as exc:  # report and go on, as a benchmark run does
                     line = f"FAILED {type(exc).__name__}: {exc}"
-                    failed += 1
-                print(prefix + str(item.op.index), line)
+                yield workload, seed, item.op.index, line
+
+
+def parse_args(description: str, argv=None):
+    """The repeatable ``--workload`` and ``--seed`` options; the seed
+    defaults to 1."""
+    ap = argparse.ArgumentParser(description=description)
+    ap.add_argument("--workload", required=True, action="append", choices=workloads.WORKLOADS)
+    ap.add_argument("--seed", type=int, action="append")
+    args = ap.parse_args(argv)
+    args.seed = args.seed or [1]
+    return args
+
+
+def main(argv=None) -> int:
+    args = parse_args(__doc__.splitlines()[0], argv)
+    labelled = len(args.workload) * len(args.seed) > 1
+    failed = 0
+    for workload, seed, index, line in run_ops(args.workload, args.seed):
+        failed += line.startswith("FAILED")
+        print(f"{workload} {seed} {index}" if labelled else index, line)
     return 1 if failed else 0
 
 

@@ -18,6 +18,8 @@ pytest's status.
 
 A frame's line events are switched off once every line of its code
 object has run, so the hot loops cost little after their first pass.
+``scripts/unbenched_lines.py`` runs benchmark ops under the same
+recorder.
 """
 
 from __future__ import annotations
@@ -49,9 +51,9 @@ def executable_lines(path: Path) -> set:
     return lines
 
 
-def run_traced(pytest_args) -> tuple:
-    """Run pytest in process with the line recorder on; return its exit
-    status and each package file mapped to the lines that ran."""
+def record(run) -> tuple:
+    """Call ``run()`` with the line recorder on; return its result and
+    each package file mapped to the lines that ran."""
     prefix = str(PACKAGE) + os.sep
     todo = {}  # code object -> its lines not yet run; none outside the package
 
@@ -74,12 +76,10 @@ def run_traced(pytest_args) -> tuple:
 
         return trace_line
 
-    import pytest
-
     threading.settrace(trace_call)
     sys.settrace(trace_call)
     try:
-        status = pytest.main(list(pytest_args))
+        result = run()
     finally:
         sys.settrace(None)
         threading.settrace(None)
@@ -88,15 +88,12 @@ def run_traced(pytest_args) -> tuple:
         filename = os.path.abspath(code.co_filename)
         if filename.startswith(prefix):
             ran[filename] |= code_lines(code) - left
-    return status, ran
+    return result, ran
 
 
-def main(argv=None) -> int:
-    args = sys.argv[1:] if argv is None else argv
-    os.chdir(ROOT)
-    if any(name == "coxembed" or name.startswith("coxembed.") for name in sys.modules):
-        raise SystemExit("coxembed is already imported; its import-time lines would read as not run")
-    status, ran = run_traced(args or ["-q", "--continue-on-collection-errors"])
+def report(ran) -> None:
+    """Print each executable package line that is not in ``ran``, as
+    ``path:line: source``, then their count."""
     missing = 0
     for path in sorted(PACKAGE.glob("*.py")):
         source = path.read_text(encoding="utf-8").splitlines()
@@ -104,6 +101,17 @@ def main(argv=None) -> int:
             print(f"{path.relative_to(ROOT)}:{line}: {source[line - 1].strip()}")
             missing += 1
     print(f"{missing} executable lines of src/coxembed not run")
+
+
+def main(argv=None) -> int:
+    args = sys.argv[1:] if argv is None else argv
+    os.chdir(ROOT)
+    if any(name == "coxembed" or name.startswith("coxembed.") for name in sys.modules):
+        raise SystemExit("coxembed is already imported; its import-time lines would read as not run")
+    import pytest
+
+    status, ran = record(lambda: pytest.main(args or ["-q", "--continue-on-collection-errors"]))
+    report(ran)
     return int(status)
 
 

@@ -28,12 +28,11 @@ from .words import (
     Word,
     _least_rotation,
     code_invert,
+    code_nf,
     decode,
     encode,
     expand_kernel_word,
     free_reduce,
-    invert,
-    relabel,
     relator_nf,
 )
 
@@ -222,27 +221,28 @@ def todd_coxeter(
     return result
 
 
+def _images(fwd, bwd, w: Word, points: List[int]) -> List[int]:
+    """The points that ``w`` carries ``points`` to, where ``fwd[g]`` and
+    ``bwd[g]`` are generator g's permutation and its inverse: one list
+    lookup per letter and point."""
+    for l in w:
+        perm = fwd[l - 1] if l > 0 else bwd[-l - 1]
+        points = list(map(perm.__getitem__, points))
+    return points
+
+
 def _trace(tab: CosetTable, w: Word) -> int:
     """The coset that ``w`` carries coset 0 to in a complete table."""
-    e = 0
-    for l in w:
-        e = tab.fwd[l - 1][e] if l > 0 else tab.bwd[-l - 1][e]
-    return e
+    return _images(tab.fwd, tab.bwd, w, [0])[0]
 
 
 def _assert_closed(tab: CosetTable, pres: Presentation, subgroup_words: Sequence[Word]) -> None:
     """Completeness invariants: relators trace to the identity at every
-    coset and subgroup words fix coset 0.
-
-    Each relator is traced from all cosets at once, one list lookup per
-    letter."""
+    coset and subgroup words fix coset 0, both by :func:`_images`, each
+    relator from all cosets at once."""
     cosets = list(range(tab.num_cosets))
     for r in pres.relators:
-        e = cosets
-        for l in r:
-            perm = tab.fwd[l - 1] if l > 0 else tab.bwd[-l - 1]
-            e = list(map(perm.__getitem__, e))
-        if e != cosets:
+        if _images(tab.fwd, tab.bwd, r, cosets) != cosets:
             raise AssertionError("relator trace does not close")
     for w in subgroup_words:
         if _trace(tab, free_reduce(w)) != 0:
@@ -464,29 +464,18 @@ def _chamber_checks(matrix: CoxeterMatrix, words: Iterable[Word]) -> Iterator[bo
 
 def word_holds(rep: Sequence[Sequence[int]], w: Word) -> bool:
     """True iff the permutation product of the word's letters is the
-    identity, checked at every point."""
+    identity, checked at every point by :func:`_images`.  The inverse of
+    each generator whose inverse letter occurs is built once."""
     for l in w:
         if l == 0 or abs(l) > len(rep):
             raise ValueError(f"letter {l} outside alphabet of rank {len(rep)}")
-    npoints = len(rep[0]) if rep else 0
-    inverses: Dict[int, Tuple[int, ...]] = {}
-
-    def inv_perm(g: int) -> Tuple[int, ...]:
-        if g not in inverses:
-            p = rep[g]
-            q = [0] * len(p)
-            for i, j in enumerate(p):
-                q[j] = i
-            inverses[g] = tuple(q)
-        return inverses[g]
-
-    for start in range(npoints):
-        e = start
-        for l in w:
-            e = rep[l - 1][e] if l > 0 else inv_perm(-l - 1)[e]
-        if e != start:
-            return False
-    return True
+    inverses: Dict[int, List[int]] = {}
+    for g in {-l - 1 for l in w if l < 0}:
+        inverses[g] = q = [0] * len(rep[g])
+        for i, j in enumerate(rep[g]):
+            q[j] = i
+    points = list(range(len(rep[0]) if rep else 0))
+    return _images(rep, inverses, w, points) == points
 
 
 # ---------------------------------------------------------------------------
@@ -594,14 +583,16 @@ def abelianization(pres: Presentation) -> AbelianInvariants:
 # presentation matching
 
 
-def _nf_multiset(relators, mapping=None) -> Tuple[Word, ...]:
-    if mapping is not None:
-        relators = (relabel(r, mapping) for r in relators)
-    return tuple(sorted(map(relator_nf, relators)))
+def _forms(relators: Iterable[Word]) -> List[str]:
+    """The sorted code strings (:func:`encode`) of the relators'
+    :func:`relator_nf` forms: a presentation normalized once."""
+    return sorted(encode(relator_nf(r)) for r in relators)
 
 
-def _cyclic_pairs(w: Word):
-    return zip(w, w[1:] + w[:1])
+def _translated(codes: Iterable[str], table: Dict[int, str]) -> List[str]:
+    """The sorted :func:`code_nf` forms of code strings, each passed
+    through ``str.translate(table)``."""
+    return sorted(code_nf(c.translate(table)) for c in codes)
 
 
 def match_presentations(p: Presentation, q: Presentation):
@@ -612,40 +603,44 @@ def match_presentations(p: Presentation, q: Presentation):
     None: the first match with targets in ``itertools.permutations`` order
     and, per permutation, signs in ``itertools.product((1, -1), ...)``
     order.  A depth-first search places targets, then signs, generator by
-    generator.  It drops a partial assignment once a cyclically adjacent
-    letter pair on placed generators maps to a pair adjacent in no ``q``
-    relator of that length or its inverse (sign-blind while targets are
-    placed), or, while signs are placed, a relator on placed generators
-    maps outside ``q``'s relators.  The worst case is still exponential in
-    the rank; the pruning is what keeps kernels such as chain-versus-star
-    pairs in milliseconds.
+    generator, as a translate table on code strings (:func:`encode`) that
+    sends generator g's codes ``2g`` and ``2g + 1`` to ``2t + s`` and
+    ``2t + 1 - s`` for target t and sign bit s.  It drops a partial
+    assignment once a cyclically adjacent letter pair on placed generators
+    maps to a pair adjacent in no ``q`` relator of that length or its
+    inverse (sign-blind while targets are placed), or, while signs are
+    placed, a relator on placed generators maps outside ``q``'s relators.
+    The worst case is still exponential in the rank; the pruning is what
+    keeps kernels such as chain-versus-star pairs in milliseconds.
     """
     if p.rank != q.rank:
         return None
     n = p.rank
-    p_nf = [relator_nf(r) for r in p.relators]
-    q_set = _nf_multiset(q.relators)
-    if tuple(sorted(len(w) for w in p_nf)) != tuple(sorted(len(w) for w in q_set)):
+    p_forms = _forms(p.relators)
+    q_forms = _forms(q.relators)
+    if sorted(map(len, p_forms)) != sorted(map(len, q_forms)):
         return None
-    q_nfs = set(q_set)
-    q_pairs = {(len(w), x, y) for w in q_set for v in (w, invert(w)) for x, y in _cyclic_pairs(v)}
-    q_abs_pairs = {(k, abs(x), abs(y)) for k, x, y in q_pairs}
+    q_set = set(q_forms)
+    q_pairs = {(len(c), x, y) for w in q_forms for c in (w, code_invert(w)) for x, y in zip(c, c[1:] + c[:1])}
+    q_gen_pairs = {(k, ord(x) >> 1, ord(y) >> 1) for k, x, y in q_pairs}
     # each check on p is due once the highest generator it involves is placed
-    closing: List[List[Word]] = [[] for _ in range(n)]
+    closing: List[List[str]] = [[] for _ in range(n)]
     pairs: List[List[Tuple[int, int, int]]] = [[] for _ in range(n)]
-    for r in p_nf:
-        closing[max(map(abs, r)) - 1].append(r)
-        for x, y in _cyclic_pairs(r):
-            pairs[max(abs(x), abs(y)) - 1].append((len(r), x, y))
-    mapping = [0] * n  # signed 1-based target of each placed generator
+    for c in p_forms:
+        closing[ord(max(c)) >> 1].append(c)
+        for x, y in zip(c, c[1:] + c[:1]):
+            pairs[ord(max(x, y)) >> 1].append((len(c), ord(x), ord(y)))
+    table: Dict[int, str] = {}  # code of a placed letter -> the code of its image
 
     def place_signs(g: int) -> bool:
         if g == n:
-            return _nf_multiset(p_nf, mapping) == q_set
-        for mapping[g] in (abs(mapping[g]), -abs(mapping[g])):
+            return _translated(p_forms, table) == q_forms
+        t = ord(table[2 * g]) >> 1
+        for s in (0, 1):
+            table[2 * g], table[2 * g + 1] = chr(2 * t + s), chr(2 * t + 1 - s)
             if (
-                all((k, *relabel((x, y), mapping)) in q_pairs for k, x, y in pairs[g])
-                and all(relator_nf(relabel(r, mapping)) in q_nfs for r in closing[g])
+                all((k, table[x], table[y]) in q_pairs for k, x, y in pairs[g])
+                and all(code_nf(c.translate(table)) in q_set for c in closing[g])
                 and place_signs(g + 1)
             ):
                 return True
@@ -655,15 +650,15 @@ def match_presentations(p: Presentation, q: Presentation):
         if g == n:
             return place_signs(0)
         for t in free:
-            mapping[g] = t + 1
-            fits = all((k, *map(abs, relabel((x, y), mapping))) in q_abs_pairs for k, x, y in pairs[g])
+            table[2 * g], table[2 * g + 1] = chr(2 * t), chr(2 * t + 1)
+            fits = all((k, ord(table[x]) >> 1, ord(table[y]) >> 1) in q_gen_pairs for k, x, y in pairs[g])
             if fits and place_targets(g + 1, [u for u in free if u != t]):
                 return True
         return False
 
     if not place_targets(0, list(range(n))):
         return None
-    return tuple((abs(m) - 1, 1 if m > 0 else -1) for m in mapping)
+    return tuple((ord(table[2 * g]) >> 1, -1 if ord(table[2 * g]) & 1 else 1) for g in range(n))
 
 
 # ---------------------------------------------------------------------------
@@ -713,9 +708,8 @@ def evaluated_matches_expected(kernel: Presentation, expected: Presentation) -> 
     if sorted(kernel.gens) != sorted(expected.gens):
         return False
     index = {name: k for k, name in enumerate(expected.gens)}
-    mapping = tuple(index[name] + 1 for name in kernel.gens)
-    remapped = _nf_multiset(kernel.relators, mapping)
-    return remapped == _nf_multiset(expected.relators)
+    table = {2 * g + s: chr(2 * index[name] + s) for g, name in enumerate(kernel.gens) for s in (0, 1)}
+    return _translated(map(encode, kernel.relators), table) == _forms(expected.relators)
 
 
 def _finite_section(inst: EmbeddingInstance, max_cosets: int) -> Optional[dict]:
@@ -768,21 +762,14 @@ def _flip_involutions(pres: Presentation) -> Presentation:
     Each relator becomes the least rotation of the flipped word or of the
     flipped inverse, whichever is less: one form for all the relators that
     rotation, inversion and the signs of those generators carry into each
-    other.  A least rotation starts with the least letter, so when the two
-    sides' least letters differ, the lesser settles the side.  Duplicates
-    are merged, and relators sorted by length, then letter codes, as
-    :func:`simplify` sorts them."""
+    other.  Duplicates are merged, and relators sorted by length, then
+    letter codes, as :func:`simplify` sorts them."""
     flip = {2 * abs(r[0]) - 1: 2 * abs(r[0]) - 2 for r in pres.relators if len(r) == 2 and r[0] == r[1]}
     relators = set()
     for r in pres.relators:
         c = encode(r)
         c, ci = c.translate(flip), code_invert(c).translate(flip)
-        m, mi = min(c), min(ci)
-        if m != mi:
-            c = _least_rotation(c, m) if m < mi else _least_rotation(ci, mi)
-        else:
-            c = min(_least_rotation(c, m), _least_rotation(ci, m))
-        relators.add(c)
+        relators.add(min(_least_rotation(c, min(c)), _least_rotation(ci, min(ci))))
     return Presentation.trusted(pres.gens, tuple(decode(c) for c in sorted(relators, key=lambda c: (len(c), c))))
 
 

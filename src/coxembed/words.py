@@ -60,13 +60,6 @@ def invert(w: Sequence[int]) -> Word:
     return tuple(-l for l in reversed(w))
 
 
-def relabel(w: Sequence[int], mapping: Sequence[int]) -> Word:
-    """Substitute letter ``mapping[g]`` for generator ``g`` (0-based) and
-    its inverse for ``g``'s inverse; a negative entry maps ``g`` to an
-    inverted generator."""
-    return tuple(mapping[l - 1] if l > 0 else -mapping[-l - 1] for l in w)
-
-
 def concat(*words: Sequence[int]) -> Word:
     """Freely reduced juxtaposition of any number of words."""
     joined: list[int] = []

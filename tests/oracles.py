@@ -17,7 +17,8 @@ on itself off a complete Todd-Coxeter table,
 matrix, :func:`merge_images` reads each raw symbol's merged image as a
 word, and :func:`evaluated_rewriter` rewrites kernel words over the
 evaluated symbols.  :func:`fields` and :func:`replace` read and rebuild
-a value object through its class's constructor.
+a value object through its class's constructor, and :func:`relabel`
+substitutes signed generators into a word.
 """
 
 from __future__ import annotations
@@ -36,7 +37,6 @@ from coxembed.words import (
     expand_kernel_word,
     free_reduce,
     invert,
-    relabel,
     relator_nf,
 )
 
@@ -257,6 +257,13 @@ def smith_normal_form(rows) -> Tuple[int, ...]:
     cols)``, by the engine's sparse elimination."""
     n = len(rows[0]) if rows else 0
     return _sparse_smith_diagonal([{j: v for j, v in enumerate(r) if v} for r in rows], min(len(rows), n))
+
+
+def relabel(w: Sequence[int], mapping: Sequence[int]) -> Word:
+    """Substitute letter ``mapping[g]`` for generator ``g`` (0-based) and
+    its inverse for ``g``'s inverse; a negative entry maps ``g`` to an
+    inverted generator."""
+    return tuple(mapping[l - 1] if l > 0 else -mapping[-l - 1] for l in w)
 
 
 def brute_force_match(p, q):

@@ -42,7 +42,7 @@ from coxembed.verify import (
     verify_instance,
     word_holds,
 )
-from coxembed.words import invert, power, relabel, relator_nf
+from coxembed.words import invert, power, relator_nf
 from oracles import (
     brute_force_match,
     coxeter_form_positive_definite,
@@ -53,6 +53,7 @@ from oracles import (
     minor_gcd_diagonal,
     perm_closure,
     regular_rep,
+    relabel,
     replace,
     smith_normal_form,
     triangle_times_klein_gens,
@@ -190,6 +191,15 @@ def _certified_instances():
     ]
 
 
+def test_built_in_non_coxeter_ambients_have_certified_infinite_kernels():
+    # so _finite_section enumerates a non-Coxeter ambient, and traces
+    # relators through its table, only for hand-built instances
+    swept = [inst for inst in _instance_sweep() if coxeter_matrix_of(inst.ambient) is None]
+    assert {inst.family for inst in swept} == {"artin", "artin-inversion"}
+    for inst in swept:
+        assert certified_infinite(inst.expected_kernel), (inst.family, inst.params)
+
+
 def test_certificate_leaves_verify_reports_unchanged(monkeypatch):
     import coxembed.verify as verify
 
@@ -280,6 +290,19 @@ def test_word_holds_examples():
     for w in ((1,), (-1,)):
         with pytest.raises(ValueError, match="outside alphabet"):
             word_holds(trivial, w)
+
+
+def test_word_holds_inverse_letters_match_permutation_product():
+    # a^3 makes a no involution, so an inverse letter must act by the
+    # inverse permutation: a^-1 b a b is a^-2 = a in S3, while a b a b is 1
+    rep = regular_rep(parse_presentation("< a, b | a^3, b^2, (a b)^2 >"))
+    identity = tuple(range(len(rep[0])))
+    assert not word_holds(rep, (-1, 2, 1, 2))
+    rng = random.Random(5)
+    words = [tuple(rng.choice((1, -1, 2, -2)) for _ in range(rng.randrange(9))) for _ in range(300)]
+    holds = [word_holds(rep, w) for w in words]
+    assert holds == [eval_word_perm(w, rep) == identity for w in words]
+    assert set(holds) == {True, False}
 
 
 def test_involution_columns_cross_checked_by_permutation_closure():
