@@ -10,13 +10,14 @@ of ``simplify`` calls, their eliminations by the number of letters of the
 relator each solved (1, 2, 3 or more), the relators they dropped as
 empty and as duplicates of a live relator (the sums of the
 ``drop-empty`` and ``dedupe`` steps), the calls that ended ``bounded``
-and the relator rewrites made, counted as calls of the functions that
-``coxembed.tietze._rewriter`` returns.  It also prints the words
-``simplify`` hands to ``rotation_nf`` and to ``code_nf``, and how many
-of each are proper powers ``u^k``, ``k >= 2``, of three or more letters,
-read off the normal form, which is a proper power exactly when the
-cyclically reduced word is.  The warm-up op of ``setup`` is not counted.
-Only ``trace.steps``, ``trace.bounded``, ``_rewriter`` and the
+and the relator rewrites made.  It also prints the words ``simplify``
+hands to ``rotation_nf`` and to ``code_nf``, and how many of each are
+proper powers ``u^k``, ``k >= 2``, of three or more letters, read off
+the normal form, which is a proper power exactly when the cyclically
+reduced word is.  Loading puts each input relator in normal form once,
+and each rewrite puts its result in normal form once, so the rewrites
+are those words less the input relators.  The warm-up op of ``setup`` is
+not counted.  Only ``trace.steps``, ``trace.bounded`` and the
 ``rotation_nf`` and ``code_nf`` that ``coxembed.tietze`` binds are read,
 so it runs against older checkouts too.
 """
@@ -45,7 +46,7 @@ class Traffic:
         self.reset()
 
     def reset(self) -> None:
-        self.calls = self.bounded = self.rewrites = 0
+        self.calls = self.bounded = self.loaded = 0
         self.solved: Counter = Counter()  # eliminations by min(letters, 3)
         self.dropped: Counter = Counter()  # relators by drop-empty, dedupe
         self.nf: Counter = Counter()  # words by normal form function
@@ -53,18 +54,7 @@ class Traffic:
 
     def install(self, modules: dict) -> None:
         tietze = modules["coxembed.tietze"]
-        simplify, rewriter = tietze.simplify, tietze._rewriter
-
-        def counted_rewriter(*args):
-            rewrite = rewriter(*args)
-
-            def counted_rewrite(f):
-                self.rewrites += 1
-                return rewrite(f)
-
-            return counted_rewrite
-
-        tietze._rewriter = counted_rewriter
+        simplify = tietze.simplify
 
         def counted_nf(name):
             nf = getattr(tietze, name)
@@ -82,9 +72,10 @@ class Traffic:
         counted_nf("rotation_nf")
         counted_nf("code_nf")
 
-        def counted(*args, **kwargs):
-            out, trace = simplify(*args, **kwargs)
+        def counted(pres, *args, **kwargs):
+            out, trace = simplify(pres, *args, **kwargs)
             self.calls += 1
+            self.loaded += len(pres.relators)
             self.bounded += trace.bounded
             for step in trace.steps:
                 if step[0] == "eliminate":
@@ -118,7 +109,7 @@ def main(argv=None) -> int:
     dropped = traffic.dropped
     print(f"dropped: {sum(dropped.values())} (empty: {dropped['drop-empty']}, duplicate: {dropped['dedupe']})")
     print(f"bounded_calls: {traffic.bounded}")
-    print(f"rewrites: {traffic.rewrites}")
+    print(f"rewrites: {sum(traffic.nf.values()) - traffic.loaded}")
     for name in ("rotation_nf", "code_nf"):
         print(f"{name}_inputs: {traffic.nf[name]} (proper powers: {traffic.powers[name]})")
     return 0

@@ -20,22 +20,26 @@ a heap ordered by length and form, and each step solves the least of them
 while one is admissible: the short-relator phase of Havas, Kenne,
 Richardson and Robertson (*A Tietze transformation program*, 1984).  An
 entry whose relator has since been rewritten or dropped is skipped when
-it is popped.  An elimination rewrites in place only the relators
-containing the eliminated generator, found through id sets kept per
-generator that only grow: an id whose relator is gone is skipped, and
-one whose relator has lost the generator rewrites to itself.  These
-rewrites are made once, when the elimination is admitted: each is checked
-against the length bound, and the elimination commits them.  A rewrite
-replaces the generator's two letters by ``str.replace``.  It is freely
-and cyclically reduced only when a cancellation is possible: after a
-deletion or a longer replacement, or where a one-letter substitute meets
-its inverse, last letter to first included.  Otherwise it is only rotated
-into normal form.  A relator rewritten to the empty word or to another
-live relator is dropped.  The result equals re-normalizing the whole
-presentation after every elimination.  Generator counts, needed only to
-choose among relators of three or more letters, are taken afresh, in one
-pass over the live relators, only when no shorter relator offers an
-elimination.
+it is popped.  Each elimination is one pass over the relators containing
+the eliminated generator, found through id sets kept per generator that
+only grow: an id whose relator is gone is skipped, and one whose relator
+has lost the generator rewrites to itself.  The pass rewrites each
+relator in place and commits it at once; if a rewrite is longer than the
+length bound, it restores the relators committed before and the
+elimination is rejected.  A replacement of at most one letter never
+makes a relator longer, so the bound is checked only after a longer
+replacement or when an input relator was longer than the bound, and
+a short relator the bound rejects waits aside until such a relator is
+rewritten or dropped.  A rewrite replaces the generator's two letters by
+``str.replace``.  It is freely and cyclically reduced only when a
+cancellation is possible: after a deletion or a longer replacement, or
+where a one-letter substitute meets its inverse, last letter to first
+included.  Otherwise it is only rotated into normal form.  A relator
+rewritten to the empty word or to another live relator is dropped.  The
+result equals re-normalizing the whole presentation after every
+elimination.  Generator counts, needed only to choose among relators of
+three or more letters, are taken afresh, in one pass over the live
+relators, only when no shorter relator offers an elimination.
 """
 
 from __future__ import annotations
@@ -43,7 +47,7 @@ from __future__ import annotations
 from collections import Counter, defaultdict
 from functools import cached_property
 from heapq import heapify, heappop, heappush
-from typing import Callable, Dict, Iterable, List, Sequence, Set, Tuple
+from typing import Dict, Iterator, List, Sequence, Set, Tuple
 
 from .presentations import DEFAULT_MAX_RELATOR_LENGTH, Presentation, serialize_word
 from .words import Code, _Memo, code_invert, code_nf, code_reduce, decode, encode, rotation_nf
@@ -123,11 +127,19 @@ class _Relators:
     taken from the live forms only when no short form is admissible;
     nothing about them is kept between eliminations.
 
-    An elimination's rewrites are made once, when :meth:`_admit` checks
-    them against the length bound, and :meth:`eliminate` commits them.
+    A short form's replacement has at most one letter, so no rewrite it
+    makes is longer than the relator it rewrites: only a live relator
+    longer than the bound can reject it.  Only input relators can be that
+    long, and ``overlong`` says whether one was.  Such a relator changes
+    only by being rewritten into the bound or dropped, so a short form the
+    bound rejects is set aside in ``parked`` and put back on the heap only
+    after an elimination rewrites or drops one.
+
+    ``steps`` holds the trace records; :meth:`eliminate` adds those of each
+    elimination it commits.
     """
 
-    def __init__(self, forms: Iterable[Code], max_len: int):
+    def __init__(self, forms: Sequence[Code], max_len: int):
         """Relator ``i`` has the ``i``-th form, unless an earlier one has
         it."""
         self.max_len = max_len
@@ -144,117 +156,132 @@ class _Relators:
             if n == 1 or n == 2 and c[0] != c[1]:
                 self.heap.append((n, c, i))
         heapify(self.heap)
+        self.parked: List[Tuple[int, Code, int]] = []
+        self.overlong = any(len(c) > max_len for c in self.ids)
+        self.steps: List[Tuple] = [("dedupe", len(forms) - len(self.ids))] if len(self.ids) < len(forms) else []
+        self.steps.append(("reduce",))
 
-    def __len__(self) -> int:
-        return len(self.ids)
+    def choose(self) -> Iterator[Tuple[int, int]]:
+        """The candidate eliminations ``(r, g)``, ``r`` the id of a relator
+        holding ``g`` once, in the greedy's order, for the whole run.
 
-    def _admit(self, c: Code, r: int, gens: Iterable[int]):
-        """``(g, r, replacement, done)`` for the first of ``gens`` whose
-        elimination through relator ``r``, of form ``c``, the length bound
-        admits, or None.  ``done`` maps the id of every other live relator
-        that may contain ``g`` to its form with ``g`` replaced, cyclically
-        reduced as a presentation stores it: the rewrites the elimination
-        makes, each checked against the bound."""
-        forms, max_len = self.forms, self.max_len
-        for g in gens:
-            replacement = _solve(c, g)
-            rewrite = _rewriter(g, replacement)
-            done = {}
-            for i in self.containing[chr(g)]:
-                f = forms.get(i)
-                if f is not None and i != r:
-                    done[i] = rewritten = rewrite(f)
-                    if len(rewritten) > max_len:
-                        break
+        Each round takes the short forms off the heap, least first and
+        lower generator first, then the longer relators by length, form and
+        growth estimate.  It ends at the first candidate that
+        :meth:`eliminate` commits, which drops the relator solved, and the
+        next round starts afresh.  A short form whose every candidate was
+        rejected is parked.  A round without a commit ends the run and sets
+        ``bounded`` if the length bound rejected a candidate still live."""
+        forms, heap, parked = self.forms, self.heap, self.parked
+        while True:
+            while heap:
+                entry = heappop(heap)
+                _, c, r = entry
+                if forms.get(r) == c:
+                    # a two-letter normal form starts with its lower generator
+                    for x in c:
+                        yield r, ord(x) >> 1
+                        if r not in forms:
+                            break
+                    else:
+                        parked.append(entry)
+            offered = False
+            for r, g in self._longer():
+                offered = True
+                yield r, g
+                if r not in forms:
+                    break
             else:
-                return g, r, replacement, done
-        return None
+                self.bounded = offered or any(forms.get(r) == c for _, c, r in parked)
+                return
 
-    def choose(self):
-        """First admissible elimination ``(g, r, replacement, done)``, ``r``
-        the id of the relator solved for ``g`` (see :meth:`_admit`).  None
-        when no relator offers one, False when the length bound rejected
-        every one offered.  A short form the bound rejects goes back on
-        the heap, to be tried again at the next step."""
-        forms, heap = self.forms, self.heap
-        chosen = None
-        rejected = []
-        while heap and not chosen:
-            entry = heappop(heap)
-            c, r = entry[1:]
-            if forms.get(r) == c:
-                # a two-letter normal form starts with its lower generator
-                chosen = self._admit(c, r, [ord(x) >> 1 for x in c])
-                if not chosen:
-                    rejected.append(entry)
-        for entry in rejected:
-            heappush(heap, entry)
-        if chosen:
-            return chosen
-        chosen = False if rejected else None
+    def _longer(self) -> Iterator[Tuple[int, int]]:
+        """The candidates on relators of three or more letters, by length
+        and form, and within a relator by growth estimate: occurrences
+        elsewhere times replacement length minus one, then index.  The
+        generator counts are taken once, from the live forms."""
         occ = Counter("".join(self.ids).translate(_GEN))
         for c in sorted((c for c in self.ids if len(c) > 2), key=lambda c: (len(c), c)):
             singles = [ord(x) for x, k in Counter(c.translate(_GEN)).items() if k == 1]
             if singles:
-                # growth estimate: occurrences elsewhere times replacement
-                # length minus one, then index
-                singles.sort(key=lambda g: ((occ[chr(g)] - 1) * (len(c) - 2), g))
-                chosen = self._admit(c, self.ids[c], singles) or False
-                if chosen:
-                    return chosen
-        return chosen
+                for g in sorted(singles, key=lambda g: ((occ[chr(g)] - 1) * (len(c) - 2), g)):
+                    yield self.ids[c], g
 
-    def eliminate(self, g: int, r: int, replacement: Code, done: Dict[int, Code]) -> Tuple[int, int]:
-        """Drop relator ``r`` and commit the rewrites ``done`` that
-        :meth:`_admit` made.  A relator rewritten to the empty word or to
-        a live form is dropped; returns how many were dropped each way."""
-        forms, ids, heap = self.forms, self.ids, self.heap
-        del ids[forms.pop(r)]
-        del self.containing[chr(g)]
+    def eliminate(self, r: int, g: int) -> bool:
+        """Eliminate ``g`` through relator ``r``, which holds it once, and
+        record the step; or change nothing and return False when a rewrite
+        is longer than the length bound.
+
+        One pass rewrites each other live relator holding ``g`` and commits
+        it; a rejection restores the relators committed before it.  A
+        rewrite replaces ``g``'s two letters by ``str.replace``.  A live
+        form is cyclically reduced, so after substituting one letter ``z``
+        it can cancel only where ``z`` meets its inverse, last letter to
+        first included: it is reduced only then, or after a deletion or a
+        longer replacement, and otherwise just rotated.  The bound is
+        checked only where it can reject: after a longer replacement, or
+        when an input relator was longer than the bound.  A relator
+        rewritten to the empty word or to a live form is dropped.  A short
+        form's heap entry pushed before a rejection is left stale."""
+        forms, ids, containing, heap, max_len = self.forms, self.ids, self.containing, self.heap, self.max_len
+        c = forms[r]
+        z = _solve(c, g)
+        zi = code_invert(z)
+        x, y = chr(2 * g), chr(2 * g + 1)
+        reduce = len(z) != 1
+        pair, inverse_pair = z + zi, zi + z
+        check = len(z) > 1 or self.overlong
+        old: Dict[int, Code] = {}  # id -> form before, kept while the bound is checked
         kept = []
         emptied = deduped = 0
-        for i, c in done.items():
-            f = forms[i]
-            if c == f:
+        for i in containing[chr(g)]:
+            f = forms.get(i)
+            if f is None or i == r:
                 continue
+            s = f.replace(x, z).replace(y, zi)
+            if reduce or pair in s or inverse_pair in s or ord(s[0]) ^ ord(s[-1]) == 1:
+                s = code_nf(s)
+            else:
+                s = rotation_nf(s)
+            if s == f:
+                continue
+            if check:
+                if len(s) > max_len:
+                    for i, f in reversed(old.items()):
+                        ids.pop(forms.get(i), None)
+                        ids[f] = i
+                        forms[i] = f
+                    return False
+                old[i] = f
             del ids[f]
-            if not c:
+            if not s:
                 del forms[i]
                 emptied += 1
-            elif c in ids:
+            elif s in ids:
                 del forms[i]
                 deduped += 1
             else:
-                ids[c] = i
-                forms[i] = c
+                ids[s] = i
+                forms[i] = s
                 kept.append(i)
-                n = len(c)
-                if n == 1 or n == 2 and c[0] != c[1]:
-                    heappush(heap, (n, c, i))
-        for x in set(replacement.translate(_GEN)):
-            self.containing[x].update(kept)
-        return emptied, deduped
-
-
-def _rewriter(g: int, replacement: Code) -> Callable[[Code], Code]:
-    """The function taking a live normal form to its normal form with
-    ``g`` replaced by ``replacement``.  A live form is cyclically reduced,
-    so after substituting one letter ``z`` it can cancel only where ``z``
-    meets its inverse, last letter to first included: it is reduced only
-    then, and otherwise just rotated."""
-    x, y = chr(2 * g), chr(2 * g + 1)
-    z, zi = replacement, code_invert(replacement)
-    if len(z) != 1:
-        return lambda f: code_nf(f.replace(x, z).replace(y, zi))
-    pair, inverse_pair = z + zi, zi + z
-
-    def rewrite(f: Code) -> Code:
-        s = f.replace(x, z).replace(y, zi)
-        if pair in s or inverse_pair in s or ord(s[0]) ^ ord(s[-1]) == 1:
-            return code_nf(s)
-        return rotation_nf(s)
-
-    return rewrite
+                n = len(s)
+                if n < 3 and (n == 1 or s[0] != s[1]):
+                    heappush(heap, (n, s, i))
+        del ids[forms.pop(r)]
+        del containing[chr(g)]
+        for x in set(z.translate(_GEN)):
+            containing[x].update(kept)
+        if self.parked and any(len(f) > max_len for f in (c, *old.values())):
+            while self.parked:
+                heappush(heap, self.parked.pop())
+        steps = self.steps
+        steps.append(("eliminate", g, c, z))
+        if emptied:
+            steps.append(("drop-empty", emptied))
+        if deduped:
+            steps.append(("dedupe", deduped))
+        steps.append(("reduce",))
+        return True
 
 
 def _expand(eliminated: List[Tuple[int, Code]]) -> Dict[int, Code]:
@@ -289,29 +316,14 @@ def simplify(
     if max_relator_length <= 0:
         raise ValueError("max_relator_length must be positive")
     names = pres.gens
-    rels = _Relators(map(rotation_nf, map(encode, pres.relators)), max_relator_length)
-    steps: List[Tuple] = []
-    if len(rels) != len(pres.relators):
-        steps.append(("dedupe", len(pres.relators) - len(rels)))
-    steps.append(("reduce",))
-
-    gone = set()
-    while chosen := rels.choose():
-        g, r, replacement, done = chosen
-        steps.append(("eliminate", g, rels.forms[r], replacement))
-        gone.add(g)
-        emptied, deduped = rels.eliminate(g, r, replacement, done)
-        if emptied:
-            steps.append(("drop-empty", emptied))
-        if deduped:
-            steps.append(("dedupe", deduped))
-        steps.append(("reduce",))
-
+    rels = _Relators([rotation_nf(encode(r)) for r in pres.relators], max_relator_length)
+    for r, g in rels.choose():
+        rels.eliminate(r, g)
+    gone = {s[1] for s in rels.steps if s[0] == "eliminate"}
     survivors = [g for g in range(len(names)) if g not in gone]
     renumber = {}
     for k, g in enumerate(survivors):
         renumber[2 * g], renumber[2 * g + 1] = 2 * k, 2 * k + 1
     relators = tuple(decode(c.translate(renumber)) for c in sorted(rels.ids, key=lambda c: (len(c), c)))
-    # False: the length bound rejected every elimination offered
-    trace = SimplifyTrace(names, steps, chosen is False)
+    trace = SimplifyTrace(names, rels.steps, rels.bounded)
     return Presentation.trusted(tuple(names[g] for g in survivors), relators), trace

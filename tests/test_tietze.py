@@ -324,8 +324,9 @@ def test_trace_reads_alike_however_it_is_read():
 def _check_bookkeeping(rels):
     """The invariants a ``tietze._Relators`` keeps between eliminations:
     ``ids`` and ``forms`` are inverse maps over nonempty normal forms,
-    every generator of a live form has its id in ``containing``, and every
-    live short form has a heap entry that is still valid."""
+    every generator of a live form has its id in ``containing``, every
+    live short form has a valid entry on the heap or parked, and only an
+    input with a relator longer than the bound has one live."""
     forms = rels.forms
     assert rels.ids == {c: i for i, c in forms.items()}
     assert len(rels.ids) == len(forms)
@@ -335,9 +336,10 @@ def _check_bookkeeping(rels):
             assert i in rels.containing.get(chr(ord(x) >> 1), ())
     heap = rels.heap
     assert all(heap[(k - 1) // 2] <= heap[k] for k in range(1, len(heap)))
-    valid = {entry for entry in heap if forms.get(entry[2]) == entry[1]}
+    valid = {entry for entry in heap + rels.parked if forms.get(entry[2]) == entry[1]}
     short = {(len(c), c, i) for i, c in forms.items() if len(c) == 1 or (len(c) == 2 and c[0] != c[1])}
     assert short <= valid
+    assert rels.overlong or max(map(len, forms.values()), default=0) <= rels.max_len
 
 
 # inputs whose eliminations use relators of three or more letters, chosen
@@ -361,15 +363,31 @@ def test_bound_blocks_a_short_elimination_until_the_long_relator_goes():
     assert (str(out), trace.steps, trace.defining, trace.bounded) == reference_simplify(BLOCKED_SHORT, 4)
 
 
-def test_relators_bookkeeping_after_every_elimination(monkeypatch):
-    eliminate = tietze._Relators.eliminate
-    checked = []
+def _state(rels):
+    """What an elimination changes: ``ids``, ``forms``, ``containing``
+    and the heap entries still valid."""
+    forms = rels.forms
+    live = sorted(entry for entry in rels.heap if forms.get(entry[2]) == entry[1])
+    return dict(rels.ids), dict(forms), {x: set(ids) for x, ids in rels.containing.items()}, live
 
-    def checked_eliminate(rels, *args):
-        counts = eliminate(rels, *args)
-        _check_bookkeeping(rels)
-        checked.append(args)
-        return counts
+
+def test_relators_bookkeeping_after_every_elimination(monkeypatch):
+    # every committed elimination, short or long, keeps the invariants, and
+    # a rejected one changes nothing, also where it had committed rewrites
+    # before the one past the bound (LONG_ELIMINATIONS at bound 6)
+    eliminate = tietze._Relators.eliminate
+    committed, rejected = [], []
+
+    def checked_eliminate(rels, r, g):
+        before = _state(rels)
+        solved = len(rels.forms[r])
+        if eliminate(rels, r, g):
+            _check_bookkeeping(rels)
+            committed.append(solved)
+            return True
+        assert _state(rels) == before
+        rejected.append(solved)
+        return False
 
     monkeypatch.setattr(tietze._Relators, "eliminate", checked_eliminate)
     prop2 = build_prop2_instance(CoxeterMatrix.from_pairs(4, {(0, 1): 3, (1, 2): 3, (2, 3): 3}), (2, 4, 6, 2))
@@ -380,9 +398,33 @@ def test_relators_bookkeeping_after_every_elimination(monkeypatch):
     ]
     cases += [(LONG_ELIMINATIONS, DEFAULT_MAX_RELATOR_LENGTH), (BLOCKED_SHORT, 4)]
     for p, bound in cases:
-        before = len(checked)
+        before = len(committed)
         out, trace = simplify(p, bound)
-        assert len(checked) - before == sum(1 for s in trace.steps if s[0] == "eliminate") > 0
+        assert len(committed) - before == sum(1 for s in trace.steps if s[0] == "eliminate") > 0
+    assert min(committed) <= 2 < max(committed)
+    # at bound 6 the bound rejects every elimination LONG_ELIMINATIONS offers
+    before = len(rejected)
+    out, trace = simplify(LONG_ELIMINATIONS, 6)
+    assert trace.bounded and not any(s[0] == "eliminate" for s in trace.steps)
+    assert min(rejected) <= 2 < min(rejected[before:])
+
+
+def test_a_rejected_short_form_waits_until_the_long_relator_changes(monkeypatch):
+    # the bound rejects a b (either way round, the long relator would keep
+    # five letters) while d e, e f and f g are eliminated and then c through
+    # the long relator; a b is tried once before and once after, two
+    # rewrites of the long relator in all, not once per step.  Each word
+    # simplify puts in normal form is an input relator or a rewrite.
+    made = []
+    for name in ("rotation_nf", "code_nf"):
+        nf = getattr(tietze, name)
+        monkeypatch.setattr(tietze, name, lambda c, nf=nf: made.append(c) or nf(c))
+    p = parse_presentation("< a, b, c, d, e, f, g | a b^-1 a^2 c^-1, a b, d e, e f, f g >")
+    out, trace = simplify(p, 4)
+    eliminated = [s[1:3] for s in trace.steps if s[0] == "eliminate"]
+    assert eliminated == [("d", "d e"), ("e", "e f"), ("f", "f g"), ("c", "a^2 c^-1 a b^-1"), ("a", "a b")]
+    assert len(made) - len(p.relators) == 2
+    assert (str(out), trace.steps, trace.defining, trace.bounded) == reference_simplify(p, 4)
 
 
 # Simplify output pinned by digests taken from the whole-presentation
