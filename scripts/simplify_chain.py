@@ -3,6 +3,7 @@
 
     python3 scripts/simplify_chain.py 5 6 7
     python3 scripts/simplify_chain.py 4 5 --chains long --repeat 1
+    python3 scripts/simplify_chain.py 3 --chains thm1,prop2 --label 40000 --repeat 3
 
 For each chain and each rank given, builds the instance on the path
 Coxeter graph of that rank and prints one line: the raw kernel's
@@ -23,6 +24,10 @@ Chains:
   relator and recounts the generators of the live relators first; it has
   no ``verify_instance`` time.  ``tests/test_tietze.py`` pins its rank-4
   input.
+
+``--label L`` puts the label ``L`` on every edge of the path instead, in
+every chain; thm1, and so ``long``, need it even.  A large label times
+the cost of long relators such as ``(s_i s_j)^L``.
 
 Uses the standard library and the ``coxembed`` sources of this checkout.
 """
@@ -56,10 +61,10 @@ def path(n: int, label) -> CoxeterMatrix:
     return CoxeterMatrix.from_pairs(n, {(i, i + 1): label for i in range(n - 1)})
 
 
-def instance(chain: str, n: int):
+def instance(chain: str, n: int, label=None):
     if chain == "prop2":
-        return build_prop2_instance(path(n, 3), (4,) * n)
-    return build_thm1_instance(path(n, 4), (INF,) * n)
+        return build_prop2_instance(path(n, label or 3), (4,) * n)
+    return build_thm1_instance(path(n, label or 4), (INF,) * n)
 
 
 def letters(word_text: str) -> int:
@@ -92,14 +97,17 @@ def main(argv=None) -> int:
     ap.add_argument("ranks", type=int, nargs="+")
     ap.add_argument("--chains", default=",".join(CHAINS), help="comma-separated, from: " + ", ".join(CHAINS))
     ap.add_argument("--repeat", type=int, default=3, help="runs per timing; the best is printed")
+    ap.add_argument("--label", type=int, help="the label on every edge of the path (default: 4 for thm1, 3 for prop2)")
     args = ap.parse_args(argv)
     chains = args.chains.split(",")
     if any(c not in CHAINS for c in chains) or args.repeat < 1 or min(args.ranks) < 1:
         ap.error("unknown chain, or rank or --repeat below 1")
+    if args.label is not None and (args.label < 2 or args.label % 2 and chains != ["prop2"]):
+        ap.error("--label must be at least 2, and even unless the only chain is prop2")
     print(ROW.format("chain", "rank", "gens", "rels", "elims", "long", "simplify_s", "render_s", "verify_s"))
     for chain in chains:
         for n in args.ranks:
-            inst = instance(chain, n)
+            inst = instance(chain, n, args.label)
             raw = raw_kernel_presentation(inst.ambient, inst.hom, inst.transversal_gens).presentation
             if chain == "long":
                 raw = Presentation(raw.gens, tuple(r for r in raw.relators if len(relator_nf(r)) > 2))

@@ -231,10 +231,6 @@ class _Parser:
             raise ParseError(f"expected {kind!r}, found {tok[1]!r}", tok[2], tok[3])
         return tok
 
-    def fail(self, message: str):
-        tok = self.peek()
-        raise ParseError(message, tok[2], tok[3])
-
 
 def _parse_word(p: _Parser, gmap: Dict[str, int]) -> Word:
     if p.peek()[:2] == ("int", 1):
@@ -335,18 +331,16 @@ def parse_presentation(text: str) -> Presentation:
     """Parse ``< a, b | a^2, [a,b]^2 >`` style presentation text."""
     p = _Parser(text)
     p.expect("<")
-    names = []
+    gmap: Dict[str, int] = {}
     if p.peek()[0] != "|":
-        names.append(p.expect("name")[1])
-        while p.peek()[0] == ",":
+        while True:
+            tok = p.expect("name")
+            if tok[1] in gmap:
+                raise ParseError(f"duplicate generator name {tok[1]!r}", tok[2], tok[3])
+            gmap[tok[1]] = len(gmap)
+            if p.peek()[0] != ",":
+                break
             p.next()
-            names.append(p.expect("name")[1])
-    seen = set()
-    for name in names:
-        if name in seen:
-            p.fail(f"duplicate generator name {name!r}")
-        seen.add(name)
-    gmap = {name: i for i, name in enumerate(names)}
     p.expect("|")
     relators = []
     if p.peek()[0] != ">":
@@ -358,7 +352,7 @@ def parse_presentation(text: str) -> Presentation:
             p.letters += len(relators[-1])
     p.expect(">")
     p.expect("end")
-    return Presentation(tuple(names), tuple(relators))
+    return Presentation(tuple(gmap), tuple(relators))
 
 
 def parse_word(text: str, gens: Sequence[str], letters: int = 0) -> Word:
@@ -403,33 +397,66 @@ def serialize_presentation(pres: Presentation) -> str:
 # parameter objects
 
 
-def _check_symmetric(entries, minimum, what):
-    n = len(entries)
-    for i, row in enumerate(entries):
-        if len(row) != n:
-            raise ValueError(f"{what} must be square")
+def _check_at_least(values, minimum: int, what: str) -> None:
+    """Refuse a value that is neither inf nor an integer ``>= minimum``;
+    the error calls it a ``what``."""
+    for v in values:
+        if v != INF and (not isinstance(v, int) or v < minimum):
+            raise ValueError(f"{what} must be >= {minimum} or inf, got {v!r}")
+
+
+def _table(rows, minimum: int, diagonal, what: str) -> Tuple[Tuple, ...]:
+    """``rows`` as a tuple of tuples with ``diagonal`` on the diagonal,
+    after checking that they are square, symmetric off the diagonal and
+    there inf or integers ``>= minimum``.  The errors call them a
+    ``what``."""
+    rows = tuple(tuple(row) for row in rows)
+    n = len(rows)
+    if any(len(row) != n for row in rows):
+        raise ValueError(f"{what} must be square")
+    for i, row in enumerate(rows):
         for j, v in enumerate(row):
-            if i == j:
-                continue
-            if v != entries[j][i]:
-                raise ValueError(f"{what} must be symmetric")
-            if v != INF and (not isinstance(v, int) or v < minimum):
-                raise ValueError(f"{what} entries must be >= {minimum} or inf, got {v!r}")
+            if i != j:
+                if v != rows[j][i]:
+                    raise ValueError(f"{what} must be symmetric")
+                _check_at_least((v,), minimum, f"{what} entries")
+    return tuple(tuple(diagonal if i == j else v for j, v in enumerate(row)) for i, row in enumerate(rows))
 
 
-class CoxeterMatrix(_Value):
+def _square(n: int, default, labels: Dict[Tuple[int, int], object]) -> list:
+    """``n`` rows of ``default`` with ``labels[i, j]`` at ``(i, j)`` and
+    ``(j, i)``."""
+    rows = [[default] * n for _ in range(n)]
+    for (i, j), v in labels.items():
+        rows[i][j] = rows[j][i] = v
+    return rows
+
+
+class _Table(_Value):
+    """A value whose first field is a symmetric table, as :func:`_table`
+    builds it."""
+
+    __slots__ = ()
+
+    @property
+    def n(self) -> int:
+        return len(getattr(self, self.__slots__[0]))
+
+    def pairs(self):
+        """Yield ``(i, j, v)`` for each entry ``v`` above the diagonal."""
+        rows = getattr(self, self.__slots__[0])
+        for i, row in enumerate(rows):
+            for j in range(i + 1, len(rows)):
+                yield i, j, row[j]
+
+
+class CoxeterMatrix(_Table):
     """Symmetric matrix of edge labels ``m_ij >= 2`` or inf; diagonal 1."""
 
     __slots__ = ("entries",)
 
     def __init__(self, entries: Tuple[Tuple, ...]):
-        entries = tuple(tuple(row) for row in entries)
-        _check_symmetric(entries, 2, "Coxeter matrix")
-        entries = tuple(
-            tuple(1 if i == j else v for j, v in enumerate(row))
-            for i, row in enumerate(entries)
-        )
-        super().__init__(entries)
+        super().__init__(_table(entries, 2, 1, "Coxeter matrix"))
 
     @classmethod
     def from_rows(cls, rows) -> "CoxeterMatrix":
@@ -438,28 +465,14 @@ class CoxeterMatrix(_Value):
 
     @classmethod
     def from_pairs(cls, n: int, labels: Dict[Tuple[int, int], object], default=2) -> "CoxeterMatrix":
-        rows = [[default] * n for _ in range(n)]
-        for (i, j), m in labels.items():
-            rows[i][j] = m
-            rows[j][i] = m
-        return cls.from_rows(rows)
-
-    @property
-    def n(self) -> int:
-        return len(self.entries)
-
-    def pairs(self):
-        """Yield ``(i, j, m_ij)`` for i < j."""
-        for i in range(self.n):
-            for j in range(i + 1, self.n):
-                yield i, j, self.entries[i][j]
+        return cls.from_rows(_square(n, default, labels))
 
     @property
     def is_even(self) -> bool:
         return all(m == INF or m % 2 == 0 for _, _, m in self.pairs())
 
 
-class PcSpec(_Value):
+class PcSpec(_Table):
     """Rank, commutator powers ``n_ij >= 1`` or inf, generator orders.
 
     Generator orders ``p_i`` may be any integer >= 1 or inf; note that an
@@ -470,36 +483,16 @@ class PcSpec(_Value):
     __slots__ = ("powers", "orders")
 
     def __init__(self, powers: Tuple[Tuple, ...], orders: Tuple):
-        powers = tuple(tuple(row) for row in powers)
-        _check_symmetric(powers, 1, "commutator-power matrix")
-        powers = tuple(
-            tuple(INF if i == j else v for j, v in enumerate(row))
-            for i, row in enumerate(powers)
-        )
+        powers = _table(powers, 1, INF, "commutator-power matrix")
         orders = tuple(orders)
         if len(orders) != len(powers):
             raise ValueError("need one generator order per generator")
-        for p in orders:
-            if p != INF and (not isinstance(p, int) or p < 1):
-                raise ValueError(f"generator order must be >= 1 or inf, got {p!r}")
+        _check_at_least(orders, 1, "generator order")
         super().__init__(powers, orders)
 
     @classmethod
     def from_pairs(cls, n: int, powers: Dict[Tuple[int, int], object], orders) -> "PcSpec":
-        rows = [[INF] * n for _ in range(n)]
-        for (i, j), v in powers.items():
-            rows[i][j] = v
-            rows[j][i] = v
-        return cls(rows, orders)
-
-    @property
-    def n(self) -> int:
-        return len(self.powers)
-
-    def pairs(self):
-        for i in range(self.n):
-            for j in range(i + 1, self.n):
-                yield i, j, self.powers[i][j]
+        return cls(_square(n, INF, powers), orders)
 
 
 class HomZ2n(_Value):
@@ -743,9 +736,7 @@ def _check_orders(orders, n: int):
     orders = tuple(orders)
     if len(orders) != n:
         raise ValueError(f"need {n} generator orders, got {len(orders)}")
-    for p in orders:
-        if p != INF and (not isinstance(p, int) or p < 2):
-            raise ValueError(f"generator order must be >= 2 or inf, got {p!r}")
+    _check_at_least(orders, 2, "generator order")
     return orders
 
 

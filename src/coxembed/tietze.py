@@ -161,16 +161,14 @@ class _Relators:
         self.steps: List[Tuple] = [("dedupe", len(forms) - len(self.ids))] if len(self.ids) < len(forms) else []
         self.steps.append(("reduce",))
 
-    def choose(self) -> Iterator[Tuple[int, int]]:
-        """The candidate eliminations ``(r, g)``, ``r`` the id of a relator
-        holding ``g`` once, in the greedy's order, for the whole run.
+    def run(self) -> None:
+        """Eliminate in the greedy's order until no candidate commits.
 
         Each round takes the short forms off the heap, least first and
         lower generator first, then the longer relators by length, form and
-        growth estimate.  It ends at the first candidate that
-        :meth:`eliminate` commits, which drops the relator solved, and the
-        next round starts afresh.  A short form whose every candidate was
-        rejected is parked.  A round without a commit ends the run and sets
+        growth estimate, until :meth:`eliminate` commits one; the next
+        round then starts afresh.  A short form neither of whose generators
+        commits is parked.  A round without a commit ends the run and sets
         ``bounded`` if the length bound rejected a candidate still live."""
         forms, heap, parked = self.forms, self.heap, self.parked
         while True:
@@ -180,16 +178,14 @@ class _Relators:
                 if forms.get(r) == c:
                     # a two-letter normal form starts with its lower generator
                     for x in c:
-                        yield r, ord(x) >> 1
-                        if r not in forms:
+                        if self.eliminate(r, ord(x) >> 1):
                             break
                     else:
                         parked.append(entry)
             offered = False
             for r, g in self._longer():
                 offered = True
-                yield r, g
-                if r not in forms:
+                if self.eliminate(r, g):
                     break
             else:
                 self.bounded = offered or any(forms.get(r) == c for _, c, r in parked)
@@ -317,8 +313,7 @@ def simplify(
         raise ValueError("max_relator_length must be positive")
     names = pres.gens
     rels = _Relators([rotation_nf(encode(r)) for r in pres.relators], max_relator_length)
-    for r, g in rels.choose():
-        rels.eliminate(r, g)
+    rels.run()
     gone = {s[1] for s in rels.steps if s[0] == "eliminate"}
     survivors = [g for g in range(len(names)) if g not in gone]
     renumber = {}

@@ -762,14 +762,19 @@ def _flip_involutions(pres: Presentation) -> Presentation:
     Each relator becomes the least rotation of the flipped word or of the
     flipped inverse, whichever is less: one form for all the relators that
     rotation, inversion and the signs of those generators carry into each
-    other.  Duplicates are merged, and relators sorted by length, then
-    letter codes, as :func:`simplify` sorts them."""
+    other.  A proper power ``u^k`` is rotated through its primitive root
+    ``u``, as :func:`~coxembed.words.rotation_nf` does: the flipped ``u``
+    and its flipped inverse are rotated, and the lesser is repeated ``k``
+    times, since the rotations of ``u^k`` are the ``k``-th powers of the
+    rotations of ``u``.  Duplicates are merged, and relators sorted by
+    length, then letter codes, as :func:`simplify` sorts them."""
     flip = {2 * abs(r[0]) - 1: 2 * abs(r[0]) - 2 for r in pres.relators if len(r) == 2 and r[0] == r[1]}
     relators = set()
     for r in pres.relators:
         c = encode(r)
-        c, ci = c.translate(flip), code_invert(c).translate(flip)
-        relators.add(min(_least_rotation(c, min(c)), _least_rotation(ci, min(ci))))
+        p = (c + c).find(c, 1)
+        u, ui = c[:p].translate(flip), code_invert(c[:p]).translate(flip)
+        relators.add(min(_least_rotation(u, min(u)), _least_rotation(ui, min(ui))) * (len(c) // p))
     return Presentation.trusted(pres.gens, tuple(decode(c) for c in sorted(relators, key=lambda c: (len(c), c))))
 
 

@@ -81,8 +81,15 @@ def test_parse_errors_have_positions():
     with pytest.raises(ParseError) as err:
         parse_presentation("< a, b | a c >")
     assert err.value.line == 1 and err.value.col == 12
-    with pytest.raises(ParseError):
+    with pytest.raises(ParseError, match="duplicate generator name 'a'") as err:
         parse_presentation("< a, a | >")
+    assert (err.value.line, err.value.col) == (1, 6)
+    # each name is checked as it is read, at its own token
+    with pytest.raises(ParseError, match="duplicate generator name 'a'") as err:
+        parse_presentation("< a, b, a | a^2 >")
+    assert (err.value.line, err.value.col) == (1, 9)
+    with pytest.raises(ParseError, match="expected '[|]', found 'b'"):
+        parse_presentation("< a b | >")
     with pytest.raises(ParseError):
         parse_presentation("< a | a^2")
     with pytest.raises(ParseError):
@@ -243,6 +250,18 @@ def test_parse_matrix_text_rejects_bad_entries_and_no_rows():
     assert parse_vector_text(" +2, 4 ,-3,inf") == (2, 4, -3, INF)
     with pytest.raises(ValueError, match="entries must be >= 2 or inf, got -3"):
         CoxeterMatrix.from_rows(parse_matrix_text("1,-3\n-3,1\n"))
+    # both tables share one check, and every table keeps its own messages
+    for text, message in (
+        ("1,2\n2,1,2\n", "must be square"),
+        # a short row after full ones is refused as not square, not read past its end
+        ("1,2,2\n2,1,2\n2\n", "must be square"),
+        ("1,2\n3,1\n", "must be symmetric"),
+    ):
+        rows = parse_matrix_text(text)
+        with pytest.raises(ValueError, match=f"^Coxeter matrix {message}$"):
+            CoxeterMatrix.from_rows(rows)
+        with pytest.raises(ValueError, match=f"^commutator-power matrix {message}$"):
+            PcSpec(rows, (2,) * len(rows))
     for text in ("", "\n  \n"):
         with pytest.raises(ValueError, match="empty matrix"):
             parse_matrix_text(text)
@@ -326,6 +345,15 @@ def test_pc_spec_and_hom_reject_bad_input():
         PcSpec.from_pairs(2, {(0, 1): 2}, (2,))
     with pytest.raises(ValueError, match="generator order must be >= 1 or inf, got 0"):
         PcSpec.from_pairs(1, {}, (0,))
+    with pytest.raises(ValueError, match=re.escape("commutator-power matrix entries must be >= 1 or inf, got 0")):
+        PcSpec.from_pairs(2, {(0, 1): 0}, (2, 2))
+    with pytest.raises(ValueError, match=re.escape("commutator-power matrix entries must be >= 1 or inf, got 2.0")):
+        PcSpec.from_pairs(2, {(0, 1): 2.0}, (2, 2))
+    # an order of 1 is a PcSpec's, but no builder's
+    assert PcSpec.from_pairs(1, {}, (1,)).orders == (1,)
+    for build in (build_thm1_instance, build_prop2_instance):
+        with pytest.raises(ValueError, match=re.escape("generator order must be >= 2 or inf, got 1")):
+            build(CoxeterMatrix.from_pairs(2, {(0, 1): 4}), (2, 1))
     with pytest.raises(ValueError, match="n must be >= 1"):
         HomZ2n(0, ())
     with pytest.raises(ValueError, match="image 4 outside Z_2\\^2"):

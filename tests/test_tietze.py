@@ -1,4 +1,5 @@
 import hashlib
+import random
 
 import pytest
 from hypothesis import example, given, settings
@@ -30,7 +31,7 @@ from coxembed.verify import (
     group_order,
     match_presentations,
 )
-from coxembed.words import commutator, decode, expand_kernel_word, invert, power, relator_nf
+from coxembed.words import commutator, cyclic_reduce, decode, expand_kernel_word, invert, power, relator_nf
 from oracles import reference_flip_involutions, reference_simplify
 from test_presentations import _instance_sweep
 
@@ -269,6 +270,33 @@ def test_flip_involutions_matches_brute_force(p, data):
         )
         moved.append(r)
     assert _flip_involutions(Presentation(p.gens, tuple(moved))) == out
+
+
+def _random_powers(seed, count=8):
+    """Presentations ``< a, b, c, d | a^2, b^2, u^k >``: ``u`` a random
+    cyclically reduced word over the involutions a and b and the
+    non-involutions c and d, ``k`` from 2 to 5."""
+    rng = random.Random(seed)
+    out = []
+    while len(out) < count:
+        u = tuple(rng.choice((1, -1)) * rng.randint(1, 4) for _ in range(rng.randint(1, 6)))
+        if cyclic_reduce(u) == u:
+            out.append(Presentation(("a", "b", "c", "d"), ((1, 1), (2, 2), power(u, rng.randint(2, 5)))))
+    return out
+
+
+@pytest.mark.parametrize(
+    "p",
+    [
+        # the root a b a^-1 b flips to the periodic a b a b
+        parse_presentation("< a, b | a^2, (a b a^-1 b)^3 >"),
+        parse_presentation("< s, t | s^2, t^2, (s t)^60 >"),
+        parse_presentation("< a, b, c | a^2, (a b^-1 c)^4 >"),
+        *_random_powers(1),
+    ],
+)
+def test_flip_involutions_of_proper_powers_matches_brute_force(p):
+    assert str(_flip_involutions(p)) == reference_flip_involutions(p)
 
 
 def test_flip_involutions_after_simplify_matches_reference_on_family_kernels():
