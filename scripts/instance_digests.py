@@ -22,10 +22,12 @@ whole Tietze traces, not only the verdicts they lead to.
 
 With ``--evaluated`` each line carries the sha256 of the instance's
 evaluated kernel: ``repr((str(presentation), names, defining words))``
-over its symbol table, built by the coset walk.  Where the instance meets
-the coset-0 premise the kernel is also read from coset 0; if the two
-differ the script names the instance on stderr and exits 1.  At the end
-it prints on stderr how many instances were compared.
+over its symbol table, built by :func:`evaluated_kernel_presentation`,
+the one builder, which reads it from coset 0.  Each kernel is compared
+with the coset walk of ``tests/oracles.py``, which needs no premise; if
+the builder refuses an instance, or its kernel differs from the walk's,
+the script names the instance on stderr and exits 1.  At the end it
+prints on stderr how many instances were compared.
 
 With ``--chamber`` only the instances with a Coxeter ambient
 (:func:`coxeter_matrix_of`) are printed, each with the sha256 of the
@@ -44,9 +46,10 @@ import itertools
 import json
 import sys
 from pathlib import Path
-from typing import Optional, Tuple
 
-sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
+ROOT = Path(__file__).resolve().parents[1]
+sys.path.insert(0, str(ROOT / "src"))
+sys.path.insert(0, str(ROOT / "tests"))
 
 from coxembed.presentations import (  # noqa: E402
     INF,
@@ -57,8 +60,7 @@ from coxembed.presentations import (  # noqa: E402
     build_prop2_instance,
     build_thm1_instance,
 )
-from coxembed import schreier  # noqa: E402
-from coxembed.schreier import raw_kernel_presentation  # noqa: E402
+from coxembed.schreier import evaluated_kernel_presentation, raw_kernel_presentation  # noqa: E402
 from coxembed.tietze import DEFAULT_MAX_RELATOR_LENGTH, simplify  # noqa: E402
 from coxembed.verify import (  # noqa: E402
     DEFAULT_MAX_COSETS,
@@ -67,6 +69,7 @@ from coxembed.verify import (  # noqa: E402
     verify_instance,
 )
 from coxembed.words import expand_kernel_word  # noqa: E402
+from oracles import walked_kernel  # noqa: E402
 
 LABELS = (2, 3, 4, 5, 6, INF)
 ORDERS = (2, 4, 6, INF)
@@ -107,16 +110,14 @@ def simplify_digests(inst, max_relator_length: int) -> str:
     return " ".join(digests)
 
 
-def evaluated_digest(inst) -> Tuple[str, Optional[bool]]:
-    """The digest of the evaluated kernel by the coset walk, and whether
-    its coset-0 form is the same kernel: None when the instance misses
-    the coset-0 premise."""
-    texts = [
-        None if ev is None else
-        repr((str(ev.presentation), [g.name for g in ev.table], [g.defining for g in ev.table]))
-        for ev in (schreier._walked_kernel(inst), schreier._coset0_kernel(inst))
-    ]
-    return sha256(texts[0]), None if texts[1] is None else texts[0] == texts[1]
+def evaluated_digest(inst) -> str:
+    """The digest of the evaluated kernel.  Raises ``ValueError`` when the
+    builder refuses the instance or its kernel differs from the oracle's
+    coset walk."""
+    ev = evaluated_kernel_presentation(inst)
+    if ev != walked_kernel(inst):
+        raise ValueError("the evaluated kernel differs from the coset walk of tests/oracles.py")
+    return sha256(repr((str(ev.presentation), [g.name for g in ev.table], [g.defining for g in ev.table])))
 
 
 def chamber_digest(inst, matrix) -> str:
@@ -138,18 +139,17 @@ def main(argv=None) -> int:
     mode.add_argument("--evaluated", action="store_true", help="digest the evaluated kernel, not the report")
     mode.add_argument("--chamber", action="store_true", help="digest the chamber check verdicts, not the report")
     args = ap.parse_args(argv)
-    compared = total = 0
+    compared = 0
     for inst in instances(args.max_rank):
-        total += 1
         if args.simplify:
             digest = simplify_digests(inst, args.max_relator_length)
         elif args.evaluated:
-            digest, same = evaluated_digest(inst)
-            if same is False:
-                print(f"{inst.family} {json.dumps(inst.params, sort_keys=True)}: the evaluated kernel "
-                      "read from coset 0 differs from the coset walk", file=sys.stderr)
+            try:
+                digest = evaluated_digest(inst)
+            except ValueError as exc:
+                print(f"{inst.family} {json.dumps(inst.params, sort_keys=True)}: {exc}", file=sys.stderr)
                 return 1
-            compared += same is not None
+            compared += 1
         elif args.chamber:
             matrix = coxeter_matrix_of(inst.ambient)
             if matrix is None:
@@ -160,7 +160,7 @@ def main(argv=None) -> int:
             digest = sha256(json.dumps(report.to_dict(), sort_keys=True))
         print(inst.family, json.dumps(inst.params, sort_keys=True), digest)
     if args.evaluated:
-        print(f"{compared} of {total} instances read alike from coset 0 and by the coset walk", file=sys.stderr)
+        print(f"{compared} instances read alike by the builder and by the coset walk", file=sys.stderr)
     return 0
 
 

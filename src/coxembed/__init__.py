@@ -19,7 +19,7 @@ _NAMES = {
         build_klein_instance build_prop2_instance build_thm1_instance coxeter_presentation
         parse_presentation parse_word pc_presentation serialize_presentation serialize_word""",
     "schreier": """KernelPresentation SchreierGen commuting_letters evaluated_kernel_presentation
-        image_rank merge_symbols raw_kernel_presentation right_angled_nf transversal""",
+        image_rank raw_kernel_presentation right_angled_nf transversal""",
     "tietze": "SimplifyTrace simplify",
     "verify": """AbelianInvariants CosetTable VerifyReport abelianization certified_infinite
         coxeter_matrix_of coxeter_order coxeter_word_trivial group_order match_presentations

@@ -173,8 +173,8 @@ def cmd_kernel(args) -> CommandResult:
     raw = raw_kernel_presentation(inst.ambient, inst.hom, inst.transversal_gens) if "raw" in modes else None
     kernels = {"raw": raw}
     if "evaluated" in modes:
-        # read from coset 0, or walked from the cosets when the instance
-        # misses that premise; never from the raw kernel
+        # read from coset 0, never from the raw kernel; every instance
+        # the CLI builds meets that premise
         kernels["evaluated"] = evaluated_kernel_presentation(inst)
     data, texts = zip(*(_kernel_section(inst, mode, kernels[mode]) for mode in modes))
     return 0, data[0] if len(data) == 1 else list(data), "\n\n".join(texts)

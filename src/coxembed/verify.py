@@ -732,7 +732,10 @@ def _finite_section(inst: EmbeddingInstance, max_cosets: int) -> Optional[dict]:
             return None
         holds = partial(_chamber_checks, matrix)
     else:
-        if certified_infinite(inst.ambient) or certified_infinite(inst.expected_kernel):
+        # the expected kernel first: the built-in non-Coxeter ambients are
+        # the artin families', whose expected kernel is an Artin group,
+        # of free rank >= 1 since every braid relator has exponent sum 0
+        if certified_infinite(inst.expected_kernel) or certified_infinite(inst.ambient):
             return None
         ambient_table = todd_coxeter(inst.ambient, (), max_cosets)
         if not ambient_table.complete:
@@ -792,8 +795,11 @@ def verify_instance(
     ambient W, and (z) that every expected word lies in the kernel H of
     the hom; with these, the evaluated match alone proves that the
     expected kernel E is H.  Write phi: E -> W for ``a_j -> expected_words[j]`` and psi for
-    :func:`merge_symbols`' map from the raw Schreier symbols to E's
-    generators.  By Reidemeister-Schreier the raw symbols and relators
+    the map from the raw Schreier symbols to E's signed generators or 1 that
+    :func:`evaluated_kernel_presentation`, the one builder, reads from
+    coset 0: the symbol of (v, x) goes to alpha_v of the letter of the
+    coset-0 symbol of x, alpha_v the transversal's action on E's letters
+    by conjugation.  By Reidemeister-Schreier the raw symbols and relators
     present H.  When the evaluated kernel matches E (the same names, and
     the same relator normal-form multiset), psi sends every raw relator to
     a relator of E or to the empty word, so it induces a homomorphism
@@ -804,8 +810,11 @@ def verify_instance(
     then psi of a raw relator, whose phi-image is trivial in W, so phi is
     a homomorphism E -> W, into H by (z); and phi psi is the identity of
     H, so psi is injective and phi maps E isomorphically onto H.  The one
-    trusted piece is :func:`right_angled_nf`.  The raw comparison and the
-    finite section check the same fact independently.
+    trusted piece is :func:`right_angled_nf`, which decides every equality
+    that psi and the alpha_v are read from.  An instance outside the
+    builder's premise is refused with its ``ValueError`` before any raw
+    kernel is built.  The raw comparison and the finite section check the
+    same fact independently.
 
     The finite section runs no coset enumeration when the ambient or the
     expected kernel is :func:`certified_infinite`; it reads skipped, as

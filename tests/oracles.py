@@ -7,14 +7,16 @@ a whole-presentation Tietze loop for the incremental ``simplify``, the
 exhaustive presentation matcher, every flipped rotation for the
 involution sign flip, the bilinear form of a Coxeter
 matrix for the infiniteness certificate, the chamber word check on
-coefficient lists for the packed one, and the evaluated kernel by
-substitution into the raw relators for the step-table walks.
+coefficient lists for the packed one, and, for the evaluated kernel
+read from coset 0, the merge rule of the raw symbols with an
+expected-letter table of its own, the kernel by substitution into the
+raw relators, and the coset walk that needs no premise.
 
-Four helpers are entries to engine code rather than oracles, kept here
+Two helpers are entries to engine code rather than oracles, kept here
 because only tests call them: :func:`regular_rep` reads a group's action
-on itself off a complete Todd-Coxeter table,
+on itself off a complete Todd-Coxeter table, and
 :func:`smith_normal_form` runs the sparse Smith elimination on a dense
-matrix, :func:`merge_images` reads each raw symbol's merged image as a
+matrix.  :func:`merge_images` reads each raw symbol's merged image as a
 word, and :func:`evaluated_rewriter` rewrites kernel words over the
 evaluated symbols.  :func:`fields` and :func:`replace` read and rebuild
 a value object through its class's constructor, and :func:`relabel`
@@ -28,7 +30,14 @@ from math import cos, gcd, inf, lcm, pi
 from typing import List, Optional, Sequence, Tuple
 
 from coxembed.presentations import DEFAULT_MAX_COSETS, INF, CoxeterMatrix, Presentation, serialize_word
-from coxembed.schreier import KernelPresentation, merge_symbols, raw_kernel_presentation
+from coxembed.schreier import (
+    KernelPresentation,
+    SchreierGen,
+    commuting_letters,
+    raw_kernel_presentation,
+    right_angled_nf,
+    transversal,
+)
 from coxembed.verify import _sparse_smith_diagonal, todd_coxeter
 from coxembed.words import (
     Word,
@@ -109,6 +118,49 @@ def walk_rewrite(table, images, w, coset=0):
     return free_reduce(out)
 
 
+def merge_symbols(inst, table):
+    """Evaluated symbols of a raw symbol table, and each signed raw letter,
+    and 0, mapped to its merged letter or 0.
+
+    In table order, each raw defining word is put in ``right_angled_nf``
+    over the instance's commuting pairs.  An empty word drops out (letter
+    0); a word equal to an earlier symbol's word merges into it with sign
+    +1, one whose normalized inverse equals it with sign -1; a new word
+    makes a symbol named after its first origin, or after the first
+    expected generator it or its inverse equals, taking that generator's
+    word and the sign -1 for the inverse.  The inverse of a raw letter
+    maps to the inverse of its merged letter."""
+    near = commuting_letters(inst.ambient.rank, inst.commuting)
+    expected = [right_angled_nf(near, w) for w in inst.expected_words]
+    # each expected word, then its inverse, mapped to the index and sign
+    # of the first expected generator it equals
+    named = {}
+    for k, w in enumerate(expected):
+        named.setdefault(w, (k, 1))
+        named.setdefault(right_angled_nf(near, w[::-1]), (k, -1))
+    merged = []
+    by_word = {}  # a merged symbol's word -> its letter
+    letters = {0: 0}
+    for k, g in enumerate(table, 1):
+        word = right_angled_nf(near, g.defining)
+        if not word:
+            m = 0
+        elif word in by_word:
+            m = by_word[word]
+        elif (inv_word := right_angled_nf(near, word[::-1])) in by_word:
+            m = -by_word[inv_word]
+        else:
+            name, canonical, m = g.name, word, len(merged) + 1
+            if word in named:
+                e, sign = named[word]
+                name, canonical, m = inst.expected_kernel.gens[e], expected[e], sign * m
+            by_word[canonical] = abs(m)
+            merged.append(SchreierGen(name, g.coset_word, g.gen, canonical))
+        letters[k] = m
+        letters[-k] = -m
+    return tuple(merged), letters
+
+
 def merge_images(inst, table):
     """The evaluated symbol table of :func:`merge_symbols`, and each raw
     symbol's image: the word of its merged letter, empty for 0."""
@@ -131,10 +183,30 @@ def reference_evaluated_kernel(inst, raw: KernelPresentation) -> KernelPresentat
     (:func:`expand_kernel_word`), empty images dropped and the rest
     deduplicated by :func:`relator_nf` in first-appearance order, each kept
     cyclically reduced."""
-    table, images = merge_images(inst, raw.table)
+    return _substituted(inst, raw.table, raw.presentation.relators)
+
+
+def walked_kernel(inst) -> KernelPresentation:
+    """The evaluated kernel by the coset walk, for an instance in or out
+    of the coset-0 premise: each (coset, ambient relator) pair, cosets in
+    transversal order, rewritten from that coset over the raw symbols by
+    :func:`walk_rewrite`, then substituted as by
+    :func:`reference_evaluated_kernel`.  Only the raw symbol table is
+    read, not the raw relators."""
+    amb, hom = inst.ambient, inst.hom
+    raw = raw_kernel_presentation(amb, hom, inst.transversal_gens).table
+    cosets = transversal(amb, hom, inst.transversal_gens)
+    return _substituted(inst, raw, (walk_rewrite(raw, hom.images, r, v) for v in cosets for r in amb.relators))
+
+
+def _substituted(inst, raw_table, words) -> KernelPresentation:
+    """The kernel on the :func:`merge_images` symbols of ``raw_table``
+    whose relators are the images of the raw kernel ``words``, as
+    :func:`reference_evaluated_kernel` describes."""
+    table, images = merge_images(inst, raw_table)
     rels = []
     seen = set()
-    for r in raw.presentation.relators:
+    for r in words:
         img = expand_kernel_word(r, images)
         if not img:
             continue

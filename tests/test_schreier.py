@@ -24,7 +24,6 @@ from coxembed.schreier import (
     commuting_letters,
     evaluated_kernel_presentation,
     image_rank,
-    merge_symbols,
     raw_kernel_presentation,
     right_angled_nf,
     transversal,
@@ -39,8 +38,16 @@ from coxembed.verify import (
 )
 from coxembed.words import cyclic_reduce, free_reduce, invert, power, relator_nf
 import coxembed.schreier as schreier
-from oracles import evaluated_rewriter, reference_evaluated_kernel, regular_rep, replace, walk_rewrite
-from test_presentations import _instance_sweep
+from oracles import (
+    evaluated_rewriter,
+    merge_symbols,
+    reference_evaluated_kernel,
+    regular_rep,
+    replace,
+    walk_rewrite,
+    walked_kernel,
+)
+from test_presentations import LABELS, _instance_sweep
 
 ROOT = Path(__file__).resolve().parents[1]
 
@@ -312,57 +319,94 @@ def test_coset0_kernel_checks_no_hom_again(monkeypatch):
         calls = []
         word_image = HomZ2n.word_image
         monkeypatch.setattr(HomZ2n, "word_image", lambda *a: calls.append(a) or word_image(*a))
-        assert schreier._coset0_kernel(inst) is not None
         assert evaluated_kernel_presentation(inst) == expected
         assert calls == []
         monkeypatch.undo()
 
 
 def test_evaluated_kernel_equals_substitution_oracle_on_the_instance_sweep():
-    # the kernel read from coset 0 and the coset walk, against the raw
-    # relators with each symbol substituted
+    # the kernel read from coset 0 and the oracle's coset walk, against
+    # the raw relators with each symbol substituted
     for inst in _instance_sweep():
         raw = raw_kernel_presentation(inst.ambient, inst.hom, inst.transversal_gens)
         ref = reference_evaluated_kernel(inst, raw)
-        assert schreier._coset0_kernel(inst) is not None, inst.family
-        for kp in (evaluated_kernel_presentation(inst), schreier._walked_kernel(inst)):
+        for kp in (evaluated_kernel_presentation(inst), walked_kernel(inst)):
             assert kp.presentation.gens == ref.presentation.gens, inst.family
             assert kp.presentation.relators == ref.presentation.relators, inst.family
             assert kp.table == ref.table, inst.family
 
 
-def _takes_the_walk(inst):
-    # an instance that misses the coset-0 premise is walked from the
-    # cosets, and still equals the substitution oracle
-    raw = raw_kernel_presentation(inst.ambient, inst.hom, inst.transversal_gens)
-    assert schreier._coset0_kernel(inst) is None
-    assert evaluated_kernel_presentation(inst) == reference_evaluated_kernel(inst, raw)
+def _random_matrix(rng, n, labels):
+    return CoxeterMatrix.from_pairs(n, {(i, j): rng.choice(labels) for i in range(n) for j in range(i + 1, n)})
 
 
-def test_coset0_premise_needs_the_transversal_on_the_basis():
+def test_random_instances_past_the_sweep_meet_the_premise():
+    # every family meets the coset-0 premise at every rank, not only on
+    # the sweep: seeded thm1 (even labels), prop2 and artin at ranks 4-6,
+    # artin-inversion at ranks 2-6 and klein all build, and equal the
+    # substitution oracle up to rank 5
+    rng = random.Random(20261022)
+    cases = [(1, build_klein_instance())]
+    for n in (4, 5, 6) * 3:
+        thm1_orders = [rng.choice((2, 3, 4, 5, 6, INF)) for _ in range(n)]
+        prop2_orders = [rng.choice((2, 4, 6, INF)) for _ in range(n)]
+        cases += [
+            (n, build_thm1_instance(_random_matrix(rng, n, (2, 4, 6, INF)), thm1_orders)),
+            (n, build_prop2_instance(_random_matrix(rng, n, LABELS), prop2_orders)),
+            (n, build_artin_instance(_random_matrix(rng, n, LABELS))),
+        ]
+    cases += [
+        (n, build_artin_inversion_instance(_random_matrix(rng, n, LABELS))) for n in range(2, 7) for _ in range(2)
+    ]
+    for n, inst in cases:
+        kp = evaluated_kernel_presentation(inst)
+        assert kp.presentation.gens == inst.expected_kernel.gens, inst.params
+        if n <= 5:
+            raw = raw_kernel_presentation(inst.ambient, inst.hom, inst.transversal_gens)
+            assert kp == reference_evaluated_kernel(inst, raw), inst.params
+
+
+def _refused(monkeypatch, inst, match):
+    # an instance that misses the coset-0 premise is refused by name, by
+    # the builder and by verify_instance, before any raw kernel is built
+    def refuse(*args):
+        raise AssertionError("raw kernel built")
+
+    monkeypatch.setattr(schreier, "raw_kernel_presentation", refuse)
+    for run in (evaluated_kernel_presentation, verify_instance):
+        with pytest.raises(ValueError, match=match):
+            run(inst)
+    monkeypatch.undo()
+
+
+def test_coset0_premise_needs_the_transversal_on_the_basis(monkeypatch):
     # r2 maps to 0b11, so the transversal generators span Z_2^2 but are
     # not its basis; klein's r1, s1, r2 are one generator too many
     plain = thm1_fixture()
-    _takes_the_walk(replace(plain, hom=HomZ2n(2, (0b01, 0b11, 0b01, 0b11))))
-    _takes_the_walk(replace(build_klein_instance(), transversal_gens=(0, 1, 2)))
+    match = "^the transversal generators do not map one-to-one onto the basis of Z_2\\^n$"
+    _refused(monkeypatch, replace(plain, hom=HomZ2n(2, (0b01, 0b11, 0b01, 0b11))), match)
+    _refused(monkeypatch, replace(build_klein_instance(), transversal_gens=(0, 1, 2)), match)
 
 
-def test_coset0_premise_needs_commuting_transversal_generators():
+def test_coset0_premise_needs_commuting_transversal_generators(monkeypatch):
     # s1 and s2 map onto the basis, but their label is 4
-    _takes_the_walk(replace(thm1_fixture(), transversal_gens=(2, 3)))
+    match = "^the transversal generators s1 and s2 do not commute$"
+    _refused(monkeypatch, replace(thm1_fixture(), transversal_gens=(2, 3)), match)
 
 
-def test_coset0_premise_needs_distinct_nontrivial_expected_words():
+def test_coset0_premise_needs_distinct_nontrivial_expected_words(monkeypatch):
     # s1 r1 and r1 s1 are inverse, s1 r1 twice is a repeat, and s1 s1 is
     # trivial in the right-angled group
     plain = thm1_fixture()
     s1r1 = plain.expected_words[0]
+    match = "^the expected words are not nontrivial and distinct up to inversion$"
     for words in ((s1r1, invert(s1r1)), (s1r1, s1r1), (s1r1, (3, 3))):
-        _takes_the_walk(replace(plain, expected_words=words))
+        _refused(monkeypatch, replace(plain, expected_words=words), match)
 
 
 def test_merged_symbols_take_the_first_expected_generator():
-    # literal rows and raw-letter signs on instances that take the walk,
+    # literal rows and raw-letter signs of the oracle's merge rule on
+    # instances outside the coset-0 premise, which the builder refuses,
     # so the naming rule is pinned without merge_symbols as its own oracle
     plain = thm1_fixture()
     s1r1 = plain.expected_words[0]
@@ -382,28 +426,29 @@ def test_merged_symbols_take_the_first_expected_generator():
          [("y0_s1", "s1"), ("s1", "r1 s1 r1")], [1, 0, 2]),
     ]
     for inst, rows, signs in cases:
-        assert schreier._coset0_kernel(inst) is None
+        with pytest.raises(ValueError, match="not nontrivial and distinct"):
+            evaluated_kernel_presentation(inst)
         raw = raw_kernel_presentation(inst.ambient, inst.hom, inst.transversal_gens)
         table, letters = merge_symbols(inst, raw.table)
-        kp = evaluated_kernel_presentation(inst)
-        assert kp.table == table
         assert [(g.name, serialize_word(g.defining, inst.ambient.gens)) for g in table] == rows
         assert [letters[k] for k in range(1, len(raw.table) + 1)] == signs
 
 
-def test_coset0_premise_needs_conjugation_to_permute_expected_words():
+def test_coset0_premise_needs_conjugation_to_permute_expected_words(monkeypatch):
     # r1 (s2 r2 s1 r1) r1 is neither expected word nor an inverse of one
     plain = thm1_fixture()
     s1r1, s2r2 = plain.expected_words
-    _takes_the_walk(replace(plain, expected_words=(s1r1, s2r2 + s1r1)))
+    match = "^conjugation by r1 does not permute the expected words up to inversion$"
+    _refused(monkeypatch, replace(plain, expected_words=(s1r1, s2r2 + s1r1)), match)
 
 
-def test_coset0_premise_needs_expected_coset0_symbols():
+def test_coset0_premise_needs_expected_coset0_symbols(monkeypatch):
     # conjugation permutes s1 r1 and (s2 r2)^2 up to inversion, but the
     # coset-0 symbol s2 r2 is neither
     plain = thm1_fixture()
     s1r1, s2r2 = plain.expected_words
-    _takes_the_walk(replace(plain, expected_words=(s1r1, s2r2 * 2)))
+    match = "^the coset-0 symbol of s2 is not an expected word up to inversion$"
+    _refused(monkeypatch, replace(plain, expected_words=(s1r1, s2r2 * 2)), match)
 
 
 def test_evaluated_thm1():
